@@ -68,14 +68,13 @@ from .sweep import (
     run_sweep,
 )
 from .swing import (
+    Coupling,
     GeneratorParams,
     SystemState,
     Trajectory,
     dispatch_from_angles,
-    electrical_power,
     integrate,
-    rhs,
-    rhs_hamiltonian,
+    swing_field,
 )
 
 __version__ = "0.1.0"

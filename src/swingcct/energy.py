@@ -10,22 +10,13 @@ and a quadratic expansion of the angle coupling terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InadmissibleScenario
 from .netmodel import ReducedNetwork
-from .swing import (
-    GeneratorParams,
-    SystemState,
-    Trajectory,
-    anchored_field,
-    conductance_power,
-    electrical_power,
-    integrate,
-    swing_field,
-)
+from .swing import Coupling, GeneratorParams, SystemState, Trajectory, integrate, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -36,17 +27,28 @@ _ALPHA_DEGENERATE = 1e-12
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Conservative post-fault model anchored at the post-fault SEP."""
+    """Conservative post-fault model anchored at the post-fault SEP.
+
+    `coupling` is the anchored kernel of the post-fault network and `drive`
+    the frozen input Pm - Pa of the modeled machines.
+    """
 
     red: ReducedNetwork
     gp: GeneratorParams
     Pa: np.ndarray        # frozen conductance power, full machine vector
     anchor: np.ndarray    # SEP angles of the modeled machines
+    coupling: Coupling = field(init=False, repr=False, compare=False)
+    drive: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        act = self.gp.active
+        object.__setattr__(self, "coupling", Coupling(self.red, act, conductive=False))
+        object.__setattr__(self, "drive", self.gp.Pm[act] - self.Pa[act])
 
     @classmethod
     def at_anchor(cls, red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray) -> "HamiltonianModel":
         anchor = np.asarray(anchor, dtype=float)
-        Pa = conductance_power(red, gp.full_angles(anchor))
+        Pa = Coupling(red, gp.active).conductance(anchor)
         return cls(red=red, gp=gp, Pa=Pa, anchor=anchor)
 
 
@@ -61,7 +63,7 @@ class FaultOnHamiltonianModel:
     @classmethod
     def at_prefault(cls, red_on: ReducedNetwork, gp: GeneratorParams, delta_pre: np.ndarray) -> "FaultOnHamiltonianModel":
         delta_pre = np.asarray(delta_pre, dtype=float)
-        Pa_on = conductance_power(red_on, gp.full_angles(delta_pre))
+        Pa_on = Coupling(red_on, gp.active).conductance(delta_pre)
         return cls(red_on=red_on, Pa_on=Pa_on, anchor=delta_pre)
 
 
@@ -71,30 +73,23 @@ def kinetic(gp: GeneratorParams, omega: np.ndarray) -> float:
     return float(0.5 * np.sum(gp.M[gp.active] * omega**2))
 
 
-def potential(hm: HamiltonianModel, delta: np.ndarray) -> float:
-    """Potential energy of the conservative post-fault system."""
-    gp = hm.gp
-    act = gp.active
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    drive = gp.Pm[act] - hm.Pa[act]
-    d = np.subtract.outer(full, full)
-    pair = np.triu(hm.red.Pbar * np.cos(d), k=1).sum()
-    return float(-(drive @ full[act]) - pair)
+def potential(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
+    """Potential energy of the conservative post-fault system.
+
+    delta holds modeled-machine angles, one state per row of a (..., m) stack.
+    """
+    delta = np.asarray(delta, dtype=float)
+    return -(delta * hm.drive).sum(axis=-1) - hm.coupling.pair_energy(delta)
 
 
 def potential_gradient(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `potential` with respect to the modeled angles."""
-    gp = hm.gp
-    act = gp.active
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    d = np.subtract.outer(full, full)
-    s = (hm.red.Pbar * np.sin(d)).sum(axis=1)
-    return -(gp.Pm[act] - hm.Pa[act]) + s[act]
+    return hm.coupling.power(delta)[..., hm.gp.active] - hm.drive
 
 
 def hamiltonian(hm: HamiltonianModel, x: SystemState) -> float:
     """Total energy: kinetic plus potential."""
-    return kinetic(hm.gp, x.omega) + potential(hm, x.delta)
+    return kinetic(hm.gp, x.omega) + float(potential(hm, x.delta))
 
 
 def hamiltonian_batch(hm: HamiltonianModel, states: np.ndarray) -> np.ndarray:
@@ -103,14 +98,8 @@ def hamiltonian_batch(hm: HamiltonianModel, states: np.ndarray) -> np.ndarray:
     act = gp.active
     m = act.size
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    delta, omega = states[:, :m], states[:, m:]
-    kin = 0.5 * (gp.M[act][None, :] * omega**2).sum(axis=1)
-    full = np.zeros((states.shape[0], gp.n))
-    full[:, act] = delta
-    d = full[:, :, None] - full[:, None, :]
-    pair = (np.triu(hm.red.Pbar, k=1)[None, :, :] * np.cos(d)).sum(axis=(1, 2))
-    drive = gp.Pm[act] - hm.Pa[act]
-    return kin - delta @ drive - pair
+    kin = 0.5 * (gp.M[act] * states[:, m:] ** 2).sum(axis=-1)
+    return kin + potential(hm, states[:, :m])
 
 
 def energy_margin(E_c: float, hm: HamiltonianModel, x_pre: SystemState) -> float:
@@ -124,8 +113,7 @@ def initial_accelerations(fom: FaultOnHamiltonianModel, gp: GeneratorParams) -> 
     u_i = (Pm_i - Pe_on_i(delta_pre)) / M_i for modeled machines; the
     infinite machine contributes u = 0.
     """
-    full = gp.full_angles(fom.anchor)
-    Pe = electrical_power(fom.red_on, full)
+    Pe = Coupling(fom.red_on, gp.active).power(fom.anchor)
     u = np.zeros(gp.n)
     act = gp.active
     u[act] = (gp.Pm[act] - Pe[act]) / gp.M[act]
@@ -165,9 +153,9 @@ def quartic_coefficients(
     out of beta; acceptance check 8g holds the surrogate to that promise.
     """
     u = initial_accelerations(fom, gp)
-    du = np.subtract.outer(u, u)
-    full_pre = gp.full_angles(x_pre.delta)
-    dpre = np.subtract.outer(full_pre, full_pre)
+    n = gp.n
+    du = hm.coupling.diffs(u[gp.active]).reshape(n, n)
+    dpre = hm.coupling.diffs(x_pre.delta).reshape(n, n)
     dPbar = hm.red.Pbar - fom.red_on.Pbar
 
     alpha = float(np.triu(dPbar * du**2, k=1).sum() / 8.0)
@@ -216,11 +204,8 @@ def fault_on_trajectory(
     By default the exact fault-on field is used; set hamiltonian_fault_on to
     integrate the dissipation-frozen variant instead.
     """
-    if hamiltonian_fault_on:
-        field = anchored_field(fom.red_on, gp, fom.anchor)
-    else:
-        field = swing_field(fom.red_on, gp)
-    return integrate(field, x_pre, horizon, tol=tol, atol=atol)
+    Pa = fom.Pa_on if hamiltonian_fault_on else None
+    return integrate(swing_field(fom.red_on, gp, Pa), x_pre, horizon, tol=tol, atol=atol)
 
 
 def tau_H(

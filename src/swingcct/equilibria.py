@@ -15,85 +15,50 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import HamiltonianModel, potential
+from .energy import HamiltonianModel, potential, potential_gradient
 from .errors import EquilibriumError, InadmissibleScenario
 from .netmodel import ReducedNetwork
-from .swing import GeneratorParams, electrical_power
+from .swing import Coupling, GeneratorParams
 
 _EIG_AXIS_TOL = 1e-9
 MARGINAL = "marginal"
 
 
-def anchored_residual(
-    red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """Pm - Pa - (sine coupling) over the modeled machines (zero at equilibria)."""
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    d = np.subtract.outer(full, full)
-    s = (red.Pbar * np.sin(d)).sum(axis=1)
-    act = gp.active
-    return gp.Pm[act] - Pa[act] - s[act]
-
-
-def exact_residual(red: ReducedNetwork, gp: GeneratorParams, delta: np.ndarray) -> np.ndarray:
-    """Pm - Pe over the modeled machines for the exact (lossy) field."""
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    act = gp.active
-    return gp.Pm[act] - electrical_power(red, full)[act]
-
-
-def _exact_jacobian(red: ReducedNetwork, gp: GeneratorParams, delta: np.ndarray) -> np.ndarray:
-    act = gp.active
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    d = np.subtract.outer(full, full)
-    PG = np.outer(red.E, red.E) * red.G
-    C = red.Pbar * np.cos(d) - PG * np.sin(d)
-    J = C[np.ix_(act, act)]
-    np.fill_diagonal(J, 0.0)
-    J[np.diag_indices_from(J)] = -C[act, :].sum(axis=1)
-    return J
-
-
-def hessian(red: ReducedNetwork, gp: GeneratorParams, delta: np.ndarray) -> np.ndarray:
-    """Hessian of the potential energy in the modeled angles."""
-    act = gp.active
-    full = gp.full_angles(np.asarray(delta, dtype=float))
-    d = np.subtract.outer(full, full)
-    C = red.Pbar * np.cos(d)
-    H = -C[np.ix_(act, act)]
-    np.fill_diagonal(H, 0.0)
-    diag = C[act, :].sum(axis=1)
-    H[np.diag_indices_from(H)] = diag
-    return H
-
-
 def _newton(
-    red: ReducedNetwork,
-    gp: GeneratorParams,
-    Pa: np.ndarray,
-    guess: np.ndarray,
+    coupling: Coupling,
+    drive: np.ndarray,
+    starts: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
-    max_step: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton on the anchored residual; returns (root, iterations)."""
-    delta = np.asarray(guess, dtype=float).copy()
-    for it in range(1, max_iter + 1):
-        r = anchored_residual(red, gp, Pa, delta)
-        if np.max(np.abs(r)) <= tol:
-            return delta, it
-        H = hessian(red, gp, delta)
-        try:
-            step = np.linalg.solve(H, r)
-        except np.linalg.LinAlgError:
-            raise EquilibriumError("singular Hessian in Newton iteration") from None
-        norm = np.max(np.abs(step))
-        if norm > max_step:
-            step *= max_step / norm
-        delta = delta + step
-        if not np.all(np.isfinite(delta)):
-            raise EquilibriumError("Newton iteration diverged to non-finite angles")
-    raise EquilibriumError(f"Newton did not converge in {max_iter} iterations")
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on power[act] = drive from a (k, m) stack of starts.
+
+    Steps are capped at 1 rad in the max norm.  A start stops once its
+    residual is within tol and is dropped when its Jacobian is (near)
+    singular or its iterate leaves the finite numbers.  Returns the iterates
+    and the mask of converged starts; each row's result is independent of
+    the others in the stack.
+    """
+    act = coupling.act
+    X = np.array(starts, dtype=float)
+    converged = np.zeros(X.shape[0], dtype=bool)
+    work = np.arange(X.shape[0])
+    for _ in range(max_iter):
+        if work.size == 0:
+            break
+        Xw = X[work]
+        R = drive - coupling.power(Xw)[:, act]
+        done = np.max(np.abs(R), axis=1) <= tol
+        converged[work[done]] = True
+        J = coupling.jacobian(Xw)
+        keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
+        step = np.linalg.solve(J[keep], R[keep, :, None])[:, :, 0]
+        norms = np.max(np.abs(step), axis=1, keepdims=True)
+        Xw = Xw[keep] + step * (1.0 / np.maximum(norms, 1.0))
+        finite = np.all(np.isfinite(Xw), axis=1)
+        work = work[keep][finite]
+        X[work] = Xw[finite]
+    return X, converged
 
 
 @dataclass(frozen=True)
@@ -134,7 +99,7 @@ def classify(hm: HamiltonianModel, delta: np.ndarray) -> int | str:
 def _spectrum(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     gp = hm.gp
     m = gp.n_active
-    H = hessian(hm.red, gp, delta)
+    H = hm.coupling.jacobian(delta)
     Minv = 1.0 / gp.M[gp.active]
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = np.eye(m)
@@ -154,7 +119,7 @@ def _equilibrium_point(hm: HamiltonianModel, delta: np.ndarray) -> EquilibriumPo
     canonical = _wrap_to_cell(delta, np.asarray(hm.anchor, dtype=float))
     return EquilibriumPoint(
         delta=delta,
-        energy=potential(hm, canonical),
+        energy=float(potential(hm, canonical)),
         type_index=t,
         spectrum=spectrum,
     )
@@ -174,92 +139,19 @@ def find_sep(
     frozen conductance power) is found in one Newton run on the exact field.
     """
     guess = np.asarray(guess, dtype=float)
-    delta = guess.copy()
-    for _ in range(max_iter):
-        r = exact_residual(red, gp, delta)
-        if np.max(np.abs(r)) <= tol:
-            break
-        J = _exact_jacobian(red, gp, delta)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise EquilibriumError("singular Jacobian while locating the SEP") from None
-        norm = np.max(np.abs(step))
-        if norm > 1.0:
-            step *= 1.0 / norm
-        delta = delta + step
-        if not np.all(np.isfinite(delta)):
-            raise EquilibriumError("SEP Newton diverged to non-finite angles")
-    else:
+    X, converged = _newton(Coupling(red, gp.active), gp.Pm[gp.active], guess[None, :], tol, max_iter)
+    if not converged[0]:
         raise EquilibriumError(f"SEP Newton did not converge in {max_iter} iterations")
+    delta = X[0]
     if np.max(np.abs(delta - guess)) >= np.pi:
         raise EquilibriumError("Newton left the principal cell of the initial guess")
     hm = HamiltonianModel.at_anchor(red, gp, delta)
-    if np.max(np.abs(anchored_residual(red, gp, hm.Pa, delta))) > 1e-10:
+    if np.max(np.abs(potential_gradient(hm, delta))) > 1e-10:
         raise EquilibriumError("anchored residual check failed at the SEP")
     point = _equilibrium_point(hm, delta)
     if point.type_index != 0:
         raise EquilibriumError(f"converged point is type-{point.type_index}, not a SEP")
     return point, hm
-
-
-def _batched_newton(
-    hm: HamiltonianModel, starts: np.ndarray, tol: float = 1e-12, max_iter: int = 60
-) -> np.ndarray:
-    """Vectorised damped Newton from many starts; returns converged roots."""
-    gp = hm.gp
-    red = hm.red
-    act = gp.active
-    m = act.size
-    n = gp.n
-    S = starts.shape[0]
-    drive = gp.Pm[act] - hm.Pa[act]
-    Pbar = red.Pbar
-
-    X = starts.copy()
-    alive = np.ones(S, dtype=bool)
-    converged = np.zeros(S, dtype=bool)
-    for _ in range(max_iter):
-        work = alive & ~converged
-        if not np.any(work):
-            break
-        full = np.zeros((S, n))
-        full[:, act] = X
-        D = full[:, :, None] - full[:, None, :]
-        s = (Pbar[None, :, :] * np.sin(D)).sum(axis=2)
-        R = drive[None, :] - s[:, act]
-        res = np.max(np.abs(R), axis=1)
-        newly = work & (res <= tol)
-        converged |= newly
-        work &= ~newly
-        if not np.any(work):
-            break
-        C = Pbar[None, :, :] * np.cos(D)
-        H = -C[:, act[:, None], act[None, :]]
-        diag = C[:, act, :].sum(axis=2)
-        H[:, np.arange(m), np.arange(m)] = diag
-        step = np.full_like(X, np.nan)
-        if m == 2:
-            det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-            ok = work & (np.abs(det) > 1e-14)
-            b0, b1 = R[:, 0], R[:, 1]
-            step[ok, 0] = (H[ok, 1, 1] * b0[ok] - H[ok, 0, 1] * b1[ok]) / det[ok]
-            step[ok, 1] = (-H[ok, 1, 0] * b0[ok] + H[ok, 0, 0] * b1[ok]) / det[ok]
-            alive &= ~(work & ~ok)
-            work &= ok
-        else:
-            for i in np.nonzero(work)[0]:
-                try:
-                    step[i] = np.linalg.solve(H[i], R[i])
-                except np.linalg.LinAlgError:
-                    alive[i] = False
-                    work[i] = False
-        norms = np.max(np.abs(step), axis=1)
-        scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-        upd = work & np.all(np.isfinite(step), axis=1)
-        X[upd] += step[upd] * scale[upd, None]
-        alive &= np.all(np.isfinite(X), axis=1)
-    return X[converged & alive & np.all(np.isfinite(X), axis=1)]
 
 
 def _wrap_to_cell(delta: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -299,7 +191,8 @@ def stationary_points(
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([g.ravel() for g in mesh], axis=1)
 
-    roots = _batched_newton(hm, starts)
+    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=60)
+    roots = X[converged]
     if roots.size == 0:
         return []
     roots = _wrap_to_cell(roots, center)
@@ -313,8 +206,7 @@ def stationary_points(
 
     points = []
     for r in kept:
-        res = anchored_residual(hm.red, gp, hm.Pa, r)
-        if np.max(np.abs(res)) > 1e-10:
+        if np.max(np.abs(potential_gradient(hm, r))) > 1e-10:
             continue
         try:
             points.append(_equilibrium_point(hm, r))
@@ -391,10 +283,10 @@ def _correct(
         hm = factory(param)
     except (InadmissibleScenario, EquilibriumError):
         return None
-    try:
-        root, _ = _newton(hm.red, hm.gp, hm.Pa, guess, tol=1e-12, max_iter=25)
-    except EquilibriumError:
+    X, converged = _newton(hm.coupling, hm.drive, np.asarray(guess, dtype=float)[None, :], max_iter=25)
+    if not converged[0]:
         return None
+    root = X[0]
     if np.max(np.abs(root - guess)) > jump_guard:
         return None
     try:

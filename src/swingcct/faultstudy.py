@@ -38,6 +38,15 @@ class FaultScenario:
     def with_load(self, bus_id: str, Y: complex) -> "FaultScenario":
         return replace(self, net=nm.set_load(self.net, bus_id, Y))
 
+    def with_load_part(self, bus_id: str, part: str, value: float) -> "FaultScenario":
+        """Set the conductance ('G') or susceptance ('B') of one shunt load."""
+        base = self.net.shunt_loads.get(bus_id, 0j)
+        if part == "G":
+            return self.with_load(bus_id, complex(value, base.imag))
+        if part == "B":
+            return self.with_load(bus_id, complex(base.real, value))
+        raise ValueError(f"parameter part must be 'G' or 'B', got {part!r}")
+
 
 @dataclass(frozen=True)
 class FaultStudyResult:
@@ -83,11 +92,10 @@ def regimes(sc: FaultScenario) -> tuple[nm.ReducedNetwork, nm.ReducedNetwork, nm
     )
 
 
-def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int | None]:
+def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
     """Modeled-machine pre-fault angles and the infinite machine index."""
     gen_buses = sc.net.generator_buses
-    inf_bus = sc.net.infinite_bus
-    infinite_index = gen_buses.index(inf_bus) if inf_bus is not None else None
+    infinite_index = gen_buses.index(sc.net.infinite_bus)
     delta = []
     for i, bus in enumerate(gen_buses):
         if i == infinite_index:
@@ -106,8 +114,7 @@ def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> sw.Genera
     omega0 = 2.0 * np.pi * sc.frequency
     gen_buses = sc.net.generator_buses
     M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in gen_buses])
-    if infinite_index is not None:
-        M[infinite_index] = np.inf
+    M[infinite_index] = np.inf
     Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
     return sw.GeneratorParams(M=M, Pm=Pm, E=red_pre.E, infinite_index=infinite_index)
 
@@ -144,20 +151,14 @@ def build_context(sc: FaultScenario, grid_density: int = 40) -> StudyContext:
 
 def _pair_excursions(ctx: StudyContext, states: np.ndarray) -> np.ndarray:
     """|pairwise angle difference - its SEP value| for each sample row."""
-    gp = ctx.gp
-    m = gp.n_active
-    full_sep = gp.full_angles(ctx.sep.delta)
-    n = gp.n
-    iu, ku = np.triu_indices(n, k=1)
-    ref = full_sep[iu] - full_sep[ku]
-    full = np.zeros((states.shape[0], n))
-    full[:, gp.active] = states[:, :m]
-    diff = full[:, iu] - full[:, ku]
-    return np.abs(diff - ref[None, :])
+    coupling = ctx.hm.coupling
+    m = ctx.gp.n_active
+    ref = coupling.diffs(ctx.sep.delta)[coupling.pairs]
+    return np.abs(coupling.diffs(states[:, :m])[:, coupling.pairs] - ref)
 
 
 def first_swing_stable(
-    sc_or_ctx: FaultScenario | StudyContext,
+    ctx: StudyContext,
     t_cl: float,
     window: float = 3.0,
     tol: float = 1e-8,
@@ -171,7 +172,6 @@ def first_swing_stable(
     """
     if t_cl < 0.0:
         raise ValueError("clearing time must be non-negative")
-    ctx = sc_or_ctx if isinstance(sc_or_ctx, StudyContext) else build_context(sc_or_ctx)
 
     if t_cl == 0.0:
         x0 = ctx.x_pre
@@ -214,7 +214,7 @@ def first_swing_stable(
 
 
 def true_cct(
-    sc_or_ctx: FaultScenario | StudyContext,
+    ctx: StudyContext,
     resolution: float = 1e-4,
     horizon: float = 1.0,
     window: float = 3.0,
@@ -226,7 +226,6 @@ def true_cct(
     UNBOUNDED when stable at the horizon; verdict flags the degenerate case
     of a post-fault system unstable even at instant clearing.
     """
-    ctx = sc_or_ctx if isinstance(sc_or_ctx, StudyContext) else build_context(sc_or_ctx)
     if not first_swing_stable(ctx, 0.0, window=window, tol=tol):
         return 0.0, "unstable-at-zero"
     fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, horizon, tol=tol)
@@ -297,16 +296,9 @@ def hamiltonian_model_factory(
     sc: FaultScenario, bus_id: str, part: str
 ) -> "eq.ModelFactory":
     """Post-fault anchored-model builder as a function of one load parameter."""
-    base = sc.net.shunt_loads.get(bus_id, 0j)
 
     def factory(value: float) -> en.HamiltonianModel:
-        if part == "G":
-            Y = complex(value, base.imag)
-        elif part == "B":
-            Y = complex(base.real, value)
-        else:
-            raise ValueError(f"parameter part must be 'G' or 'B', got {part!r}")
-        sc_p = sc.with_load(bus_id, Y)
+        sc_p = sc.with_load_part(bus_id, part, value)
         # the fault-on regime plays no role in equilibrium continuation
         red_pre = nm.reduce_to_generators(sc_p.net)
         red_post = nm.reduce_to_generators(nm.apply_clearing(sc_p.net, sc_p.clearing_branch))

@@ -94,6 +94,8 @@ def scenario_from_dict(data: dict) -> FaultScenario:
         )
     except Exception as exc:
         raise ScenarioFormatError(f"network: {exc}") from exc
+    if net.infinite_bus is None:
+        raise ScenarioFormatError("buses: exactly one bus must be of kind 'infinite'")
 
     return FaultScenario(
         net=net,

@@ -101,10 +101,8 @@ def _row_from_result(value: float, result: FaultStudyResult) -> SweepRow:
 def _eval_point(args: tuple) -> SweepRow:
     spec, value = args
     bus, part = parse_param_path(spec.scenario, spec.param)
-    base = spec.scenario.net.shunt_loads.get(bus, 0j)
-    Y = complex(value, base.imag) if part == "G" else complex(base.real, value)
     result = run_fault_study(
-        spec.scenario.with_load(bus, Y),
+        spec.scenario.with_load_part(bus, part, value),
         resolution=spec.resolution,
         horizon=spec.horizon,
         window=spec.window,

@@ -1,9 +1,10 @@
 """Swing-equation dynamics: exact and dissipation-frozen fields, integration.
 
 Machine convention: all vectors over machines have length n (machine order =
-generator bus order).  One machine may be marked infinite; it is excluded
-from the state vector and its angle is pinned to 0, which serves as the
-reference for the other rotor angles.
+generator bus order).  Exactly one machine is infinite; it is excluded from
+the state vector and its angle is pinned to 0, which serves as the reference
+for the other rotor angles.  All pairwise sin/cos coupling goes through
+`Coupling`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class GeneratorParams:
     M: np.ndarray
     Pm: np.ndarray
     E: np.ndarray
-    infinite_index: int | None = None
+    infinite_index: int
 
     def __post_init__(self) -> None:
         M = np.asarray(self.M, dtype=float)
@@ -42,7 +43,7 @@ class GeneratorParams:
         object.__setattr__(self, "E", E)
         if not (M.shape == Pm.shape == E.shape) or M.ndim != 1:
             raise ValueError("M, Pm, E must be equal-length vectors")
-        if self.infinite_index is not None and not 0 <= self.infinite_index < M.size:
+        if not 0 <= self.infinite_index < M.size:
             raise ValueError("infinite_index out of range")
         act = self.active
         if np.any(M[act] <= 0.0) or not np.all(np.isfinite(M[act])):
@@ -56,21 +57,17 @@ class GeneratorParams:
     def active(self) -> np.ndarray:
         """Indices of the modeled (non-infinite) machines."""
         idx = np.arange(self.n)
-        if self.infinite_index is None:
-            return idx
         return idx[idx != self.infinite_index]
 
     @property
     def n_active(self) -> int:
-        return self.n - (0 if self.infinite_index is None else 1)
+        return self.n - 1
 
     def full_angles(self, delta: np.ndarray) -> np.ndarray:
         """Embed active-machine angles into a length-n vector (infinite at 0)."""
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (self.n_active,):
             raise ValueError(f"expected {self.n_active} angles, got {delta.shape}")
-        if self.infinite_index is None:
-            return delta.copy()
         full = np.empty(self.n)
         full[self.active] = delta
         full[self.infinite_index] = 0.0
@@ -119,80 +116,94 @@ class SystemState:
         return SystemState(delta=wrap_angle(self.delta), omega=self.omega.copy())
 
 
-def conductance_power(red: ReducedNetwork, delta_full: np.ndarray) -> np.ndarray:
-    """Power drawn by the conductive part of the network at each machine.
+class Coupling:
+    """Pairwise coupling of a reduced network, evaluated on stacked angles.
 
-    P_i = E_i^2 G_ii + sum_k E_i E_k G_ik cos(d_i - d_k).
+    Every method takes the angles of the machines in `act` with shape (..., m)
+    and treats each leading index as one independent state; the machine left
+    out of `act` (the infinite one) sits at angle 0.  The pairwise
+    differences d_i - d_k of all n x n machine pairs come from one product
+    with a fixed difference operator K of +1/-1/0 entries, so each one is the
+    exactly rounded difference.
+
+    The conductive form evaluates the electric power
+    P_i = sum_k E_i E_k (G_ik cos d_ik + B_ik sin d_ik); the anchored form
+    leaves out the conductance term, which the conservative model freezes
+    into its drive Pm - Pa.
     """
-    d = np.subtract.outer(delta_full, delta_full)
-    PG = np.outer(red.E, red.E) * red.G
-    return (PG * np.cos(d)).sum(axis=1)
+
+    def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
+        n = red.n
+        unit = np.eye(n)[act]
+        self.n = n
+        self.act = act
+        self.conductive = conductive
+        self.K = (unit[:, :, None] - unit[:, None, :]).reshape(act.size, n * n)
+        self.PG = (np.outer(red.E, red.E) * red.G).ravel()
+        self.Pbar = red.Pbar.ravel()
+        #: flat indices of the pairs i < k
+        self.pairs = np.array([i * n + k for i in range(n) for k in range(i + 1, n)], dtype=int)
+        self._K_pairs = self.K[:, self.pairs]
+        self._Pbar_pairs = self.Pbar[self.pairs]
+        self._diag = np.arange(act.size)
+
+    def diffs(self, delta: np.ndarray) -> np.ndarray:
+        """d_i - d_k for every machine pair, flattened row-major to (..., n*n)."""
+        return np.asarray(delta, dtype=float) @ self.K
+
+    def _rows(self, terms: np.ndarray) -> np.ndarray:
+        return terms.reshape(terms.shape[:-1] + (self.n, self.n)).sum(axis=-1)
+
+    def power(self, delta: np.ndarray) -> np.ndarray:
+        """Power leaving every machine (the anchored form: its sine part), shape (..., n)."""
+        D = self.diffs(delta)
+        if self.conductive:
+            return self._rows(self.PG * np.cos(D) + self.Pbar * np.sin(D))
+        return self._rows(self.Pbar * np.sin(D))
+
+    def conductance(self, delta: np.ndarray) -> np.ndarray:
+        """The conductance term sum_k E_i E_k G_ik cos d_ik alone, shape (..., n)."""
+        return self._rows(self.PG * np.cos(self.diffs(delta)))
+
+    def jacobian(self, delta: np.ndarray) -> np.ndarray:
+        """d power_i / d delta_j over the modeled machines, shape (..., m, m).
+
+        The anchored form is the Hessian of the potential energy.
+        """
+        D = self.diffs(delta)
+        C = self.Pbar * np.cos(D)
+        if self.conductive:
+            C = C - self.PG * np.sin(D)
+        C = C.reshape(D.shape[:-1] + (self.n, self.n))[..., self.act, :]
+        J = -C[..., self.act]
+        J[..., self._diag, self._diag] = C.sum(axis=-1)
+        return J
+
+    def pair_energy(self, delta: np.ndarray) -> np.ndarray:
+        """sum_{i<k} Pbar_ik cos d_ik, shape (...)."""
+        D = np.asarray(delta, dtype=float) @ self._K_pairs
+        return (self._Pbar_pairs * np.cos(D)).sum(axis=-1)
 
 
-def electrical_power(red: ReducedNetwork, delta_full: np.ndarray) -> np.ndarray:
-    """Total electric power leaving each machine at the given angles."""
-    d = np.subtract.outer(delta_full, delta_full)
-    return conductance_power(red, delta_full) + (red.Pbar * np.sin(d)).sum(axis=1)
+def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None = None) -> Field:
+    """Right-hand side over the packed state [delta; omega].
 
-
-def swing_field(red: ReducedNetwork, gp: GeneratorParams) -> Field:
-    """Exact right-hand side over the packed state [delta; omega]."""
+    Without Pa this is the exact field; with Pa (full machine vector) it is
+    the conservative field whose conductance power is frozen at Pa.
+    """
     act = gp.active
     m = act.size
-    n = gp.n
-    PG = np.outer(red.E, red.E) * red.G
-    Pbar = red.Pbar
-    Pm_act = gp.Pm[act]
+    coupling = Coupling(red, act, conductive=Pa is None)
+    drive = gp.Pm[act] if Pa is None else gp.Pm[act] - Pa[act]
     Minv = 1.0 / gp.M[act]
-    template = np.zeros(n)
 
     def field(y: np.ndarray) -> np.ndarray:
-        full = template.copy()
-        full[act] = y[:m]
-        d = np.subtract.outer(full, full)
-        Pe = (PG * np.cos(d) + Pbar * np.sin(d)).sum(axis=1)
         out = np.empty(2 * m)
         out[:m] = y[m:]
-        out[m:] = (Pm_act - Pe[act]) * Minv
+        out[m:] = (drive - coupling.power(y[:m])[act]) * Minv
         return out
 
     return field
-
-
-def anchored_field(red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray) -> Field:
-    """Conservative field: conductance power frozen at the anchor angles."""
-    act = gp.active
-    m = act.size
-    n = gp.n
-    Pa = conductance_power(red, gp.full_angles(np.asarray(anchor, dtype=float)))
-    Pbar = red.Pbar
-    drive = gp.Pm[act] - Pa[act]
-    Minv = 1.0 / gp.M[act]
-    template = np.zeros(n)
-
-    def field(y: np.ndarray) -> np.ndarray:
-        full = template.copy()
-        full[act] = y[:m]
-        d = np.subtract.outer(full, full)
-        s = (Pbar * np.sin(d)).sum(axis=1)
-        out = np.empty(2 * m)
-        out[:m] = y[m:]
-        out[m:] = (drive - s[act]) * Minv
-        return out
-
-    return field
-
-
-def rhs(red: ReducedNetwork, gp: GeneratorParams, x: SystemState) -> np.ndarray:
-    """Packed derivative [ddelta/dt; domega/dt] of the exact swing equations."""
-    return swing_field(red, gp)(x.packed())
-
-
-def rhs_hamiltonian(
-    red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray, x: SystemState
-) -> np.ndarray:
-    """Packed derivative of the dissipation-frozen (conservative) field."""
-    return anchored_field(red, gp, anchor)(x.packed())
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,6 @@ class Trajectory:
     """Accepted integrator samples plus a dense interpolant between them."""
 
     t: np.ndarray
-    states: np.ndarray  # shape (len(t), 2m)
     _dense: object
 
     def __post_init__(self) -> None:
@@ -243,34 +253,30 @@ def integrate(
     if not sol.success:
         t_bad = float(sol.t[-1]) if sol.t.size else 0.0
         raise IntegrationError(f"integration failed at t={t_bad:.6g}: {sol.message}", time=t_bad)
-    return Trajectory(t=sol.t, states=sol.y.T, _dense=sol.sol)
+    return Trajectory(t=sol.t, _dense=sol.sol)
 
 
 def dispatch_from_angles(
     red_pre: ReducedNetwork,
     delta_pre: np.ndarray,
-    infinite_index: int | None = None,
+    infinite_index: int,
 ) -> np.ndarray:
     """Mechanical powers that make (delta_pre, 0) stationary pre-fault.
 
     delta_pre covers the modeled machines; the infinite machine sits at 0.
     Returns the full-length Pm vector (the infinite machine's entry is its
-    electrical output, kept for bookkeeping only).  Modeled machines must
-    come out as generators (Pm > 0), otherwise the scenario is rejected.
+    electrical output, kept for bookkeeping only).  Pre-fault angles must lie
+    within pi/2 of each other pairwise and modeled machines must come out as
+    generators (Pm > 0), otherwise the scenario is rejected.
     """
-    delta_pre = np.asarray(delta_pre, dtype=float)
-    n = red_pre.n
-    if infinite_index is None:
-        full = delta_pre.copy()
-        act = np.arange(n)
-    else:
-        act = np.array([i for i in range(n) if i != infinite_index])
-        full = np.zeros(n)
-        full[act] = delta_pre
-    pairwise = np.abs(np.subtract.outer(full, full))
-    if np.any(pairwise >= np.pi / 2.0):
-        raise ValueError("pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise")
-    Pm = electrical_power(red_pre, full)
+    idx = np.arange(red_pre.n)
+    act = idx[idx != infinite_index]
+    coupling = Coupling(red_pre, act)
+    if np.any(np.abs(coupling.diffs(delta_pre)) >= np.pi / 2.0):
+        raise InadmissibleScenario(
+            "pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles"
+        )
+    Pm = coupling.power(delta_pre)
     if np.any(Pm[act] <= 0.0):
         bad = [int(i) for i in act[Pm[act] <= 0.0]]
         raise InadmissibleScenario(

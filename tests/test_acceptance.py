@@ -238,7 +238,7 @@ def test_criterion_8a_hamiltonian_drift(nominal_ctx):
 
     ctx = nominal_ctx
     x0 = sw.SystemState(delta=ctx.sep.delta + 0.3, omega=np.array([0.4, -0.2]))
-    field = sw.anchored_field(ctx.red_post, ctx.gp, ctx.hm.anchor)
+    field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
     h0 = en.hamiltonian(ctx.hm, x0)
     drift = max(abs(en.hamiltonian(ctx.hm, traj.state(t)) - h0) for t in np.linspace(0, 1, 21))

@@ -135,3 +135,26 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["sweep", "wscc9-tmib", "--param", "8.B", "--range", "0:1"]) == 3
     err = capsys.readouterr().err
     assert "input error" in err
+
+
+def test_cli_study_bad_angles_file(tmp_path, wscc, capsys):
+    """Pre-fault angles pi/2 or more apart end in a verdict, not a traceback."""
+    data = scenario_to_dict(wscc)
+    data["prefault_angles"]["2"] = 1.7
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["study", str(p)]) == 2
+    assert "scenario=bad-angles" in capsys.readouterr().out
+
+
+def test_scenario_requires_one_infinite_bus(tmp_path, wscc, capsys):
+    data = scenario_to_dict(wscc)
+    for bus in data["buses"]:
+        if bus["kind"] == "infinite":
+            bus["kind"] = "generator"
+    with pytest.raises(ScenarioFormatError, match="exactly one bus"):
+        scenario_from_dict(data)
+    p = tmp_path / "no-infinite.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["study", str(p)]) == 3
+    assert "exactly one bus" in capsys.readouterr().err

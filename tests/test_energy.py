@@ -20,7 +20,9 @@ RNG = np.random.default_rng(11)
 def test_kinetic_trivials(nominal_ctx):
     gp = nominal_ctx.gp
     assert en.kinetic(gp, np.zeros(2)) == 0.0
-    gp2 = sw.GeneratorParams(M=np.array([2.0]), Pm=np.array([1.0]), E=np.array([1.0]))
+    gp2 = sw.GeneratorParams(
+        M=np.array([2.0, np.inf]), Pm=np.array([1.0, 0.0]), E=np.ones(2), infinite_index=1
+    )
     assert en.kinetic(gp2, np.array([3.0])) == 9.0
 
 
@@ -59,7 +61,7 @@ def test_potential_gradient_matches_field(nominal_ctx):
     ctx = nominal_ctx
     delta = ctx.sep.delta + np.array([0.4, -0.3])
     x = sw.SystemState(delta=delta, omega=np.zeros(2))
-    acc = sw.rhs_hamiltonian(ctx.red_post, ctx.gp, ctx.hm.anchor, x)[2:]
+    acc = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)(x.packed())[2:]
     M = ctx.gp.M[ctx.gp.active]
     assert np.allclose(en.potential_gradient(ctx.hm, delta), -M * acc, atol=1e-12)
 

@@ -9,7 +9,7 @@ from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
 from swingcct.errors import EquilibriumError
 from swingcct.netmodel import ReducedNetwork
-from swingcct.swing import GeneratorParams
+from swingcct.swing import Coupling, GeneratorParams
 
 RNG = np.random.default_rng(17)
 
@@ -42,7 +42,8 @@ def test_sep_of_symmetric_unloaded_system_is_origin():
 
 def test_nominal_sep_residual_and_cell(nominal_ctx):
     ctx = nominal_ctx
-    r = eq.exact_residual(ctx.red_post, ctx.gp, ctx.sep.delta)
+    act = ctx.gp.active
+    r = ctx.gp.Pm[act] - Coupling(ctx.red_post, act).power(ctx.sep.delta)[act]
     assert np.max(np.abs(r)) <= 1e-10
     full = ctx.gp.full_angles(ctx.sep.delta)
     pairwise = np.abs(np.subtract.outer(full, full))
@@ -52,17 +53,15 @@ def test_nominal_sep_residual_and_cell(nominal_ctx):
 def test_sep_anchored_joint_fixed_point(nominal_ctx):
     """Frozen conductance power at the SEP reproduces the live one."""
     ctx = nominal_ctx
-    from swingcct.swing import conductance_power
-
-    live = conductance_power(ctx.red_post, ctx.gp.full_angles(ctx.sep.delta))
+    live = Coupling(ctx.red_post, ctx.gp.active).conductance(ctx.sep.delta)
     assert np.allclose(ctx.hm.Pa, live, atol=0)
-    r_anchored = eq.anchored_residual(ctx.red_post, ctx.gp, ctx.hm.Pa, ctx.sep.delta)
+    r_anchored = en.potential_gradient(ctx.hm, ctx.sep.delta)
     assert np.max(np.abs(r_anchored)) <= 1e-10
 
 
 def test_sep_hessian_positive_definite(nominal_ctx):
     ctx = nominal_ctx
-    H = eq.hessian(ctx.red_post, ctx.gp, ctx.sep.delta)
+    H = ctx.hm.coupling.jacobian(ctx.sep.delta)
     assert np.all(np.linalg.eigvalsh(H) > 0)
 
 
@@ -101,7 +100,7 @@ def test_classify_matches_hessian_inertia(nominal_ctx):
     """Type index equals the count of negative Hessian eigenvalues."""
     ctx = nominal_ctx
     for p in eq.stationary_points(ctx.hm):
-        H = eq.hessian(ctx.red_post, ctx.gp, p.delta)
+        H = ctx.hm.coupling.jacobian(p.delta)
         n_neg = int(np.sum(np.linalg.eigvalsh(H) < 0))
         assert p.type_index == n_neg
 
@@ -141,7 +140,7 @@ def test_enumeration_matches_denser_grid(nominal_ctx):
 def test_every_enumerated_point_satisfies_residual(nominal_ctx):
     ctx = nominal_ctx
     for p in eq.stationary_points(ctx.hm):
-        r = eq.anchored_residual(ctx.red_post, ctx.gp, ctx.hm.Pa, p.delta)
+        r = en.potential_gradient(ctx.hm, p.delta)
         assert np.max(np.abs(r)) <= 1e-10
 
 
@@ -211,7 +210,7 @@ def test_branch_points_satisfy_residual(bc_branches):
     for br in branches:
         for p, pt in br.points[:: max(1, len(br.points) // 7)]:
             hm = factory(p)
-            r = eq.anchored_residual(hm.red, hm.gp, hm.Pa, pt.delta)
+            r = en.potential_gradient(hm, pt.delta)
             assert np.max(np.abs(r)) <= 1e-10
 
 

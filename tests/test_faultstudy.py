@@ -42,9 +42,10 @@ def test_divergent_trajectory_is_unstable(nominal_ctx):
 
 
 def test_scenario_level_predicate(wscc):
-    assert fs.first_swing_stable(wscc, 0.05)
+    ctx = fs.build_context(wscc)
+    assert fs.first_swing_stable(ctx, 0.05)
     with pytest.raises(ValueError):
-        fs.first_swing_stable(wscc, -1.0)
+        fs.first_swing_stable(ctx, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,43 +29,48 @@ def hand_electrical_power(red, delta):
     return np.array(out)
 
 
+def anchored_field(red, gp, anchor):
+    """Conservative field with the conductance power frozen at `anchor`."""
+    return sw.swing_field(red, gp, sw.Coupling(red, gp.active).conductance(anchor))
+
+
 # ---------------------------------------------------------------------------
 # electrical power and fields
 # ---------------------------------------------------------------------------
 
 
 def test_power_zero_angles_zero_conductance():
-    red, _gp = smib(Pbar=1.3)
-    assert np.allclose(sw.electrical_power(red, np.zeros(2)), 0.0, atol=0)
+    red, gp = smib(Pbar=1.3)
+    assert np.allclose(sw.Coupling(red, gp.active).power(np.zeros(1)), 0.0, atol=0)
 
 
 def test_power_sine_peak():
-    red, _gp = smib(Pbar=1.0)
-    Pe = sw.electrical_power(red, np.array([np.pi / 2, 0.0]))
+    red, gp = smib(Pbar=1.0)
+    Pe = sw.Coupling(red, gp.active).power(np.array([np.pi / 2]))
     assert Pe[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_power_matches_hand_evaluation(nominal_ctx):
     full = nominal_ctx.gp.full_angles(nominal_ctx.x_pre.delta)
-    got = sw.electrical_power(nominal_ctx.red_pre, full)
+    got = sw.Coupling(nominal_ctx.red_pre, nominal_ctx.gp.active).power(nominal_ctx.x_pre.delta)
     assert np.allclose(got, hand_electrical_power(nominal_ctx.red_pre, full), atol=1e-14)
 
 
 def test_rhs_zero_at_stationary_point(nominal_ctx):
-    d = sw.rhs(nominal_ctx.red_pre, nominal_ctx.gp, nominal_ctx.x_pre)
+    d = sw.swing_field(nominal_ctx.red_pre, nominal_ctx.gp)(nominal_ctx.x_pre.packed())
     assert np.max(np.abs(d)) <= 1e-12
 
 
 def test_rhs_kinematic_identity():
     red, gp = smib()
     x = sw.SystemState(delta=np.array([0.3]), omega=np.array([1.7]))
-    assert sw.rhs(red, gp, x)[0] == 1.7
+    assert sw.swing_field(red, gp)(x.packed())[0] == 1.7
 
 
 def test_rhs_hand_arithmetic():
     red, gp = smib(Pm=0.5, Pbar=1.0, M=0.1)
     x = sw.SystemState(delta=np.zeros(1), omega=np.zeros(1))
-    d = sw.rhs(red, gp, x)
+    d = sw.swing_field(red, gp)(x.packed())
     assert d[1] == pytest.approx(5.0, rel=1e-15)
 
 
@@ -75,14 +80,14 @@ def test_hamiltonian_field_equals_exact_without_conductance():
     for _ in range(5):
         x = sw.SystemState(delta=RNG.normal(size=1), omega=RNG.normal(size=1))
         assert np.allclose(
-            sw.rhs(red, gp, x), sw.rhs_hamiltonian(red, gp, anchor, x), atol=1e-15
+            sw.swing_field(red, gp)(x.packed()), anchored_field(red, gp, anchor)(x.packed()), atol=1e-15
         )
 
 
 def test_hamiltonian_field_zero_at_own_anchor(nominal_ctx):
     sep = nominal_ctx.sep.delta
     x = sw.SystemState(delta=sep, omega=np.zeros_like(sep))
-    d = sw.rhs_hamiltonian(nominal_ctx.red_post, nominal_ctx.gp, sep, x)
+    d = anchored_field(nominal_ctx.red_post, nominal_ctx.gp, sep)(x.packed())
     assert np.max(np.abs(d)) <= 1e-10
 
 
@@ -90,12 +95,11 @@ def test_tmib_equations_reproduced(nominal_ctx):
     """Generic field specialised to two machines matches the explicit form."""
     red, gp = nominal_ctx.red_post, nominal_ctx.gp
     Pa = nominal_ctx.hm.Pa
-    anchor = nominal_ctx.hm.anchor
     for _ in range(10):
         d1, d2 = RNG.uniform(-np.pi, np.pi, 2)
         w1, w2 = RNG.normal(size=2)
         x = sw.SystemState(delta=np.array([d1, d2]), omega=np.array([w1, w2]))
-        got = sw.rhs_hamiltonian(red, gp, anchor, x)
+        got = sw.swing_field(red, gp, Pa)(x.packed())
         # machine indices: 0 infinite, 1 and 2 modeled; pairwise maxima
         P13, P23, P12 = red.Pbar[1, 0], red.Pbar[2, 0], red.Pbar[1, 2]
         expect = np.array(
@@ -139,7 +143,7 @@ def test_integrate_conserves_anchored_energy(nominal_ctx):
 
     ctx = nominal_ctx
     x0 = sw.SystemState(delta=ctx.sep.delta + 0.3, omega=np.array([0.5, -0.4]))
-    field = sw.anchored_field(ctx.red_post, ctx.gp, ctx.hm.anchor)
+    field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
     h0 = hamiltonian(ctx.hm, x0)
     drift = max(
@@ -150,7 +154,7 @@ def test_integrate_conserves_anchored_energy(nominal_ctx):
 
 def test_integrate_reversibility(nominal_ctx):
     ctx = nominal_ctx
-    field = sw.anchored_field(ctx.red_post, ctx.gp, ctx.hm.anchor)
+    field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     x0 = sw.SystemState(delta=ctx.sep.delta + 0.2, omega=np.array([0.1, -0.3]))
     fwd = sw.integrate(field, x0, 1.0)
     back = sw.integrate(lambda y: -field(y), fwd.state(1.0), 1.0)
@@ -187,16 +191,17 @@ def test_state_wrapping():
 
 
 def test_dispatch_zero_angles_zero_conductance_rejected():
-    red, _gp = smib()
+    red, gp = smib()
     # P_e vanishes identically, so the machines cannot run as generators
-    assert np.allclose(sw.electrical_power(red, np.zeros(2)), 0.0)
+    assert np.allclose(sw.Coupling(red, gp.active).power(np.zeros(1)), 0.0)
     with pytest.raises(InadmissibleScenario) as err:
         sw.dispatch_from_angles(red, np.zeros(1), infinite_index=1)
     assert err.value.code == "pm-nonpositive"
 
 
 def test_dispatch_stationarity_residual(wscc, nominal_ctx):
-    assert np.max(np.abs(sw.rhs(nominal_ctx.red_pre, nominal_ctx.gp, nominal_ctx.x_pre))) <= 1e-12
+    field = sw.swing_field(nominal_ctx.red_pre, nominal_ctx.gp)
+    assert np.max(np.abs(field(nominal_ctx.x_pre.packed()))) <= 1e-12
 
 
 @pytest.mark.parametrize("b_c", [-7.5, -4.0, -1.0])
@@ -206,13 +211,14 @@ def test_dispatch_stationarity_across_sweep_points(wscc, b_c):
     gp = fs.generator_params(sc, red_pre)
     delta_pre, _ = fs.prefault_state(sc)
     x = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
-    assert np.max(np.abs(sw.rhs(red_pre, gp, x))) <= 1e-12
+    assert np.max(np.abs(sw.swing_field(red_pre, gp)(x.packed()))) <= 1e-12
 
 
 def test_dispatch_rejects_wide_angles():
     red, _gp = smib()
-    with pytest.raises(ValueError, match="pi/2"):
+    with pytest.raises(InadmissibleScenario, match="pi/2") as err:
         sw.dispatch_from_angles(red, np.array([1.7]), infinite_index=1)
+    assert err.value.code == "bad-angles"
 
 
 def test_classical_dispatch_recovered(nominal_ctx):
