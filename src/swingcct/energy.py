@@ -209,25 +209,22 @@ def fault_on_trajectory(
 
 
 def tau_H(
-    fom: FaultOnHamiltonianModel,
-    gp: GeneratorParams,
-    x_pre: SystemState,
     hm: HamiltonianModel,
     E_c: float,
+    trajectory: Trajectory,
     horizon: float = 2.0,
-    tol: float = 1e-8,
-    atol: float = 1e-10,
     locate_tol: float = 1e-6,
-    hamiltonian_fault_on: bool = False,
-    trajectory: Trajectory | None = None,
 ) -> float | str:
     """First time the post-fault energy of the fault-on trajectory hits E_c.
 
-    The crossing is bracketed on a fine sampling of the dense output and
-    located by bisection to `locate_tol` seconds.  Returns NO_CROSSING if the
-    level is never reached within the horizon.
+    `trajectory` is the fault-on run from the pre-fault operating point and
+    must cover the horizon.  The crossing is bracketed on a fine sampling of
+    its dense output and located by bisection to `locate_tol` seconds.
+    Returns NO_CROSSING if the level is never reached within the horizon.
     """
-    gamma = energy_margin(E_c, hm, x_pre)
+    if trajectory.t_end < horizon:
+        raise ValueError(f"fault-on run ends at t={trajectory.t_end:.6g}, before the horizon {horizon:.6g}")
+    gamma = energy_margin(E_c, hm, trajectory.state(0.0))
     if gamma < 0.0:
         raise InadmissibleScenario(
             f"energy margin is negative (dE={gamma:.6g})", code="negative-margin"
@@ -235,17 +232,12 @@ def tau_H(
     if gamma == 0.0:
         return 0.0
 
-    traj = trajectory
-    if traj is None or traj.t_end < horizon:
-        traj = fault_on_trajectory(
-            fom, gp, x_pre, horizon, tol=tol, atol=atol,
-            hamiltonian_fault_on=hamiltonian_fault_on,
-        )
-
     def excess(ts: np.ndarray) -> np.ndarray:
-        return hamiltonian_batch(hm, traj.sample(ts)) - E_c
+        return hamiltonian_batch(hm, trajectory.sample(ts)) - E_c
 
-    ts = np.unique(np.concatenate([traj.t[traj.t <= horizon], np.arange(0.0, horizon, 1e-3), [horizon]]))
+    ts = np.unique(np.concatenate([
+        trajectory.t[trajectory.t <= horizon], np.arange(0.0, horizon, 1e-3), [horizon],
+    ]))
     g = excess(ts)
     above = np.nonzero(g >= 0.0)[0]
     if above.size == 0:

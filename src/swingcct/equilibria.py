@@ -70,9 +70,6 @@ class EquilibriumPoint:
     type_index: int
     spectrum: np.ndarray
 
-    def distance(self, other_delta: np.ndarray) -> float:
-        return float(np.max(np.abs(self.delta - np.asarray(other_delta, dtype=float))))
-
 
 @dataclass(frozen=True)
 class CriticalEnergy:

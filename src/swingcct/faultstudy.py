@@ -14,6 +14,8 @@ from . import swing as sw
 from .errors import EquilibriumError, InadmissibleScenario, IntegrationError
 
 UNBOUNDED = "unbounded"
+#: verdict for tau and tau_H when the fault-on integration fails
+INTEGRATION_FAILED = "integration-failed"
 
 #: first-swing divergence threshold on pairwise angle excursions [rad]
 DIVERGENCE_THRESHOLD = np.pi
@@ -159,30 +161,20 @@ def _pair_excursions(ctx: StudyContext, states: np.ndarray) -> np.ndarray:
 
 def first_swing_stable(
     ctx: StudyContext,
+    fault_on: sw.Trajectory,
     t_cl: float,
     window: float = 3.0,
     tol: float = 1e-8,
-    fault_on: sw.Trajectory | None = None,
 ) -> bool:
     """First-swing verdict for a fault cleared at t_cl.
 
+    The post-fault run starts from the fault-on trajectory's state at t_cl.
     Stable means every pairwise rotor-angle difference stays within
     DIVERGENCE_THRESHOLD of its post-fault equilibrium value over the
     observation window and swings back (reaches a peak and retreats).
     """
-    if t_cl < 0.0:
-        raise ValueError("clearing time must be non-negative")
-
-    if t_cl == 0.0:
-        x0 = ctx.x_pre
-    elif fault_on is not None and fault_on.t_end >= t_cl:
-        x0 = fault_on.state(t_cl)
-    else:
-        try:
-            traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, t_cl, tol=tol)
-        except IntegrationError:
-            return False
-        x0 = traj.state(t_cl)
+    if not 0.0 <= t_cl <= fault_on.t_end:
+        raise ValueError(f"clearing time {t_cl:.6g} outside the fault-on run [0, {fault_on.t_end:.6g}]")
 
     field = sw.swing_field(ctx.red_post, ctx.gp)
     n_pairs = ctx.gp.n * (ctx.gp.n - 1) // 2
@@ -191,7 +183,7 @@ def first_swing_stable(
     chunk = 0.75
     dt = 0.005
     t_done = 0.0
-    state = x0
+    state = fault_on.state(t_cl)
     # the divergence bound is enforced over the whole window: an orbit may
     # complete its first return swing and still run away afterwards
     while t_done < window:
@@ -203,11 +195,12 @@ def first_swing_stable(
         ts = np.arange(0.0, t_span, dt)
         ts = np.append(ts, t_span)
         exc = _pair_excursions(ctx, traj.sample(ts))
-        for row in exc:
-            if np.any(row >= DIVERGENCE_THRESHOLD):
-                return False
-            returned |= row < peak - 1e-2
-            peak = np.maximum(peak, row)
+        if np.any(exc >= DIVERGENCE_THRESHOLD):
+            return False
+        # prior[j]: the peak of each pair before sample j
+        prior = np.maximum.accumulate(np.vstack([peak, exc[:-1]]), axis=0)
+        returned |= np.any(exc < prior - 1e-2, axis=0)
+        peak = np.maximum(prior[-1], exc[-1])
         state = traj.state(t_span)
         t_done += t_span
     return bool(np.all(returned | (peak < SMALL_SWING)))
@@ -215,6 +208,7 @@ def first_swing_stable(
 
 def true_cct(
     ctx: StudyContext,
+    fault_on: sw.Trajectory,
     resolution: float = 1e-4,
     horizon: float = 1.0,
     window: float = 3.0,
@@ -222,19 +216,21 @@ def true_cct(
 ) -> tuple[float | str, str | None]:
     """Binary search for the largest stable clearing time.
 
-    Returns (value, verdict): value is the lower end of the final bracket,
-    UNBOUNDED when stable at the horizon; verdict flags the degenerate case
-    of a post-fault system unstable even at instant clearing.
+    Every clearing state is read from `fault_on`, which must cover the
+    horizon.  Returns (value, verdict): value is the lower end of the final
+    bracket, UNBOUNDED when stable at the horizon; verdict flags the
+    degenerate case of a post-fault system unstable even at instant clearing.
     """
-    if not first_swing_stable(ctx, 0.0, window=window, tol=tol):
+    if fault_on.t_end < horizon:
+        raise ValueError(f"fault-on run ends at t={fault_on.t_end:.6g}, before the horizon {horizon:.6g}")
+    if not first_swing_stable(ctx, fault_on, 0.0, window=window, tol=tol):
         return 0.0, "unstable-at-zero"
-    fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, horizon, tol=tol)
-    if first_swing_stable(ctx, horizon, window=window, tol=tol, fault_on=fault_on):
+    if first_swing_stable(ctx, fault_on, horizon, window=window, tol=tol):
         return UNBOUNDED, None
     lo, hi = 0.0, horizon
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if first_swing_stable(ctx, mid, window=window, tol=tol, fault_on=fault_on):
+        if first_swing_stable(ctx, fault_on, mid, window=window, tol=tol):
             lo = mid
         else:
             hi = mid
@@ -249,9 +245,12 @@ def run_fault_study(
     tau_h_horizon: float = 2.0,
     tol: float = 1e-8,
     grid_density: int = 40,
-    hamiltonian_fault_on: bool = False,
 ) -> FaultStudyResult:
-    """Compute tau, tau_H, tau_A and the energy margin for one scenario."""
+    """Compute tau, tau_H, tau_A and the energy margin for one scenario.
+
+    tau and tau_H read one fault-on trajectory, integrated once to the
+    longer of their two horizons.
+    """
     verdicts: dict[str, str] = {}
     try:
         ctx = build_context(sc, grid_density=grid_density)
@@ -261,7 +260,7 @@ def run_fault_study(
             closest_uep=None, admissible=False, verdicts={"scenario": exc.code},
         )
 
-    if ctx.delta_E < 0.0:
+    if ctx.delta_E <= 0.0:
         return FaultStudyResult(
             tau=None, tau_H=None, tau_A=None, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
             closest_uep=ctx.crit.closest_uep, admissible=False,
@@ -273,18 +272,22 @@ def run_fault_study(
     if isinstance(t_A, str):
         verdicts["tau_A"] = t_A
 
-    t_H = en.tau_H(
-        ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c,
-        horizon=tau_h_horizon, tol=tol, hamiltonian_fault_on=hamiltonian_fault_on,
-    )
-    if isinstance(t_H, str):
-        verdicts["tau_H"] = t_H
-
-    t, t_verdict = true_cct(ctx, resolution=resolution, horizon=horizon, window=window, tol=tol)
-    if isinstance(t, str):
-        verdicts["tau"] = t
-    elif t_verdict is not None:
-        verdicts["tau"] = t_verdict
+    t = t_H = None
+    try:
+        fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, max(horizon, tau_h_horizon), tol=tol)
+    except IntegrationError:
+        verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
+    else:
+        t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on, horizon=tau_h_horizon)
+        if isinstance(t_H, str):
+            verdicts["tau_H"] = t_H
+        t, t_verdict = true_cct(
+            ctx, fault_on, resolution=resolution, horizon=horizon, window=window, tol=tol
+        )
+        if isinstance(t, str):
+            verdicts["tau"] = t
+        elif t_verdict is not None:
+            verdicts["tau"] = t_verdict
 
     return FaultStudyResult(
         tau=t, tau_H=t_H, tau_A=t_A, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,

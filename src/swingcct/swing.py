@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
@@ -238,6 +237,9 @@ def integrate(
     atol: float = 1e-10,
 ) -> Trajectory:
     """Adaptive RK5(4) integration of an autonomous field with dense output."""
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import solve_ivp
+
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)

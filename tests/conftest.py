@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swingcct import energy as en
 from swingcct import faultstudy as fs
 from swingcct.netmodel import ReducedNetwork
 from swingcct.scenario import make_wscc9_tmib
@@ -17,6 +18,13 @@ def wscc():
 def nominal_ctx(wscc):
     """Prepared pipeline for the nominal fault (bus 7, clear line 5-7)."""
     return fs.build_context(wscc)
+
+
+@pytest.fixture(scope="session")
+def nominal_fault_on(nominal_ctx):
+    """Fault-on run of the nominal fault to 2 s, as `run_fault_study` integrates it."""
+    ctx = nominal_ctx
+    return en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 2.0)
 
 
 def smib(Pm: float = 0.5, Pbar: float = 1.0, M: float = 0.1):

@@ -311,11 +311,11 @@ def test_criterion_8e_uep_enumeration(nominal_ctx):
     check("8e", ok, f"40x40 found {len(a)} type-1 points, 80x80 found {len(b)}")
 
 
-def test_criterion_8f_cct_bracket(nominal_ctx):
+def test_criterion_8f_cct_bracket(nominal_ctx, nominal_fault_on):
     resolution = 1e-4
-    t, _ = fs.true_cct(nominal_ctx, resolution=resolution)
-    stable_below = fs.first_swing_stable(nominal_ctx, t - 2 * resolution)
-    unstable_above = not fs.first_swing_stable(nominal_ctx, t + 2 * resolution)
+    t, _ = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=resolution)
+    stable_below = fs.first_swing_stable(nominal_ctx, nominal_fault_on, t - 2 * resolution)
+    unstable_above = not fs.first_swing_stable(nominal_ctx, nominal_fault_on, t + 2 * resolution)
     ok = stable_below and unstable_above
     check("8f", ok, f"tau={t:.5f}: stable at -2res={stable_below}, unstable at +2res={unstable_above}")
 
@@ -357,7 +357,7 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
     )
 
 
-def test_criterion_8h_margin_scaling(nominal_ctx):
+def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
     h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
     ratios = {}
@@ -365,7 +365,7 @@ def test_criterion_8h_margin_scaling(nominal_ctx):
         E_scaled = h0 + s * ctx.delta_E
         qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, E_scaled)
         t_a = en.tau_A(qc)
-        t_h = en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, E_scaled, locate_tol=1e-8)
+        t_h = en.tau_H(ctx.hm, E_scaled, nominal_fault_on, locate_tol=1e-8)
         ratios[s] = t_a / t_h
     ok = abs(ratios[0.01] - 1.0) <= 0.05
     check("8h", ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")

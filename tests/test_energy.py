@@ -228,23 +228,25 @@ def test_tau_a_companion_matrix_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_tau_h_zero_margin(nominal_ctx):
+def test_tau_h_zero_margin(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
     h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
-    assert en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, h0) == 0.0
+    assert en.tau_H(ctx.hm, h0, nominal_fault_on) == 0.0
 
 
 def test_tau_h_no_crossing_without_fault(nominal_ctx):
     ctx = nominal_ctx
-    fom = null_fault(ctx)
-    got = en.tau_H(fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c, horizon=0.5)
+    traj = en.fault_on_trajectory(null_fault(ctx), ctx.gp, ctx.x_pre, 0.5)
+    got = en.tau_H(ctx.hm, ctx.crit.E_c, traj, horizon=0.5)
     assert got == en.NO_CROSSING
+    with pytest.raises(ValueError, match="before the horizon"):
+        en.tau_H(ctx.hm, ctx.crit.E_c, traj, horizon=2.0)
 
 
-def test_tau_h_dense_scan_oracle(nominal_ctx):
+def test_tau_h_dense_scan_oracle(nominal_ctx, nominal_fault_on):
     """Crossing agrees with a brute-force fixed-step scan at 1e-5 s."""
     ctx = nominal_ctx
-    t_h = en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c)
+    t_h = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
     traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.3, tol=1e-10, atol=1e-12)
     ts = np.arange(0.0, 0.3, 1e-5)
     g = en.hamiltonian_batch(ctx.hm, traj.sample(ts)) - ctx.crit.E_c
@@ -252,20 +254,19 @@ def test_tau_h_dense_scan_oracle(nominal_ctx):
     assert abs(t_h - first) <= 2e-5
 
 
-def test_tau_h_negative_margin_rejected(nominal_ctx):
+def test_tau_h_negative_margin_rejected(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
     bad = en.hamiltonian(ctx.hm, ctx.x_pre) - 1.0
     with pytest.raises(InadmissibleScenario):
-        en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, bad)
+        en.tau_H(ctx.hm, bad, nominal_fault_on)
 
 
-def test_tau_h_hamiltonian_fault_on_switch(nominal_ctx):
+def test_tau_h_hamiltonian_fault_on_switch(nominal_ctx, nominal_fault_on):
     """The conservative fault-on variant exists and stays close to exact."""
     ctx = nominal_ctx
-    exact = en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c)
-    cons = en.tau_H(
-        ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c, hamiltonian_fault_on=True
-    )
+    exact = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
+    frozen = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 2.0, hamiltonian_fault_on=True)
+    cons = en.tau_H(ctx.hm, ctx.crit.E_c, frozen)
     assert isinstance(cons, float)
     assert cons == pytest.approx(exact, rel=0.05)
 
@@ -284,7 +285,7 @@ def test_smib_tau_h_against_separatrix():
     x_pre = sw.SystemState(delta=sep.delta, omega=np.zeros(1))
     fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, x_pre.delta)
     E_c = en.potential(hm, np.array([np.pi - np.arcsin(0.3)]))
-    t_h = en.tau_H(fom, gp, x_pre, hm, E_c)
+    t_h = en.tau_H(hm, E_c, en.fault_on_trajectory(fom, gp, x_pre, 2.0))
     # constant acceleration u: delta(t) = d_s + u t^2 / 2, H grows accordingly;
     # invert H(t) = E_c numerically as the oracle
     u = gp.Pm[0] / gp.M[0]

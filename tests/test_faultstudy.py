@@ -7,6 +7,7 @@ import pytest
 
 from swingcct import energy as en
 from swingcct import faultstudy as fs
+from swingcct.errors import IntegrationError
 
 
 def null_fault_context(ctx):
@@ -20,12 +21,12 @@ def null_fault_context(ctx):
 # ---------------------------------------------------------------------------
 
 
-def test_stable_at_instant_clearing(nominal_ctx):
-    assert fs.first_swing_stable(nominal_ctx, 0.0)
+def test_stable_at_instant_clearing(nominal_ctx, nominal_fault_on):
+    assert fs.first_swing_stable(nominal_ctx, nominal_fault_on, 0.0)
 
 
-def test_unstable_at_long_clearing(nominal_ctx):
-    assert not fs.first_swing_stable(nominal_ctx, 0.5)
+def test_unstable_at_long_clearing(nominal_ctx, nominal_fault_on):
+    assert not fs.first_swing_stable(nominal_ctx, nominal_fault_on, 0.5)
 
 
 def test_divergent_trajectory_is_unstable(nominal_ctx):
@@ -38,14 +39,17 @@ def test_divergent_trajectory_is_unstable(nominal_ctx):
     post = sw.integrate(field, traj.state(0.4), 2.0)
     exc = fs._pair_excursions(ctx, post.sample(np.linspace(0, 2.0, 400)))
     assert exc.max() >= np.pi  # confirms the mechanism behind the verdict
-    assert not fs.first_swing_stable(ctx, 0.4)
+    assert not fs.first_swing_stable(ctx, traj, 0.4)
 
 
 def test_scenario_level_predicate(wscc):
     ctx = fs.build_context(wscc)
-    assert fs.first_swing_stable(ctx, 0.05)
+    fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 1.0)
+    assert fs.first_swing_stable(ctx, fault_on, 0.05)
     with pytest.raises(ValueError):
-        fs.first_swing_stable(ctx, -1.0)
+        fs.first_swing_stable(ctx, fault_on, -1.0)
+    with pytest.raises(ValueError, match="outside the fault-on run"):
+        fs.first_swing_stable(ctx, fault_on, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -53,26 +57,29 @@ def test_scenario_level_predicate(wscc):
 # ---------------------------------------------------------------------------
 
 
-def test_true_cct_brackets_nominal(nominal_ctx):
-    t, verdict = fs.true_cct(nominal_ctx, resolution=1e-4)
+def test_true_cct_brackets_nominal(nominal_ctx, nominal_fault_on):
+    t, verdict = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=1e-4)
     assert verdict is None
     assert 0.092 <= t <= 0.122
 
 
-def test_true_cct_bracket_width(nominal_ctx):
+def test_true_cct_bracket_width(nominal_ctx, nominal_fault_on):
     resolution = 5e-4
-    t, _ = fs.true_cct(nominal_ctx, resolution=resolution)
+    t, _ = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=resolution)
     # lower endpoint of the final bracket: stable here, unstable at + width
-    assert fs.first_swing_stable(nominal_ctx, t)
-    assert not fs.first_swing_stable(nominal_ctx, t + resolution)
+    assert fs.first_swing_stable(nominal_ctx, nominal_fault_on, t)
+    assert not fs.first_swing_stable(nominal_ctx, nominal_fault_on, t + resolution)
 
 
 def test_null_fault_unbounded(nominal_ctx):
     ctx = null_fault_context(nominal_ctx)
-    t, verdict = fs.true_cct(ctx, horizon=0.5)
+    fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.5)
+    t, verdict = fs.true_cct(ctx, fault_on, horizon=0.5)
     assert t == fs.UNBOUNDED and verdict is None
-    got = en.tau_H(ctx.fom, ctx.gp, ctx.x_pre, ctx.hm, ctx.crit.E_c, horizon=0.5)
+    got = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on, horizon=0.5)
     assert got == en.NO_CROSSING
+    with pytest.raises(ValueError, match="before the horizon"):
+        fs.true_cct(ctx, fault_on, horizon=1.0)
 
 
 def test_unstable_at_zero_flag(wscc):
@@ -96,6 +103,46 @@ def test_nominal_study_matches_reported_cct(wscc):
     assert result.delta_E > 0
     assert result.E_c == result.closest_uep.energy
     assert isinstance(result.tau_H, float) and isinstance(result.tau_A, float)
+
+
+def test_study_integrates_fault_on_once(wscc, monkeypatch):
+    """tau and tau_H read one fault-on trajectory."""
+    calls = []
+    original = en.fault_on_trajectory
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(en, "fault_on_trajectory", counted)
+    result = fs.run_fault_study(wscc, resolution=5e-4)
+    assert isinstance(result.tau, float) and isinstance(result.tau_H, float)
+    assert calls == [2.0]
+
+
+def test_fault_on_integration_failure_verdict(wscc, monkeypatch):
+    """A failed fault-on run names tau and tau_H; the closed-form metrics stay."""
+
+    def fail(*args, **kwargs):
+        raise IntegrationError("step size collapsed", time=0.1)
+
+    monkeypatch.setattr(en, "fault_on_trajectory", fail)
+    result = fs.run_fault_study(wscc)
+    assert result.admissible
+    assert result.tau is None and result.tau_H is None
+    assert result.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
+    assert isinstance(result.tau_A, float)
+    assert isinstance(result.delta_E, float) and isinstance(result.E_c, float)
+
+
+def test_zero_margin_is_negative_margin(wscc, monkeypatch):
+    """dE == 0 leaves no room for tau_A; the study names it instead of raising."""
+    monkeypatch.setattr(en, "energy_margin", lambda *args: 0.0)
+    result = fs.run_fault_study(wscc)
+    assert not result.admissible
+    assert result.delta_E == 0.0
+    assert result.verdicts == {"scenario": "negative-margin"}
+    assert result.tau is None and result.tau_H is None and result.tau_A is None
 
 
 def test_optimum_susceptance_study(wscc):

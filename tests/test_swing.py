@@ -1,6 +1,10 @@
 """Swing-equation fields, integration, and pre-fault dispatch."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,18 @@ def test_trajectory_time_axis():
 def test_integrate_rejects_bad_horizon():
     with pytest.raises(ValueError):
         sw.integrate(lambda y: y, np.array([1.0]), 0.0)
+
+
+def test_import_and_load_leave_scipy_integrate_unloaded():
+    """Only integrating pays for importing scipy.integrate."""
+    src = str(Path(sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, swingcct; swingcct.load_scenario('wscc9-tmib'); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_state_wrapping():
