@@ -33,6 +33,7 @@ from .errors import (
     IntegrationError,
     NetworkError,
     ScenarioFormatError,
+    SingularNetworkError,
     ToolkitError,
 )
 from .faultstudy import (
@@ -41,6 +42,7 @@ from .faultstudy import (
     FaultStudyResult,
     build_context,
     first_swing_stable,
+    run_fault_studies,
     run_fault_study,
     true_cct,
 )
@@ -70,6 +72,7 @@ from .sweep import (
 from .swing import (
     Coupling,
     GeneratorParams,
+    SwingField,
     SystemState,
     Trajectory,
     dispatch_from_angles,

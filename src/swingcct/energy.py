@@ -11,12 +11,13 @@ and a quadratic expansion of the angle coupling terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InadmissibleScenario
 from .netmodel import ReducedNetwork
-from .swing import Coupling, GeneratorParams, SystemState, Trajectory, integrate, swing_field
+from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -46,9 +47,13 @@ class HamiltonianModel:
         object.__setattr__(self, "drive", self.gp.Pm[act] - self.Pa[act])
 
     @classmethod
-    def at_anchor(cls, red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray) -> "HamiltonianModel":
+    def at_anchor(
+        cls, red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray, kernel: Coupling | None = None
+    ) -> "HamiltonianModel":
+        """Model with Pa frozen at `anchor`; `kernel` is the conductive kernel
+        of `red`, if the caller already has one."""
         anchor = np.asarray(anchor, dtype=float)
-        Pa = Coupling(red, gp.active).conductance(anchor)
+        Pa = (kernel or Coupling(red, gp.active)).conductance(anchor)
         return cls(red=red, gp=gp, Pa=Pa, anchor=anchor)
 
 
@@ -84,7 +89,7 @@ def potential(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
 
 def potential_gradient(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `potential` with respect to the modeled angles."""
-    return hm.coupling.power(delta)[..., hm.gp.active] - hm.drive
+    return hm.coupling.active_power(delta) - hm.drive
 
 
 def hamiltonian(hm: HamiltonianModel, x: SystemState) -> float:
@@ -191,9 +196,9 @@ def tau_A(qc: QuarticCoefficients) -> float | str:
 
 
 def fault_on_trajectory(
-    fom: FaultOnHamiltonianModel,
-    gp: GeneratorParams,
-    x_pre: SystemState,
+    fom: FaultOnHamiltonianModel | Sequence[FaultOnHamiltonianModel],
+    gp: GeneratorParams | Sequence[GeneratorParams],
+    x_pre: SystemState | Sequence[SystemState],
     horizon: float,
     tol: float = 1e-8,
     atol: float = 1e-10,
@@ -201,11 +206,19 @@ def fault_on_trajectory(
 ) -> Trajectory:
     """Integrate the fault-on dynamics from the pre-fault operating point.
 
-    By default the exact fault-on field is used; set hamiltonian_fault_on to
-    integrate the dissipation-frozen variant instead.
+    fom, gp and x_pre describe one fault, or are equal-length sequences that
+    make one stacked run with a row per fault (see `integrate`).  By default
+    the exact fault-on field is used; set hamiltonian_fault_on to integrate
+    the dissipation-frozen variant instead.
     """
-    Pa = fom.Pa_on if hamiltonian_fault_on else None
-    return integrate(swing_field(fom.red_on, gp, Pa), x_pre, horizon, tol=tol, atol=atol)
+
+    def field(f: FaultOnHamiltonianModel, g: GeneratorParams) -> SwingField:
+        return swing_field(f.red_on, g, f.Pa_on if hamiltonian_fault_on else None)
+
+    if isinstance(fom, FaultOnHamiltonianModel):
+        return integrate(field(fom, gp), x_pre, horizon, tol=tol, atol=atol)
+    stacked = SwingField.stack([field(f, g) for f, g in zip(fom, gp)])
+    return integrate(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
 
 
 def tau_H(

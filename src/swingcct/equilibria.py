@@ -39,7 +39,6 @@ def _newton(
     and the mask of converged starts; each row's result is independent of
     the others in the stack.
     """
-    act = coupling.act
     X = np.array(starts, dtype=float)
     converged = np.zeros(X.shape[0], dtype=bool)
     work = np.arange(X.shape[0])
@@ -47,7 +46,7 @@ def _newton(
         if work.size == 0:
             break
         Xw = X[work]
-        R = drive - coupling.power(Xw)[:, act]
+        R = drive - coupling.active_power(Xw)
         done = np.max(np.abs(R), axis=1) <= tol
         converged[work[done]] = True
         J = coupling.jacobian(Xw)
@@ -136,13 +135,14 @@ def find_sep(
     frozen conductance power) is found in one Newton run on the exact field.
     """
     guess = np.asarray(guess, dtype=float)
-    X, converged = _newton(Coupling(red, gp.active), gp.Pm[gp.active], guess[None, :], tol, max_iter)
+    kernel = Coupling(red, gp.active)
+    X, converged = _newton(kernel, gp.Pm[gp.active], guess[None, :], tol, max_iter)
     if not converged[0]:
         raise EquilibriumError(f"SEP Newton did not converge in {max_iter} iterations")
     delta = X[0]
     if np.max(np.abs(delta - guess)) >= np.pi:
         raise EquilibriumError("Newton left the principal cell of the initial guess")
-    hm = HamiltonianModel.at_anchor(red, gp, delta)
+    hm = HamiltonianModel.at_anchor(red, gp, delta, kernel)
     if np.max(np.abs(potential_gradient(hm, delta))) > 1e-10:
         raise EquilibriumError("anchored residual check failed at the SEP")
     point = _equilibrium_point(hm, delta)

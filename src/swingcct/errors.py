@@ -9,6 +9,10 @@ class NetworkError(ToolkitError):
     """Malformed network data or a degenerate matrix operation."""
 
 
+class SingularNetworkError(NetworkError):
+    """A Kron reduction met a singular eliminated block."""
+
+
 class IntegrationError(ToolkitError):
     """Integrator failure; carries the time at which the step size collapsed."""
 

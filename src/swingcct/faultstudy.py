@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from . import energy as en
 from . import equilibria as eq
 from . import netmodel as nm
 from . import swing as sw
-from .errors import EquilibriumError, InadmissibleScenario, IntegrationError
+from .errors import EquilibriumError, InadmissibleScenario, IntegrationError, SingularNetworkError
 
 UNBOUNDED = "unbounded"
 #: verdict for tau and tau_H when the fault-on integration fails
@@ -21,6 +21,8 @@ INTEGRATION_FAILED = "integration-failed"
 DIVERGENCE_THRESHOLD = np.pi
 #: pairs moving less than this never count as diverging-without-return [rad]
 SMALL_SWING = 0.05
+#: bisection levels whose candidate clearing times one true_cct round checks
+LEVELS_PER_ROUND = 3
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class FaultStudyResult:
     closest_uep: eq.EquilibriumPoint | None
     admissible: bool
     verdicts: Mapping[str, str]
+    #: why the scenario was rejected (the exception text), if it was
+    message: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,10 @@ def build_context(sc: FaultScenario, grid_density: int = 40) -> StudyContext:
     Raises InadmissibleScenario (with a reason code) when the scenario fails
     one of the admissibility constraints.
     """
-    red_pre, red_on, red_post = regimes(sc)
+    try:
+        red_pre, red_on, red_post = regimes(sc)
+    except SingularNetworkError as exc:
+        raise InadmissibleScenario(str(exc), code="singular-network") from exc
     gp = generator_params(sc, red_pre)
     delta_pre, _ = prefault_state(sc)
     x_pre = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
@@ -151,90 +158,228 @@ def build_context(sc: FaultScenario, grid_density: int = 40) -> StudyContext:
     )
 
 
-def _pair_excursions(ctx: StudyContext, states: np.ndarray) -> np.ndarray:
-    """|pairwise angle difference - its SEP value| for each sample row."""
-    coupling = ctx.hm.coupling
-    m = ctx.gp.n_active
-    ref = coupling.diffs(ctx.sep.delta)[coupling.pairs]
-    return np.abs(coupling.diffs(states[:, :m])[:, coupling.pairs] - ref)
+def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|pairwise angle difference - its SEP value `ref`| of packed states (..., 2m)."""
+    m = coupling.act.size
+    return np.abs(coupling.diffs(states[..., :m])[..., coupling.pairs] - ref)
 
 
 def first_swing_stable(
-    ctx: StudyContext,
-    fault_on: sw.Trajectory,
-    t_cl: float,
+    ctx: StudyContext | Sequence[StudyContext],
+    fault_on: sw.Trajectory | Sequence[sw.Trajectory],
+    t_cl: float | Sequence[float],
     window: float = 3.0,
     tol: float = 1e-8,
-) -> bool:
-    """First-swing verdict for a fault cleared at t_cl.
+) -> bool | np.ndarray:
+    """First-swing verdicts for faults cleared at t_cl.
 
-    The post-fault run starts from the fault-on trajectory's state at t_cl.
-    Stable means every pairwise rotor-angle difference stays within
-    DIVERGENCE_THRESHOLD of its post-fault equilibrium value over the
-    observation window and swings back (reaches a peak and retreats).
+    Takes one case (a context, its fault-on trajectory and a clearing time)
+    and returns a bool, or equal-length sequences of the three and returns
+    one verdict per row; the rows are integrated as one stack, each with its
+    own post-fault network and step control.  A row's post-fault run starts
+    from its fault-on trajectory's state at t_cl.  Stable means every
+    pairwise rotor-angle difference stays within DIVERGENCE_THRESHOLD of its
+    post-fault equilibrium value over the observation window and swings back
+    (reaches a peak and retreats).  A row leaves the stack once it diverges.
     """
-    if not 0.0 <= t_cl <= fault_on.t_end:
-        raise ValueError(f"clearing time {t_cl:.6g} outside the fault-on run [0, {fault_on.t_end:.6g}]")
+    single = isinstance(ctx, StudyContext)
+    if single:
+        ctx, fault_on, t_cl = [ctx], [fault_on], [t_cl]
+    t_cl = np.asarray(t_cl, dtype=float)
+    for fo, t in zip(fault_on, t_cl):
+        if not 0.0 <= t <= fo.t_end:
+            raise ValueError(f"clearing time {t:.6g} outside the fault-on run [0, {fo.t_end:.6g}]")
 
-    field = sw.swing_field(ctx.red_post, ctx.gp)
-    n_pairs = ctx.gp.n * (ctx.gp.n - 1) // 2
-    peak = np.zeros(n_pairs)
-    returned = np.zeros(n_pairs, dtype=bool)
+    fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
+    coupling = ctx[0].hm.coupling
+    # pairwise angle differences at each row's post-fault SEP
+    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctx])
+    state = np.array([fo.sample([t])[0] for fo, t in zip(fault_on, t_cl)])
+    peak = np.zeros(ref.shape)
+    returned = np.zeros(ref.shape, dtype=bool)
+    stable = np.ones(len(ctx), dtype=bool)
+    running = np.arange(len(ctx))
     chunk = 0.75
     dt = 0.005
     t_done = 0.0
-    state = fault_on.state(t_cl)
     # the divergence bound is enforced over the whole window: an orbit may
     # complete its first return swing and still run away afterwards
-    while t_done < window:
+    while t_done < window and running.size:
         t_span = min(chunk, window - t_done)
-        try:
-            traj = sw.integrate(field, state, t_span, tol=tol)
-        except IntegrationError:
-            return False
-        ts = np.arange(0.0, t_span, dt)
-        ts = np.append(ts, t_span)
-        exc = _pair_excursions(ctx, traj.sample(ts))
-        if np.any(exc >= DIVERGENCE_THRESHOLD):
-            return False
+        field = sw.SwingField.stack([fields[i] for i in running])
+        traj = sw.integrate(field, state[running], t_span, tol=tol)
+        ts = np.append(np.arange(0.0, t_span, dt), t_span)
+        samples = traj.sample(ts)
+        exc = _pair_excursions(coupling, samples, ref[running])
         # prior[j]: the peak of each pair before sample j
-        prior = np.maximum.accumulate(np.vstack([peak, exc[:-1]]), axis=0)
-        returned |= np.any(exc < prior - 1e-2, axis=0)
-        peak = np.maximum(prior[-1], exc[-1])
-        state = traj.state(t_span)
+        prior = np.maximum.accumulate(np.concatenate([peak[running][None], exc[:-1]]), axis=0)
+        returned[running] |= np.any(exc < prior - 1e-2, axis=0)
+        peak[running] = np.maximum(prior[-1], exc[-1])
+        state[running] = samples[-1]
+        # a failed run samples as NaN and counts as diverged
+        diverged = ~np.isnan(traj.failed) | np.any(exc >= DIVERGENCE_THRESHOLD, axis=(0, 2))
+        stable[running[diverged]] = False
+        running = running[~diverged]
         t_done += t_span
-    return bool(np.all(returned | (peak < SMALL_SWING)))
+    stable &= np.all(returned | (peak < SMALL_SWING), axis=1)
+    return bool(stable[0]) if single else stable
+
+
+def _midpoints(lo: float, hi: float, resolution: float, levels: int) -> list[float]:
+    """Every midpoint bisection from [lo, hi] may visit in its next `levels` steps."""
+    if levels == 0 or hi - lo <= resolution:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _midpoints(lo, mid, resolution, levels - 1) + _midpoints(mid, hi, resolution, levels - 1)
+
+
+def _bisect(
+    known: Mapping[float, bool], horizon: float, resolution: float
+) -> tuple[tuple[float | str, str | None] | None, list[float]]:
+    """Replay plain bisection over the verdicts known so far (t_cl -> stable).
+
+    Returns (result, []) once the search is decided, else (None, wanted):
+    the clearing times its next LEVELS_PER_ROUND steps may ask for.
+    """
+    if 0.0 not in known or horizon not in known:
+        return None, [0.0, horizon] + _midpoints(0.0, horizon, resolution, LEVELS_PER_ROUND)
+    if not known[0.0]:
+        return (0.0, "unstable-at-zero"), []
+    if known[horizon]:
+        return (UNBOUNDED, None), []
+    lo, hi = 0.0, horizon
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mid not in known:
+            return None, _midpoints(lo, hi, resolution, LEVELS_PER_ROUND)
+        if known[mid]:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, None), []
 
 
 def true_cct(
-    ctx: StudyContext,
-    fault_on: sw.Trajectory,
+    ctx: StudyContext | Sequence[StudyContext],
+    fault_on: sw.Trajectory | Sequence[sw.Trajectory],
     resolution: float = 1e-4,
     horizon: float = 1.0,
     window: float = 3.0,
     tol: float = 1e-8,
-) -> tuple[float | str, str | None]:
-    """Binary search for the largest stable clearing time.
+) -> tuple[float | str, str | None] | list[tuple[float | str, str | None]]:
+    """Binary search for the largest stable clearing time, for one point or
+    for equal-length sequences of points in lockstep.
 
-    Every clearing state is read from `fault_on`, which must cover the
-    horizon.  Returns (value, verdict): value is the lower end of the final
-    bracket, UNBOUNDED when stable at the horizon; verdict flags the
-    degenerate case of a post-fault system unstable even at instant clearing.
+    Every clearing state is read from the point's fault-on trajectory, which
+    must cover the horizon.  Each round checks, in one batched verdict call,
+    every clearing time the open points' next LEVELS_PER_ROUND bisection
+    steps may ask for (the first round adds 0 and the horizon); each point
+    then replays plain bisection over its verdicts, so its bracket is the one
+    serial bisection gets.  Returns (value, verdict) per point: value is the
+    lower end of the final bracket, UNBOUNDED when stable at the horizon;
+    verdict flags the degenerate case of a post-fault system unstable even
+    at instant clearing.
     """
-    if fault_on.t_end < horizon:
-        raise ValueError(f"fault-on run ends at t={fault_on.t_end:.6g}, before the horizon {horizon:.6g}")
-    if not first_swing_stable(ctx, fault_on, 0.0, window=window, tol=tol):
-        return 0.0, "unstable-at-zero"
-    if first_swing_stable(ctx, fault_on, horizon, window=window, tol=tol):
-        return UNBOUNDED, None
-    lo, hi = 0.0, horizon
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if first_swing_stable(ctx, fault_on, mid, window=window, tol=tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo, None
+    single = isinstance(ctx, StudyContext)
+    if single:
+        ctx, fault_on = [ctx], [fault_on]
+    for fo in fault_on:
+        if fo.t_end < horizon:
+            raise ValueError(f"fault-on run ends at t={fo.t_end:.6g}, before the horizon {horizon:.6g}")
+    known: list[dict[float, bool]] = [{} for _ in ctx]
+    results: list = [None] * len(ctx)
+    while True:
+        rows = []
+        for p in range(len(ctx)):
+            if results[p] is None:
+                results[p], wanted = _bisect(known[p], horizon, resolution)
+                rows += [(p, t) for t in wanted]
+        if not rows:
+            break
+        stable = first_swing_stable(
+            [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows],
+            window=window, tol=tol,
+        )
+        for (p, t), verdict in zip(rows, stable):
+            known[p][t] = bool(verdict)
+    return results[0] if single else results
+
+
+def run_fault_studies(
+    scenarios: Sequence[FaultScenario],
+    resolution: float = 1e-4,
+    horizon: float = 1.0,
+    window: float = 3.0,
+    tau_h_horizon: float = 2.0,
+    tol: float = 1e-8,
+    grid_density: int = 40,
+) -> list[FaultStudyResult]:
+    """Compute tau, tau_H, tau_A and the energy margin for every scenario.
+
+    The scenarios must share their machines (as the points of a load sweep
+    do).  The fault-on runs of all admissible scenarios are one stacked
+    integration, each to the longer of the tau and tau_H horizons, and both
+    metrics only read it; the true_cct searches run in lockstep.  A
+    scenario's result does not depend on the others.
+    """
+    results: list[FaultStudyResult | None] = [None] * len(scenarios)
+    admitted = []
+    for i, sc in enumerate(scenarios):
+        try:
+            ctx = build_context(sc, grid_density=grid_density)
+        except InadmissibleScenario as exc:
+            results[i] = FaultStudyResult(
+                tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
+                admissible=False, verdicts={"scenario": exc.code}, message=str(exc),
+            )
+            continue
+        if ctx.delta_E <= 0.0:
+            results[i] = FaultStudyResult(
+                tau=None, tau_H=None, tau_A=None, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
+                closest_uep=ctx.crit.closest_uep, admissible=False,
+                verdicts={"scenario": "negative-margin"},
+            )
+            continue
+        qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
+        t_A = en.tau_A(qc)
+        verdicts = {"tau_A": t_A} if isinstance(t_A, str) else {}
+        admitted.append((i, ctx, t_A, verdicts))
+
+    def admitted_result(ctx, t, t_H, t_A, verdicts) -> FaultStudyResult:
+        return FaultStudyResult(
+            tau=t, tau_H=t_H, tau_A=t_A, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
+            closest_uep=ctx.crit.closest_uep, admissible=True, verdicts=verdicts,
+        )
+
+    searched = []
+    if admitted:
+        fault_on = en.fault_on_trajectory(
+            [c.fom for _, c, _, _ in admitted], [c.gp for _, c, _, _ in admitted],
+            [c.x_pre for _, c, _, _ in admitted], max(horizon, tau_h_horizon), tol=tol,
+        )
+        for k, (i, ctx, t_A, verdicts) in enumerate(admitted):
+            try:
+                fo = fault_on.row(k)
+            except IntegrationError:
+                verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
+                results[i] = admitted_result(ctx, None, None, t_A, verdicts)
+                continue
+            t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fo, horizon=tau_h_horizon)
+            if isinstance(t_H, str):
+                verdicts["tau_H"] = t_H
+            searched.append((i, ctx, fo, t_A, t_H, verdicts))
+    if searched:
+        taus = true_cct(
+            [s[1] for s in searched], [s[2] for s in searched],
+            resolution=resolution, horizon=horizon, window=window, tol=tol,
+        )
+        for (i, ctx, _fo, t_A, t_H, verdicts), (t, t_verdict) in zip(searched, taus):
+            if isinstance(t, str):
+                verdicts["tau"] = t
+            elif t_verdict is not None:
+                verdicts["tau"] = t_verdict
+            results[i] = admitted_result(ctx, t, t_H, t_A, verdicts)
+    return results
 
 
 def run_fault_study(
@@ -246,53 +391,12 @@ def run_fault_study(
     tol: float = 1e-8,
     grid_density: int = 40,
 ) -> FaultStudyResult:
-    """Compute tau, tau_H, tau_A and the energy margin for one scenario.
-
-    tau and tau_H read one fault-on trajectory, integrated once to the
-    longer of their two horizons.
-    """
-    verdicts: dict[str, str] = {}
-    try:
-        ctx = build_context(sc, grid_density=grid_density)
-    except InadmissibleScenario as exc:
-        return FaultStudyResult(
-            tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None,
-            closest_uep=None, admissible=False, verdicts={"scenario": exc.code},
-        )
-
-    if ctx.delta_E <= 0.0:
-        return FaultStudyResult(
-            tau=None, tau_H=None, tau_A=None, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
-            closest_uep=ctx.crit.closest_uep, admissible=False,
-            verdicts={"scenario": "negative-margin"},
-        )
-
-    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
-    t_A = en.tau_A(qc)
-    if isinstance(t_A, str):
-        verdicts["tau_A"] = t_A
-
-    t = t_H = None
-    try:
-        fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, max(horizon, tau_h_horizon), tol=tol)
-    except IntegrationError:
-        verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
-    else:
-        t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on, horizon=tau_h_horizon)
-        if isinstance(t_H, str):
-            verdicts["tau_H"] = t_H
-        t, t_verdict = true_cct(
-            ctx, fault_on, resolution=resolution, horizon=horizon, window=window, tol=tol
-        )
-        if isinstance(t, str):
-            verdicts["tau"] = t
-        elif t_verdict is not None:
-            verdicts["tau"] = t_verdict
-
-    return FaultStudyResult(
-        tau=t, tau_H=t_H, tau_A=t_A, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
-        closest_uep=ctx.crit.closest_uep, admissible=True, verdicts=verdicts,
-    )
+    """Compute tau, tau_H, tau_A and the energy margin for one scenario
+    (`run_fault_studies` of one scenario)."""
+    return run_fault_studies(
+        [sc], resolution=resolution, horizon=horizon, window=window,
+        tau_h_horizon=tau_h_horizon, tol=tol, grid_density=grid_density,
+    )[0]
 
 
 def hamiltonian_model_factory(

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NetworkError
+from .errors import NetworkError, SingularNetworkError
 
 BUS_KINDS = ("generator", "infinite", "load")
 
@@ -249,7 +249,7 @@ def kron_reduce(Y: ComplexMatrix, retained: Iterable[str]) -> ComplexMatrix:
         X = np.linalg.solve(Y_LL, Y_LR)
     except np.linalg.LinAlgError:
         dropped = [Y.nodes[i] for i in drop]
-        raise NetworkError(f"singular eliminated block for bus set {dropped}") from None
+        raise SingularNetworkError(f"singular eliminated block for bus set {dropped}") from None
     red = Y_RR - Y_RL @ X
     sym = np.allclose(A, A.T, rtol=0.0, atol=1e-9 * max(1.0, np.abs(A).max()))
     if sym:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import FaultScenario, FaultStudyResult, run_fault_study
+from .faultstudy import FaultScenario, FaultStudyResult, run_fault_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 
@@ -69,6 +69,7 @@ class SweepRow:
     admissible: bool
     verdicts: str                       # canonical "key=value;..." encoding
     closest: tuple[float, ...] | None = field(default=None, compare=False)
+    message: str | None = field(default=None, compare=False)   # why the point was rejected
 
 
 def _verdict_string(result: FaultStudyResult) -> str:
@@ -95,34 +96,38 @@ def _row_from_result(value: float, result: FaultStudyResult) -> SweepRow:
         admissible=result.admissible,
         verdicts=_verdict_string(result),
         closest=closest,
+        message=result.message,
     )
 
 
-def _eval_point(args: tuple) -> SweepRow:
-    spec, value = args
+def _eval_block(args: tuple) -> list[SweepRow]:
+    spec, values = args
     bus, part = parse_param_path(spec.scenario, spec.param)
-    result = run_fault_study(
-        spec.scenario.with_load_part(bus, part, value),
+    results = run_fault_studies(
+        [spec.scenario.with_load_part(bus, part, value) for value in values],
         resolution=spec.resolution,
         horizon=spec.horizon,
         window=spec.window,
         tol=spec.tol,
         grid_density=spec.grid_density,
     )
-    return _row_from_result(value, result)
+    return [_row_from_result(value, result) for value, result in zip(values, results)]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, ascending; rows keep inadmissible points.
 
-    With jobs > 1 the points are farmed out to a process pool; assembly is
-    order-preserving, so parallel and serial runs produce identical tables.
+    The points are studied together (`run_fault_studies`).  With jobs > 1
+    each worker of a process pool takes one contiguous block of points; a
+    point's result does not depend on its block, so parallel and serial runs
+    produce identical tables.
     """
-    tasks = [(spec, float(v)) for v in spec.values]
+    values = [float(v) for v in spec.values]
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(_eval_point, tasks))
-    return [_eval_point(t) for t in tasks]
+        blocks = [[float(v) for v in b] for b in np.array_split(values, min(spec.jobs, len(values)))]
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            return [row for rows in pool.map(_eval_block, [(spec, b) for b in blocks]) for row in rows]
+    return _eval_block((spec, values))
 
 
 def find_optimum(rows: Sequence[SweepRow], metric: str) -> tuple[float, float]:

@@ -9,8 +9,10 @@ for the other rotor angles.  All pairwise sin/cos coupling goes through
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,6 +117,26 @@ class SystemState:
         return SystemState(delta=wrap_angle(self.delta), omega=self.omega.copy())
 
 
+@functools.lru_cache(maxsize=None)
+def _operators(n: int, act: bytes) -> tuple[np.ndarray, ...]:
+    """The network-independent arrays of a kernel over n machines.
+
+    K (the difference operator), the flat indices `pairs` of the pairs
+    i < k, K restricted to them, the flat indices of the rows of the machines
+    in act (the bytes of an int array) and K restricted to those; built once
+    per machine set.
+    """
+    a = np.frombuffer(act, dtype=int)
+    unit = np.eye(n)[a]
+    K = (unit[:, :, None] - unit[:, None, :]).reshape(a.size, n * n)
+    pairs = np.array([i * n + k for i in range(n) for k in range(i + 1, n)], dtype=int)
+    act_terms = (a[:, None] * n + np.arange(n)).ravel()
+    out = (K, pairs, K[:, pairs], act_terms, K[:, act_terms])
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 class Coupling:
     """Pairwise coupling of a reduced network, evaluated on stacked angles.
 
@@ -129,40 +151,68 @@ class Coupling:
     P_i = sum_k E_i E_k (G_ik cos d_ik + B_ik sin d_ik); the anchored form
     leaves out the conductance term, which the conservative model freezes
     into its drive Pm - Pa.
+
+    A kernel built from one network applies it to every state; `stack` joins
+    kernels into one whose network parameters PG and Pbar have shape
+    (K, n*n), so row k of a (K, m) stack is evaluated on network k.
     """
 
     def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
-        n = red.n
-        unit = np.eye(n)[act]
-        self.n = n
+        self.n = red.n
         self.act = act
         self.conductive = conductive
-        self.K = (unit[:, :, None] - unit[:, None, :]).reshape(act.size, n * n)
-        self.PG = (np.outer(red.E, red.E) * red.G).ravel()
-        self.Pbar = red.Pbar.ravel()
-        #: flat indices of the pairs i < k
-        self.pairs = np.array([i * n + k for i in range(n) for k in range(i + 1, n)], dtype=int)
-        self._K_pairs = self.K[:, self.pairs]
-        self._Pbar_pairs = self.Pbar[self.pairs]
+        self.K, self.pairs, self._K_pairs, self._act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
         self._diag = np.arange(act.size)
+        self._set_network((np.outer(red.E, red.E) * red.G).ravel(), red.Pbar.ravel())
+
+    def _set_network(self, PG: np.ndarray, Pbar: np.ndarray) -> None:
+        self.PG = PG
+        self.Pbar = Pbar
+        self._Pbar_pairs = Pbar.take(self.pairs, axis=-1)
+        self._PG_act = PG.take(self._act_terms, axis=-1)
+        self._Pbar_act = Pbar.take(self._act_terms, axis=-1)
+
+    @classmethod
+    def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":
+        """One kernel whose row k evaluates the network of kernels[k]."""
+        first = kernels[0]
+        for k in kernels:
+            if k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act):
+                raise ValueError("stacked kernels need the same machines and form")
+        out = copy.copy(first)
+        out._set_network(np.vstack([k.PG for k in kernels]), np.vstack([k.Pbar for k in kernels]))
+        return out
+
+    def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
+        # sequential sum over k of the (..., rows, n) terms, in numpy's order
+        # for n <= 7 and independent of the leading shape for any n
+        t = terms.reshape(terms.shape[:-1] + (-1, self.n))
+        acc = t[..., 0]
+        for k in range(1, self.n):
+            acc = acc + t[..., k]
+        return acc
 
     def diffs(self, delta: np.ndarray) -> np.ndarray:
         """d_i - d_k for every machine pair, flattened row-major to (..., n*n)."""
         return np.asarray(delta, dtype=float) @ self.K
 
-    def _rows(self, terms: np.ndarray) -> np.ndarray:
-        return terms.reshape(terms.shape[:-1] + (self.n, self.n)).sum(axis=-1)
-
     def power(self, delta: np.ndarray) -> np.ndarray:
         """Power leaving every machine (the anchored form: its sine part), shape (..., n)."""
         D = self.diffs(delta)
         if self.conductive:
-            return self._rows(self.PG * np.cos(D) + self.Pbar * np.sin(D))
-        return self._rows(self.Pbar * np.sin(D))
+            return self._sum_rows(self.PG * np.cos(D) + self.Pbar * np.sin(D))
+        return self._sum_rows(self.Pbar * np.sin(D))
+
+    def active_power(self, delta: np.ndarray) -> np.ndarray:
+        """`power` of the modeled machines only, shape (..., m), with the same bits."""
+        D = np.asarray(delta, dtype=float) @ self._K_act
+        if self.conductive:
+            return self._sum_rows(self._PG_act * np.cos(D) + self._Pbar_act * np.sin(D))
+        return self._sum_rows(self._Pbar_act * np.sin(D))
 
     def conductance(self, delta: np.ndarray) -> np.ndarray:
         """The conductance term sum_k E_i E_k G_ik cos d_ik alone, shape (..., n)."""
-        return self._rows(self.PG * np.cos(self.diffs(delta)))
+        return self._sum_rows(self.PG * np.cos(self.diffs(delta)))
 
     def jacobian(self, delta: np.ndarray) -> np.ndarray:
         """d power_i / d delta_j over the modeled machines, shape (..., m, m).
@@ -184,49 +234,262 @@ class Coupling:
         return (self._Pbar_pairs * np.cos(D)).sum(axis=-1)
 
 
-def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None = None) -> Field:
+class SwingField:
+    """Right-hand side over packed states [delta; omega], shape (..., 2m).
+
+    `drive` is Pm (exact field) or Pm - Pa (conservative field) of the
+    modeled machines and `Minv` their inverse inertias; with a stacked
+    coupling both carry one row per network.
+    """
+
+    def __init__(self, coupling: Coupling, drive: np.ndarray, Minv: np.ndarray):
+        self.coupling = coupling
+        self.drive = drive
+        self.Minv = Minv
+        self.m = coupling.act.size
+
+    @classmethod
+    def stack(cls, fields: Sequence["SwingField"]) -> "SwingField":
+        """One field whose row k evaluates fields[k]."""
+        return cls(
+            Coupling.stack([f.coupling for f in fields]),
+            np.vstack([f.drive for f in fields]),
+            np.vstack([f.Minv for f in fields]),
+        )
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        m = self.m
+        accel = (self.drive - self.coupling.active_power(y[..., :m])) * self.Minv
+        return np.concatenate([y[..., m:], accel], axis=-1)
+
+
+def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None = None) -> SwingField:
     """Right-hand side over the packed state [delta; omega].
 
     Without Pa this is the exact field; with Pa (full machine vector) it is
     the conservative field whose conductance power is frozen at Pa.
     """
     act = gp.active
-    m = act.size
     coupling = Coupling(red, act, conductive=Pa is None)
     drive = gp.Pm[act] if Pa is None else gp.Pm[act] - Pa[act]
-    Minv = 1.0 / gp.M[act]
-
-    def field(y: np.ndarray) -> np.ndarray:
-        out = np.empty(2 * m)
-        out[:m] = y[m:]
-        out[m:] = (drive - coupling.power(y[:m])[act]) * Minv
-        return out
-
-    return field
+    return SwingField(coupling, drive, 1.0 / gp.M[act])
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integrator samples plus a dense interpolant between them."""
+    """Accepted integrator steps of one run, or of K stacked runs, with the
+    quartic dense output of each step.
+
+    A one-row run has step times `t` of shape (S+1,).  A stacked run has `t`
+    of shape (S+1, K): column k holds row k's step times, padded with inf
+    after its last step (S is the most steps any row took).  `failed` holds,
+    per row, the time at which the row's step size underflowed, NaN if it
+    reached the end.  The steps themselves are stored row after row, row k
+    from index _start[k] on; the last entry is a NaN placeholder that rows
+    without any step read.
+    """
 
     t: np.ndarray
-    _dense: object
+    failed: np.ndarray
+    _n: np.ndarray      # (K,) accepted steps per row
+    _start: np.ndarray  # (K,) index of each row's first step
+    _h: np.ndarray      # (N+1,) step sizes
+    _y: np.ndarray      # (N+1, d) states at step starts
+    _Q: np.ndarray      # (4, N+1, d) dense-output coefficients
 
     def __post_init__(self) -> None:
-        if self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0.0):
+        if self.t.ndim == 1 and (self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0.0)):
             raise ValueError("trajectory times must start at 0 and increase strictly")
 
     @property
+    def rows(self) -> int:
+        return self._n.size
+
+    @property
     def t_end(self) -> float:
-        return float(self.t[-1])
+        """Latest time any row reached."""
+        grid = self.t.reshape(self.t.shape[0], -1)
+        return float(grid[self._n, np.arange(self.rows)].max())
+
+    def row(self, k: int) -> "Trajectory":
+        """One-row view of row k; raises IntegrationError if that row failed."""
+        if not np.isnan(self.failed[k]):
+            t_bad = float(self.failed[k])
+            raise IntegrationError(f"integration failed at t={t_bad:.6g}: step size underflow", time=t_bad)
+        n = int(self._n[k])
+        steps = slice(self._start[k], self._start[k] + n + 1)
+        return Trajectory(
+            t=self.t.reshape(self.t.shape[0], -1)[: n + 1, k], failed=self.failed[k : k + 1],
+            _n=self._n[k : k + 1], _start=np.zeros(1, dtype=int),
+            _h=self._h[steps], _y=self._y[steps], _Q=self._Q[:, steps],
+        )
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Dense-output states at the requested times, shape (len(ts), 2m)."""
-        ts = np.asarray(ts, dtype=float)
-        return np.asarray(self._dense(ts)).T
+        """Dense-output states at the requested times.
+
+        Shape (len(ts), 2m) for a one-row run, (len(ts), K, 2m) for a stacked
+        one (NaN in failed rows).  A time on a step boundary is read from the
+        step that ends there.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        grid = self.t.reshape(self.t.shape[0], -1)
+        cols = np.arange(self.rows)
+        seg = np.stack([np.searchsorted(grid[:, k], ts, side="left") for k in cols], axis=1)
+        seg = np.clip(seg - 1, 0, np.maximum(self._n - 1, 0))
+        g = np.where(self._n > 0, self._start + seg, self._h.size - 1)
+        h = self._h[g]
+        x = ((ts[:, None] - grid[seg, cols]) / h)[..., None]
+        # the powers x, x^2, x^3, x^4 as cumulative products
+        p2 = x * x
+        p3 = p2 * x
+        Q = self._Q
+        poly = Q[0][g] * x + Q[1][g] * p2 + Q[2][g] * p3 + Q[3][g] * (p3 * x)
+        out = self._y[g] + h[..., None] * poly
+        if self.t.ndim == 1:
+            return out[:, 0]
+        out[:, ~np.isnan(self.failed)] = np.nan
+        return out
 
     def state(self, t: float) -> SystemState:
-        return SystemState.from_packed(np.asarray(self._dense(t)))
+        """Dense-output state of a one-row run."""
+        return SystemState.from_packed(self.sample(np.array([t]))[0])
+
+
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
+# dense output, as in the common RK45 codes.
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
+def _combine(coefs: Sequence[float], stages: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_s coefs[s] * stages[s], added in stage order.
+
+    Elementwise products and sums round each row on its own, so a row's
+    result never depends on the other rows (a BLAS product may).
+    """
+    acc = None
+    for c, k in zip(coefs, stages):
+        if c != 0:
+            acc = c * k if acc is None else acc + c * k
+    return acc
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.square(x).sum(axis=-1)) / x.shape[-1] ** 0.5
+
+
+def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol: float, atol: float) -> np.ndarray:
+    """Per-row first step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    scale = atol + np.abs(y) * tol
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_end)
+    f1 = field(y + h0[:, None] * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1 / 5),
+    )
+    return np.minimum(np.minimum(100 * h0, h1), t_end)
+
+
+def _dopri(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -> Trajectory:
+    """Lockstep Dormand-Prince 5(4) over a (K, d) stack of initial states.
+
+    Every row keeps its own step size, error norm and accept/reject: the
+    error norm is the RMS of the embedded error over atol + tol * max(|y|,
+    |y_new|), a step is accepted below 1 and the next size is the step times
+    0.9 * err^(-1/5) clamped to [0.2, 10] (at most 1 right after a
+    rejection); a row fails once its step falls below 10 ulp of its time.
+    A row that has finished (or failed) rides along with a zero step until
+    the last row is done.
+    """
+    K, d = y.shape
+    f = field(y)
+    h_abs = _initial_step(field, y, f, t_end, tol, atol)
+    t = np.zeros(K)
+    live = np.ones(K, dtype=bool)
+    fresh = np.ones(K, dtype=bool)     # the next attempt starts a new step
+    failed = np.full(K, np.nan)
+    steps = []                         # (rows, t_new, h, y, stages) of the accepted attempts
+    while live.any():
+        if np.min(h_abs, where=live, initial=np.inf) <= 10.0 * np.spacing(t_end):
+            # a step near the float spacing of t: raise a new step to the
+            # minimum, fail a rejected one below it
+            min_step = 10.0 * np.spacing(t)
+            np.maximum(h_abs, min_step, out=h_abs, where=fresh)
+            small = live & (h_abs < min_step)
+            failed[small] = t[small]
+            live &= ~small
+        t_new = np.minimum(t + h_abs, t_end)
+        h = np.where(live, t_new - t, 0.0)
+        hc = h[:, None]
+        ks = [f]
+        for a in _A[1:]:
+            ks.append(field(y + _combine(a, ks) * hc))
+        y_new = y + hc * _combine(_B, ks)
+        ks.append(field(y_new))
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        err = _rms(_combine(_E, ks) * hc / scale)
+        grow = _SAFETY * err**_ERROR_EXPONENT
+        accept = live & (err < 1)
+        # after a rejection the step may not grow; err == 0 gives the cap
+        grown = np.minimum(np.where(fresh, _MAX_FACTOR, 1.0), grow)
+        h_abs = h * np.where(accept, grown, np.fmax(_MIN_FACTOR, grow))
+        r = np.flatnonzero(accept)
+        if r.size:
+            steps.append((r, t_new[r], h[r], y[r], np.stack(ks, axis=1)[r]))
+        fresh = accept
+        t = np.where(accept, t_new, t)
+        y = np.where(accept[:, None], y_new, y)
+        f = np.where(accept[:, None], ks[6], f)
+        live &= ~accept | (t_new < t_end)
+    return _collect(steps, failed, K, d)
+
+
+def _collect(steps: list, failed: np.ndarray, K: int, d: int) -> Trajectory:
+    """Accepted steps grouped by row, in step order, with their dense output."""
+    empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, 7, d)))
+    rows, t_new, h, y, stages = [np.concatenate([e, *(step[i] for step in steps)]) for i, e in enumerate(empty)]
+    # drop the per-attempt blocks and then the stages as soon as they are
+    # copied: they dominate the memory of a large stack
+    steps.clear()
+    Q = np.stack([_combine([p[j] for p in _P], stages.transpose(1, 0, 2)) for j in range(4)])
+    del stages
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    n = np.bincount(rows, minlength=K)
+    start = np.cumsum(n) - n
+    grid = np.full((max(int(n.max(initial=0)), 1) + 1, K), np.inf)
+    grid[0] = 0.0
+    grid[np.arange(rows.size) - start[rows] + 1, rows] = t_new[order]
+    return Trajectory(
+        t=grid, failed=failed, _n=n, _start=start,
+        _h=np.append(h[order], 1.0),
+        _y=np.vstack([y[order], np.full((1, d), np.nan)]),
+        _Q=np.concatenate([Q[:, order], np.zeros((4, 1, d))], axis=1),
+    )
 
 
 def integrate(
@@ -236,26 +499,20 @@ def integrate(
     tol: float = 1e-8,
     atol: float = 1e-10,
 ) -> Trajectory:
-    """Adaptive RK5(4) integration of an autonomous field with dense output."""
-    # imported here: scipy.integrate is most of the package's import time
-    from scipy.integrate import solve_ivp
+    """Adaptive Dormand-Prince 5(4) integration of an autonomous field.
 
+    x0 is one state (a SystemState or shape (d,)) or a stack of K states,
+    shape (K, d); `field` maps a (K, d) stack to its derivatives row by row.
+    Each row runs with its own step control, so it gives the same bits in
+    any stack.  A one-row run raises IntegrationError if its step size
+    underflows; in a stack such a row fails alone (see `Trajectory.failed`).
+    """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)
-    sol = solve_ivp(
-        lambda _t, y: field(y),
-        (0.0, t_end),
-        y0,
-        method="RK45",
-        rtol=tol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        t_bad = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(f"integration failed at t={t_bad:.6g}: {sol.message}", time=t_bad)
-    return Trajectory(t=sol.t, _dense=sol.sol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        traj = _dopri(field, np.atleast_2d(y0), t_end, tol, atol)
+    return traj.row(0) if y0.ndim == 1 else traj
 
 
 def dispatch_from_angles(

@@ -1,7 +1,8 @@
 """Property checks of the pairwise coupling kernel on random small networks.
 
 Stacked evaluation must give every row exactly the bits of a one-state
-evaluation, so that batching states never changes a result.
+evaluation, so that batching states never changes a result.  The same holds
+for kernels stacked over networks and for stacked integration runs.
 """
 
 import numpy as np
@@ -11,17 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from swingcct import equilibria as eq
 from swingcct.netmodel import ReducedNetwork
+from swingcct import swing as sw
 from swingcct.swing import Coupling, GeneratorParams
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
-@st.composite
-def networks(draw):
-    """Random symmetric G/B and EMFs over n = 2..4 machines, one infinite, plus
-    a (k, m) stack of modeled-machine angles."""
-    n = draw(st.integers(2, 4))
-    inf = draw(st.integers(0, n - 1))
+def network(draw, n: int, inf: int) -> tuple[ReducedNetwork, GeneratorParams]:
+    """Random symmetric G/B, EMFs, inertias and inputs over n machines."""
     entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
     G = draw(arrays(float, (n, n), elements=entries))
     B = draw(arrays(float, (n, n), elements=entries))
@@ -30,9 +28,19 @@ def networks(draw):
     Pbar = np.outer(E, E) * B
     np.fill_diagonal(Pbar, 0.0)
     red = ReducedNetwork(n=n, G=G, B=B, Pbar=Pbar, E=E)
-    M = np.ones(n)
+    M = draw(arrays(float, n, elements=st.floats(0.05, 1.0)))
     M[inf] = np.inf
-    gp = GeneratorParams(M=M, Pm=np.zeros(n), E=E, infinite_index=inf)
+    Pm = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    gp = GeneratorParams(M=M, Pm=Pm, E=E, infinite_index=inf)
+    return red, gp
+
+
+@st.composite
+def networks(draw):
+    """A random network over n = 2..4 machines, one infinite, plus a (k, m)
+    stack of modeled-machine angles."""
+    n = draw(st.integers(2, 4))
+    red, gp = network(draw, n, draw(st.integers(0, n - 1)))
     k = draw(st.integers(1, 6))
     angles = draw(arrays(float, (k, n - 1), elements=st.floats(-2.0 * np.pi, 2.0 * np.pi)))
     return red, gp, angles
@@ -67,6 +75,54 @@ def test_stacked_rows_equal_single_rows(case):
             for i, row in enumerate(angles):
                 assert same_bits(stacked[i], method(row))
                 assert same_bits(stacked[i], method(angles[i : i + 1])[0])
+        assert same_bits(cp.active_power(angles), cp.power(angles)[:, gp.active])
+
+
+@st.composite
+def network_stacks(draw):
+    """k = 1..5 random networks with the same machines, one state each, and
+    a random partition of the k rows into batches."""
+    n = draw(st.integers(2, 4))
+    inf = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, 5))
+    nets = [network(draw, n, inf) for _ in range(k)]
+    angles = draw(arrays(float, (k, n - 1), elements=st.floats(-np.pi, np.pi)))
+    speeds = draw(arrays(float, (k, n - 1), elements=st.floats(-2.0, 2.0)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    return nets, np.hstack([angles, speeds]), labels
+
+
+@PROPERTY
+@given(network_stacks())
+def test_stacked_networks_equal_single_networks(case):
+    nets, states, _ = case
+    angles = states[:, : states.shape[1] // 2]
+    for conductive in (True, False):
+        kernels = [Coupling(red, gp.active, conductive=conductive) for red, gp in nets]
+        stacked = Coupling.stack(kernels)
+        for name in ("power", "active_power", "conductance", "jacobian", "pair_energy"):
+            rows = getattr(stacked, name)(angles)
+            for i, kernel in enumerate(kernels):
+                assert same_bits(rows[i], getattr(kernel, name)(angles[i]))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(network_stacks())
+def test_stacked_integration_rows_equal_single_runs(case):
+    """Every row of a stacked run, with its own network, takes the steps and
+    gives the dense samples of its one-row run, in any batch."""
+    nets, states, labels = case
+    fields = [sw.swing_field(red, gp) for red, gp in nets]
+    ts = np.linspace(0.0, 0.3, 41)
+    for label in set(labels):
+        rows = [i for i, g in enumerate(labels) if g == label]
+        batch = sw.integrate(sw.SwingField.stack([fields[i] for i in rows]), states[rows], 0.3, tol=1e-6)
+        samples = batch.sample(ts)
+        for j, i in enumerate(rows):
+            one = sw.integrate(fields[i], states[i], 0.3, tol=1e-6)
+            assert same_bits(batch.row(j).t, one.t)
+            assert same_bits(batch.row(j).sample(ts), one.sample(ts))
+            assert same_bits(samples[:, j], one.sample(ts))
 
 
 @PROPERTY

@@ -7,7 +7,6 @@ import pytest
 
 from swingcct import energy as en
 from swingcct import faultstudy as fs
-from swingcct.errors import IntegrationError
 
 
 def null_fault_context(ctx):
@@ -37,7 +36,8 @@ def test_divergent_trajectory_is_unstable(nominal_ctx):
 
     field = sw.swing_field(ctx.red_post, ctx.gp)
     post = sw.integrate(field, traj.state(0.4), 2.0)
-    exc = fs._pair_excursions(ctx, post.sample(np.linspace(0, 2.0, 400)))
+    cp = ctx.hm.coupling
+    exc = fs._pair_excursions(cp, post.sample(np.linspace(0, 2.0, 400)), cp.diffs(ctx.sep.delta)[cp.pairs])
     assert exc.max() >= np.pi  # confirms the mechanism behind the verdict
     assert not fs.first_swing_stable(ctx, traj, 0.4)
 
@@ -69,6 +69,39 @@ def test_true_cct_bracket_width(nominal_ctx, nominal_fault_on):
     # lower endpoint of the final bracket: stable here, unstable at + width
     assert fs.first_swing_stable(nominal_ctx, nominal_fault_on, t)
     assert not fs.first_swing_stable(nominal_ctx, nominal_fault_on, t + resolution)
+
+
+def serial_bisection(ctx, fault_on, resolution=1e-4, horizon=1.0):
+    """Plain bisection on one-row verdicts: the search true_cct must reproduce."""
+    if not fs.first_swing_stable(ctx, fault_on, 0.0):
+        return 0.0, "unstable-at-zero"
+    if fs.first_swing_stable(ctx, fault_on, horizon):
+        return fs.UNBOUNDED, None
+    lo, hi = 0.0, horizon
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if fs.first_swing_stable(ctx, fault_on, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, None
+
+
+def test_lockstep_true_cct_equals_serial_bisection(wscc, nominal_ctx, nominal_fault_on):
+    ctxs = [nominal_ctx] + [fs.build_context(wscc.with_load_part("8", "G", g)) for g in (1.0, 5.0, 7.0)]
+    fault_ons = [nominal_fault_on] + [
+        en.fault_on_trajectory(c.fom, c.gp, c.x_pre, 2.0) for c in ctxs[1:]
+    ]
+    lockstep = fs.true_cct(ctxs, fault_ons)
+    assert lockstep == [serial_bisection(c, fo) for c, fo in zip(ctxs, fault_ons)]
+    assert fs.true_cct(ctxs[2], fault_ons[2]) == lockstep[2]
+
+
+def test_batched_verdicts_equal_single_verdicts(nominal_ctx, nominal_fault_on):
+    t_cl = [0.0, 0.05, 0.12, 0.3, 0.11]
+    batch = fs.first_swing_stable([nominal_ctx] * 5, [nominal_fault_on] * 5, t_cl)
+    assert batch.tolist() == [fs.first_swing_stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
+    assert batch.tolist() == [True, True, False, False, True]
 
 
 def test_null_fault_unbounded(nominal_ctx):
@@ -122,9 +155,11 @@ def test_study_integrates_fault_on_once(wscc, monkeypatch):
 
 def test_fault_on_integration_failure_verdict(wscc, monkeypatch):
     """A failed fault-on run names tau and tau_H; the closed-form metrics stay."""
+    original = en.fault_on_trajectory
 
     def fail(*args, **kwargs):
-        raise IntegrationError("step size collapsed", time=0.1)
+        traj = original(*args, **kwargs)
+        return replace(traj, failed=np.full(traj.rows, 0.1))  # every row's step size collapsed
 
     monkeypatch.setattr(en, "fault_on_trajectory", fail)
     result = fs.run_fault_study(wscc)

@@ -71,6 +71,42 @@ def test_admissibility_frontier(wscc):
     assert frontier.tau is None and frontier.tau_H is None and frontier.tau_A is None
 
 
+def test_jobs_give_identical_rows(wscc, tmp_path):
+    """Each worker takes one contiguous block; blocks never change a row."""
+    csvs = []
+    for jobs in (1, 2, 3):
+        spec = SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=0.25, jobs=jobs)
+        rows = run_sweep(spec)
+        assert [r.param for r in rows] == [-1.0, -0.75, -0.5, -0.25, 0.0]
+        csvs.append(rp.write_sweep_csv(rows, tmp_path / f"jobs{jobs}.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
+    """A singular Kron block at one grid value ends in that row's verdict."""
+    from swingcct import netmodel as nm
+    from swingcct.errors import SingularNetworkError
+
+    original = nm.reduce_to_generators
+
+    def reduce(net):
+        if net.shunt_loads["8"].imag == -0.5:
+            raise SingularNetworkError("singular eliminated block for bus set ['8']")
+        return original(net)
+
+    monkeypatch.setattr(nm, "reduce_to_generators", reduce)
+    spec = SweepSpec(scenario=wscc, param="8.B", lo=-0.75, hi=-0.25, step=0.25, resolution=1e-3)
+    rows = run_sweep(spec)
+    assert [r.param for r in rows] == [-0.75, -0.5, -0.25]
+    bad = rows[1]
+    assert not bad.admissible and bad.verdicts == "scenario=singular-network"
+    assert bad.message == "singular eliminated block for bus set ['8']"
+    assert bad.tau is None and bad.tau_H is None and bad.tau_A is None and bad.dE is None
+    for row in (rows[0], rows[2]):
+        assert row.admissible and row.verdicts == ""
+        assert all(isinstance(v, float) for v in (row.tau, row.tau_H, row.tau_A, row.dE))
+
+
 def test_parallel_serial_equivalence(wscc):
     base = dict(scenario=wscc, param="8.B", lo=-0.4, hi=-0.2, step=0.1, resolution=1e-3)
     serial = run_sweep(SweepSpec(**base, jobs=1))

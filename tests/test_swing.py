@@ -185,15 +185,30 @@ def test_integrate_rejects_bad_horizon():
 
 
 def test_import_and_load_leave_scipy_integrate_unloaded():
-    """Only integrating pays for importing scipy.integrate."""
+    """Loading does not import scipy.integrate, and a whole study imports no scipy."""
     src = str(Path(sw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, swingcct; swingcct.load_scenario('wscc9-tmib'); "
-        "print('scipy.integrate' in sys.modules)"
+        "import sys, swingcct; sc = swingcct.load_scenario('wscc9-tmib'); "
+        "print('scipy.integrate' in sys.modules); "
+        "swingcct.run_fault_study(sc, resolution=5e-4); "
+        "print('scipy' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_stacked_row_fails_alone():
+    """A row whose step size underflows fails without stopping the others."""
+    blowup = lambda y: y**2  # escapes at t = 1 / y0
+    traj = sw.integrate(blowup, np.array([[1.0], [0.25]]), 2.0)
+    assert 0.9 < traj.failed[0] <= 2.0 and np.isnan(traj.failed[1])
+    with pytest.raises(IntegrationError) as err:
+        traj.row(0)
+    assert err.value.time == traj.failed[0]
+    alone = sw.integrate(blowup, np.array([0.25]), 2.0)
+    assert np.array_equal(traj.row(1).t, alone.t)
+    assert np.isnan(traj.sample(np.array([1.5]))[0, 0, 0])
 
 
 def test_state_wrapping():
