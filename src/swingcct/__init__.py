@@ -19,7 +19,6 @@ from .equilibria import (
     Branch,
     CriticalEnergy,
     EquilibriumPoint,
-    classify,
     closest_uep,
     continue_branch,
     enumerate_ueps,

@@ -21,7 +21,9 @@ from .netmodel import ReducedNetwork
 from .swing import Coupling, GeneratorParams
 
 _EIG_AXIS_TOL = 1e-9
-MARGINAL = "marginal"
+#: stationary_points retires a grid start whose best residual has not
+#: improved for this many Newton iterations
+_STALL = 3
 
 
 def _newton(
@@ -30,27 +32,38 @@ def _newton(
     starts: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
+    stall: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on power[act] = drive from a (k, m) stack of starts.
 
     Steps are capped at 1 rad in the max norm.  A start stops once its
     residual is within tol and is dropped when its Jacobian is (near)
-    singular or its iterate leaves the finite numbers.  Returns the iterates
-    and the mask of converged starts; each row's result is independent of
-    the others in the stack.
+    singular or its iterate leaves the finite numbers.  With `stall`, a
+    start whose best residual (max norm) has not improved for `stall`
+    iterations is dropped too.  Returns the iterates and the mask of
+    converged starts; each row's result is independent of the others in
+    the stack.
     """
     X = np.array(starts, dtype=float)
     converged = np.zeros(X.shape[0], dtype=bool)
     work = np.arange(X.shape[0])
+    best = np.full(X.shape[0], np.inf)
+    idle = np.zeros(X.shape[0], dtype=int)
     for _ in range(max_iter):
         if work.size == 0:
             break
         Xw = X[work]
         R = drive - coupling.active_power(Xw)
-        done = np.max(np.abs(R), axis=1) <= tol
+        res = np.max(np.abs(R), axis=1)
+        done = res <= tol
         converged[work[done]] = True
         J = coupling.jacobian(Xw)
         keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
+        if stall is not None:
+            improved = res < best[work]
+            best[work[improved]] = res[improved]
+            idle[work] = np.where(improved, 0, idle[work] + 1)
+            keep &= idle[work] < stall
         step = np.linalg.solve(J[keep], R[keep, :, None])[:, :, 0]
         norms = np.max(np.abs(step), axis=1, keepdims=True)
         Xw = Xw[keep] + step * (1.0 / np.maximum(norms, 1.0))
@@ -77,19 +90,6 @@ class CriticalEnergy:
     closest_uep: EquilibriumPoint
     E_c: float
     candidates: tuple[EquilibriumPoint, ...]
-
-
-def classify(hm: HamiltonianModel, delta: np.ndarray) -> int | str:
-    """Count of Jacobian eigenvalues with real part above the axis tolerance.
-
-    Near-zero eigenvalues (both parts within the tolerance, i.e. a fold
-    degeneracy) yield the MARGINAL verdict instead of a count; the purely
-    imaginary pairs of this undamped model classify as stable.
-    """
-    spectrum = _spectrum(hm, delta)
-    if np.any((np.abs(spectrum.real) <= _EIG_AXIS_TOL) & (np.abs(spectrum.imag) <= _EIG_AXIS_TOL)):
-        return MARGINAL
-    return int(np.sum(spectrum.real > _EIG_AXIS_TOL))
 
 
 def _spectrum(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
@@ -167,6 +167,22 @@ def wrapped_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
+def _distinct(roots: np.ndarray) -> np.ndarray:
+    """Greedy 1e-6 dedup (modulo 2*pi) of roots rounded to 1e-12.
+
+    The rounded rows are taken in lexicographic order; each kept row drops
+    every later row within 1e-6 of it, so boundary pairs (-pi / +pi) are one
+    point.  One pass per distinct root.
+    """
+    rows = np.unique(np.round(roots, 12), axis=0)
+    kept = []
+    while rows.shape[0]:
+        kept.append(rows[0])
+        w = np.mod(rows - rows[0] + np.pi, 2.0 * np.pi) - np.pi
+        rows = rows[np.max(np.abs(w), axis=1) > 1e-6]
+    return np.array(kept).reshape(-1, roots.shape[1])
+
+
 def stationary_points(
     hm: HamiltonianModel,
     box: tuple[np.ndarray, np.ndarray] | None = None,
@@ -175,8 +191,12 @@ def stationary_points(
     """All stationary points in the SEP-centered angle cell, classified.
 
     Starts a Newton run from each node of a grid over `box` (default: the
-    anchor plus/minus 2*pi in every modeled angle), wraps the converged roots
-    into the canonical cell and deduplicates at 1e-6.
+    anchor plus/minus 2*pi in every modeled angle); a start whose residual
+    stalls for `_STALL` iterations is retired.  The converged roots are
+    wrapped into the canonical cell and deduplicated at 1e-6, and each
+    distinct root is polished by a plain Newton run from its value rounded
+    to 1e-6, so a returned point depends on its cluster only, not on which
+    starts reached it.
     """
     gp = hm.gp
     m = gp.n_active
@@ -188,18 +208,10 @@ def stationary_points(
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([g.ravel() for g in mesh], axis=1)
 
-    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=60)
-    roots = X[converged]
-    if roots.size == 0:
-        return []
-    roots = _wrap_to_cell(roots, center)
-
-    kept: list[np.ndarray] = []
-    for r in sorted(map(tuple, np.round(roots, 12))):
-        r = np.array(r)
-        # modulo-2*pi comparison: boundary pairs (-pi / +pi) are one point
-        if all(wrapped_distance(r, k) > 1e-6 for k in kept):
-            kept.append(r)
+    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=60, stall=_STALL)
+    clusters = _distinct(_wrap_to_cell(X[converged], center))
+    X, converged = _newton(hm.coupling, hm.drive, np.round(clusters, 6), max_iter=60)
+    kept = _distinct(_wrap_to_cell(X[converged], center))
 
     points = []
     for r in kept:
@@ -272,14 +284,8 @@ class Branch:
         return bool(ps.min() - slack <= param <= ps.max() + slack)
 
 
-def _correct(
-    factory: ModelFactory, param: float, guess: np.ndarray, jump_guard: float = 0.45
-) -> tuple[HamiltonianModel, EquilibriumPoint] | None:
-    """Newton-correct a predicted point at `param`; None on failure or jump."""
-    try:
-        hm = factory(param)
-    except (InadmissibleScenario, EquilibriumError):
-        return None
+def _correct(hm: HamiltonianModel, guess: np.ndarray, jump_guard: float = 0.45) -> EquilibriumPoint | None:
+    """Newton-correct a predicted point on `hm`; None on failure or jump."""
     X, converged = _newton(hm.coupling, hm.drive, np.asarray(guess, dtype=float)[None, :], max_iter=25)
     if not converged[0]:
         return None
@@ -287,7 +293,7 @@ def _correct(
     if np.max(np.abs(root - guess)) > jump_guard:
         return None
     try:
-        return hm, _equilibrium_point(hm, root)
+        return _equilibrium_point(hm, root)
     except EquilibriumError:
         return None
 
@@ -302,6 +308,14 @@ def _trace(
     step_floor: float = 1e-5,
 ) -> Branch:
     """Trace one branch from (p0, point0) towards p_stop."""
+
+    def correct(param: float, guess: np.ndarray) -> EquilibriumPoint | None:
+        try:
+            hm = factory(param)
+        except (InadmissibleScenario, EquilibriumError):
+            return None
+        return _correct(hm, guess)
+
     branch = Branch(points=[(p0, point0)])
     direction = 1.0 if p_stop >= p0 else -1.0
     step = abs(initial_step)
@@ -317,9 +331,8 @@ def _trace(
             guess = d_prev + slope * (p_next - p_prev)
         else:
             guess = d_prev
-        result = _correct(factory, p_next, guess)
-        if result is not None:
-            _hm, point = result
+        point = correct(p_next, guess)
+        if point is not None:
             branch.points.append((p_next, point))
             p_prev2, d_prev2 = p_prev, d_prev
             p_prev, d_prev = p_next, point.delta
@@ -342,9 +355,8 @@ def _trace(
             domain_edge = last_type != 0
         while abs(hi - lo) > fold_tol:
             mid = 0.5 * (lo + hi)
-            result = _correct(factory, mid, d_prev)
-            if result is not None:
-                _hm, point = result
+            point = correct(mid, d_prev)
+            if point is not None:
                 branch.points.append((mid, point))
                 p_prev, d_prev = mid, point.delta
                 last_type = point.type_index
@@ -389,7 +401,7 @@ def continue_branch(
         raise ValueError("empty parameter range")
     branches: list[Branch] = []
 
-    def is_covered(param: float, delta: np.ndarray) -> bool:
+    def is_covered(hm: HamiltonianModel, param: float, delta: np.ndarray) -> bool:
         # comparisons are modulo 2*pi: traced branches are left unwrapped for
         # continuity while enumeration wraps into the SEP-centered cell
         for br in branches:
@@ -398,8 +410,8 @@ def continue_branch(
             p_near, pt = br.nearest(param)
             if abs(p_near - param) <= 1e-12 and wrapped_distance(pt.delta, delta) <= 1e-6:
                 return True
-            refit = _correct(factory, param, pt.delta)
-            if refit is not None and wrapped_distance(refit[1].delta, delta) <= 1e-6:
+            refit = _correct(hm, pt.delta)
+            if refit is not None and wrapped_distance(refit.delta, delta) <= 1e-6:
                 return True
         return False
 
@@ -410,7 +422,7 @@ def continue_branch(
         except (InadmissibleScenario, EquilibriumError):
             continue
         for seed in stationary_points(hm, grid_density=grid_density):
-            if is_covered(float(cp), seed.delta):
+            if is_covered(hm, float(cp), seed.delta):
                 continue
             fwd = _trace(factory, float(cp), seed, hi, initial_step)
             bwd = _trace(factory, float(cp), seed, lo, initial_step)

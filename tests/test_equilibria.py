@@ -1,13 +1,19 @@
 """Equilibrium location, saddle classification, and branch continuation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import smib
+from test_coupling import network
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
-from swingcct.errors import EquilibriumError
+from swingcct.errors import EquilibriumError, InadmissibleScenario
 from swingcct.netmodel import ReducedNetwork
 from swingcct.swing import Coupling, GeneratorParams
 
@@ -77,13 +83,13 @@ def test_find_sep_divergence_guard(pendulum):
 
 
 def test_classify_sep_is_type_zero(nominal_ctx):
-    assert eq.classify(nominal_ctx.hm, nominal_ctx.sep.delta) == 0
+    assert eq._equilibrium_point(nominal_ctx.hm, nominal_ctx.sep.delta).type_index == 0
 
 
 def test_classify_pendulum_saddle(pendulum):
     red, gp = pendulum
     _sep, hm = eq.find_sep(red, gp, np.zeros(1))
-    assert eq.classify(hm, np.array([np.pi])) == 1
+    assert eq._equilibrium_point(hm, np.array([np.pi])).type_index == 1
     spectrum = eq._spectrum(hm, np.array([np.pi]))
     expected = np.sqrt(red.Pbar[0, 1] / gp.M[0])
     assert sorted(np.round(spectrum.real, 9)) == pytest.approx([-expected, expected], rel=1e-9)
@@ -93,7 +99,8 @@ def test_classify_marginal_verdict():
     red = ReducedNetwork(n=2, G=np.zeros((2, 2)), B=np.zeros((2, 2)), Pbar=np.zeros((2, 2)), E=np.ones(2))
     gp = GeneratorParams(M=np.array([0.1, np.inf]), Pm=np.zeros(2), E=np.ones(2), infinite_index=1)
     hm = en.HamiltonianModel.at_anchor(red, gp, np.zeros(1))
-    assert eq.classify(hm, np.array([0.4])) == eq.MARGINAL
+    with pytest.raises(EquilibriumError, match="marginal"):
+        eq._equilibrium_point(hm, np.array([0.4]))
 
 
 def test_classify_matches_hessian_inertia(nominal_ctx):
@@ -150,6 +157,61 @@ def test_equilibrium_count_changes_across_fold(wscc):
     after = eq.stationary_points(factory(3.2))
     assert len(before) == 2
     assert len(after) == 4
+
+
+def enumeration_bytes(hm, **kw):
+    return [(p.delta.tobytes(), p.energy, p.type_index) for p in eq.stationary_points(hm, **kw)]
+
+
+def full_run_bytes(hm, **kw):
+    """The enumeration with every start kept for all of its iterations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_STALL", None)
+        return enumeration_bytes(hm, **kw)
+
+
+@pytest.mark.parametrize(
+    "part, grid",
+    [("B", np.arange(-10.0, 0.0 + 1e-9, 0.5)), ("G", np.arange(0.0, 9.0 + 1e-9, 0.5))],
+)
+def test_retired_starts_change_no_point(wscc, part, grid):
+    """Stall-retired starts give the points and bytes of the full run."""
+    factory = fs.hamiltonian_model_factory(wscc, "8", part)
+    for value in grid:
+        try:
+            hm = factory(float(value))
+        except InadmissibleScenario:
+            continue
+        assert enumeration_bytes(hm) == full_run_bytes(hm), value
+
+
+@st.composite
+def anchored_models(draw):
+    """A random network over 2 or 3 machines whose inputs make a random
+    anchor an equilibrium (a point unless the anchor is marginal)."""
+    n = draw(st.integers(2, 3))
+    red, gp = network(draw, n, draw(st.integers(0, n - 1)))
+    anchor = draw(arrays(float, n - 1, elements=st.floats(-np.pi, np.pi)))
+    gp = replace(gp, Pm=Coupling(red, gp.active).power(anchor))
+    return en.HamiltonianModel.at_anchor(red, gp, anchor)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(anchored_models())
+def test_retired_starts_change_no_point_on_random_networks(hm):
+    assert enumeration_bytes(hm, grid_density=20) == full_run_bytes(hm, grid_density=20)
+
+
+@pytest.mark.parametrize("value", [None, 3.0, 6.5])
+def test_enumeration_is_grid_independent(wscc, nominal_ctx, value):
+    """25x25, 40x40 and 80x80 grids give the same points bit for bit."""
+    hm = nominal_ctx.hm if value is None else fs.hamiltonian_model_factory(wscc, "8", "G")(value)
+    a, b, c = (eq.stationary_points(hm, grid_density=d) for d in (25, 40, 80))
+    assert len(a) == len(b) == len(c) >= 2
+    for pa, pb, pc in zip(a, b, c):
+        assert np.array_equal(pa.delta, pb.delta) and np.array_equal(pa.delta, pc.delta)
+        assert pa.energy == pb.energy == pc.energy
+        assert pa.type_index == pb.type_index == pc.type_index
 
 
 def test_empty_uep_set_is_valid_return(pendulum):
@@ -225,9 +287,9 @@ def test_branch_checkpoints_coincide_with_enumeration(bc_branches):
             if not br.covers(checkpoint, slack=0.05):
                 continue
             _p, pt = br.nearest(checkpoint)
-            refit = eq._correct(factory, checkpoint, pt.delta)
+            refit = eq._correct(hm, pt.delta)
             if refit is not None:
-                hits.append(eq.wrapped_distance(refit[1].delta, e.delta))
+                hits.append(eq.wrapped_distance(refit.delta, e.delta))
         assert hits and min(hits) <= 1e-6
 
 
