@@ -9,7 +9,6 @@ from .energy import (
     energy_margin,
     hamiltonian,
     initial_accelerations,
-    kinetic,
     potential,
     quartic_coefficients,
     tau_A,
@@ -49,7 +48,6 @@ from .netmodel import (
     Branch as NetworkBranch,
     Bus,
     BusNetwork,
-    ComplexMatrix,
     Generator,
     ReducedNetwork,
     apply_clearing,
@@ -60,7 +58,7 @@ from .netmodel import (
     set_load,
 )
 from .report import emit_reports, read_sweep_csv
-from .scenario import load_scenario, make_wscc9_tmib, save_scenario
+from .scenario import load_scenario, save_scenario
 from .sweep import (
     SweepRow,
     SweepSpec,

@@ -37,6 +37,10 @@ def _parse_range(text: str, want_step: bool) -> tuple[float, float, float | None
         step = float(parts[2]) if len(parts) == 3 else None
     except ValueError:
         raise ScenarioFormatError(f"range {text!r}: values must be numbers") from None
+    if not lo < hi:
+        raise ScenarioFormatError(f"range {text!r}: lo must be below hi")
+    if step is not None and not step > 0:
+        raise ScenarioFormatError(f"range {text!r}: step must be positive")
     return lo, hi, step
 
 
@@ -111,7 +115,7 @@ def cmd_branches(args: argparse.Namespace) -> int:
     sc = _load(args.scenario, args.freq)
     lo, hi, step = _parse_range(args.range, want_step=False)
     branches = continue_branch(
-        sc, (lo, hi), initial_step=step or (hi - lo) / 200.0, param=args.param
+        sc, (lo, hi), initial_step=(hi - lo) / 200.0 if step is None else step, param=args.param
     )
     if not branches:
         print("no equilibrium branches found in range", file=sys.stderr)

@@ -72,12 +72,6 @@ class FaultOnHamiltonianModel:
         return cls(red_on=red_on, Pa_on=Pa_on, anchor=delta_pre)
 
 
-def kinetic(gp: GeneratorParams, omega: np.ndarray) -> float:
-    """Sum of (1/2) M_i w_i^2 over the modeled machines."""
-    omega = np.asarray(omega, dtype=float)
-    return float(0.5 * np.sum(gp.M[gp.active] * omega**2))
-
-
 def potential(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     """Potential energy of the conservative post-fault system.
 
@@ -92,24 +86,20 @@ def potential_gradient(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     return hm.coupling.active_power(delta) - hm.drive
 
 
-def hamiltonian(hm: HamiltonianModel, x: SystemState) -> float:
-    """Total energy: kinetic plus potential."""
-    return kinetic(hm.gp, x.omega) + float(potential(hm, x.delta))
-
-
-def hamiltonian_batch(hm: HamiltonianModel, states: np.ndarray) -> np.ndarray:
-    """Total energy for a (k, 2m) stack of packed states."""
+def hamiltonian(hm: HamiltonianModel, states: np.ndarray) -> np.ndarray:
+    """Total energy, kinetic (1/2) sum M_i w_i^2 plus potential, of packed
+    states [delta; omega], one state per row of a (..., 2m) stack."""
     gp = hm.gp
     act = gp.active
     m = act.size
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    kin = 0.5 * (gp.M[act] * states[:, m:] ** 2).sum(axis=-1)
-    return kin + potential(hm, states[:, :m])
+    states = np.asarray(states, dtype=float)
+    kin = 0.5 * (gp.M[act] * states[..., m:] ** 2).sum(axis=-1)
+    return kin + potential(hm, states[..., :m])
 
 
 def energy_margin(E_c: float, hm: HamiltonianModel, x_pre: SystemState) -> float:
     """Energy headroom E_c - H(x_pre) of the pre-fault operating point."""
-    return float(E_c - hamiltonian(hm, x_pre))
+    return float(E_c - hamiltonian(hm, x_pre.packed()))
 
 
 def initial_accelerations(fom: FaultOnHamiltonianModel, gp: GeneratorParams) -> np.ndarray:
@@ -202,22 +192,15 @@ def fault_on_trajectory(
     horizon: float,
     tol: float = 1e-8,
     atol: float = 1e-10,
-    hamiltonian_fault_on: bool = False,
 ) -> Trajectory:
-    """Integrate the fault-on dynamics from the pre-fault operating point.
+    """Integrate the exact fault-on dynamics from the pre-fault operating point.
 
     fom, gp and x_pre describe one fault, or are equal-length sequences that
-    make one stacked run with a row per fault (see `integrate`).  By default
-    the exact fault-on field is used; set hamiltonian_fault_on to integrate
-    the dissipation-frozen variant instead.
+    make one stacked run with a row per fault (see `integrate`).
     """
-
-    def field(f: FaultOnHamiltonianModel, g: GeneratorParams) -> SwingField:
-        return swing_field(f.red_on, g, f.Pa_on if hamiltonian_fault_on else None)
-
     if isinstance(fom, FaultOnHamiltonianModel):
-        return integrate(field(fom, gp), x_pre, horizon, tol=tol, atol=atol)
-    stacked = SwingField.stack([field(f, g) for f, g in zip(fom, gp)])
+        return integrate(swing_field(fom.red_on, gp), x_pre, horizon, tol=tol, atol=atol)
+    stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
     return integrate(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
 
 
@@ -246,7 +229,7 @@ def tau_H(
         return 0.0
 
     def excess(ts: np.ndarray) -> np.ndarray:
-        return hamiltonian_batch(hm, trajectory.sample(ts)) - E_c
+        return hamiltonian(hm, trajectory.sample(ts)) - E_c
 
     ts = np.unique(np.concatenate([
         trajectory.t[trajectory.t <= horizon], np.arange(0.0, horizon, 1e-3), [horizon],

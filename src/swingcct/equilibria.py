@@ -24,6 +24,8 @@ _EIG_AXIS_TOL = 1e-9
 #: stationary_points retires a grid start whose best residual has not
 #: improved for this many Newton iterations
 _STALL = 3
+#: continue_branch re-enumerates at every this fraction of its range
+_CHECKPOINT_STEP = 0.05
 
 
 def _newton(
@@ -264,17 +266,6 @@ class Branch:
     def params(self) -> np.ndarray:
         return np.array([p for p, _ in self.points])
 
-    def segments(self) -> list[tuple[int, float, float]]:
-        """Stability segments as (type_index, param_lo, param_hi) runs."""
-        out: list[tuple[int, float, float]] = []
-        for p, pt in self.points:
-            if out and out[-1][0] == pt.type_index:
-                t, a, b = out[-1]
-                out[-1] = (t, min(a, p), max(b, p))
-            else:
-                out.append((pt.type_index, p, p))
-        return out
-
     def nearest(self, param: float) -> tuple[float, EquilibriumPoint]:
         k = int(np.argmin(np.abs(self.params - param)))
         return self.points[k]
@@ -373,8 +364,6 @@ def continue_branch(
     source,
     prange: tuple[float, float],
     initial_step: float = 0.05,
-    checkpoint_fraction: float = 0.05,
-    grid_density: int = 40,
     param: str | None = None,
 ) -> list[Branch]:
     """Trace all equilibrium branches over a load-parameter range.
@@ -382,8 +371,8 @@ def continue_branch(
     `source` is either a model factory (parameter value -> anchored model) or
     a fault scenario, in which case `param` selects the swept shunt-load
     component ("<bus>.G" / "<bus>.B").  Seeds come from a full enumeration at
-    the range start, re-enumerated at regular checkpoints to pick up
-    disconnected branches; every new seed is traced in both directions.
+    the range start, re-enumerated at every _CHECKPOINT_STEP of the range to
+    pick up disconnected branches; every new seed is traced in both directions.
     Fold locations are refined to 1e-4 in the parameter.
     """
     if callable(source):
@@ -415,13 +404,13 @@ def continue_branch(
                 return True
         return False
 
-    checkpoints = np.arange(lo, hi + 1e-12, (hi - lo) * checkpoint_fraction)
+    checkpoints = np.arange(lo, hi + 1e-12, (hi - lo) * _CHECKPOINT_STEP)
     for cp in checkpoints:
         try:
             hm = factory(float(cp))
         except (InadmissibleScenario, EquilibriumError):
             continue
-        for seed in stationary_points(hm, grid_density=grid_density):
+        for seed in stationary_points(hm):
             if is_covered(hm, float(cp), seed.delta):
                 continue
             fwd = _trace(factory, float(cp), seed, hi, initial_step)

@@ -23,6 +23,10 @@ DIVERGENCE_THRESHOLD = np.pi
 SMALL_SWING = 0.05
 #: bisection levels whose candidate clearing times one true_cct round checks
 LEVELS_PER_ROUND = 3
+#: post-fault observation window of a first-swing verdict [s]
+WINDOW = 3.0
+#: fault-on horizon of the tau_H crossing search [s]
+TAU_H_HORIZON = 2.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> sw.Genera
     return sw.GeneratorParams(M=M, Pm=Pm, E=red_pre.E, infinite_index=infinite_index)
 
 
-def build_context(sc: FaultScenario, grid_density: int = 40) -> StudyContext:
+def build_context(sc: FaultScenario) -> StudyContext:
     """Run the full pipeline up to the critical energy.
 
     Raises InadmissibleScenario (with a reason code) when the scenario fails
@@ -144,7 +148,7 @@ def build_context(sc: FaultScenario, grid_density: int = 40) -> StudyContext:
     except EquilibriumError as exc:
         raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
 
-    ueps = eq.enumerate_ueps(hm, grid_density=grid_density)
+    ueps = eq.enumerate_ueps(hm)
     try:
         crit = eq.closest_uep(ueps, hm)
     except EquilibriumError as exc:
@@ -168,7 +172,6 @@ def first_swing_stable(
     ctx: StudyContext | Sequence[StudyContext],
     fault_on: sw.Trajectory | Sequence[sw.Trajectory],
     t_cl: float | Sequence[float],
-    window: float = 3.0,
     tol: float = 1e-8,
 ) -> bool | np.ndarray:
     """First-swing verdicts for faults cleared at t_cl.
@@ -179,7 +182,7 @@ def first_swing_stable(
     own post-fault network and step control.  A row's post-fault run starts
     from its fault-on trajectory's state at t_cl.  Stable means every
     pairwise rotor-angle difference stays within DIVERGENCE_THRESHOLD of its
-    post-fault equilibrium value over the observation window and swings back
+    post-fault equilibrium value over the observation window (WINDOW) and swings back
     (reaches a peak and retreats).  A row leaves the stack once it diverges.
     """
     single = isinstance(ctx, StudyContext)
@@ -204,8 +207,8 @@ def first_swing_stable(
     t_done = 0.0
     # the divergence bound is enforced over the whole window: an orbit may
     # complete its first return swing and still run away afterwards
-    while t_done < window and running.size:
-        t_span = min(chunk, window - t_done)
+    while t_done < WINDOW and running.size:
+        t_span = min(chunk, WINDOW - t_done)
         field = sw.SwingField.stack([fields[i] for i in running])
         traj = sw.integrate(field, state[running], t_span, tol=tol)
         ts = np.append(np.arange(0.0, t_span, dt), t_span)
@@ -264,7 +267,6 @@ def true_cct(
     fault_on: sw.Trajectory | Sequence[sw.Trajectory],
     resolution: float = 1e-4,
     horizon: float = 1.0,
-    window: float = 3.0,
     tol: float = 1e-8,
 ) -> tuple[float | str, str | None] | list[tuple[float | str, str | None]]:
     """Binary search for the largest stable clearing time, for one point or
@@ -297,8 +299,7 @@ def true_cct(
         if not rows:
             break
         stable = first_swing_stable(
-            [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows],
-            window=window, tol=tol,
+            [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows], tol=tol
         )
         for (p, t), verdict in zip(rows, stable):
             known[p][t] = bool(verdict)
@@ -309,10 +310,7 @@ def run_fault_studies(
     scenarios: Sequence[FaultScenario],
     resolution: float = 1e-4,
     horizon: float = 1.0,
-    window: float = 3.0,
-    tau_h_horizon: float = 2.0,
     tol: float = 1e-8,
-    grid_density: int = 40,
 ) -> list[FaultStudyResult]:
     """Compute tau, tau_H, tau_A and the energy margin for every scenario.
 
@@ -326,7 +324,7 @@ def run_fault_studies(
     admitted = []
     for i, sc in enumerate(scenarios):
         try:
-            ctx = build_context(sc, grid_density=grid_density)
+            ctx = build_context(sc)
         except InadmissibleScenario as exc:
             results[i] = FaultStudyResult(
                 tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
@@ -355,7 +353,7 @@ def run_fault_studies(
     if admitted:
         fault_on = en.fault_on_trajectory(
             [c.fom for _, c, _, _ in admitted], [c.gp for _, c, _, _ in admitted],
-            [c.x_pre for _, c, _, _ in admitted], max(horizon, tau_h_horizon), tol=tol,
+            [c.x_pre for _, c, _, _ in admitted], max(horizon, TAU_H_HORIZON), tol=tol,
         )
         for k, (i, ctx, t_A, verdicts) in enumerate(admitted):
             try:
@@ -364,14 +362,14 @@ def run_fault_studies(
                 verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
                 results[i] = admitted_result(ctx, None, None, t_A, verdicts)
                 continue
-            t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fo, horizon=tau_h_horizon)
+            t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fo, horizon=TAU_H_HORIZON)
             if isinstance(t_H, str):
                 verdicts["tau_H"] = t_H
             searched.append((i, ctx, fo, t_A, t_H, verdicts))
     if searched:
         taus = true_cct(
             [s[1] for s in searched], [s[2] for s in searched],
-            resolution=resolution, horizon=horizon, window=window, tol=tol,
+            resolution=resolution, horizon=horizon, tol=tol,
         )
         for (i, ctx, _fo, t_A, t_H, verdicts), (t, t_verdict) in zip(searched, taus):
             if isinstance(t, str):
@@ -386,17 +384,11 @@ def run_fault_study(
     sc: FaultScenario,
     resolution: float = 1e-4,
     horizon: float = 1.0,
-    window: float = 3.0,
-    tau_h_horizon: float = 2.0,
     tol: float = 1e-8,
-    grid_density: int = 40,
 ) -> FaultStudyResult:
     """Compute tau, tau_H, tau_A and the energy margin for one scenario
     (`run_fault_studies` of one scenario)."""
-    return run_fault_studies(
-        [sc], resolution=resolution, horizon=horizon, window=window,
-        tau_h_horizon=tau_h_horizon, tol=tol, grid_density=grid_density,
-    )[0]
+    return run_fault_studies([sc], resolution=resolution, horizon=horizon, tol=tol)[0]
 
 
 def hamiltonian_model_factory(

@@ -8,6 +8,7 @@ parameters that drive the swing equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -98,9 +99,15 @@ class BusNetwork:
         infinite = [b.id for b in self.buses if b.kind == "infinite"]
         if len(infinite) > 1:
             raise NetworkError(f"more than one infinite bus: {infinite}")
+        if not 0.0 < self.frequency < math.inf:
+            raise NetworkError(f"frequency {self.frequency!r}: must be positive and finite")
         for b in self.buses:
             if b.kind in ("generator", "infinite") and b.id not in self.generators:
                 raise NetworkError(f"bus {b.id!r} is kind {b.kind!r} but has no generator record")
+            if b.kind == "generator" and not 0.0 < self.generators[b.id].inertia < math.inf:
+                raise NetworkError(
+                    f"generator at {b.id!r}: inertia {self.generators[b.id].inertia!r} must be positive and finite"
+                )
         for bus_id in self.generators:
             if kinds[bus_id] == "load":
                 raise NetworkError(f"generator attached to load bus {bus_id!r}")

@@ -1,4 +1,4 @@
-"""Scenario file format (versioned JSON) and the bundled 9-bus test case."""
+"""Scenario file format (versioned JSON); the bundled case ships as data/wscc9_tmib.json."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import json
 from importlib import resources
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from .errors import ScenarioFormatError
 from .faultstudy import FaultScenario
@@ -19,23 +17,37 @@ SCHEMA_VERSION = 1
 BUNDLED = "wscc9-tmib"
 
 
+def _number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _complex_from(value: Any, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioFormatError(f"{where}: expected a [real, imag] pair, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_number(value[0], where), _number(value[1], where))
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
+def _require(obj: Any, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(f"{where}: expected an object, got {obj!r}")
     if key not in obj:
         raise ScenarioFormatError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
+def _section(data: dict, key: str, kind: type) -> Any:
+    """A required top-level list or object."""
+    value = _require(data, key, "top level")
+    if not isinstance(value, kind):
+        raise ScenarioFormatError(f"{key}: expected {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> FaultScenario:
+    """Build a scenario from its file form; any malformed field raises
+    ScenarioFormatError naming where it is."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("top level: expected an object")
     version = _require(data, "schema_version", "top level")
@@ -43,12 +55,12 @@ def scenario_from_dict(data: dict) -> FaultScenario:
         raise ScenarioFormatError(f"schema_version: unsupported version {version!r}")
 
     buses = []
-    for i, b in enumerate(_require(data, "buses", "top level")):
+    for i, b in enumerate(_section(data, "buses", list)):
         where = f"buses[{i}]"
         buses.append(Bus(id=str(_require(b, "id", where)), kind=_require(b, "kind", where)))
 
     branches = []
-    for i, br in enumerate(_require(data, "branches", "top level")):
+    for i, br in enumerate(_section(data, "branches", list)):
         where = f"branches[{i}]"
         branches.append(
             Branch(
@@ -67,22 +79,24 @@ def scenario_from_dict(data: dict) -> FaultScenario:
 
     shunt_loads = {
         str(k): _complex_from(v, f"shunt_loads[{k!r}]")
-        for k, v in _require(data, "shunt_loads", "top level").items()
+        for k, v in _section(data, "shunt_loads", dict).items()
     }
 
     generators = {}
-    for k, g in _require(data, "generators", "top level").items():
+    for k, g in _section(data, "generators", dict).items():
         where = f"generators[{k!r}]"
         generators[str(k)] = Generator(
             bus=str(k),
-            emf=float(_require(g, "emf", where)),
-            xd_prime=float(_require(g, "xd_prime", where)),
-            inertia=float(_require(g, "inertia", where)),
+            emf=_number(_require(g, "emf", where), f"{where}.emf"),
+            xd_prime=_number(_require(g, "xd_prime", where), f"{where}.xd_prime"),
+            inertia=_number(_require(g, "inertia", where), f"{where}.inertia"),
         )
 
     prefault = {
-        str(k): float(v) for k, v in _require(data, "prefault_angles", "top level").items()
+        str(k): _number(v, f"prefault_angles[{k!r}]")
+        for k, v in _section(data, "prefault_angles", dict).items()
     }
+    frequency = _number(_require(data, "frequency", "top level"), "frequency")
 
     try:
         net = BusNetwork(
@@ -90,7 +104,7 @@ def scenario_from_dict(data: dict) -> FaultScenario:
             branches=tuple(branches),
             shunt_loads=shunt_loads,
             generators=generators,
-            frequency=float(_require(data, "frequency", "top level")),
+            frequency=frequency,
         )
     except Exception as exc:
         raise ScenarioFormatError(f"network: {exc}") from exc
@@ -160,117 +174,3 @@ def load_scenario(path: str | Path) -> FaultScenario:
 def save_scenario(sc: FaultScenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Bundled test case: 9-bus, 3-machine network reduced to two machines and an
-# infinite bus.  Classical data (100 MVA base): the machine with the largest
-# inertia is modeled as the infinite bus, rotor angles are referenced to it.
-# ---------------------------------------------------------------------------
-
-# from-bus, to-bus, series R, series X, total line-charging susceptance
-_WSCC_BRANCHES = [
-    ("1", "4", 0.0, 0.0576, 0.0),
-    ("2", "7", 0.0, 0.0625, 0.0),
-    ("3", "9", 0.0, 0.0586, 0.0),
-    ("4", "5", 0.0100, 0.0850, 0.176),
-    ("4", "6", 0.0170, 0.0920, 0.158),
-    ("5", "7", 0.0320, 0.1610, 0.306),
-    ("6", "9", 0.0390, 0.1700, 0.358),
-    ("7", "8", 0.0085, 0.0720, 0.149),
-    ("8", "9", 0.0119, 0.1008, 0.209),
-]
-
-# bus -> (|E|, x'_d, H); machine 1 is converted into the infinite bus
-_WSCC_GENERATORS = {
-    "1": (1.0566, 0.0608, 23.64),
-    "2": (1.0502, 0.1198, 6.40),
-    "3": (1.0170, 0.1813, 3.01),
-}
-
-# internal EMF angles from the pre-fault power flow [deg]
-_WSCC_EMF_ANGLES_DEG = {"1": 2.2717, "2": 19.7315, "3": 13.1664}
-
-# combined shunt loads (constant-impedance load plus line charging) at the
-# load buses; these are the swept "load A/B/C" parameters
-_WSCC_LOADS = {
-    "5": 1.2610 - 0.2634j,  # load A
-    "6": 0.8777 - 0.0346j,  # load B
-    "8": 0.9690 - 0.1601j,  # load C
-}
-
-LOAD_BUS = {"A": "5", "B": "6", "C": "8"}
-
-
-def make_wscc9_tmib(frequency: float = 60.0, charging: str = "static") -> FaultScenario:
-    """Two-machine-infinite-bus reduction of the 9-bus test network.
-
-    `charging` controls where line-charging susceptance not already folded
-    into the load values lives: "static" keeps it as fixed bus shunts,
-    "branch" attaches it to the branch ends (so that switching a line out
-    removes its charging at non-load buses).
-    """
-    if charging not in ("static", "branch"):
-        raise ValueError(f"unknown charging mode {charging!r}")
-
-    load_buses = set(_WSCC_LOADS)
-    buses = []
-    for bid in "123456789":
-        if bid == "1":
-            kind = "infinite"
-        elif bid in _WSCC_GENERATORS:
-            kind = "generator"
-        else:
-            kind = "load"
-        buses.append(Bus(id=bid, kind=kind))
-
-    branches = []
-    extra_shunts: dict[str, complex] = {}
-    for f, t, r, x, b in _WSCC_BRANCHES:
-        y = 1.0 / complex(r, x)
-        half = 0.5j * b
-        sf = st = 0j
-        for end, val in ((f, half), (t, half)):
-            if val == 0:
-                continue
-            if end in load_buses:
-                continue  # already inside the published load value
-            if charging == "branch":
-                if end == f:
-                    sf = val
-                else:
-                    st = val
-            else:
-                extra_shunts[end] = extra_shunts.get(end, 0j) + val
-        branches.append(
-            Branch(id=f"{f}-{t}", from_bus=f, to_bus=t, y_series=y, shunt_from=sf, shunt_to=st)
-        )
-
-    shunt_loads = dict(_WSCC_LOADS)
-    shunt_loads.update(extra_shunts)
-
-    generators = {
-        bid: Generator(bus=bid, emf=e, xd_prime=xdp, inertia=h)
-        for bid, (e, xdp, h) in _WSCC_GENERATORS.items()
-    }
-
-    ref = _WSCC_EMF_ANGLES_DEG["1"]
-    prefault = {
-        bid: float(np.deg2rad(ang - ref))
-        for bid, ang in _WSCC_EMF_ANGLES_DEG.items()
-        if bid != "1"
-    }
-
-    net = BusNetwork(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        shunt_loads=shunt_loads,
-        generators=generators,
-        frequency=frequency,
-    )
-    return FaultScenario(
-        net=net,
-        fault_bus="7",
-        clearing_branch="5-7",
-        prefault_angles=prefault,
-        name="wscc9-tmib",
-    )

@@ -39,15 +39,13 @@ class SweepSpec:
     jobs: int = 1
     resolution: float = 1e-4
     horizon: float = 1.0
-    window: float = 3.0
     tol: float = 1e-8
-    grid_density: int = 40
     outputs: tuple[str, ...] = ("csv", "svg")
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ScenarioFormatError(f"range [{self.lo}, {self.hi}]: lo must be below hi")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ScenarioFormatError(f"step {self.step}: must be positive")
         parse_param_path(self.scenario, self.param)
 
@@ -107,9 +105,7 @@ def _eval_block(args: tuple) -> list[SweepRow]:
         [spec.scenario.with_load_part(bus, part, value) for value in values],
         resolution=spec.resolution,
         horizon=spec.horizon,
-        window=spec.window,
         tol=spec.tol,
-        grid_density=spec.grid_density,
     )
     return [_row_from_result(value, result) for value, result in zip(values, results)]
 

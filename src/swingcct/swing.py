@@ -64,23 +64,6 @@ class GeneratorParams:
     def n_active(self) -> int:
         return self.n - 1
 
-    def full_angles(self, delta: np.ndarray) -> np.ndarray:
-        """Embed active-machine angles into a length-n vector (infinite at 0)."""
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != (self.n_active,):
-            raise ValueError(f"expected {self.n_active} angles, got {delta.shape}")
-        full = np.empty(self.n)
-        full[self.active] = delta
-        full[self.infinite_index] = 0.0
-        return full
-
-
-def wrap_angle(x: np.ndarray | float) -> np.ndarray | float:
-    """Wrap to (-pi, pi]."""
-    w = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    w = np.where(w == -np.pi, np.pi, w)
-    return float(w) if np.isscalar(x) else w
-
 
 @dataclass(frozen=True)
 class SystemState:
@@ -111,10 +94,6 @@ class SystemState:
         y = np.asarray(y, dtype=float)
         m = y.size // 2
         return cls(delta=y[:m], omega=y[m:])
-
-    def wrapped(self) -> "SystemState":
-        """Angles wrapped to (-pi, pi] for reporting."""
-        return SystemState(delta=wrap_angle(self.delta), omega=self.omega.copy())
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,14 +4,14 @@ import pytest
 from swingcct import energy as en
 from swingcct import faultstudy as fs
 from swingcct.netmodel import ReducedNetwork
-from swingcct.scenario import make_wscc9_tmib
+from swingcct.scenario import load_scenario
 from swingcct.swing import GeneratorParams
 
 
 @pytest.fixture(scope="session")
 def wscc():
     """Bundled two-machine-infinite-bus scenario (60 Hz, static charging)."""
-    return make_wscc9_tmib(frequency=60.0, charging="static")
+    return load_scenario("wscc9-tmib")
 
 
 @pytest.fixture(scope="session")

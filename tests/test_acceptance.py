@@ -14,7 +14,7 @@ from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
 from swingcct import report as rp
-from swingcct.scenario import make_wscc9_tmib
+from swingcct.scenario import load_scenario
 from swingcct.sweep import SweepSpec, detect_uep_switches, find_optimum, run_sweep
 
 STEP = 0.05
@@ -42,7 +42,7 @@ def sweep_gc(wscc):
 
 @pytest.fixture(scope="session")
 def sweep_bc_lossless():
-    sc = make_wscc9_tmib(frequency=60.0, charging="static")
+    sc = load_scenario("wscc9-tmib")
     for bus in ("5", "6", "8"):
         Y = sc.net.shunt_loads[bus]
         sc = sc.with_load(bus, complex(0.1, Y.imag))
@@ -240,8 +240,8 @@ def test_criterion_8a_hamiltonian_drift(nominal_ctx):
     x0 = sw.SystemState(delta=ctx.sep.delta + 0.3, omega=np.array([0.4, -0.2]))
     field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
-    h0 = en.hamiltonian(ctx.hm, x0)
-    drift = max(abs(en.hamiltonian(ctx.hm, traj.state(t)) - h0) for t in np.linspace(0, 1, 21))
+    h0 = en.hamiltonian(ctx.hm, x0.packed())
+    drift = np.max(np.abs(en.hamiltonian(ctx.hm, traj.sample(np.linspace(0, 1, 21))) - h0))
     ok = drift <= 1e-6 * max(1.0, abs(h0))
     check("8a", ok, f"drift={drift:.2e} over 1 s (limit 1e-6)")
 
@@ -337,16 +337,16 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
     gp = ctx.gp
     qc = en.quartic_coefficients(ctx.hm, ctx.fom, gp, ctx.x_pre, ctx.crit.E_c)
     u = en.initial_accelerations(ctx.fom, gp)
-    full_pre = gp.full_angles(ctx.x_pre.delta)
+    full_pre = np.insert(ctx.x_pre.delta, gp.infinite_index, 0.0)
     iu, ku = np.triu_indices(gp.n, k=1)
     dPbar = ctx.hm.red.Pbar - ctx.fom.red_on.Pbar
     dd_pre = full_pre[iu] - full_pre[ku]
     defect = 0.5 * float((dPbar[iu, ku] * (u[iu] - u[ku])) @ (dd_pre - np.sin(dd_pre)))
 
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
     traj = en.fault_on_trajectory(ctx.fom, gp, ctx.x_pre, 0.02, tol=1e-12, atol=1e-14)
     ts = np.logspace(-4, -2, 25)
-    h = en.hamiltonian_batch(ctx.hm, traj.sample(ts))
+    h = en.hamiltonian(ctx.hm, traj.sample(ts))
     diffs = np.abs(h0 + np.asarray(qc.h_alt(ts)) - defect * ts**2 - h)
     slope = float(np.polyfit(np.log(ts), np.log(diffs), 1)[0])
     check(
@@ -359,7 +359,7 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
 
 def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
     ratios = {}
     for s in (0.1, 0.01):
         E_scaled = h0 + s * ctx.delta_E

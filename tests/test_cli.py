@@ -1,6 +1,7 @@
 """Scenario file handling and the command-line entry points."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from swingcct import cli
 from swingcct.errors import ScenarioFormatError
 from swingcct.scenario import (
     load_scenario,
-    make_wscc9_tmib,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # scenario files
@@ -66,13 +68,46 @@ def test_field_errors_carry_context(wscc):
     with pytest.raises(ScenarioFormatError, match="unsupported version"):
         scenario_from_dict(bad)
 
+    # wrong types and non-numbers: named, never a traceback
+    cases = [
+        (("generators", "2", "emf"), "abc", r"generators\['2'\]\.emf: expected a number"),
+        (("buses",), [1], r"buses\[0\]: expected an object"),
+        (("shunt_loads",), [1, 2], r"shunt_loads: expected an object"),
+        (("prefault_angles", "2"), None, r"prefault_angles\['2'\]: expected a number"),
+        (("branches", 0, "y_series"), [1.0, "x"], r"branches\[0\]\.y_series: expected a number"),
+        (("frequency",), True, r"frequency: expected a number"),
+        (("branches",), {"id": "x"}, r"branches: expected a list"),
+    ]
+    for path, value, message in cases:
+        bad = json.loads(json.dumps(data))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioFormatError, match=message):
+            scenario_from_dict(bad)
+
+
+def test_malformed_field_exits_with_input_error(tmp_path, wscc, capsys):
+    data = scenario_to_dict(wscc)
+    data["generators"]["2"]["emf"] = "abc"
+    p = tmp_path / "bad-emf.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["study", str(p)]) == 3
+    assert "expected a number" in capsys.readouterr().err
+
 
 def test_charging_variants_share_fault_regimes():
-    """Pre-fault and fault-on assemblies agree between charging variants."""
+    """Pre-fault and fault-on assemblies agree between charging variants.
+
+    The bundle keeps the line charging at non-load buses as fixed bus shunts;
+    the data file attaches it to the branch ends instead, so switching a line
+    out also removes its charging.
+    """
     from swingcct.faultstudy import regimes
 
-    a = make_wscc9_tmib(60.0, charging="static")
-    b = make_wscc9_tmib(60.0, charging="branch")
+    a = load_scenario("wscc9-tmib")
+    b = load_scenario(DATA / "wscc9_tmib_branch_charging.json")
     pre_a, on_a, post_a = regimes(a)
     pre_b, on_b, post_b = regimes(b)
     assert np.allclose(pre_a.B, pre_b.B, atol=1e-12) and np.allclose(pre_a.G, pre_b.G, atol=1e-12)
@@ -96,6 +131,29 @@ def test_cli_study_freq_override(capsys):
     rc = cli.main(["study", "wscc9-tmib", "--freq", "50", "--resolution", "5e-4"])
     assert rc == 0
     assert "0.12" in capsys.readouterr().out  # slower machines, longer CCT
+
+
+@pytest.mark.parametrize("freq", ["0", "-50", "nan", "inf"])
+def test_cli_study_bad_freq_override(freq, capsys):
+    assert cli.main(["study", "wscc9-tmib", "--freq", freq]) == 3
+    assert "frequency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("frequency", 0.0), ("frequency", -50.0), ("inertia", 0.0), ("inertia", -1.0)]
+)
+def test_scenario_file_bad_frequency_or_inertia(field, value, tmp_path, wscc, capsys):
+    data = scenario_to_dict(wscc)
+    if field == "frequency":
+        data["frequency"] = value
+    else:
+        data["generators"]["2"]["inertia"] = value
+    with pytest.raises(ScenarioFormatError, match=field):
+        scenario_from_dict(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["study", str(p)]) == 3
+    assert field in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -127,6 +185,17 @@ def test_cli_branches(tmp_path, capsys):
     assert rc == 0
     assert "fold at 8.B = -3.82" in out
     assert (tmp_path / "rep" / "branches.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "rng, message",
+    [("9:8", "lo must be below hi"), ("8:9:-0.05", "step must be positive"), ("8:9:0", "step must be positive")],
+)
+def test_cli_branches_bad_range(rng, message, tmp_path, capsys):
+    rc = cli.main(["branches", "wscc9-tmib", "--param", "8.G", "--range", rng, "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cli_input_errors(tmp_path, capsys):

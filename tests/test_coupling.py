@@ -58,7 +58,7 @@ def test_diffs_equal_outer_differences(case):
     cp = Coupling(red, gp.active)
     stacked = cp.diffs(angles)
     for row, d in zip(angles, stacked):
-        full = gp.full_angles(row)
+        full = np.insert(row, gp.infinite_index, 0.0)
         expect = np.subtract.outer(full, full).ravel()
         assert np.array_equal(d, expect)
         assert np.array_equal(cp.diffs(row), expect)

@@ -17,13 +17,17 @@ RNG = np.random.default_rng(11)
 # ---------------------------------------------------------------------------
 
 
+def kinetic(hm, omega):
+    """Kinetic part of the Hamiltonian: its value at `omega` minus its value at rest."""
+    return en.hamiltonian(hm, np.concatenate([hm.anchor, omega])) - en.potential(hm, hm.anchor)
+
+
 def test_kinetic_trivials(nominal_ctx):
-    gp = nominal_ctx.gp
-    assert en.kinetic(gp, np.zeros(2)) == 0.0
-    gp2 = sw.GeneratorParams(
-        M=np.array([2.0, np.inf]), Pm=np.array([1.0, 0.0]), E=np.ones(2), infinite_index=1
-    )
-    assert en.kinetic(gp2, np.array([3.0])) == 9.0
+    assert kinetic(nominal_ctx.hm, np.zeros(2)) == 0.0
+    red, gp2 = smib(Pm=0.0, M=2.0)
+    # the pendulum at its SEP: potential -1, so the subtraction is exact
+    hm2 = en.HamiltonianModel.at_anchor(red, gp2, np.zeros(1))
+    assert kinetic(hm2, np.array([3.0])) == 9.0
 
 
 def test_kinetic_matches_work_integral(nominal_ctx):
@@ -35,7 +39,7 @@ def test_kinetic_matches_work_integral(nominal_ctx):
     act = gp.active
     power = (gp.M[act] * omega_end**2)[None, :] * ts[:, None]
     work = np.trapezoid(power.sum(axis=1), ts)
-    assert work == pytest.approx(en.kinetic(gp, omega_end), rel=1e-8)
+    assert work == pytest.approx(kinetic(nominal_ctx.hm, omega_end), rel=1e-8)
 
 
 def test_potential_gradient_zero_at_sep(nominal_ctx):
@@ -73,17 +77,17 @@ def test_critical_level_set_passes_through_uep(nominal_ctx):
 
 def test_hamiltonian_reduces_to_potential_at_rest(nominal_ctx):
     x = sw.SystemState(delta=nominal_ctx.sep.delta + 0.1, omega=np.zeros(2))
-    assert en.hamiltonian(nominal_ctx.hm, x) == pytest.approx(
+    assert en.hamiltonian(nominal_ctx.hm, x.packed()) == pytest.approx(
         en.potential(nominal_ctx.hm, x.delta), abs=0
     )
 
 
 def test_prefault_energy_below_critical(nominal_ctx):
-    assert en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre) < nominal_ctx.crit.E_c
+    assert en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre.packed()) < nominal_ctx.crit.E_c
 
 
 def test_energy_margin_zero_case(nominal_ctx):
-    h0 = en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre)
+    h0 = en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre.packed())
     assert en.energy_margin(h0, nominal_ctx.hm, nominal_ctx.x_pre) == 0.0
 
 
@@ -144,7 +148,7 @@ def test_h_alt_matches_symbolic_substitution(nominal_ctx):
     ctx = nominal_ctx
     qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
     gp = ctx.gp
-    full_pre = gp.full_angles(ctx.x_pre.delta)
+    full_pre = np.insert(ctx.x_pre.delta, gp.infinite_index, 0.0)
     u = qc.u
     dPa = ctx.hm.Pa - ctx.fom.Pa_on
     dPbar = ctx.hm.red.Pbar - ctx.fom.red_on.Pbar
@@ -230,7 +234,7 @@ def test_tau_a_companion_matrix_oracle():
 
 def test_tau_h_zero_margin(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
     assert en.tau_H(ctx.hm, h0, nominal_fault_on) == 0.0
 
 
@@ -249,23 +253,25 @@ def test_tau_h_dense_scan_oracle(nominal_ctx, nominal_fault_on):
     t_h = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
     traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.3, tol=1e-10, atol=1e-12)
     ts = np.arange(0.0, 0.3, 1e-5)
-    g = en.hamiltonian_batch(ctx.hm, traj.sample(ts)) - ctx.crit.E_c
+    g = en.hamiltonian(ctx.hm, traj.sample(ts)) - ctx.crit.E_c
     first = ts[np.argmax(g >= 0.0)]
     assert abs(t_h - first) <= 2e-5
 
 
 def test_tau_h_negative_margin_rejected(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    bad = en.hamiltonian(ctx.hm, ctx.x_pre) - 1.0
+    bad = en.hamiltonian(ctx.hm, ctx.x_pre.packed()) - 1.0
     with pytest.raises(InadmissibleScenario):
         en.tau_H(ctx.hm, bad, nominal_fault_on)
 
 
 def test_tau_h_hamiltonian_fault_on_switch(nominal_ctx, nominal_fault_on):
-    """The conservative fault-on variant exists and stays close to exact."""
+    """The conservative fault-on variant (conductance power frozen at the
+    pre-fault SEP) stays close to exact."""
     ctx = nominal_ctx
     exact = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
-    frozen = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 2.0, hamiltonian_fault_on=True)
+    field = sw.swing_field(ctx.fom.red_on, ctx.gp, ctx.fom.Pa_on)
+    frozen = sw.integrate(field, ctx.x_pre, 2.0)
     cons = en.tau_H(ctx.hm, ctx.crit.E_c, frozen)
     assert isinstance(cons, float)
     assert cons == pytest.approx(exact, rel=0.05)

@@ -51,7 +51,7 @@ def test_nominal_sep_residual_and_cell(nominal_ctx):
     act = ctx.gp.active
     r = ctx.gp.Pm[act] - Coupling(ctx.red_post, act).power(ctx.sep.delta)[act]
     assert np.max(np.abs(r)) <= 1e-10
-    full = ctx.gp.full_angles(ctx.sep.delta)
+    full = np.insert(ctx.sep.delta, ctx.gp.infinite_index, 0.0)
     pairwise = np.abs(np.subtract.outer(full, full))
     assert np.all(pairwise < np.pi / 2)
 
@@ -295,7 +295,7 @@ def test_branch_checkpoints_coincide_with_enumeration(bc_branches):
 
 def test_branch_segment_labels(bc_branches):
     _factory, branches = bc_branches
-    types = sorted({t for br in branches for t, _a, _b in br.segments()})
+    types = sorted({pt.type_index for br in branches for _p, pt in br.points})
     assert types == [0, 1, 2]
 
 

@@ -11,7 +11,6 @@ import pytest
 import swingcct.netmodel as nm
 from swingcct.errors import NetworkError
 from swingcct.faultstudy import regimes
-from swingcct.scenario import make_wscc9_tmib
 
 RNG = np.random.default_rng(42)
 
