@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from .equilibria import continue_branch, fold_locations
 from .errors import ScenarioFormatError, ToolkitError
-from .faultstudy import FaultScenario, run_fault_study
+from .faultstudy import FaultScenario, check_search, run_fault_study
 from .report import emit_reports
 from .scenario import load_scenario
 from .sweep import METRICS, SweepSpec, detect_uep_switches, find_optimum, run_sweep
@@ -54,6 +54,10 @@ def _fmt_metric(value) -> str:
 
 def cmd_study(args: argparse.Namespace) -> int:
     sc = _load(args.scenario, args.freq)
+    try:
+        check_search(args.resolution, args.horizon, args.tolerance)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from None
     result = run_fault_study(
         sc,
         resolution=args.resolution,

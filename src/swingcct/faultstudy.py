@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -21,10 +22,14 @@ INTEGRATION_FAILED = "integration-failed"
 DIVERGENCE_THRESHOLD = np.pi
 #: pairs moving less than this never count as diverging-without-return [rad]
 SMALL_SWING = 0.05
-#: bisection levels whose candidate clearing times one true_cct round checks
-LEVELS_PER_ROUND = 3
+#: verdict rows one true_cct round aims at: open points x (2^levels - 1)
+ROWS_PER_ROUND = 32
 #: post-fault observation window of a first-swing verdict [s]
 WINDOW = 3.0
+#: spacing of the samples a first-swing verdict checks [s]
+SAMPLE_STEP = 0.005
+#: accepted integrator attempts between two checks of the verdict samples
+_BLOCK = 16
 #: fault-on horizon of the tau_H crossing search [s]
 TAU_H_HORIZON = 2.0
 
@@ -168,6 +173,30 @@ def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray)
     return np.abs(coupling.diffs(states[..., :m])[..., coupling.pairs] - ref)
 
 
+def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct objects of items (by identity) in first-seen order, and
+    the index of each item among them."""
+    first: dict[int, int] = {}
+    index = np.array([first.setdefault(id(x), len(first)) for x in items], dtype=int)
+    return list({id(x): x for x in items}.values()), index
+
+
+def _block_samples(block: list, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sample times ts inside the accepted steps of `block`, evaluated as
+    `Trajectory.sample` does: a step (t, t_new] holds the times above t up to
+    t_new, and a row's first step also holds t = 0.  Returns, sorted by row
+    and then by time, the row of each sample and its state."""
+    rows, t, t_new, h, y, Q = [np.concatenate([step[i] for step in block], axis=-2 if i == 5 else 0) for i in range(6)]
+    lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
+    n = np.searchsorted(ts, t_new, side="right") - lo
+    # the steps by row, each row's in time order
+    order = np.argsort(rows, kind="stable")
+    lo, n = lo[order], n[order]
+    g = np.repeat(order, n)
+    j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(g.size)
+    return rows[g], sw.dense_state(y, h, Q, g, ((ts[j] - t[g]) / h[g])[:, None])
+
+
 def first_swing_stable(
     ctx: StudyContext | Sequence[StudyContext],
     fault_on: sw.Trajectory | Sequence[sw.Trajectory],
@@ -183,7 +212,9 @@ def first_swing_stable(
     from its fault-on trajectory's state at t_cl.  Stable means every
     pairwise rotor-angle difference stays within DIVERGENCE_THRESHOLD of its
     post-fault equilibrium value over the observation window (WINDOW) and swings back
-    (reaches a peak and retreats).  A row leaves the stack once it diverges.
+    (reaches a peak and retreats), judged on the dense output every
+    SAMPLE_STEP.  The samples are checked as the steps arrive, every _BLOCK
+    accepted attempts, and a row leaves the stack once it diverges.
     """
     single = isinstance(ctx, StudyContext)
     if single:
@@ -193,38 +224,59 @@ def first_swing_stable(
         if not 0.0 <= t <= fo.t_end:
             raise ValueError(f"clearing time {t:.6g} outside the fault-on run [0, {fo.t_end:.6g}]")
 
-    fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
-    coupling = ctx[0].hm.coupling
+    # one field and one SEP reference per context, one dense-output read per run
+    ctxs, of_ctx = _distinct(ctx)
+    coupling = ctxs[0].hm.coupling
+    field = sw.SwingField.stack([sw.swing_field(c.red_post, c.gp) for c in ctxs]).take(of_ctx)
     # pairwise angle differences at each row's post-fault SEP
-    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctx])
-    state = np.array([fo.sample([t])[0] for fo, t in zip(fault_on, t_cl)])
+    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctxs])[of_ctx]
+    runs, of_run = _distinct(fault_on)
+    state = np.empty((t_cl.size, 2 * coupling.act.size))
+    for j, fo in enumerate(runs):
+        state[of_run == j] = fo.sample(t_cl[of_run == j])
+
+    ts = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
     peak = np.zeros(ref.shape)
     returned = np.zeros(ref.shape, dtype=bool)
-    stable = np.ones(len(ctx), dtype=bool)
-    running = np.arange(len(ctx))
-    chunk = 0.75
-    dt = 0.005
-    t_done = 0.0
-    # the divergence bound is enforced over the whole window: an orbit may
-    # complete its first return swing and still run away afterwards
-    while t_done < WINDOW and running.size:
-        t_span = min(chunk, WINDOW - t_done)
-        field = sw.SwingField.stack([fields[i] for i in running])
-        traj = sw.integrate(field, state[running], t_span, tol=tol)
-        ts = np.append(np.arange(0.0, t_span, dt), t_span)
-        samples = traj.sample(ts)
-        exc = _pair_excursions(coupling, samples, ref[running])
-        # prior[j]: the peak of each pair before sample j
-        prior = np.maximum.accumulate(np.concatenate([peak[running][None], exc[:-1]]), axis=0)
-        returned[running] |= np.any(exc < prior - 1e-2, axis=0)
-        peak[running] = np.maximum(prior[-1], exc[-1])
-        state[running] = samples[-1]
-        # a failed run samples as NaN and counts as diverged
-        diverged = ~np.isnan(traj.failed) | np.any(exc >= DIVERGENCE_THRESHOLD, axis=(0, 2))
-        stable[running[diverged]] = False
-        running = running[~diverged]
-        t_done += t_span
-    stable &= np.all(returned | (peak < SMALL_SWING), axis=1)
+    diverged = np.zeros(t_cl.size, dtype=bool)
+    failed = np.full(t_cl.size, np.nan)
+
+    def check(block: list) -> np.ndarray:
+        """Fold a block of steps into the verdict state; the rows it diverged."""
+        rows, states = _block_samples(block, ts)
+        block.clear()
+        if not rows.size:
+            return rows
+        # one line per row, padded with NaN, which fmax and the comparisons skip
+        hit, first, count = np.unique(rows, return_index=True, return_counts=True)
+        exc = np.full((hit.size, count.max(), ref.shape[1]), np.nan)
+        exc[np.repeat(np.arange(hit.size), count), np.arange(rows.size) - np.repeat(first, count)] = (
+            _pair_excursions(coupling, states, ref[rows])
+        )
+        # prior[:, j]: the peak of each pair before sample j
+        prior = np.fmax.accumulate(np.concatenate([peak[hit, None], exc[:, :-1]], axis=1), axis=1)
+        returned[hit] |= np.any(exc < prior - 1e-2, axis=1)
+        peak[hit] = np.fmax(prior[:, -1], exc[:, -1])
+        # the divergence bound is enforced over the whole window: an orbit may
+        # complete its first return swing and still run away afterwards
+        out = hit[np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))]
+        diverged[out] = True
+        return out
+
+    steps = sw.dopri_steps(field, state, WINDOW, tol, sw.ATOL, failed)
+    block: list = []
+    retire = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            try:
+                block.append(steps.send(retire))
+            except StopIteration:
+                break
+            retire = check(block) if len(block) == _BLOCK else None
+        if block:
+            check(block)
+    # a failed run counts as diverged
+    stable = ~diverged & np.isnan(failed) & np.all(returned | (peak < SMALL_SWING), axis=1)
     return bool(stable[0]) if single else stable
 
 
@@ -237,15 +289,15 @@ def _midpoints(lo: float, hi: float, resolution: float, levels: int) -> list[flo
 
 
 def _bisect(
-    known: Mapping[float, bool], horizon: float, resolution: float
+    known: Mapping[float, bool], horizon: float, resolution: float, levels: int
 ) -> tuple[tuple[float | str, str | None] | None, list[float]]:
     """Replay plain bisection over the verdicts known so far (t_cl -> stable).
 
     Returns (result, []) once the search is decided, else (None, wanted):
-    the clearing times its next LEVELS_PER_ROUND steps may ask for.
+    the clearing times its next `levels` steps may ask for.
     """
     if 0.0 not in known or horizon not in known:
-        return None, [0.0, horizon] + _midpoints(0.0, horizon, resolution, LEVELS_PER_ROUND)
+        return None, [0.0, horizon] + _midpoints(0.0, horizon, resolution, levels)
     if not known[0.0]:
         return (0.0, "unstable-at-zero"), []
     if known[horizon]:
@@ -254,12 +306,20 @@ def _bisect(
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            return None, _midpoints(lo, hi, resolution, LEVELS_PER_ROUND)
+            return None, _midpoints(lo, hi, resolution, levels)
         if known[mid]:
             lo = mid
         else:
             hi = mid
     return (lo, None), []
+
+
+def check_search(resolution: float, horizon: float, tol: float) -> None:
+    """Raise ValueError unless the clearing-time search settings are positive
+    and finite (a bisection with resolution <= 0 would never end)."""
+    for name, value in (("resolution", resolution), ("horizon", horizon), ("tolerance", tol)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def true_cct(
@@ -274,14 +334,16 @@ def true_cct(
 
     Every clearing state is read from the point's fault-on trajectory, which
     must cover the horizon.  Each round checks, in one batched verdict call,
-    every clearing time the open points' next LEVELS_PER_ROUND bisection
-    steps may ask for (the first round adds 0 and the horizon); each point
-    then replays plain bisection over its verdicts, so its bracket is the one
-    serial bisection gets.  Returns (value, verdict) per point: value is the
-    lower end of the final bracket, UNBOUNDED when stable at the horizon;
-    verdict flags the degenerate case of a post-fault system unstable even
-    at instant clearing.
+    every clearing time the open points' next bisection steps may ask for
+    (the first round adds 0 and the horizon), over as many steps as keep the
+    round near ROWS_PER_ROUND rows and at least 3: 5 for one point, 4 for
+    two, 3 for five or more.  Each point then replays plain bisection over
+    its verdicts, so its bracket is the one serial bisection gets.  Returns
+    (value, verdict) per point: value is the lower end of the final bracket,
+    UNBOUNDED when stable at the horizon; verdict flags the degenerate case
+    of a post-fault system unstable even at instant clearing.
     """
+    check_search(resolution, horizon, tol)
     single = isinstance(ctx, StudyContext)
     if single:
         ctx, fault_on = [ctx], [fault_on]
@@ -290,19 +352,18 @@ def true_cct(
             raise ValueError(f"fault-on run ends at t={fo.t_end:.6g}, before the horizon {horizon:.6g}")
     known: list[dict[float, bool]] = [{} for _ in ctx]
     results: list = [None] * len(ctx)
-    while True:
+    while open_points := [p for p, r in enumerate(results) if r is None]:
+        levels = max(3, int(math.log2(ROWS_PER_ROUND / len(open_points) + 1)))
         rows = []
-        for p in range(len(ctx)):
-            if results[p] is None:
-                results[p], wanted = _bisect(known[p], horizon, resolution)
-                rows += [(p, t) for t in wanted]
-        if not rows:
-            break
-        stable = first_swing_stable(
-            [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows], tol=tol
-        )
-        for (p, t), verdict in zip(rows, stable):
-            known[p][t] = bool(verdict)
+        for p in open_points:
+            results[p], wanted = _bisect(known[p], horizon, resolution, levels)
+            rows += [(p, t) for t in wanted]
+        if rows:
+            stable = first_swing_stable(
+                [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows], tol=tol
+            )
+            for (p, t), verdict in zip(rows, stable):
+                known[p][t] = bool(verdict)
     return results[0] if single else results
 
 
@@ -318,8 +379,10 @@ def run_fault_studies(
     do).  The fault-on runs of all admissible scenarios are one stacked
     integration, each to the longer of the tau and tau_H horizons, and both
     metrics only read it; the true_cct searches run in lockstep.  A
-    scenario's result does not depend on the others.
+    scenario's result does not depend on the others.  Raises ValueError for
+    a resolution, horizon or tol that is not positive and finite.
     """
+    check_search(resolution, horizon, tol)
     results: list[FaultStudyResult | None] = [None] * len(scenarios)
     admitted = []
     for i, sc in enumerate(scenarios):

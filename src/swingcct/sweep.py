@@ -10,7 +10,7 @@ import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import FaultScenario, FaultStudyResult, run_fault_studies
+from .faultstudy import FaultScenario, FaultStudyResult, check_search, run_fault_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 
@@ -48,6 +48,10 @@ class SweepSpec:
         if not self.step > 0:
             raise ScenarioFormatError(f"step {self.step}: must be positive")
         parse_param_path(self.scenario, self.param)
+        try:
+            check_search(self.resolution, self.horizon, self.tol)
+        except ValueError as exc:
+            raise ScenarioFormatError(str(exc)) from None
 
     @property
     def values(self) -> np.ndarray:

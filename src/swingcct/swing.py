@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -162,6 +162,12 @@ class Coupling:
         out._set_network(np.vstack([k.PG for k in kernels]), np.vstack([k.Pbar for k in kernels]))
         return out
 
+    def take(self, rows: np.ndarray) -> "Coupling":
+        """The stacked kernel of the given rows of this stacked kernel."""
+        out = copy.copy(self)
+        out._set_network(self.PG[rows], self.Pbar[rows])
+        return out
+
     def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
         # sequential sum over k of the (..., rows, n) terms, in numpy's order
         # for n <= 7 and independent of the leading shape for any n
@@ -235,6 +241,10 @@ class SwingField:
             np.vstack([f.drive for f in fields]),
             np.vstack([f.Minv for f in fields]),
         )
+
+    def take(self, rows: np.ndarray) -> "SwingField":
+        """The stacked field of the given rows of this stacked field."""
+        return SwingField(self.coupling.take(rows), self.drive[rows], self.Minv[rows])
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         m = self.m
@@ -316,14 +326,8 @@ class Trajectory:
         seg = np.stack([np.searchsorted(grid[:, k], ts, side="left") for k in cols], axis=1)
         seg = np.clip(seg - 1, 0, np.maximum(self._n - 1, 0))
         g = np.where(self._n > 0, self._start + seg, self._h.size - 1)
-        h = self._h[g]
-        x = ((ts[:, None] - grid[seg, cols]) / h)[..., None]
-        # the powers x, x^2, x^3, x^4 as cumulative products
-        p2 = x * x
-        p3 = p2 * x
-        Q = self._Q
-        poly = Q[0][g] * x + Q[1][g] * p2 + Q[2][g] * p3 + Q[3][g] * (p3 * x)
-        out = self._y[g] + h[..., None] * poly
+        x = ((ts[:, None] - grid[seg, cols]) / self._h[g])[..., None]
+        out = dense_state(self._y, self._h, self._Q, g, x)
         if self.t.ndim == 1:
             return out[:, 0]
         out[:, ~np.isnan(self.failed)] = np.nan
@@ -335,41 +339,29 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
-# dense output, as in the common RK45 codes.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = (
-    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0, 0, 0, 0),
-    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+# dense output, as in the common RK45 codes, as one table of stage weights.
+# Rows 0-4 are the inputs of stages 1-5, row 5 the solution, row 6 the
+# embedded error and rows 7-9 the dense-output coefficients Q1-Q3 (Q0 is
+# stage 0 itself).
+_W = np.array([
+    (1 / 5, 0, 0, 0, 0, 0, 0),
+    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
+    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
+    (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40),
+    (-8048581381 / 2820520608, 0, 131558114200 / 32700410799, -1754552775 / 470086768,
+     127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, 0, -68118460800 / 10900136933, 14199869525 / 1410260304,
+     -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+])[:, :, None, None]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
-
-
-def _combine(coefs: Sequence[float], stages: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_s coefs[s] * stages[s], added in stage order.
-
-    Elementwise products and sums round each row on its own, so a row's
-    result never depends on the other rows (a BLAS product may).
-    """
-    acc = None
-    for c, k in zip(coefs, stages):
-        if c != 0:
-            acc = c * k if acc is None else acc + c * k
-    return acc
+#: default absolute tolerance of the integrator
+ATOL = 1e-10
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -393,8 +385,29 @@ def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol:
     return np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
-def _dopri(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -> Trajectory:
+def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Quartic dense output y + h (Q0 x + Q1 x^2 + Q2 x^3 + Q3 x^4) of the
+    steps g of (y, h, Q) at step fractions x, with the powers as cumulative
+    products."""
+    p2 = x * x
+    p3 = p2 * x
+    poly = Q[0][g] * x + Q[1][g] * p2 + Q[2][g] * p3 + Q[3][g] * (p3 * x)
+    return y[g] + h[g][..., None] * poly
+
+
+def dopri_steps(
+    field: Field, y: np.ndarray, t_end: float, tol: float, atol: float, failed: np.ndarray
+) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
     """Lockstep Dormand-Prince 5(4) over a (K, d) stack of initial states.
+
+    Yields, for every attempt that accepts a step in some row, the tuple
+    (rows, t, t_new, h, y, Q) of those rows: their indices in the initial
+    stack, the step's start and end time, its size, the state at its start
+    and its dense-output coefficients, shape (4, rows, d).  A row whose step
+    size underflows gets its time in `failed` (indexed like the initial
+    stack) and stops.  Sending an index array of rows retires them: the
+    stepper then drops them, and every row that has finished or failed, from
+    its state and from the stacked field (which needs a `take`).
 
     Every row keeps its own step size, error norm and accept/reject: the
     error norm is the RMS of the embedded error over atol + tol * max(|y|,
@@ -402,16 +415,18 @@ def _dopri(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -
     0.9 * err^(-1/5) clamped to [0.2, 10] (at most 1 right after a
     rejection); a row fails once its step falls below 10 ulp of its time.
     A row that has finished (or failed) rides along with a zero step until
-    the last row is done.
+    the last row is done or it is dropped.  Stage sums add each stage's
+    elementwise products in stage order, so a row's bits never depend on the
+    other rows (a BLAS product may).  Run it under np.errstate that ignores
+    overflow: a failing row overflows.
     """
-    K, d = y.shape
+    K = y.shape[0]
+    ids = np.arange(K)
     f = field(y)
     h_abs = _initial_step(field, y, f, t_end, tol, atol)
     t = np.zeros(K)
     live = np.ones(K, dtype=bool)
     fresh = np.ones(K, dtype=bool)     # the next attempt starts a new step
-    failed = np.full(K, np.nan)
-    steps = []                         # (rows, t_new, h, y, stages) of the accepted attempts
     while live.any():
         if np.min(h_abs, where=live, initial=np.inf) <= 10.0 * np.spacing(t_end):
             # a step near the float spacing of t: raise a new step to the
@@ -419,18 +434,24 @@ def _dopri(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -
             min_step = 10.0 * np.spacing(t)
             np.maximum(h_abs, min_step, out=h_abs, where=fresh)
             small = live & (h_abs < min_step)
-            failed[small] = t[small]
+            failed[ids[small]] = t[small]
             live &= ~small
         t_new = np.minimum(t + h_abs, t_end)
         h = np.where(live, t_new - t, 0.0)
         hc = h[:, None]
-        ks = [f]
-        for a in _A[1:]:
-            ks.append(field(y + _combine(a, ks) * hc))
-        y_new = y + hc * _combine(_B, ks)
-        ks.append(field(y_new))
+        # each stage is added, in stage order, to the rows where its weight
+        # is nonzero: stage 1 to rows 1-4, stages 2-5 to rows s-9, stage 6
+        # to rows 6-9
+        acc = _W[:, 0] * f
+        for s in range(1, 6):
+            k = field(y + acc[s - 1] * hc)
+            a, b = (1, 5) if s == 1 else (s, 10)
+            acc[a:b] += _W[a:b, s] * k
+        y_new = y + hc * acc[5]
+        k = field(y_new)
+        acc[6:] += _W[6:, 6] * k
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err = _rms(_combine(_E, ks) * hc / scale)
+        err = _rms(acc[6] * hc / scale)
         grow = _SAFETY * err**_ERROR_EXPONENT
         accept = live & (err < 1)
         # after a rejection the step may not grow; err == 0 gives the cap
@@ -438,24 +459,30 @@ def _dopri(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -
         h_abs = h * np.where(accept, grown, np.fmax(_MIN_FACTOR, grow))
         r = np.flatnonzero(accept)
         if r.size:
-            steps.append((r, t_new[r], h[r], y[r], np.stack(ks, axis=1)[r]))
+            step = (ids[r], t[r], t_new[r], h[r], y[r], np.concatenate([f[None, r], acc[7:, r]]))
         fresh = accept
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
-        f = np.where(accept[:, None], ks[6], f)
+        f = np.where(accept[:, None], k, f)
         live &= ~accept | (t_new < t_end)
-    return _collect(steps, failed, K, d)
+        if r.size:
+            retire = yield step
+            if retire is not None:
+                keep = live & ~np.isin(ids, retire)
+                if not keep.all():
+                    ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
+                    field = field.take(np.flatnonzero(keep))
 
 
 def _collect(steps: list, failed: np.ndarray, K: int, d: int) -> Trajectory:
-    """Accepted steps grouped by row, in step order, with their dense output."""
-    empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, 7, d)))
-    rows, t_new, h, y, stages = [np.concatenate([e, *(step[i] for step in steps)]) for i, e in enumerate(empty)]
-    # drop the per-attempt blocks and then the stages as soon as they are
-    # copied: they dominate the memory of a large stack
+    """Accepted steps of `dopri_steps` grouped by row, in step order."""
+    empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((4, 0, d)))
+    rows, _t, t_new, h, y, Q = [
+        np.concatenate([e, *(step[i] for step in steps)], axis=-2 if i == 5 else 0) for i, e in enumerate(empty)
+    ]
+    # drop the per-attempt blocks as soon as they are copied: they dominate
+    # the memory of a large stack
     steps.clear()
-    Q = np.stack([_combine([p[j] for p in _P], stages.transpose(1, 0, 2)) for j in range(4)])
-    del stages
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     n = np.bincount(rows, minlength=K)
@@ -476,7 +503,7 @@ def integrate(
     x0: SystemState | np.ndarray,
     t_end: float,
     tol: float = 1e-8,
-    atol: float = 1e-10,
+    atol: float = ATOL,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of an autonomous field.
 
@@ -489,8 +516,10 @@ def integrate(
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)
+    y = np.atleast_2d(y0)
+    failed = np.full(y.shape[0], np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        traj = _dopri(field, np.atleast_2d(y0), t_end, tol, atol)
+        traj = _collect(list(dopri_steps(field, y, t_end, tol, atol, failed)), failed, *y.shape)
     return traj.row(0) if y0.ndim == 1 else traj
 
 

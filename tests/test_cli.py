@@ -140,6 +140,19 @@ def test_cli_study_bad_freq_override(freq, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--resolution", v) for v in ("0", "-1", "nan", "inf")]
+    + [("--horizon", v) for v in ("0", "-1", "nan", "inf")]
+    + [("--tolerance", v) for v in ("0", "-1", "nan", "inf")],
+)
+def test_cli_study_bad_search_setting(flag, value, capsys):
+    """A search setting that is not positive and finite is an input error,
+    reported before any integration."""
+    assert cli.main(["study", "wscc9-tmib", flag, value]) == 3
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "field, value", [("frequency", 0.0), ("frequency", -50.0), ("inertia", 0.0), ("inertia", -1.0)]
 )
 def test_scenario_file_bad_frequency_or_inertia(field, value, tmp_path, wscc, capsys):

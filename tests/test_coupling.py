@@ -153,3 +153,110 @@ def test_stacked_newton_equals_single_starts(case, seed):
         Xi, ci = eq._newton(cp, drive, start[None, :], max_iter=20)
         assert converged[i] == ci[0]
         assert same_bits(X[i], Xi[0])
+
+
+# The stage-by-stage Dormand-Prince stepper the fused stage sums replaced,
+# kept as the oracle they must reproduce bit for bit.
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _combine(coefs, stages):
+    acc = None
+    for c, k in zip(coefs, stages):
+        if c != 0:
+            acc = c * k if acc is None else acc + c * k
+    return acc
+
+
+def staged_integrate(field, y, t_end, tol=1e-8, atol=1e-10) -> sw.Trajectory:
+    """Stacked integration with one stage sum per weight vector, as the
+    integrator computed it before its stage sums were fused."""
+    K, d = y.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = field(y)
+        h_abs = sw._initial_step(field, y, f, t_end, tol, atol)
+        t = np.zeros(K)
+        live = np.ones(K, dtype=bool)
+        fresh = np.ones(K, dtype=bool)
+        failed = np.full(K, np.nan)
+        steps = []
+        while live.any():
+            if np.min(h_abs, where=live, initial=np.inf) <= 10.0 * np.spacing(t_end):
+                min_step = 10.0 * np.spacing(t)
+                np.maximum(h_abs, min_step, out=h_abs, where=fresh)
+                small = live & (h_abs < min_step)
+                failed[small] = t[small]
+                live &= ~small
+            t_new = np.minimum(t + h_abs, t_end)
+            h = np.where(live, t_new - t, 0.0)
+            hc = h[:, None]
+            ks = [f]
+            for a in _A[1:]:
+                ks.append(field(y + _combine(a, ks) * hc))
+            y_new = y + hc * _combine(_B, ks)
+            ks.append(field(y_new))
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            err = sw._rms(_combine(_E, ks) * hc / scale)
+            grow = 0.9 * err ** (-1 / 5)
+            accept = live & (err < 1)
+            grown = np.minimum(np.where(fresh, 10.0, 1.0), grow)
+            h_abs = h * np.where(accept, grown, np.fmax(0.2, grow))
+            r = np.flatnonzero(accept)
+            if r.size:
+                stages = np.stack(ks, axis=1)[r].transpose(1, 0, 2)
+                Q = np.stack([_combine([p[j] for p in _P], stages) for j in range(4)])
+                steps.append((r, t[r], t_new[r], h[r], y[r], Q))
+            fresh = accept
+            t = np.where(accept, t_new, t)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], ks[6], f)
+            live &= ~accept | (t_new < t_end)
+    return sw._collect(steps, failed, K, d)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(network_stacks(), st.integers(0, 4))
+def test_fused_stage_sums_equal_staged_stepper(case, bad):
+    """Step times, step states, dense-output coefficients and samples equal
+    the stage-by-stage stepper's bits, also with a row that fails."""
+    nets, states, _ = case
+    stacked = sw.SwingField.stack([sw.swing_field(red, gp) for red, gp in nets])
+    # one row gets a drive that escapes in finite time: x' >= 20 (1 + x^2)
+    push = np.zeros((len(nets), 1))
+    push[bad % len(nets)] = 20.0
+    field = lambda y: stacked(y) + push * (1.0 + y * y)
+    ts = np.linspace(0.0, 0.3, 41)
+    new = sw.integrate(field, states, 0.3, tol=1e-6)
+    old = staged_integrate(field, states, 0.3, tol=1e-6)
+    assert np.isfinite(new.failed[bad % len(nets)])
+    for name in ("t", "failed", "_n", "_start", "_h", "_y", "_Q"):
+        assert same_bits(getattr(new, name), getattr(old, name)), name
+    assert same_bits(new.sample(ts), old.sample(ts))
+
+
+def test_stage_weights_form_one_block_per_stage():
+    """Each stage adds to one contiguous block of rows of the weight table
+    (stage 1 to rows 1-4, stages 2-5 to rows s-9, stage 6 to rows 6-9), so
+    the stepper skips exactly the zero weights."""
+    nonzero = sw._W[:, :, 0, 0] != 0
+    blocks = [(0, 10), (1, 5)] + [(s, 10) for s in range(2, 7)]
+    for s, (a, b) in enumerate(blocks):
+        assert np.flatnonzero(nonzero[:, s]).tolist() == list(range(a, b))

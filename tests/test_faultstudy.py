@@ -7,6 +7,7 @@ import pytest
 
 from swingcct import energy as en
 from swingcct import faultstudy as fs
+from swingcct import swing as sw
 
 
 def null_fault_context(ctx):
@@ -32,8 +33,6 @@ def test_divergent_trajectory_is_unstable(nominal_ctx):
     """A clearing time far past critical sends angle pairs beyond pi."""
     ctx = nominal_ctx
     traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.4)
-    from swingcct import swing as sw
-
     field = sw.swing_field(ctx.red_post, ctx.gp)
     post = sw.integrate(field, traj.state(0.4), 2.0)
     cp = ctx.hm.coupling
@@ -94,7 +93,35 @@ def test_lockstep_true_cct_equals_serial_bisection(wscc, nominal_ctx, nominal_fa
     ]
     lockstep = fs.true_cct(ctxs, fault_ons)
     assert lockstep == [serial_bisection(c, fo) for c, fo in zip(ctxs, fault_ons)]
+    # one open point checks 5 bisection levels per round, two check 4
     assert fs.true_cct(ctxs[2], fault_ons[2]) == lockstep[2]
+    assert fs.true_cct(ctxs[1:3], fault_ons[1:3]) == lockstep[1:3]
+
+
+def window_verdict(ctx, fault_on, t_cl):
+    """The first-swing rule on one full-window integrate run sampled every 5 ms."""
+    run = sw.integrate(sw.swing_field(ctx.red_post, ctx.gp), fault_on.sample([t_cl])[0], fs.WINDOW)
+    ts = np.append(np.arange(0.0, fs.WINDOW, fs.SAMPLE_STEP), fs.WINDOW)
+    cp = ctx.hm.coupling
+    exc = fs._pair_excursions(cp, run.sample(ts), cp.diffs(ctx.sep.delta)[cp.pairs])
+    prior = np.maximum.accumulate(np.vstack([np.zeros((1, exc.shape[1])), exc[:-1]]), axis=0)
+    returned = np.any(exc < prior - 1e-2, axis=0)
+    return bool(np.all(exc < fs.DIVERGENCE_THRESHOLD) and np.all(returned | (exc.max(axis=0) < fs.SMALL_SWING)))
+
+
+def test_streamed_verdicts_equal_full_window_runs(nominal_ctx, nominal_fault_on, monkeypatch):
+    """Verdicts checked block by block as the steps arrive equal the rule on
+    whole runs, and a row's verdict is the same alone and in a stack whose
+    diverging rows are retired."""
+    stacks = []
+    take = sw.SwingField.take
+    monkeypatch.setattr(sw.SwingField, "take", lambda self, rows: stacks.append(len(rows)) or take(self, rows))
+    t_cl = np.linspace(0.0, 0.3, 40)
+    streamed = fs.first_swing_stable([nominal_ctx] * 40, [nominal_fault_on] * 40, t_cl)
+    assert stacks[0] == 40 and min(stacks) < 40  # rows left the stack
+    assert 0 < streamed.sum() < 40
+    assert streamed.tolist() == [window_verdict(nominal_ctx, nominal_fault_on, t) for t in t_cl]
+    assert streamed.tolist() == [fs.first_swing_stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
 
 
 def test_batched_verdicts_equal_single_verdicts(nominal_ctx, nominal_fault_on):
@@ -151,6 +178,33 @@ def test_study_integrates_fault_on_once(wscc, monkeypatch):
     result = fs.run_fault_study(wscc, resolution=5e-4)
     assert isinstance(result.tau, float) and isinstance(result.tau_H, float)
     assert calls == [2.0]
+
+
+def test_study_makes_three_verdict_rounds(wscc, monkeypatch):
+    """One open point checks 5 bisection levels per round: 14 levels to 1e-4 s in 3 rounds."""
+    calls = []
+    original = fs.first_swing_stable
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "first_swing_stable", counted)
+    result = fs.run_fault_study(wscc)
+    assert isinstance(result.tau, float)
+    assert calls == [33, 31, 15]
+
+
+@pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_search_setting_raises(wscc, nominal_ctx, nominal_fault_on, monkeypatch, name, value):
+    """A resolution, horizon or tol that is not positive and finite raises
+    before any verdict is computed (resolution <= 0 would never end)."""
+    monkeypatch.setattr(fs, "first_swing_stable", None)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        fs.true_cct(nominal_ctx, nominal_fault_on, **{name: value})
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        fs.run_fault_studies([wscc], **{name: value})
 
 
 def test_fault_on_integration_failure_verdict(wscc, monkeypatch):

@@ -40,6 +40,13 @@ def test_spec_validation(wscc):
         SweepSpec(scenario=wscc, param="42.B", lo=-1.0, hi=0.0, step=0.1)
 
 
+@pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_spec_rejects_bad_search_setting(wscc, name, value):
+    with pytest.raises(ScenarioFormatError, match="must be positive and finite"):
+        SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=0.5, **{name: value})
+
+
 def test_rows_are_ordered_and_complete(small_sweep):
     spec, rows = small_sweep
     assert [r.param for r in rows] == [-1.0, -0.75, -0.5]
