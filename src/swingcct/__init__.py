@@ -74,6 +74,7 @@ from .swing import (
     Trajectory,
     dispatch_from_angles,
     integrate,
+    integrate_rows,
     swing_field,
 )
 

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InadmissibleScenario
+from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate, swing_field
+from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate, integrate_rows, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -192,16 +192,16 @@ def fault_on_trajectory(
     horizon: float,
     tol: float = 1e-8,
     atol: float = 1e-10,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory | IntegrationError]:
     """Integrate the exact fault-on dynamics from the pre-fault operating point.
 
-    fom, gp and x_pre describe one fault, or are equal-length sequences that
-    make one stacked run with a row per fault (see `integrate`).
+    fom, gp and x_pre describe one fault (see `integrate`), or are
+    equal-length sequences for one stacked run (see `integrate_rows`).
     """
     if isinstance(fom, FaultOnHamiltonianModel):
         return integrate(swing_field(fom.red_on, gp), x_pre, horizon, tol=tol, atol=atol)
     stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
-    return integrate(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
+    return integrate_rows(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
 
 
 def tau_H(

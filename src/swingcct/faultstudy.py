@@ -95,16 +95,18 @@ class StudyContext:
     delta_E: float
 
 
-def regimes(sc: FaultScenario) -> tuple[nm.ReducedNetwork, nm.ReducedNetwork, nm.ReducedNetwork]:
+def _reduce(*nets: nm.BusNetwork) -> list[nm.ReducedNetwork]:
+    """Kron reductions; a singular eliminated block makes the scenario inadmissible."""
+    try:
+        return [nm.reduce_to_generators(net) for net in nets]
+    except SingularNetworkError as exc:
+        raise InadmissibleScenario(str(exc), code="singular-network") from exc
+
+
+def regimes(sc: FaultScenario) -> list[nm.ReducedNetwork]:
     """Reduced admittance parameters for pre-fault, fault-on and post-fault."""
     pre = sc.net
-    on = nm.apply_fault(pre, sc.fault_bus)
-    post = nm.apply_clearing(pre, sc.clearing_branch)
-    return (
-        nm.reduce_to_generators(pre),
-        nm.reduce_to_generators(on),
-        nm.reduce_to_generators(post),
-    )
+    return _reduce(pre, nm.apply_fault(pre, sc.fault_bus), nm.apply_clearing(pre, sc.clearing_branch))
 
 
 def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
@@ -120,18 +122,32 @@ def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
                 f"missing pre-fault angle for generator bus {bus!r}", code="bad-angles"
             )
         delta.append(float(sc.prefault_angles[bus]))
+    if not np.all(np.isfinite(delta)):
+        raise InadmissibleScenario(f"non-finite pre-fault angles {delta}", code="bad-angles")
     return np.array(delta), infinite_index
 
 
-def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> sw.GeneratorParams:
-    """Machine constants plus the dispatched mechanical powers."""
+def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> tuple[sw.GeneratorParams, np.ndarray]:
+    """Machine constants, the mechanical powers dispatched at the pre-fault angles, and those angles."""
     delta_pre, infinite_index = prefault_state(sc)
     omega0 = 2.0 * np.pi * sc.frequency
     gen_buses = sc.net.generator_buses
     M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in gen_buses])
     M[infinite_index] = np.inf
     Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
-    return sw.GeneratorParams(M=M, Pm=Pm, E=red_pre.E, infinite_index=infinite_index)
+    return sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index), delta_pre
+
+
+def _post_fault(
+    sc: FaultScenario, red_pre: nm.ReducedNetwork, red_post: nm.ReducedNetwork
+) -> tuple[sw.GeneratorParams, np.ndarray, eq.EquilibriumPoint, en.HamiltonianModel]:
+    """Machine constants, pre-fault angles, post-fault SEP and anchored post-fault model."""
+    gp, delta_pre = generator_params(sc, red_pre)
+    try:
+        sep, hm = eq.find_sep(red_post, gp, delta_pre)
+    except EquilibriumError as exc:
+        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
+    return gp, delta_pre, sep, hm
 
 
 def build_context(sc: FaultScenario) -> StudyContext:
@@ -140,18 +156,9 @@ def build_context(sc: FaultScenario) -> StudyContext:
     Raises InadmissibleScenario (with a reason code) when the scenario fails
     one of the admissibility constraints.
     """
-    try:
-        red_pre, red_on, red_post = regimes(sc)
-    except SingularNetworkError as exc:
-        raise InadmissibleScenario(str(exc), code="singular-network") from exc
-    gp = generator_params(sc, red_pre)
-    delta_pre, _ = prefault_state(sc)
+    red_pre, red_on, red_post = regimes(sc)
+    gp, delta_pre, sep, hm = _post_fault(sc, red_pre, red_post)
     x_pre = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
-
-    try:
-        sep, hm = eq.find_sep(red_post, gp, delta_pre)
-    except EquilibriumError as exc:
-        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
 
     ueps = eq.enumerate_ueps(hm)
     try:
@@ -179,22 +186,6 @@ def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
     first: dict[int, int] = {}
     index = np.array([first.setdefault(id(x), len(first)) for x in items], dtype=int)
     return list({id(x): x for x in items}.values()), index
-
-
-def _block_samples(block: list, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sample times ts inside the accepted steps of `block`, evaluated as
-    `Trajectory.sample` does: a step (t, t_new] holds the times above t up to
-    t_new, and a row's first step also holds t = 0.  Returns, sorted by row
-    and then by time, the row of each sample and its state."""
-    rows, t, t_new, h, y, Q = [np.concatenate([step[i] for step in block], axis=-2 if i == 5 else 0) for i in range(6)]
-    lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
-    n = np.searchsorted(ts, t_new, side="right") - lo
-    # the steps by row, each row's in time order
-    order = np.argsort(rows, kind="stable")
-    lo, n = lo[order], n[order]
-    g = np.repeat(order, n)
-    j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(g.size)
-    return rows[g], sw.dense_state(y, h, Q, g, ((ts[j] - t[g]) / h[g])[:, None])
 
 
 def first_swing_stable(
@@ -243,7 +234,7 @@ def first_swing_stable(
 
     def check(block: list) -> np.ndarray:
         """Fold a block of steps into the verdict state; the rows it diverged."""
-        rows, states = _block_samples(block, ts)
+        rows, states = sw.sample_steps(block, ts)
         block.clear()
         if not rows.size:
             return rows
@@ -418,10 +409,8 @@ def run_fault_studies(
             [c.fom for _, c, _, _ in admitted], [c.gp for _, c, _, _ in admitted],
             [c.x_pre for _, c, _, _ in admitted], max(horizon, TAU_H_HORIZON), tol=tol,
         )
-        for k, (i, ctx, t_A, verdicts) in enumerate(admitted):
-            try:
-                fo = fault_on.row(k)
-            except IntegrationError:
+        for (i, ctx, t_A, verdicts), fo in zip(admitted, fault_on):
+            if isinstance(fo, IntegrationError):
                 verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
                 results[i] = admitted_result(ctx, None, None, t_A, verdicts)
                 continue
@@ -462,14 +451,7 @@ def hamiltonian_model_factory(
     def factory(value: float) -> en.HamiltonianModel:
         sc_p = sc.with_load_part(bus_id, part, value)
         # the fault-on regime plays no role in equilibrium continuation
-        red_pre = nm.reduce_to_generators(sc_p.net)
-        red_post = nm.reduce_to_generators(nm.apply_clearing(sc_p.net, sc_p.clearing_branch))
-        gp = generator_params(sc_p, red_pre)
-        delta_pre, _ = prefault_state(sc_p)
-        try:
-            _sep, hm = eq.find_sep(red_post, gp, delta_pre)
-        except EquilibriumError as exc:
-            raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
-        return hm
+        red_pre, red_post = _reduce(sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch))
+        return _post_fault(sc_p, red_pre, red_post)[3]
 
     return factory

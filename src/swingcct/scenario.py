@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -20,7 +21,13 @@ BUNDLED = "wscc9-tmib"
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    if not math.isfinite(x):  # json also reads NaN and Infinity
+        raise ScenarioFormatError(f"{where}: expected a finite number, got {value!r}")
+    return x
 
 
 def _complex_from(value: Any, where: str) -> complex:

@@ -27,23 +27,20 @@ class GeneratorParams:
     """Per-machine constants of the swing model.
 
     M holds the lumped inertia 2*H/omega0 for each machine (np.inf for the
-    infinite machine); Pm the mechanical input powers; E the EMF magnitudes.
+    infinite machine); Pm the mechanical input powers.
     """
 
     M: np.ndarray
     Pm: np.ndarray
-    E: np.ndarray
     infinite_index: int
 
     def __post_init__(self) -> None:
         M = np.asarray(self.M, dtype=float)
         Pm = np.asarray(self.Pm, dtype=float)
-        E = np.asarray(self.E, dtype=float)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "Pm", Pm)
-        object.__setattr__(self, "E", E)
-        if not (M.shape == Pm.shape == E.shape) or M.ndim != 1:
-            raise ValueError("M, Pm, E must be equal-length vectors")
+        if M.shape != Pm.shape or M.ndim != 1:
+            raise ValueError("M and Pm must be equal-length vectors")
         if not 0 <= self.infinite_index < M.size:
             raise ValueError("infinite_index out of range")
         act = self.active
@@ -81,10 +78,6 @@ class SystemState:
             raise ValueError("delta and omega must be equal-length vectors")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
             raise ValueError("non-finite state")
-
-    @property
-    def m(self) -> int:
-        return self.delta.size
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.delta, self.omega])
@@ -266,75 +259,34 @@ def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integrator steps of one run, or of K stacked runs, with the
-    quartic dense output of each step.
-
-    A one-row run has step times `t` of shape (S+1,).  A stacked run has `t`
-    of shape (S+1, K): column k holds row k's step times, padded with inf
-    after its last step (S is the most steps any row took).  `failed` holds,
-    per row, the time at which the row's step size underflowed, NaN if it
-    reached the end.  The steps themselves are stored row after row, row k
-    from index _start[k] on; the last entry is a NaN placeholder that rows
-    without any step read.
-    """
+    """Accepted steps of one integrator run: step j runs from t[j] to t[j+1]
+    (t has shape (S+1,)) with size h[j], start state y[j] and quartic
+    dense-output coefficients Q[:, j], shape (4, S, d)."""
 
     t: np.ndarray
-    failed: np.ndarray
-    _n: np.ndarray      # (K,) accepted steps per row
-    _start: np.ndarray  # (K,) index of each row's first step
-    _h: np.ndarray      # (N+1,) step sizes
-    _y: np.ndarray      # (N+1, d) states at step starts
-    _Q: np.ndarray      # (4, N+1, d) dense-output coefficients
+    h: np.ndarray
+    y: np.ndarray
+    Q: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.t.ndim == 1 and (self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0.0)):
+        if self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory times must start at 0 and increase strictly")
 
     @property
-    def rows(self) -> int:
-        return self._n.size
-
-    @property
     def t_end(self) -> float:
-        """Latest time any row reached."""
-        grid = self.t.reshape(self.t.shape[0], -1)
-        return float(grid[self._n, np.arange(self.rows)].max())
-
-    def row(self, k: int) -> "Trajectory":
-        """One-row view of row k; raises IntegrationError if that row failed."""
-        if not np.isnan(self.failed[k]):
-            t_bad = float(self.failed[k])
-            raise IntegrationError(f"integration failed at t={t_bad:.6g}: step size underflow", time=t_bad)
-        n = int(self._n[k])
-        steps = slice(self._start[k], self._start[k] + n + 1)
-        return Trajectory(
-            t=self.t.reshape(self.t.shape[0], -1)[: n + 1, k], failed=self.failed[k : k + 1],
-            _n=self._n[k : k + 1], _start=np.zeros(1, dtype=int),
-            _h=self._h[steps], _y=self._y[steps], _Q=self._Q[:, steps],
-        )
+        return float(self.t[-1])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Dense-output states at the requested times.
+        """Dense-output states at the requested times, shape (len(ts), d).
 
-        Shape (len(ts), 2m) for a one-row run, (len(ts), K, 2m) for a stacked
-        one (NaN in failed rows).  A time on a step boundary is read from the
-        step that ends there.
+        A time on a step boundary is read from the step that ends there.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        grid = self.t.reshape(self.t.shape[0], -1)
-        cols = np.arange(self.rows)
-        seg = np.stack([np.searchsorted(grid[:, k], ts, side="left") for k in cols], axis=1)
-        seg = np.clip(seg - 1, 0, np.maximum(self._n - 1, 0))
-        g = np.where(self._n > 0, self._start + seg, self._h.size - 1)
-        x = ((ts[:, None] - grid[seg, cols]) / self._h[g])[..., None]
-        out = dense_state(self._y, self._h, self._Q, g, x)
-        if self.t.ndim == 1:
-            return out[:, 0]
-        out[:, ~np.isnan(self.failed)] = np.nan
-        return out
+        g = np.clip(np.searchsorted(self.t, ts, side="left") - 1, 0, self.h.size - 1)
+        return dense_state(self.y, self.h, self.Q, g, ((ts - self.t[g]) / self.h[g])[:, None])
 
     def state(self, t: float) -> SystemState:
-        """Dense-output state of a one-row run."""
+        """Dense-output state at time t."""
         return SystemState.from_packed(self.sample(np.array([t]))[0])
 
 
@@ -474,53 +426,74 @@ def dopri_steps(
                     field = field.take(np.flatnonzero(keep))
 
 
-def _collect(steps: list, failed: np.ndarray, K: int, d: int) -> Trajectory:
-    """Accepted steps of `dopri_steps` grouped by row, in step order."""
+def _concat(steps: list, d: int) -> list[np.ndarray]:
+    """The `dopri_steps` tuples of `steps` joined field by field."""
     empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((4, 0, d)))
-    rows, _t, t_new, h, y, Q = [
-        np.concatenate([e, *(step[i] for step in steps)], axis=-2 if i == 5 else 0) for i, e in enumerate(empty)
-    ]
+    return [np.concatenate([e, *(step[i] for step in steps)], axis=-2 if i == 5 else 0) for i, e in enumerate(empty)]
+
+
+def sample_steps(steps: list, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sample times ts inside a nonempty list of `dopri_steps` tuples,
+    evaluated as `Trajectory.sample` does: a step (t, t_new] holds the times
+    above t up to t_new, and a row's first step also holds t = 0.  Returns,
+    sorted by row and then by time, the row of each sample and its state."""
+    rows, t, t_new, h, y, Q = _concat(steps, steps[0][4].shape[-1])
+    lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
+    n = np.searchsorted(ts, t_new, side="right") - lo
+    # the steps by row, each row's in time order
+    order = np.argsort(rows, kind="stable")
+    lo, n = lo[order], n[order]
+    g = np.repeat(order, n)
+    j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(g.size)
+    return rows[g], dense_state(y, h, Q, g, ((ts[j] - t[g]) / h[g])[:, None])
+
+
+def _collect(steps: list, failed: np.ndarray, d: int) -> list[Trajectory | IntegrationError]:
+    """Accepted steps of `dopri_steps` as one trajectory per row, in step
+    order; a row with a time in `failed` is its IntegrationError."""
+    rows, _t, t_new, h, y, Q = _concat(steps, d)
     # drop the per-attempt blocks as soon as they are copied: they dominate
     # the memory of a large stack
     steps.clear()
     order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    n = np.bincount(rows, minlength=K)
-    start = np.cumsum(n) - n
-    grid = np.full((max(int(n.max(initial=0)), 1) + 1, K), np.inf)
-    grid[0] = 0.0
-    grid[np.arange(rows.size) - start[rows] + 1, rows] = t_new[order]
-    return Trajectory(
-        t=grid, failed=failed, _n=n, _start=start,
-        _h=np.append(h[order], 1.0),
-        _y=np.vstack([y[order], np.full((1, d), np.nan)]),
-        _Q=np.concatenate([Q[:, order], np.zeros((4, 1, d))], axis=1),
-    )
+    per_row = np.split(order, np.cumsum(np.bincount(rows, minlength=failed.size))[:-1])
+    return [
+        Trajectory(t=np.append(0.0, t_new[g]), h=h[g], y=y[g], Q=Q[:, g]) if np.isnan(t_bad)
+        else IntegrationError(f"integration failed at t={t_bad:.6g}: step size underflow", time=float(t_bad))
+        for g, t_bad in zip(per_row, failed)
+    ]
 
 
-def integrate(
-    field: Field,
-    x0: SystemState | np.ndarray,
-    t_end: float,
-    tol: float = 1e-8,
-    atol: float = ATOL,
-) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) integration of an autonomous field.
+def integrate_rows(
+    field: Field, Y: np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL
+) -> list[Trajectory | IntegrationError]:
+    """Adaptive Dormand-Prince 5(4) integration of a (K, d) stack of states.
 
-    x0 is one state (a SystemState or shape (d,)) or a stack of K states,
-    shape (K, d); `field` maps a (K, d) stack to its derivatives row by row.
-    Each row runs with its own step control, so it gives the same bits in
-    any stack.  A one-row run raises IntegrationError if its step size
-    underflows; in a stack such a row fails alone (see `Trajectory.failed`).
+    `field` maps the stack to its derivatives row by row.  Each row runs with
+    its own step control, so it gives the same bits in any stack.  Returns
+    one Trajectory per row; a row whose step size underflows is its
+    IntegrationError, and the other rows run on.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)
-    y = np.atleast_2d(y0)
-    failed = np.full(y.shape[0], np.nan)
+    Y = np.asarray(Y, dtype=float)
+    failed = np.full(Y.shape[0], np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        traj = _collect(list(dopri_steps(field, y, t_end, tol, atol, failed)), failed, *y.shape)
-    return traj.row(0) if y0.ndim == 1 else traj
+        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed, Y.shape[1])
+
+
+def integrate(
+    field: Field, x0: SystemState | np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL
+) -> Trajectory:
+    """`integrate_rows` of one state (a SystemState or shape (d,)); raises
+    IntegrationError if its step size underflows."""
+    y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)
+    if y0.ndim != 1:
+        raise ValueError("integrate takes one state; use integrate_rows for a stack")
+    (run,) = integrate_rows(field, y0[None], t_end, tol=tol, atol=atol)
+    if isinstance(run, IntegrationError):
+        raise run
+    return run
 
 
 def dispatch_from_angles(

@@ -77,6 +77,11 @@ def test_field_errors_carry_context(wscc):
         (("branches", 0, "y_series"), [1.0, "x"], r"branches\[0\]\.y_series: expected a number"),
         (("frequency",), True, r"frequency: expected a number"),
         (("branches",), {"id": "x"}, r"branches: expected a list"),
+        # json reads NaN and Infinity: a non-finite number is named too
+        (("prefault_angles", "2"), float("nan"), r"prefault_angles\['2'\]: expected a finite number"),
+        (("generators", "2", "emf"), float("nan"), r"generators\['2'\]\.emf: expected a finite number"),
+        (("generators", "3", "emf"), float("inf"), r"generators\['3'\]\.emf: expected a finite number"),
+        (("shunt_loads", "8"), [0.969, -float("inf")], r"shunt_loads\['8'\]: expected a finite number"),
     ]
     for path, value, message in cases:
         bad = json.loads(json.dumps(data))
@@ -95,6 +100,15 @@ def test_malformed_field_exits_with_input_error(tmp_path, wscc, capsys):
     p.write_text(json.dumps(data))
     assert cli.main(["study", str(p)]) == 3
     assert "expected a number" in capsys.readouterr().err
+
+
+def test_non_finite_number_exits_with_input_error(tmp_path, wscc, capsys):
+    data = scenario_to_dict(wscc)
+    data["prefault_angles"]["2"] = float("nan")
+    p = tmp_path / "nan-angle.json"
+    p.write_text(json.dumps(data))  # written as the JSON extension NaN
+    assert cli.main(["study", str(p)]) == 3
+    assert "prefault_angles['2']: expected a finite number" in capsys.readouterr().err
 
 
 def test_charging_variants_share_fault_regimes():

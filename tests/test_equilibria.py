@@ -27,7 +27,6 @@ def symmetric_three_machine():
     gp = GeneratorParams(
         M=np.array([0.1, 0.1, np.inf]),
         Pm=np.zeros(3),
-        E=np.ones(3),
         infinite_index=2,
     )
     return red, gp
@@ -97,7 +96,7 @@ def test_classify_pendulum_saddle(pendulum):
 
 def test_classify_marginal_verdict():
     red = ReducedNetwork(n=2, G=np.zeros((2, 2)), B=np.zeros((2, 2)), Pbar=np.zeros((2, 2)), E=np.ones(2))
-    gp = GeneratorParams(M=np.array([0.1, np.inf]), Pm=np.zeros(2), E=np.ones(2), infinite_index=1)
+    gp = GeneratorParams(M=np.array([0.1, np.inf]), Pm=np.zeros(2), infinite_index=1)
     hm = en.HamiltonianModel.at_anchor(red, gp, np.zeros(1))
     with pytest.raises(EquilibriumError, match="marginal"):
         eq._equilibrium_point(hm, np.array([0.4]))

@@ -8,6 +8,7 @@ import pytest
 from swingcct import energy as en
 from swingcct import faultstudy as fs
 from swingcct import swing as sw
+from swingcct.errors import IntegrationError
 
 
 def null_fault_context(ctx):
@@ -212,8 +213,8 @@ def test_fault_on_integration_failure_verdict(wscc, monkeypatch):
     original = en.fault_on_trajectory
 
     def fail(*args, **kwargs):
-        traj = original(*args, **kwargs)
-        return replace(traj, failed=np.full(traj.rows, 0.1))  # every row's step size collapsed
+        # every row's step size collapsed
+        return [IntegrationError("step size underflow", time=0.1) for _ in original(*args, **kwargs)]
 
     monkeypatch.setattr(en, "fault_on_trajectory", fail)
     result = fs.run_fault_study(wscc)
@@ -222,6 +223,24 @@ def test_fault_on_integration_failure_verdict(wscc, monkeypatch):
     assert result.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
     assert isinstance(result.tau_A, float)
     assert isinstance(result.delta_E, float) and isinstance(result.E_c, float)
+
+
+def test_failed_fault_on_row_fails_alone(wscc, monkeypatch):
+    """In a stack whose row 0 fault-on run fails, that row names tau and
+    tau_H and row 1 equals its own study."""
+    solo = fs.run_fault_study(wscc, resolution=5e-4)
+    original = en.fault_on_trajectory
+
+    def fail_first(*args, **kwargs):
+        return [IntegrationError("step size underflow", time=0.1)] + original(*args, **kwargs)[1:]
+
+    monkeypatch.setattr(en, "fault_on_trajectory", fail_first)
+    failed, ok = fs.run_fault_studies([wscc.with_load_part("8", "B", -0.5), wscc], resolution=5e-4)
+    assert failed.admissible and failed.tau is None and failed.tau_H is None
+    assert failed.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
+    for name in ("admissible", "tau", "tau_H", "tau_A", "delta_E", "E_c", "verdicts"):
+        assert getattr(ok, name) == getattr(solo, name), name
+    assert np.array_equal(ok.closest_uep.delta, solo.closest_uep.delta)
 
 
 def test_zero_margin_is_negative_margin(wscc, monkeypatch):
@@ -262,6 +281,14 @@ def test_inadmissible_dispatch_reported():
     assert not result.admissible
     assert result.verdicts["scenario"] == "pm-nonpositive"
     assert result.tau is None and result.tau_H is None and result.tau_A is None
+
+
+def test_non_finite_prefault_angle_is_bad_angles(wscc):
+    """A scenario built in code with a NaN angle ends in a verdict, not a traceback."""
+    sc = replace(wscc, prefault_angles={**wscc.prefault_angles, "2": float("nan")})
+    result = fs.run_fault_study(sc)
+    assert not result.admissible
+    assert result.verdicts == {"scenario": "bad-angles"}
 
 
 def test_no_sep_scenario_flagged(wscc):

@@ -114,6 +114,28 @@ def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
         assert all(isinstance(v, float) for v in (row.tau, row.tau_H, row.tau_A, row.dE))
 
 
+def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
+    """A singular Kron block at one parameter value is a gap in the branches,
+    not an aborted trace: the SEP fold near 8.56 stays where it was."""
+    from swingcct import netmodel as nm
+    from swingcct.equilibria import fold_locations
+    from swingcct.errors import SingularNetworkError
+
+    clean = fold_locations(continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G"))
+    original = nm.reduce_to_generators
+
+    def reduce(net):
+        if abs(net.shunt_loads["8"].real - 8.5) < 1e-6:
+            raise SingularNetworkError("singular eliminated block for bus set ['8']")
+        return original(net)
+
+    monkeypatch.setattr(nm, "reduce_to_generators", reduce)
+    branches = continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G")
+    assert branches
+    assert len(fold_locations(branches)) == len(clean) >= 1
+    assert np.allclose(fold_locations(branches), clean, rtol=0, atol=1e-12)
+
+
 def test_parallel_serial_equivalence(wscc):
     base = dict(scenario=wscc, param="8.B", lo=-0.4, hi=-0.2, step=0.1, resolution=1e-3)
     serial = run_sweep(SweepSpec(**base, jobs=1))

@@ -180,6 +180,8 @@ def test_trajectory_time_axis():
 def test_integrate_rejects_bad_horizon():
     with pytest.raises(ValueError):
         sw.integrate(lambda y: y, np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="one state"):
+        sw.integrate(lambda y: y, np.ones((2, 1)), 1.0)
 
 
 def test_import_and_load_leave_scipy_integrate_unloaded():
@@ -199,14 +201,13 @@ def test_import_and_load_leave_scipy_integrate_unloaded():
 def test_stacked_row_fails_alone():
     """A row whose step size underflows fails without stopping the others."""
     blowup = lambda y: y**2  # escapes at t = 1 / y0
-    traj = sw.integrate(blowup, np.array([[1.0], [0.25]]), 2.0)
-    assert 0.9 < traj.failed[0] <= 2.0 and np.isnan(traj.failed[1])
+    failed, ok = sw.integrate_rows(blowup, np.array([[1.0], [0.25]]), 2.0)
+    assert isinstance(failed, IntegrationError) and 0.9 < failed.time <= 2.0
     with pytest.raises(IntegrationError) as err:
-        traj.row(0)
-    assert err.value.time == traj.failed[0]
+        sw.integrate(blowup, np.array([1.0]), 2.0)
+    assert err.value.time == failed.time
     alone = sw.integrate(blowup, np.array([0.25]), 2.0)
-    assert np.array_equal(traj.row(1).t, alone.t)
-    assert np.isnan(traj.sample(np.array([1.5]))[0, 0, 0])
+    assert np.array_equal(ok.t, alone.t)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,7 @@ def test_dispatch_stationarity_residual(wscc, nominal_ctx):
 def test_dispatch_stationarity_across_sweep_points(wscc, b_c):
     sc = wscc.with_load("8", complex(0.969, b_c))
     red_pre, _, _ = fs.regimes(sc)
-    gp = fs.generator_params(sc, red_pre)
-    delta_pre, _ = fs.prefault_state(sc)
+    gp, delta_pre = fs.generator_params(sc, red_pre)
     x = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
     assert np.max(np.abs(sw.swing_field(red_pre, gp)(x.packed()))) <= 1e-12
 
