@@ -20,7 +20,6 @@ from .equilibria import (
     EquilibriumPoint,
     closest_uep,
     continue_branch,
-    enumerate_ueps,
     find_sep,
     fold_locations,
     stationary_points,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 no admissible parameter point, 3 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -37,10 +38,10 @@ def _parse_range(text: str, want_step: bool) -> tuple[float, float, float | None
         step = float(parts[2]) if len(parts) == 3 else None
     except ValueError:
         raise ScenarioFormatError(f"range {text!r}: values must be numbers") from None
-    if not lo < hi:
-        raise ScenarioFormatError(f"range {text!r}: lo must be below hi")
-    if step is not None and not step > 0:
-        raise ScenarioFormatError(f"range {text!r}: step must be positive")
+    if not -math.inf < lo < hi < math.inf:
+        raise ScenarioFormatError(f"range {text!r}: lo must be below hi, both finite")
+    if step is not None and not 0.0 < step < math.inf:
+        raise ScenarioFormatError(f"range {text!r}: step must be positive and finite")
     return lo, hi, step
 
 

@@ -17,11 +17,13 @@ import numpy as np
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate, integrate_rows, swing_field
+from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate_rows, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
 NO_CROSSING = "no-crossing"
+#: fault-on horizon of the tau_H crossing search [s]
+TAU_H_HORIZON = 2.0
 
 _ALPHA_DEGENERATE = 1e-12
 
@@ -186,20 +188,18 @@ def tau_A(qc: QuarticCoefficients) -> float | str:
 
 
 def fault_on_trajectory(
-    fom: FaultOnHamiltonianModel | Sequence[FaultOnHamiltonianModel],
-    gp: GeneratorParams | Sequence[GeneratorParams],
-    x_pre: SystemState | Sequence[SystemState],
+    fom: Sequence[FaultOnHamiltonianModel],
+    gp: Sequence[GeneratorParams],
+    x_pre: Sequence[SystemState],
     horizon: float,
     tol: float = 1e-8,
     atol: float = 1e-10,
-) -> Trajectory | list[Trajectory | IntegrationError]:
-    """Integrate the exact fault-on dynamics from the pre-fault operating point.
+) -> list[Trajectory | IntegrationError]:
+    """Integrate the exact fault-on dynamics from the pre-fault operating points.
 
-    fom, gp and x_pre describe one fault (see `integrate`), or are
-    equal-length sequences for one stacked run (see `integrate_rows`).
+    fom, gp and x_pre are equal-length sequences, one entry per fault; the
+    faults are one stacked run (see `integrate_rows`).
     """
-    if isinstance(fom, FaultOnHamiltonianModel):
-        return integrate(swing_field(fom.red_on, gp), x_pre, horizon, tol=tol, atol=atol)
     stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
     return integrate_rows(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
 
@@ -208,18 +208,17 @@ def tau_H(
     hm: HamiltonianModel,
     E_c: float,
     trajectory: Trajectory,
-    horizon: float = 2.0,
     locate_tol: float = 1e-6,
 ) -> float | str:
     """First time the post-fault energy of the fault-on trajectory hits E_c.
 
     `trajectory` is the fault-on run from the pre-fault operating point and
-    must cover the horizon.  The crossing is bracketed on a fine sampling of
+    must cover TAU_H_HORIZON.  The crossing is bracketed on a fine sampling of
     its dense output and located by bisection to `locate_tol` seconds.
     Returns NO_CROSSING if the level is never reached within the horizon.
     """
-    if trajectory.t_end < horizon:
-        raise ValueError(f"fault-on run ends at t={trajectory.t_end:.6g}, before the horizon {horizon:.6g}")
+    if trajectory.t_end < TAU_H_HORIZON:
+        raise ValueError(f"fault-on run ends at t={trajectory.t_end:.6g}, before the horizon {TAU_H_HORIZON:.6g}")
     gamma = energy_margin(E_c, hm, trajectory.state(0.0))
     if gamma < 0.0:
         raise InadmissibleScenario(
@@ -232,7 +231,7 @@ def tau_H(
         return hamiltonian(hm, trajectory.sample(ts)) - E_c
 
     ts = np.unique(np.concatenate([
-        trajectory.t[trajectory.t <= horizon], np.arange(0.0, horizon, 1e-3), [horizon],
+        trajectory.t[trajectory.t <= TAU_H_HORIZON], np.arange(0.0, TAU_H_HORIZON, 1e-3), [TAU_H_HORIZON],
     ]))
     g = excess(ts)
     above = np.nonzero(g >= 0.0)[0]

@@ -26,6 +26,8 @@ _EIG_AXIS_TOL = 1e-9
 _STALL = 3
 #: continue_branch re-enumerates at every this fraction of its range
 _CHECKPOINT_STEP = 0.05
+#: fold_locations pools folds closer than this in the parameter
+_FOLD_MERGE = 0.02
 
 
 def _newton(
@@ -91,7 +93,6 @@ class CriticalEnergy:
 
     closest_uep: EquilibriumPoint
     E_c: float
-    candidates: tuple[EquilibriumPoint, ...]
 
 
 def _spectrum(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
@@ -127,8 +128,6 @@ def find_sep(
     red: ReducedNetwork,
     gp: GeneratorParams,
     guess: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> tuple[EquilibriumPoint, HamiltonianModel]:
     """Locate the stable post-fault equilibrium and its anchored model.
 
@@ -138,9 +137,9 @@ def find_sep(
     """
     guess = np.asarray(guess, dtype=float)
     kernel = Coupling(red, gp.active)
-    X, converged = _newton(kernel, gp.Pm[gp.active], guess[None, :], tol, max_iter)
+    X, converged = _newton(kernel, gp.Pm[gp.active], guess[None, :])
     if not converged[0]:
-        raise EquilibriumError(f"SEP Newton did not converge in {max_iter} iterations")
+        raise EquilibriumError("SEP Newton did not converge")
     delta = X[0]
     if np.max(np.abs(delta - guess)) >= np.pi:
         raise EquilibriumError("Newton left the principal cell of the initial guess")
@@ -227,25 +226,13 @@ def stationary_points(
     return points
 
 
-def enumerate_ueps(
-    hm: HamiltonianModel,
-    box: tuple[np.ndarray, np.ndarray] | None = None,
-    grid_density: int = 40,
-) -> list[EquilibriumPoint]:
-    """Type-1 saddles around the SEP (the critical-energy candidate set)."""
-    return [p for p in stationary_points(hm, box, grid_density) if p.type_index == 1]
-
-
-def closest_uep(S: Sequence[EquilibriumPoint], hm: HamiltonianModel) -> CriticalEnergy:
+def closest_uep(S: Sequence[EquilibriumPoint]) -> CriticalEnergy:
     """Minimum-energy type-1 saddle; non-type-1 entries are filtered out."""
-    type1 = sorted(
-        (p for p in S if p.type_index == 1),
-        key=lambda p: (p.energy, tuple(np.round(p.delta, 9))),
-    )
+    type1 = [p for p in S if p.type_index == 1]
     if not type1:
         raise EquilibriumError("no energy boundary: type-1 UEP set is empty")
-    best = type1[0]
-    return CriticalEnergy(closest_uep=best, E_c=best.energy, candidates=tuple(type1))
+    best = min(type1, key=lambda p: (p.energy, tuple(np.round(p.delta, 9))))
+    return CriticalEnergy(closest_uep=best, E_c=best.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +296,7 @@ def _trace(
 
     branch = Branch(points=[(p0, point0)])
     direction = 1.0 if p_stop >= p0 else -1.0
-    step = abs(initial_step)
+    step = initial_step
     p_prev, d_prev = p0, point0.delta
     last_type = point0.type_index
     p_prev2: float | None = None
@@ -328,7 +315,7 @@ def _trace(
             p_prev2, d_prev2 = p_prev, d_prev
             p_prev, d_prev = p_next, point.delta
             last_type = point.type_index
-            step = min(step * 1.5, abs(initial_step))
+            step = min(step * 1.5, initial_step)
             continue
         if step > step_floor:
             step = max(step / 2.0, step_floor)
@@ -373,8 +360,14 @@ def continue_branch(
     component ("<bus>.G" / "<bus>.B").  Seeds come from a full enumeration at
     the range start, re-enumerated at every _CHECKPOINT_STEP of the range to
     pick up disconnected branches; every new seed is traced in both directions.
-    Fold locations are refined to 1e-4 in the parameter.
+    Fold locations are refined to 1e-4 in the parameter.  Raises ValueError
+    unless lo < hi are finite and initial_step is positive and finite.
     """
+    lo, hi = prange
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"parameter range {prange}: need finite lo < hi")
+    if not 0.0 < initial_step < np.inf:
+        raise ValueError(f"initial step {initial_step!r}: must be positive and finite")
     if callable(source):
         factory: ModelFactory = source
     else:
@@ -385,9 +378,6 @@ def continue_branch(
 
         bus, part = parse_param_path(source, param)
         factory = hamiltonian_model_factory(source, bus, part)
-    lo, hi = prange
-    if hi <= lo:
-        raise ValueError("empty parameter range")
     branches: list[Branch] = []
 
     def is_covered(hm: HamiltonianModel, param: float, delta: np.ndarray) -> bool:
@@ -423,11 +413,11 @@ def continue_branch(
     return branches
 
 
-def fold_locations(branches: Sequence[Branch], merge_tol: float = 0.02) -> list[float]:
+def fold_locations(branches: Sequence[Branch]) -> list[float]:
     """Pooled fold parameter values, deduplicated across branch ends."""
     raw = sorted(f for br in branches for f in br.folds)
     out: list[float] = []
     for f in raw:
-        if not out or abs(f - out[-1]) > merge_tol:
+        if not out or abs(f - out[-1]) > _FOLD_MERGE:
             out.append(f)
     return out

@@ -30,8 +30,6 @@ WINDOW = 3.0
 SAMPLE_STEP = 0.005
 #: accepted integrator attempts between two checks of the verdict samples
 _BLOCK = 16
-#: fault-on horizon of the tau_H crossing search [s]
-TAU_H_HORIZON = 2.0
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,7 @@ class FaultStudyResult:
 class StudyContext:
     """Prepared pipeline shared by the metric computations."""
 
-    sc: FaultScenario
     red_pre: nm.ReducedNetwork
-    red_on: nm.ReducedNetwork
     red_post: nm.ReducedNetwork
     gp: sw.GeneratorParams
     x_pre: sw.SystemState
@@ -160,16 +156,16 @@ def build_context(sc: FaultScenario) -> StudyContext:
     gp, delta_pre, sep, hm = _post_fault(sc, red_pre, red_post)
     x_pre = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
 
-    ueps = eq.enumerate_ueps(hm)
+    points = eq.stationary_points(hm)
     try:
-        crit = eq.closest_uep(ueps, hm)
+        crit = eq.closest_uep(points)
     except EquilibriumError as exc:
         raise InadmissibleScenario(str(exc), code="no-boundary") from exc
 
     delta_E = en.energy_margin(crit.E_c, hm, x_pre)
     fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, delta_pre)
     return StudyContext(
-        sc=sc, red_pre=red_pre, red_on=red_on, red_post=red_post, gp=gp,
+        red_pre=red_pre, red_post=red_post, gp=gp,
         x_pre=x_pre, sep=sep, hm=hm, fom=fom, crit=crit, delta_E=delta_E,
     )
 
@@ -180,57 +176,45 @@ def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray)
     return np.abs(coupling.diffs(states[..., :m])[..., coupling.pairs] - ref)
 
 
-def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
-    """The distinct objects of items (by identity) in first-seen order, and
-    the index of each item among them."""
-    first: dict[int, int] = {}
-    index = np.array([first.setdefault(id(x), len(first)) for x in items], dtype=int)
-    return list({id(x): x for x in items}.values()), index
-
-
 def first_swing_stable(
-    ctx: StudyContext | Sequence[StudyContext],
-    fault_on: sw.Trajectory | Sequence[sw.Trajectory],
-    t_cl: float | Sequence[float],
+    ctx: Sequence[StudyContext],
+    fault_on: Sequence[sw.Trajectory],
+    t_cl: Sequence[Sequence[float]],
     tol: float = 1e-8,
-) -> bool | np.ndarray:
-    """First-swing verdicts for faults cleared at t_cl.
+) -> list[np.ndarray]:
+    """First-swing verdicts for faults cleared at the times t_cl.
 
-    Takes one case (a context, its fault-on trajectory and a clearing time)
-    and returns a bool, or equal-length sequences of the three and returns
-    one verdict per row; the rows are integrated as one stack, each with its
-    own post-fault network and step control.  A row's post-fault run starts
-    from its fault-on trajectory's state at t_cl.  Stable means every
-    pairwise rotor-angle difference stays within DIVERGENCE_THRESHOLD of its
-    post-fault equilibrium value over the observation window (WINDOW) and swings back
-    (reaches a peak and retreats), judged on the dense output every
-    SAMPLE_STEP.  The samples are checked as the steps arrive, every _BLOCK
-    accepted attempts, and a row leaves the stack once it diverges.
+    ctx, fault_on and t_cl are equal-length sequences with one entry per
+    point: its context, its fault-on trajectory and its clearing times.
+    Returns one bool array per point, one verdict per clearing time.  All
+    rows are integrated as one stack, each with its point's post-fault
+    network and its own step control, from the fault-on state at its
+    clearing time.  Stable means every pairwise rotor-angle difference stays
+    within DIVERGENCE_THRESHOLD of its post-fault equilibrium value over the
+    observation window (WINDOW) and swings back (reaches a peak and
+    retreats), judged on the dense output every SAMPLE_STEP.  The samples
+    are checked as the steps arrive, every _BLOCK accepted attempts, and a
+    row leaves the stack once it diverges.
     """
-    single = isinstance(ctx, StudyContext)
-    if single:
-        ctx, fault_on, t_cl = [ctx], [fault_on], [t_cl]
-    t_cl = np.asarray(t_cl, dtype=float)
-    for fo, t in zip(fault_on, t_cl):
-        if not 0.0 <= t <= fo.t_end:
-            raise ValueError(f"clearing time {t:.6g} outside the fault-on run [0, {fo.t_end:.6g}]")
+    times = [np.asarray(t, dtype=float) for t in t_cl]
+    for fo, tp in zip(fault_on, times):
+        for t in tp:
+            if not 0.0 <= t <= fo.t_end:
+                raise ValueError(f"clearing time {t:.6g} outside the fault-on run [0, {fo.t_end:.6g}]")
+    sizes = [tp.size for tp in times]
+    of_point = np.repeat(np.arange(len(ctx)), sizes)
 
-    # one field and one SEP reference per context, one dense-output read per run
-    ctxs, of_ctx = _distinct(ctx)
-    coupling = ctxs[0].hm.coupling
-    field = sw.SwingField.stack([sw.swing_field(c.red_post, c.gp) for c in ctxs]).take(of_ctx)
+    coupling = ctx[0].hm.coupling
+    field = sw.SwingField.stack([sw.swing_field(c.red_post, c.gp) for c in ctx]).take(of_point)
     # pairwise angle differences at each row's post-fault SEP
-    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctxs])[of_ctx]
-    runs, of_run = _distinct(fault_on)
-    state = np.empty((t_cl.size, 2 * coupling.act.size))
-    for j, fo in enumerate(runs):
-        state[of_run == j] = fo.sample(t_cl[of_run == j])
+    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctx])[of_point]
+    state = np.concatenate([fo.sample(tp) for fo, tp in zip(fault_on, times)])
 
     ts = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
     peak = np.zeros(ref.shape)
     returned = np.zeros(ref.shape, dtype=bool)
-    diverged = np.zeros(t_cl.size, dtype=bool)
-    failed = np.full(t_cl.size, np.nan)
+    diverged = np.zeros(of_point.size, dtype=bool)
+    failed = np.full(of_point.size, np.nan)
 
     def check(block: list) -> np.ndarray:
         """Fold a block of steps into the verdict state; the rows it diverged."""
@@ -268,7 +252,7 @@ def first_swing_stable(
             check(block)
     # a failed run counts as diverged
     stable = ~diverged & np.isnan(failed) & np.all(returned | (peak < SMALL_SWING), axis=1)
-    return bool(stable[0]) if single else stable
+    return np.split(stable, np.cumsum(sizes)[:-1])
 
 
 def _midpoints(lo: float, hi: float, resolution: float, levels: int) -> list[float]:
@@ -314,14 +298,14 @@ def check_search(resolution: float, horizon: float, tol: float) -> None:
 
 
 def true_cct(
-    ctx: StudyContext | Sequence[StudyContext],
-    fault_on: sw.Trajectory | Sequence[sw.Trajectory],
+    ctx: Sequence[StudyContext],
+    fault_on: Sequence[sw.Trajectory],
     resolution: float = 1e-4,
     horizon: float = 1.0,
     tol: float = 1e-8,
-) -> tuple[float | str, str | None] | list[tuple[float | str, str | None]]:
-    """Binary search for the largest stable clearing time, for one point or
-    for equal-length sequences of points in lockstep.
+) -> list[tuple[float | str, str | None]]:
+    """Binary search for the largest stable clearing time of each point;
+    ctx and fault_on are equal-length sequences, searched in lockstep.
 
     Every clearing state is read from the point's fault-on trajectory, which
     must cover the horizon.  Each round checks, in one batched verdict call,
@@ -335,9 +319,6 @@ def true_cct(
     of a post-fault system unstable even at instant clearing.
     """
     check_search(resolution, horizon, tol)
-    single = isinstance(ctx, StudyContext)
-    if single:
-        ctx, fault_on = [ctx], [fault_on]
     for fo in fault_on:
         if fo.t_end < horizon:
             raise ValueError(f"fault-on run ends at t={fo.t_end:.6g}, before the horizon {horizon:.6g}")
@@ -345,17 +326,18 @@ def true_cct(
     results: list = [None] * len(ctx)
     while open_points := [p for p, r in enumerate(results) if r is None]:
         levels = max(3, int(math.log2(ROWS_PER_ROUND / len(open_points) + 1)))
-        rows = []
+        wanted = {}
         for p in open_points:
-            results[p], wanted = _bisect(known[p], horizon, resolution, levels)
-            rows += [(p, t) for t in wanted]
-        if rows:
+            results[p], w = _bisect(known[p], horizon, resolution, levels)
+            if w:
+                wanted[p] = w
+        if wanted:
             stable = first_swing_stable(
-                [ctx[p] for p, _ in rows], [fault_on[p] for p, _ in rows], [t for _, t in rows], tol=tol
+                [ctx[p] for p in wanted], [fault_on[p] for p in wanted], list(wanted.values()), tol=tol
             )
-            for (p, t), verdict in zip(rows, stable):
-                known[p][t] = bool(verdict)
-    return results[0] if single else results
+            for (p, w), verdicts in zip(wanted.items(), stable):
+                known[p].update(zip(w, verdicts.tolist()))
+    return results
 
 
 def run_fault_studies(
@@ -374,62 +356,51 @@ def run_fault_studies(
     a resolution, horizon or tol that is not positive and finite.
     """
     check_search(resolution, horizon, tol)
-    results: list[FaultStudyResult | None] = [None] * len(scenarios)
+    # the FaultStudyResult fields of each scenario, filled in as they are found
+    fields = []
     admitted = []
-    for i, sc in enumerate(scenarios):
+    for sc in scenarios:
+        f = dict(
+            tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
+            admissible=False, verdicts={}, message=None,
+        )
+        fields.append(f)
         try:
             ctx = build_context(sc)
         except InadmissibleScenario as exc:
-            results[i] = FaultStudyResult(
-                tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
-                admissible=False, verdicts={"scenario": exc.code}, message=str(exc),
-            )
+            f.update(verdicts={"scenario": exc.code}, message=str(exc))
             continue
+        f.update(delta_E=ctx.delta_E, E_c=ctx.crit.E_c, closest_uep=ctx.crit.closest_uep)
         if ctx.delta_E <= 0.0:
-            results[i] = FaultStudyResult(
-                tau=None, tau_H=None, tau_A=None, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
-                closest_uep=ctx.crit.closest_uep, admissible=False,
-                verdicts={"scenario": "negative-margin"},
-            )
+            f["verdicts"]["scenario"] = "negative-margin"
             continue
         qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
-        t_A = en.tau_A(qc)
-        verdicts = {"tau_A": t_A} if isinstance(t_A, str) else {}
-        admitted.append((i, ctx, t_A, verdicts))
-
-    def admitted_result(ctx, t, t_H, t_A, verdicts) -> FaultStudyResult:
-        return FaultStudyResult(
-            tau=t, tau_H=t_H, tau_A=t_A, delta_E=ctx.delta_E, E_c=ctx.crit.E_c,
-            closest_uep=ctx.crit.closest_uep, admissible=True, verdicts=verdicts,
-        )
+        f.update(admissible=True, tau_A=en.tau_A(qc))
+        admitted.append((f, ctx))
 
     searched = []
     if admitted:
         fault_on = en.fault_on_trajectory(
-            [c.fom for _, c, _, _ in admitted], [c.gp for _, c, _, _ in admitted],
-            [c.x_pre for _, c, _, _ in admitted], max(horizon, TAU_H_HORIZON), tol=tol,
+            [c.fom for _, c in admitted], [c.gp for _, c in admitted], [c.x_pre for _, c in admitted],
+            max(horizon, en.TAU_H_HORIZON), tol=tol,
         )
-        for (i, ctx, t_A, verdicts), fo in zip(admitted, fault_on):
+        for (f, ctx), fo in zip(admitted, fault_on):
             if isinstance(fo, IntegrationError):
-                verdicts["tau"] = verdicts["tau_H"] = INTEGRATION_FAILED
-                results[i] = admitted_result(ctx, None, None, t_A, verdicts)
-                continue
-            t_H = en.tau_H(ctx.hm, ctx.crit.E_c, fo, horizon=TAU_H_HORIZON)
-            if isinstance(t_H, str):
-                verdicts["tau_H"] = t_H
-            searched.append((i, ctx, fo, t_A, t_H, verdicts))
-    if searched:
-        taus = true_cct(
-            [s[1] for s in searched], [s[2] for s in searched],
-            resolution=resolution, horizon=horizon, tol=tol,
-        )
-        for (i, ctx, _fo, t_A, t_H, verdicts), (t, t_verdict) in zip(searched, taus):
-            if isinstance(t, str):
-                verdicts["tau"] = t
-            elif t_verdict is not None:
-                verdicts["tau"] = t_verdict
-            results[i] = admitted_result(ctx, t, t_H, t_A, verdicts)
-    return results
+                f["verdicts"].update(tau=INTEGRATION_FAILED, tau_H=INTEGRATION_FAILED)
+            else:
+                f["tau_H"] = en.tau_H(ctx.hm, ctx.crit.E_c, fo)
+                searched.append((f, ctx, fo))
+    taus = true_cct(
+        [s[1] for s in searched], [s[2] for s in searched], resolution=resolution, horizon=horizon, tol=tol
+    )
+    for (f, _ctx, _fo), (t, t_verdict) in zip(searched, taus):
+        f["tau"] = t
+        if t_verdict is not None:
+            f["verdicts"]["tau"] = t_verdict
+    for f in fields:
+        # a metric without a time carries its verdict string
+        f["verdicts"].update((k, f[k]) for k in ("tau", "tau_H", "tau_A") if isinstance(f[k], str))
+    return [FaultStudyResult(**f) for f in fields]
 
 
 def run_fault_study(

@@ -13,6 +13,9 @@ from .errors import ScenarioFormatError
 from .faultstudy import FaultScenario, FaultStudyResult, check_search, run_fault_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
+#: closest-UEP positions further apart than this across one grid interval
+#: count as a switch between branches [rad, modulo 2*pi]
+UEP_JUMP = 0.5
 
 
 def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
@@ -43,10 +46,12 @@ class SweepSpec:
     outputs: tuple[str, ...] = ("csv", "svg")
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ScenarioFormatError(f"range [{self.lo}, {self.hi}]: lo must be below hi")
-        if not self.step > 0:
-            raise ScenarioFormatError(f"step {self.step}: must be positive")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ScenarioFormatError(f"range [{self.lo}, {self.hi}]: lo must be below hi, both finite")
+        if not 0.0 < self.step < np.inf:
+            raise ScenarioFormatError(f"step {self.step}: must be positive and finite")
+        if self.jobs < 1:
+            raise ScenarioFormatError(f"jobs {self.jobs}: must be at least 1")
         parse_param_path(self.scenario, self.param)
         try:
             check_search(self.resolution, self.horizon, self.tol)
@@ -149,11 +154,11 @@ def find_optimum(rows: Sequence[SweepRow], metric: str) -> tuple[float, float]:
     return best
 
 
-def detect_uep_switches(rows: Sequence[SweepRow], jump_tol: float = 0.5) -> list[float]:
+def detect_uep_switches(rows: Sequence[SweepRow]) -> list[float]:
     """Parameter values where the closest UEP jumps between branches.
 
     Reported as the midpoint of the first grid interval whose endpoints hold
-    closest-UEP positions further apart than jump_tol (angles modulo 2*pi).
+    closest-UEP positions further apart than UEP_JUMP (angles modulo 2*pi).
     """
     switches = []
     prev: SweepRow | None = None
@@ -161,7 +166,7 @@ def detect_uep_switches(rows: Sequence[SweepRow], jump_tol: float = 0.5) -> list
         if not row.admissible or row.closest is None:
             prev = None
             continue
-        if prev is not None and wrapped_distance(np.array(row.closest), np.array(prev.closest)) > jump_tol:
+        if prev is not None and wrapped_distance(np.array(row.closest), np.array(prev.closest)) > UEP_JUMP:
             switches.append(0.5 * (prev.param + row.param))
         prev = row
     return switches

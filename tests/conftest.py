@@ -23,8 +23,25 @@ def nominal_ctx(wscc):
 @pytest.fixture(scope="session")
 def nominal_fault_on(nominal_ctx):
     """Fault-on run of the nominal fault to 2 s, as `run_fault_study` integrates it."""
-    ctx = nominal_ctx
-    return en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 2.0)
+    return fault_on(nominal_ctx, 2.0)
+
+
+def fault_on(ctx, horizon, **kw):
+    """`energy.fault_on_trajectory` of one context; raises if the run fails."""
+    (run,) = en.fault_on_trajectory([ctx.fom], [ctx.gp], [ctx.x_pre], horizon, **kw)
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
+def stable(ctx, fo, t):
+    """`faultstudy.first_swing_stable` of one clearing time of one point."""
+    return bool(fs.first_swing_stable([ctx], [fo], [[t]])[0][0])
+
+
+def cct(ctx, fo, **kw):
+    """`faultstudy.true_cct` of one point."""
+    return fs.true_cct([ctx], [fo], **kw)[0]
 
 
 def smib(Pm: float = 0.5, Pbar: float = 1.0, M: float = 0.1):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cct, fault_on, stable
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -303,8 +304,9 @@ def test_criterion_8d_quartic_oracle():
 
 
 def test_criterion_8e_uep_enumeration(nominal_ctx):
-    a = eq.enumerate_ueps(nominal_ctx.hm, grid_density=40)
-    b = eq.enumerate_ueps(nominal_ctx.hm, grid_density=80)
+    a, b = (
+        [p for p in eq.stationary_points(nominal_ctx.hm, grid_density=d) if p.type_index == 1] for d in (40, 80)
+    )
     ok = len(a) == len(b) and all(
         eq.wrapped_distance(pa.delta, pb.delta) <= 1e-6 for pa, pb in zip(a, b)
     )
@@ -313,9 +315,9 @@ def test_criterion_8e_uep_enumeration(nominal_ctx):
 
 def test_criterion_8f_cct_bracket(nominal_ctx, nominal_fault_on):
     resolution = 1e-4
-    t, _ = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=resolution)
-    stable_below = fs.first_swing_stable(nominal_ctx, nominal_fault_on, t - 2 * resolution)
-    unstable_above = not fs.first_swing_stable(nominal_ctx, nominal_fault_on, t + 2 * resolution)
+    t, _ = cct(nominal_ctx, nominal_fault_on, resolution=resolution)
+    stable_below = stable(nominal_ctx, nominal_fault_on, t - 2 * resolution)
+    unstable_above = not stable(nominal_ctx, nominal_fault_on, t + 2 * resolution)
     ok = stable_below and unstable_above
     check("8f", ok, f"tau={t:.5f}: stable at -2res={stable_below}, unstable at +2res={unstable_above}")
 
@@ -344,7 +346,7 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
     defect = 0.5 * float((dPbar[iu, ku] * (u[iu] - u[ku])) @ (dd_pre - np.sin(dd_pre)))
 
     h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
-    traj = en.fault_on_trajectory(ctx.fom, gp, ctx.x_pre, 0.02, tol=1e-12, atol=1e-14)
+    traj = fault_on(ctx, 0.02, tol=1e-12, atol=1e-14)
     ts = np.logspace(-4, -2, 25)
     h = en.hamiltonian(ctx.hm, traj.sample(ts))
     diffs = np.abs(h0 + np.asarray(qc.h_alt(ts)) - defect * ts**2 - h)

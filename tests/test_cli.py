@@ -216,10 +216,28 @@ def test_cli_branches(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rng, message",
-    [("9:8", "lo must be below hi"), ("8:9:-0.05", "step must be positive"), ("8:9:0", "step must be positive")],
+    [
+        ("9:8", "lo must be below hi"), ("8:9:-0.05", "step must be positive"), ("8:9:0", "step must be positive"),
+        ("0:inf", "both finite"), ("-inf:0", "both finite"), ("nan:1", "both finite"),
+        ("8:9:inf", "positive and finite"), ("8:9:nan", "positive and finite"),
+    ],
 )
 def test_cli_branches_bad_range(rng, message, tmp_path, capsys):
     rc = cli.main(["branches", "wscc9-tmib", "--param", "8.G", "--range", rng, "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--range", "-10:inf:0.05", "both finite"), ("--range", "-inf:0:0.05", "both finite"),
+     ("--jobs", "0", "at least 1"), ("--jobs", "-2", "at least 1")],
+)
+def test_cli_sweep_bad_range_or_jobs(flag, value, message, tmp_path, capsys):
+    args = {"--range": "-1:0:0.5", "--jobs": "1", flag: value}
+    argv = ["sweep", "wscc9-tmib", "--param", "8.B", "--out", str(tmp_path / "rep")]
+    rc = cli.main(argv + [part for item in args.items() for part in item])
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()

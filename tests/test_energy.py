@@ -1,9 +1,11 @@
 """Energy functions, quartic coefficients, and the two energy CCT metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import smib
+from conftest import fault_on, smib
 from swingcct import energy as en
 from swingcct import faultstudy as fs
 from swingcct import swing as sw
@@ -116,7 +118,7 @@ def test_accelerations_match_short_trajectory(nominal_ctx):
     """u agrees with 2 (delta(h) - delta_pre) / h^2 on a short fault run."""
     ctx = nominal_ctx
     h = 1e-3
-    traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, h, tol=1e-10, atol=1e-12)
+    traj = fault_on(ctx, h, tol=1e-10, atol=1e-12)
     d_h = traj.sample(np.array([h]))[0][:2]
     u_fd = 2.0 * (d_h - ctx.x_pre.delta) / h**2
     u = en.initial_accelerations(ctx.fom, ctx.gp)[ctx.gp.active]
@@ -240,18 +242,18 @@ def test_tau_h_zero_margin(nominal_ctx, nominal_fault_on):
 
 def test_tau_h_no_crossing_without_fault(nominal_ctx):
     ctx = nominal_ctx
-    traj = en.fault_on_trajectory(null_fault(ctx), ctx.gp, ctx.x_pre, 0.5)
-    got = en.tau_H(ctx.hm, ctx.crit.E_c, traj, horizon=0.5)
+    null = replace(ctx, fom=null_fault(ctx))
+    got = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on(null, en.TAU_H_HORIZON))
     assert got == en.NO_CROSSING
     with pytest.raises(ValueError, match="before the horizon"):
-        en.tau_H(ctx.hm, ctx.crit.E_c, traj, horizon=2.0)
+        en.tau_H(ctx.hm, ctx.crit.E_c, fault_on(null, 0.5))
 
 
 def test_tau_h_dense_scan_oracle(nominal_ctx, nominal_fault_on):
     """Crossing agrees with a brute-force fixed-step scan at 1e-5 s."""
     ctx = nominal_ctx
     t_h = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
-    traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.3, tol=1e-10, atol=1e-12)
+    traj = fault_on(ctx, 0.3, tol=1e-10, atol=1e-12)
     ts = np.arange(0.0, 0.3, 1e-5)
     g = en.hamiltonian(ctx.hm, traj.sample(ts)) - ctx.crit.E_c
     first = ts[np.argmax(g >= 0.0)]
@@ -291,7 +293,7 @@ def test_smib_tau_h_against_separatrix():
     x_pre = sw.SystemState(delta=sep.delta, omega=np.zeros(1))
     fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, x_pre.delta)
     E_c = en.potential(hm, np.array([np.pi - np.arcsin(0.3)]))
-    t_h = en.tau_H(hm, E_c, en.fault_on_trajectory(fom, gp, x_pre, 2.0))
+    t_h = en.tau_H(hm, E_c, en.fault_on_trajectory([fom], [gp], [x_pre], 2.0)[0])
     # constant acceleration u: delta(t) = d_s + u t^2 / 2, H grows accordingly;
     # invert H(t) = E_c numerically as the oracle
     u = gp.Pm[0] / gp.M[0]

@@ -20,6 +20,11 @@ from swingcct.swing import Coupling, GeneratorParams
 RNG = np.random.default_rng(17)
 
 
+def saddles(hm, **kw):
+    """The type-1 stationary points of `hm`."""
+    return [p for p in eq.stationary_points(hm, **kw) if p.type_index == 1]
+
+
 def symmetric_three_machine():
     """Two identical machines plus an infinite bus, lossless, unloaded."""
     Pbar = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -126,7 +131,7 @@ def test_classification_reproducible_by_fresh_eigensolve(nominal_ctx):
 def test_pendulum_saddle_energy_gap(pendulum):
     red, gp = pendulum
     sep, hm = eq.find_sep(red, gp, np.zeros(1))
-    ueps = eq.enumerate_ueps(hm)
+    ueps = saddles(hm)
     assert len(ueps) == 1
     assert ueps[0].delta[0] == pytest.approx(np.pi, abs=1e-9)
     gap = ueps[0].energy - en.potential(hm, sep.delta)
@@ -136,8 +141,8 @@ def test_pendulum_saddle_energy_gap(pendulum):
 def test_enumeration_matches_denser_grid(nominal_ctx):
     """40x40 and 80x80 multistart grids find the same saddle set."""
     ctx = nominal_ctx
-    a = eq.enumerate_ueps(ctx.hm, grid_density=40)
-    b = eq.enumerate_ueps(ctx.hm, grid_density=80)
+    a = saddles(ctx.hm, grid_density=40)
+    b = saddles(ctx.hm, grid_density=80)
     assert len(a) == len(b)
     for pa, pb in zip(a, b):
         assert eq.wrapped_distance(pa.delta, pb.delta) <= 1e-6
@@ -217,7 +222,7 @@ def test_empty_uep_set_is_valid_return(pendulum):
     red, gp = pendulum
     _sep, hm = eq.find_sep(red, gp, np.zeros(1))
     box = (np.array([-0.5]), np.array([0.5]))  # box without the saddle
-    assert eq.enumerate_ueps(hm, box=box, grid_density=10) == []
+    assert saddles(hm, box=box, grid_density=10) == []
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +232,8 @@ def test_empty_uep_set_is_valid_return(pendulum):
 
 def test_closest_uep_singleton(nominal_ctx):
     ctx = nominal_ctx
-    ueps = eq.enumerate_ueps(ctx.hm)
-    crit = eq.closest_uep(ueps, ctx.hm)
+    ueps = saddles(ctx.hm)
+    crit = eq.closest_uep(ueps)
     assert crit.closest_uep in tuple(ueps)
     assert crit.E_c == crit.closest_uep.energy
 
@@ -236,15 +241,16 @@ def test_closest_uep_singleton(nominal_ctx):
 def test_closest_uep_filters_and_is_permutation_invariant(nominal_ctx):
     ctx = nominal_ctx
     pts = eq.stationary_points(ctx.hm)  # includes the SEP (type 0)
-    crit_a = eq.closest_uep(pts, ctx.hm)
-    crit_b = eq.closest_uep(list(reversed(pts)), ctx.hm)
+    crit_a = eq.closest_uep(pts)
+    crit_b = eq.closest_uep(list(reversed(pts)))
     assert np.array_equal(crit_a.closest_uep.delta, crit_b.closest_uep.delta)
-    assert all(p.type_index == 1 for p in crit_a.candidates)
+    # the SEP in pts has the lower energy, so this holds only if it is filtered out
+    assert crit_a.closest_uep.type_index == 1
 
 
 def test_closest_uep_empty_raises(nominal_ctx):
     with pytest.raises(EquilibriumError, match="no energy boundary"):
-        eq.closest_uep([], nominal_ctx.hm)
+        eq.closest_uep([])
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +309,15 @@ def test_continue_branch_scenario_signature(wscc):
     assert branches and any(br.folds for br in branches)
     with pytest.raises(ValueError, match="parameter path"):
         eq.continue_branch(wscc, (-4.0, -3.5))
+
+
+@pytest.mark.parametrize(
+    "prange, step",
+    [((-1.0, 0.0), 0.0), ((-1.0, 0.0), -0.05), ((-1.0, 0.0), float("nan")), ((-1.0, 0.0), float("inf")),
+     ((0.0, -1.0), 0.05), ((-1.0, float("inf")), 0.05), ((float("nan"), 0.0), 0.05)],
+)
+def test_continue_branch_bad_range_or_step_raises(wscc, monkeypatch, prange, step):
+    """A zero step would never advance: bad settings raise before any tracing."""
+    monkeypatch.setattr(eq, "stationary_points", None)
+    with pytest.raises(ValueError, match="finite"):
+        eq.continue_branch(wscc, prange, initial_step=step, param="8.B")

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import cct, fault_on, stable
 from swingcct import energy as en
 from swingcct import faultstudy as fs
 from swingcct import swing as sw
@@ -14,7 +15,7 @@ from swingcct.errors import IntegrationError
 def null_fault_context(ctx):
     """Context whose fault-on regime equals the pre-fault network."""
     fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_pre, ctx.gp, ctx.x_pre.delta)
-    return replace(ctx, red_on=ctx.red_pre, fom=fom)
+    return replace(ctx, fom=fom)
 
 
 # ---------------------------------------------------------------------------
@@ -23,33 +24,33 @@ def null_fault_context(ctx):
 
 
 def test_stable_at_instant_clearing(nominal_ctx, nominal_fault_on):
-    assert fs.first_swing_stable(nominal_ctx, nominal_fault_on, 0.0)
+    assert stable(nominal_ctx, nominal_fault_on, 0.0)
 
 
 def test_unstable_at_long_clearing(nominal_ctx, nominal_fault_on):
-    assert not fs.first_swing_stable(nominal_ctx, nominal_fault_on, 0.5)
+    assert not stable(nominal_ctx, nominal_fault_on, 0.5)
 
 
 def test_divergent_trajectory_is_unstable(nominal_ctx):
     """A clearing time far past critical sends angle pairs beyond pi."""
     ctx = nominal_ctx
-    traj = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.4)
+    traj = fault_on(ctx, 0.4)
     field = sw.swing_field(ctx.red_post, ctx.gp)
     post = sw.integrate(field, traj.state(0.4), 2.0)
     cp = ctx.hm.coupling
     exc = fs._pair_excursions(cp, post.sample(np.linspace(0, 2.0, 400)), cp.diffs(ctx.sep.delta)[cp.pairs])
     assert exc.max() >= np.pi  # confirms the mechanism behind the verdict
-    assert not fs.first_swing_stable(ctx, traj, 0.4)
+    assert not stable(ctx, traj, 0.4)
 
 
 def test_scenario_level_predicate(wscc):
     ctx = fs.build_context(wscc)
-    fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 1.0)
-    assert fs.first_swing_stable(ctx, fault_on, 0.05)
+    fo = fault_on(ctx, 1.0)
+    assert stable(ctx, fo, 0.05)
     with pytest.raises(ValueError):
-        fs.first_swing_stable(ctx, fault_on, -1.0)
+        stable(ctx, fo, -1.0)
     with pytest.raises(ValueError, match="outside the fault-on run"):
-        fs.first_swing_stable(ctx, fault_on, 1.5)
+        stable(ctx, fo, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -58,29 +59,29 @@ def test_scenario_level_predicate(wscc):
 
 
 def test_true_cct_brackets_nominal(nominal_ctx, nominal_fault_on):
-    t, verdict = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=1e-4)
+    t, verdict = cct(nominal_ctx, nominal_fault_on, resolution=1e-4)
     assert verdict is None
     assert 0.092 <= t <= 0.122
 
 
 def test_true_cct_bracket_width(nominal_ctx, nominal_fault_on):
     resolution = 5e-4
-    t, _ = fs.true_cct(nominal_ctx, nominal_fault_on, resolution=resolution)
+    t, _ = cct(nominal_ctx, nominal_fault_on, resolution=resolution)
     # lower endpoint of the final bracket: stable here, unstable at + width
-    assert fs.first_swing_stable(nominal_ctx, nominal_fault_on, t)
-    assert not fs.first_swing_stable(nominal_ctx, nominal_fault_on, t + resolution)
+    assert stable(nominal_ctx, nominal_fault_on, t)
+    assert not stable(nominal_ctx, nominal_fault_on, t + resolution)
 
 
-def serial_bisection(ctx, fault_on, resolution=1e-4, horizon=1.0):
+def serial_bisection(ctx, fo, resolution=1e-4, horizon=1.0):
     """Plain bisection on one-row verdicts: the search true_cct must reproduce."""
-    if not fs.first_swing_stable(ctx, fault_on, 0.0):
+    if not stable(ctx, fo, 0.0):
         return 0.0, "unstable-at-zero"
-    if fs.first_swing_stable(ctx, fault_on, horizon):
+    if stable(ctx, fo, horizon):
         return fs.UNBOUNDED, None
     lo, hi = 0.0, horizon
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if fs.first_swing_stable(ctx, fault_on, mid):
+        if stable(ctx, fo, mid):
             lo = mid
         else:
             hi = mid
@@ -89,19 +90,17 @@ def serial_bisection(ctx, fault_on, resolution=1e-4, horizon=1.0):
 
 def test_lockstep_true_cct_equals_serial_bisection(wscc, nominal_ctx, nominal_fault_on):
     ctxs = [nominal_ctx] + [fs.build_context(wscc.with_load_part("8", "G", g)) for g in (1.0, 5.0, 7.0)]
-    fault_ons = [nominal_fault_on] + [
-        en.fault_on_trajectory(c.fom, c.gp, c.x_pre, 2.0) for c in ctxs[1:]
-    ]
+    fault_ons = [nominal_fault_on] + [fault_on(c, 2.0) for c in ctxs[1:]]
     lockstep = fs.true_cct(ctxs, fault_ons)
     assert lockstep == [serial_bisection(c, fo) for c, fo in zip(ctxs, fault_ons)]
     # one open point checks 5 bisection levels per round, two check 4
-    assert fs.true_cct(ctxs[2], fault_ons[2]) == lockstep[2]
+    assert cct(ctxs[2], fault_ons[2]) == lockstep[2]
     assert fs.true_cct(ctxs[1:3], fault_ons[1:3]) == lockstep[1:3]
 
 
-def window_verdict(ctx, fault_on, t_cl):
+def window_verdict(ctx, fo, t_cl):
     """The first-swing rule on one full-window integrate run sampled every 5 ms."""
-    run = sw.integrate(sw.swing_field(ctx.red_post, ctx.gp), fault_on.sample([t_cl])[0], fs.WINDOW)
+    run = sw.integrate(sw.swing_field(ctx.red_post, ctx.gp), fo.sample([t_cl])[0], fs.WINDOW)
     ts = np.append(np.arange(0.0, fs.WINDOW, fs.SAMPLE_STEP), fs.WINDOW)
     cp = ctx.hm.coupling
     exc = fs._pair_excursions(cp, run.sample(ts), cp.diffs(ctx.sep.delta)[cp.pairs])
@@ -118,29 +117,29 @@ def test_streamed_verdicts_equal_full_window_runs(nominal_ctx, nominal_fault_on,
     take = sw.SwingField.take
     monkeypatch.setattr(sw.SwingField, "take", lambda self, rows: stacks.append(len(rows)) or take(self, rows))
     t_cl = np.linspace(0.0, 0.3, 40)
-    streamed = fs.first_swing_stable([nominal_ctx] * 40, [nominal_fault_on] * 40, t_cl)
+    (streamed,) = fs.first_swing_stable([nominal_ctx], [nominal_fault_on], [t_cl])
     assert stacks[0] == 40 and min(stacks) < 40  # rows left the stack
     assert 0 < streamed.sum() < 40
     assert streamed.tolist() == [window_verdict(nominal_ctx, nominal_fault_on, t) for t in t_cl]
-    assert streamed.tolist() == [fs.first_swing_stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
+    assert streamed.tolist() == [stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
 
 
 def test_batched_verdicts_equal_single_verdicts(nominal_ctx, nominal_fault_on):
     t_cl = [0.0, 0.05, 0.12, 0.3, 0.11]
-    batch = fs.first_swing_stable([nominal_ctx] * 5, [nominal_fault_on] * 5, t_cl)
-    assert batch.tolist() == [fs.first_swing_stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
+    (batch,) = fs.first_swing_stable([nominal_ctx], [nominal_fault_on], [t_cl])
+    assert batch.tolist() == [stable(nominal_ctx, nominal_fault_on, t) for t in t_cl]
     assert batch.tolist() == [True, True, False, False, True]
 
 
 def test_null_fault_unbounded(nominal_ctx):
     ctx = null_fault_context(nominal_ctx)
-    fault_on = en.fault_on_trajectory(ctx.fom, ctx.gp, ctx.x_pre, 0.5)
-    t, verdict = fs.true_cct(ctx, fault_on, horizon=0.5)
+    fo = fault_on(ctx, 2.0)
+    t, verdict = cct(ctx, fo, horizon=0.5)
     assert t == fs.UNBOUNDED and verdict is None
-    got = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on, horizon=0.5)
+    got = en.tau_H(ctx.hm, ctx.crit.E_c, fo)
     assert got == en.NO_CROSSING
     with pytest.raises(ValueError, match="before the horizon"):
-        fs.true_cct(ctx, fault_on, horizon=1.0)
+        cct(ctx, fault_on(ctx, 0.5), horizon=1.0)
 
 
 def test_unstable_at_zero_flag(wscc):
@@ -187,7 +186,7 @@ def test_study_makes_three_verdict_rounds(wscc, monkeypatch):
     original = fs.first_swing_stable
 
     def counted(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append(sum(len(t) for t in args[2]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fs, "first_swing_stable", counted)
@@ -203,7 +202,7 @@ def test_bad_search_setting_raises(wscc, nominal_ctx, nominal_fault_on, monkeypa
     before any verdict is computed (resolution <= 0 would never end)."""
     monkeypatch.setattr(fs, "first_swing_stable", None)
     with pytest.raises(ValueError, match="must be positive and finite"):
-        fs.true_cct(nominal_ctx, nominal_fault_on, **{name: value})
+        cct(nominal_ctx, nominal_fault_on, **{name: value})
     with pytest.raises(ValueError, match="must be positive and finite"):
         fs.run_fault_studies([wscc], **{name: value})
 
@@ -280,6 +279,18 @@ def test_inadmissible_dispatch_reported():
         result = fs.run_fault_study(sc)
     assert not result.admissible
     assert result.verdicts["scenario"] == "pm-nonpositive"
+    assert result.tau is None and result.tau_H is None and result.tau_A is None
+
+
+@pytest.mark.parametrize("branch", ["1-4", "2-7", "3-9"])
+def test_islanding_clearing_is_no_sep(wscc, branch):
+    """Clearing a generator's only line islands its machine: the study warns
+    and ends in the no-sep verdict, not a traceback."""
+    with pytest.warns(UserWarning, match="islands"):
+        result = fs.run_fault_study(replace(wscc, clearing_branch=branch))
+    assert not result.admissible
+    assert result.verdicts == {"scenario": "no-sep"}
+    assert result.message.startswith("no post-fault SEP")
     assert result.tau is None and result.tau_H is None and result.tau_A is None
 
 

@@ -38,6 +38,16 @@ def test_spec_validation(wscc):
         SweepSpec(scenario=wscc, param="8.X", lo=-1.0, hi=0.0, step=0.1)
     with pytest.raises(ScenarioFormatError, match="no bus"):
         SweepSpec(scenario=wscc, param="42.B", lo=-1.0, hi=0.0, step=0.1)
+    inf, nan = float("inf"), float("nan")
+    for lo, hi in ((-10.0, inf), (-inf, 0.0), (nan, 0.0), (-1.0, nan)):
+        with pytest.raises(ScenarioFormatError, match="both finite"):
+            SweepSpec(scenario=wscc, param="8.B", lo=lo, hi=hi, step=0.05)
+    for step in (inf, nan):
+        with pytest.raises(ScenarioFormatError, match="positive and finite"):
+            SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=step)
+    for jobs in (0, -2):
+        with pytest.raises(ScenarioFormatError, match="at least 1"):
+            SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=0.1, jobs=jobs)
 
 
 @pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
