@@ -24,6 +24,14 @@ _EIG_AXIS_TOL = 1e-9
 #: stationary_points retires a grid start whose best residual has not
 #: improved for this many Newton iterations
 _STALL = 3
+#: most Newton starts one enumeration grid may hold (40 per axis at m = 3)
+_START_BUDGET = 64000
+#: points per axis of the coarse grid that checks a seeded enumeration
+_COARSE = 6
+#: Newton iterations of a seeded enumeration: the seeds start next to their
+#: roots, and on the bundled case's load ranges the coarse starts that
+#: converge at all do so within 15 iterations
+_SEEDED_ITER = 25
 #: continue_branch re-enumerates at every this fraction of its range
 _CHECKPOINT_STEP = 0.05
 #: fold_locations pools folds closer than this in the parameter
@@ -184,38 +192,32 @@ def _distinct(roots: np.ndarray) -> np.ndarray:
     return np.array(kept).reshape(-1, roots.shape[1])
 
 
-def stationary_points(
-    hm: HamiltonianModel,
-    box: tuple[np.ndarray, np.ndarray] | None = None,
-    grid_density: int = 40,
-) -> list[EquilibriumPoint]:
-    """All stationary points in the SEP-centered angle cell, classified.
+def _density(m: int, grid_density: int) -> int:
+    """Points per axis of an m-dimensional start grid: grid_density, capped
+    so that the grid holds at most _START_BUDGET starts."""
+    # the m-th root in integers: in floats 64000 ** (1 / 3) is 39.999...
+    d = round(_START_BUDGET ** (1.0 / m))
+    while d**m > _START_BUDGET:
+        d -= 1
+    while (d + 1) ** m <= _START_BUDGET:
+        d += 1
+    return min(grid_density, d)
 
-    Starts a Newton run from each node of a grid over `box` (default: the
-    anchor plus/minus 2*pi in every modeled angle); a start whose residual
-    stalls for `_STALL` iterations is retired.  The converged roots are
-    wrapped into the canonical cell and deduplicated at 1e-6, and each
-    distinct root is polished by a plain Newton run from its value rounded
-    to 1e-6, so a returned point depends on its cluster only, not on which
-    starts reached it.
-    """
-    gp = hm.gp
-    m = gp.n_active
-    center = np.asarray(hm.anchor, dtype=float)
-    if box is None:
-        box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    axes = [np.linspace(lo[i], hi[i], grid_density) for i in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([g.ravel() for g in mesh], axis=1)
 
-    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=60, stall=_STALL)
-    clusters = _distinct(_wrap_to_cell(X[converged], center))
-    X, converged = _newton(hm.coupling, hm.drive, np.round(clusters, 6), max_iter=60)
-    kept = _distinct(_wrap_to_cell(X[converged], center))
+def _grid(lo: np.ndarray, hi: np.ndarray, grid_density: int) -> np.ndarray:
+    """The nodes of an evenly spaced grid over the box [lo, hi], one per row."""
+    d = _density(lo.size, grid_density)
+    mesh = np.meshgrid(*(np.linspace(a, b, d) for a, b in zip(lo, hi)), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
+
+def _polish(hm: HamiltonianModel, center: np.ndarray, roots: np.ndarray) -> list[EquilibriumPoint]:
+    """Classified points of the distinct in-cell `roots` (deduplicated at
+    1e-6), each polished by a plain Newton run from its value rounded to
+    1e-6, sorted by angle."""
+    X, converged = _newton(hm.coupling, hm.drive, np.round(_distinct(roots), 6), max_iter=60)
     points = []
-    for r in kept:
+    for r in _distinct(_wrap_to_cell(X[converged], center)):
         if np.max(np.abs(potential_gradient(hm, r))) > 1e-10:
             continue
         try:
@@ -226,13 +228,87 @@ def stationary_points(
     return points
 
 
+def _seeded_points(
+    hm: HamiltonianModel,
+    center: np.ndarray,
+    box: tuple[np.ndarray, np.ndarray],
+    seeds: Sequence[EquilibriumPoint],
+) -> list[EquilibriumPoint] | None:
+    """The points the seeds converge to, or None when that set is in doubt.
+
+    One Newton stack runs from the seeds and from a coarse grid (_COARSE per
+    axis) under the stall rule.  The seeds' roots are polished as in the full
+    enumeration; the coarse grid only checks them.  In doubt means: a seed
+    does not converge, a coarse start reaches a root no seed reached, or the
+    closest type-1 saddle is not the root of the seeds' closest saddle.
+    """
+    k = len(seeds)
+    starts = np.concatenate([np.array([s.delta for s in seeds]), _grid(*box, _COARSE)])
+    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=_SEEDED_ITER, stall=_STALL)
+    if not converged[:k].all():
+        return None
+    roots = _wrap_to_cell(X[:k], center)
+    probes = _wrap_to_cell(X[k:][converged[k:]], center)
+    w = np.mod(probes[:, None, :] - roots[None, :, :] + np.pi, 2.0 * np.pi) - np.pi
+    if np.any(np.min(np.max(np.abs(w), axis=2), axis=1) > 1e-6):
+        return None
+    points = _polish(hm, center, roots)
+    before, after = _closest_saddle(seeds), _closest_saddle(points)
+    if before is None and after is None:
+        return points
+    if before is None or after is None or wrapped_distance(roots[before], points[after].delta) > 1e-6:
+        return None
+    return points
+
+
+def stationary_points(
+    hm: HamiltonianModel,
+    box: tuple[np.ndarray, np.ndarray] | None = None,
+    grid_density: int = 40,
+    seeds: Sequence[EquilibriumPoint] | None = None,
+) -> list[EquilibriumPoint]:
+    """All stationary points in the SEP-centered angle cell, classified.
+
+    Starts a Newton run from each node of a grid over `box` (default: the
+    anchor plus/minus 2*pi in every modeled angle), grid_density per axis
+    but at most _START_BUDGET nodes in all; a start whose residual stalls
+    for `_STALL` iterations is retired.  The converged roots are wrapped
+    into the canonical cell and deduplicated at 1e-6, and each distinct
+    root is polished by a plain Newton run from its value rounded to 1e-6,
+    so a returned point depends on its cluster only, not on which starts
+    reached it.
+
+    With `seeds` (the points of a nearby model, such as the previous point
+    of a load sweep), the points are those the seeds converge to, checked
+    by a coarse grid; the full grid runs only when that check leaves them
+    in doubt (see `_seeded_points`).
+    """
+    center = np.asarray(hm.anchor, dtype=float)
+    if box is None:
+        box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
+    box = tuple(np.asarray(b, dtype=float) for b in box)
+    if seeds:
+        points = _seeded_points(hm, center, box, seeds)
+        if points is not None:
+            return points
+    X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density), max_iter=60, stall=_STALL)
+    return _polish(hm, center, _wrap_to_cell(X[converged], center))
+
+
+def _closest_saddle(S: Sequence[EquilibriumPoint]) -> int | None:
+    """Index of the minimum-energy type-1 saddle in S; None when S has none."""
+    type1 = [i for i, p in enumerate(S) if p.type_index == 1]
+    if not type1:
+        return None
+    return min(type1, key=lambda i: (S[i].energy, tuple(np.round(S[i].delta, 9))))
+
+
 def closest_uep(S: Sequence[EquilibriumPoint]) -> CriticalEnergy:
     """Minimum-energy type-1 saddle; non-type-1 entries are filtered out."""
-    type1 = [p for p in S if p.type_index == 1]
-    if not type1:
+    best = _closest_saddle(S)
+    if best is None:
         raise EquilibriumError("no energy boundary: type-1 UEP set is empty")
-    best = min(type1, key=lambda p: (p.energy, tuple(np.round(p.delta, 9))))
-    return CriticalEnergy(closest_uep=best, E_c=best.energy)
+    return CriticalEnergy(closest_uep=S[best], E_c=S[best].energy)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +433,10 @@ def continue_branch(
 
     `source` is either a model factory (parameter value -> anchored model) or
     a fault scenario, in which case `param` selects the swept shunt-load
-    component ("<bus>.G" / "<bus>.B").  Seeds come from a full enumeration at
-    the range start, re-enumerated at every _CHECKPOINT_STEP of the range to
-    pick up disconnected branches; every new seed is traced in both directions.
+    component ("<bus>.G" / "<bus>.B").  Seeds come from an enumeration at
+    every _CHECKPOINT_STEP of the range, which picks up disconnected
+    branches; each checkpoint's enumeration is seeded by the points of the
+    one before it.  Every new seed is traced in both directions.
     Fold locations are refined to 1e-4 in the parameter.  Raises ValueError
     unless lo < hi are finite and initial_step is positive and finite.
     """
@@ -395,12 +472,15 @@ def continue_branch(
         return False
 
     checkpoints = np.arange(lo, hi + 1e-12, (hi - lo) * _CHECKPOINT_STEP)
+    points = None
     for cp in checkpoints:
         try:
             hm = factory(float(cp))
         except (InadmissibleScenario, EquilibriumError):
+            points = None
             continue
-        for seed in stationary_points(hm):
+        points = stationary_points(hm, seeds=points)
+        for seed in points:
             if is_covered(hm, float(cp), seed.delta):
                 continue
             fwd = _trace(factory, float(cp), seed, hi, initial_step)

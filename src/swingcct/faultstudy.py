@@ -86,6 +86,7 @@ class StudyContext:
     x_pre: sw.SystemState
     sep: eq.EquilibriumPoint
     hm: en.HamiltonianModel
+    points: list[eq.EquilibriumPoint]
     fom: en.FaultOnHamiltonianModel
     crit: eq.CriticalEnergy
     delta_E: float
@@ -146,8 +147,9 @@ def _post_fault(
     return gp, delta_pre, sep, hm
 
 
-def build_context(sc: FaultScenario) -> StudyContext:
-    """Run the full pipeline up to the critical energy.
+def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
+    """Run the full pipeline up to the critical energy; `seeds` seed the
+    enumeration of the post-fault stationary points (`stationary_points`).
 
     Raises InadmissibleScenario (with a reason code) when the scenario fails
     one of the admissibility constraints.
@@ -156,7 +158,7 @@ def build_context(sc: FaultScenario) -> StudyContext:
     gp, delta_pre, sep, hm = _post_fault(sc, red_pre, red_post)
     x_pre = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
 
-    points = eq.stationary_points(hm)
+    points = eq.stationary_points(hm, seeds=seeds)
     try:
         crit = eq.closest_uep(points)
     except EquilibriumError as exc:
@@ -166,7 +168,7 @@ def build_context(sc: FaultScenario) -> StudyContext:
     fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, delta_pre)
     return StudyContext(
         red_pre=red_pre, red_post=red_post, gp=gp,
-        x_pre=x_pre, sep=sep, hm=hm, fom=fom, crit=crit, delta_E=delta_E,
+        x_pre=x_pre, sep=sep, hm=hm, points=points, fom=fom, crit=crit, delta_E=delta_E,
     )
 
 
@@ -345,31 +347,39 @@ def run_fault_studies(
     resolution: float = 1e-4,
     horizon: float = 1.0,
     tol: float = 1e-8,
+    continued: Sequence[bool] | None = None,
 ) -> list[FaultStudyResult]:
     """Compute tau, tau_H, tau_A and the energy margin for every scenario.
 
     The scenarios must share their machines (as the points of a load sweep
-    do).  The fault-on runs of all admissible scenarios are one stacked
-    integration, each to the longer of the tau and tau_H horizons, and both
-    metrics only read it; the true_cct searches run in lockstep.  A
-    scenario's result does not depend on the others.  Raises ValueError for
-    a resolution, horizon or tol that is not positive and finite.
+    do).  Where `continued[i]` is true and scenario i-1 built a context, the
+    stationary points of scenario i are seeded by those of scenario i-1;
+    every other enumeration runs the full grid.  The fault-on runs of all
+    admissible scenarios are one stacked integration, each to the longer of
+    the tau and tau_H horizons, and both metrics only read it; the true_cct
+    searches run in lockstep.  A scenario's result depends only on itself
+    and on the chain of continued scenarios before it.  Raises ValueError
+    for a resolution, horizon or tol that is not positive and finite.
     """
     check_search(resolution, horizon, tol)
     # the FaultStudyResult fields of each scenario, filled in as they are found
     fields = []
     admitted = []
-    for sc in scenarios:
+    points = None
+    for i, sc in enumerate(scenarios):
         f = dict(
             tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
             admissible=False, verdicts={}, message=None,
         )
         fields.append(f)
+        seeds = points if continued is not None and continued[i] else None
+        points = None
         try:
-            ctx = build_context(sc)
+            ctx = build_context(sc, seeds)
         except InadmissibleScenario as exc:
             f.update(verdicts={"scenario": exc.code}, message=str(exc))
             continue
+        points = ctx.points
         f.update(delta_E=ctx.delta_E, E_c=ctx.crit.E_c, closest_uep=ctx.crit.closest_uep)
         if ctx.delta_E <= 0.0:
             f["verdicts"]["scenario"] = "negative-margin"

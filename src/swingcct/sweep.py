@@ -16,6 +16,9 @@ METRICS = ("tau", "tau_H", "tau_A", "dE")
 #: closest-UEP positions further apart than this across one grid interval
 #: count as a switch between branches [rad, modulo 2*pi]
 UEP_JUMP = 0.5
+#: grid points per chain: the stationary points of each grid point are
+#: seeded by those of the point before it, except at every CHAIN-th grid index
+CHAIN = 20
 
 
 def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
@@ -108,6 +111,7 @@ def _row_from_result(value: float, result: FaultStudyResult) -> SweepRow:
 
 
 def _eval_block(args: tuple) -> list[SweepRow]:
+    """Rows of a run of whole chains (its first value starts a chain)."""
     spec, values = args
     bus, part = parse_param_path(spec.scenario, spec.param)
     results = run_fault_studies(
@@ -115,6 +119,7 @@ def _eval_block(args: tuple) -> list[SweepRow]:
         resolution=spec.resolution,
         horizon=spec.horizon,
         tol=spec.tol,
+        continued=[i % CHAIN != 0 for i in range(len(values))],
     )
     return [_row_from_result(value, result) for value, result in zip(values, results)]
 
@@ -122,17 +127,20 @@ def _eval_block(args: tuple) -> list[SweepRow]:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, ascending; rows keep inadmissible points.
 
-    The points are studied together (`run_fault_studies`).  With jobs > 1
-    each worker of a process pool takes one contiguous block of points; a
-    point's result does not depend on its block, so parallel and serial runs
-    produce identical tables.
+    The points are studied together (`run_fault_studies`), in chains of
+    CHAIN grid points whose enumerations continue from point to point.
+    With jobs > 1 each worker of a process pool takes one block of whole
+    chains; a point's result depends only on the grid, so parallel and
+    serial runs produce identical tables.
     """
     values = [float(v) for v in spec.values]
-    if spec.jobs > 1:
-        blocks = [[float(v) for v in b] for b in np.array_split(values, min(spec.jobs, len(values)))]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            return [row for rows in pool.map(_eval_block, [(spec, b) for b in blocks]) for row in rows]
-    return _eval_block((spec, values))
+    chains = np.arange(0, len(values), CHAIN)
+    starts = [int(run[0]) for run in np.array_split(chains, min(spec.jobs, chains.size))]
+    blocks = [values[a:b] for a, b in zip(starts, starts[1:] + [len(values)])]
+    if len(blocks) == 1:
+        return _eval_block((spec, values))
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        return [row for rows in pool.map(_eval_block, [(spec, b) for b in blocks]) for row in rows]
 
 
 def find_optimum(rows: Sequence[SweepRow], metric: str) -> tuple[float, float]:

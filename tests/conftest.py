@@ -15,6 +15,15 @@ def wscc():
 
 
 @pytest.fixture(scope="session")
+def wscc_lossless(wscc):
+    """The bundled scenario with the conductance of loads A, B and C set to 0.1."""
+    sc = wscc
+    for bus in ("5", "6", "8"):
+        sc = sc.with_load(bus, complex(0.1, sc.net.shunt_loads[bus].imag))
+    return sc
+
+
+@pytest.fixture(scope="session")
 def nominal_ctx(wscc):
     """Prepared pipeline for the nominal fault (bus 7, clear line 5-7)."""
     return fs.build_context(wscc)

@@ -15,8 +15,7 @@ from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
 from swingcct import report as rp
-from swingcct.scenario import load_scenario
-from swingcct.sweep import SweepSpec, detect_uep_switches, find_optimum, run_sweep
+from swingcct.sweep import CHAIN, SweepSpec, detect_uep_switches, find_optimum, run_sweep
 
 STEP = 0.05
 
@@ -42,12 +41,8 @@ def sweep_gc(wscc):
 
 
 @pytest.fixture(scope="session")
-def sweep_bc_lossless():
-    sc = load_scenario("wscc9-tmib")
-    for bus in ("5", "6", "8"):
-        Y = sc.net.shunt_loads[bus]
-        sc = sc.with_load(bus, complex(0.1, Y.imag))
-    return run_sweep(SweepSpec(scenario=sc, param="8.B", lo=-10.0, hi=0.0, step=STEP))
+def sweep_bc_lossless(wscc_lossless):
+    return run_sweep(SweepSpec(scenario=wscc_lossless, param="8.B", lo=-10.0, hi=0.0, step=STEP))
 
 
 @pytest.fixture(scope="session")
@@ -379,7 +374,8 @@ def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
 
 
 def test_criterion_9_reproducibility(wscc, tmp_path):
-    base = dict(scenario=wscc, param="8.B", lo=-0.5, hi=-0.2, step=0.05)
+    # two chains, so that the jobs=2 run splits into two blocks
+    base = dict(scenario=wscc, param="8.B", lo=-0.5, hi=-0.5 + STEP * CHAIN, step=STEP)
     a = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=1)), tmp_path / "a.csv")
     b = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=1)), tmp_path / "b.csv")
     c = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=2)), tmp_path / "c.csv")

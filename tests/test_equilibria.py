@@ -163,8 +163,12 @@ def test_equilibrium_count_changes_across_fold(wscc):
     assert len(after) == 4
 
 
+def point_bytes(points):
+    return [(p.delta.tobytes(), p.energy, p.type_index) for p in points]
+
+
 def enumeration_bytes(hm, **kw):
-    return [(p.delta.tobytes(), p.energy, p.type_index) for p in eq.stationary_points(hm, **kw)]
+    return point_bytes(eq.stationary_points(hm, **kw))
 
 
 def full_run_bytes(hm, **kw):
@@ -216,6 +220,78 @@ def test_enumeration_is_grid_independent(wscc, nominal_ctx, value):
         assert np.array_equal(pa.delta, pb.delta) and np.array_equal(pa.delta, pc.delta)
         assert pa.energy == pb.energy == pc.energy
         assert pa.type_index == pb.type_index == pc.type_index
+
+
+@pytest.mark.parametrize(
+    "m, grid_density, expected",
+    [(2, 25, 25), (2, 40, 40), (2, 80, 80), (3, 40, 40), (4, 40, 15), (5, 40, 9)],
+)
+def test_start_grid_keeps_to_the_budget(m, grid_density, expected):
+    """At most 40^3 starts: three machines keep 40 per axis, more get fewer."""
+    assert eq._density(m, grid_density) == expected
+
+
+ACCEPTANCE_RANGES = [
+    ("wscc", "8", "B", -10.0, 0.0),
+    ("wscc", "6", "B", -10.0, 0.0),
+    ("wscc", "8", "G", 0.0, 9.0),
+    ("wscc_lossless", "8", "B", -10.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("scenario, bus, part, lo, hi", ACCEPTANCE_RANGES)
+def test_seeded_enumeration_equals_full_grid(request, monkeypatch, scenario, bus, part, lo, hi):
+    """Every point of an acceptance range at step 0.25, seeded by the point
+    before it, gives the full grid's points bit for bit; most points keep
+    their seeded result rather than fall back to the full grid."""
+    kept = []
+    seeded_points = eq._seeded_points
+
+    def counted(*args):
+        points = seeded_points(*args)
+        kept.append(points is not None)
+        return points
+
+    monkeypatch.setattr(eq, "_seeded_points", counted)
+    factory = fs.hamiltonian_model_factory(request.getfixturevalue(scenario), bus, part)
+    seeds = None
+    for value in np.arange(lo, hi + 1e-9, 0.25):
+        try:
+            hm = factory(float(value))
+        except InadmissibleScenario:
+            seeds = None
+            continue
+        seeds = eq.stationary_points(hm, seeds=seeds)
+        assert point_bytes(seeds) == enumeration_bytes(hm), value
+    assert sum(kept) >= 0.8 * len(kept) > 0
+
+
+@pytest.mark.parametrize("part, value, before", [("B", -5.0, -5.25), ("B", -1.0, -1.25), ("G", 3.0, 2.75)])
+def test_seeded_enumeration_without_closest_saddle_seed_falls_back(wscc, part, value, before):
+    """Seeds that miss the closest saddle still give the full grid's points."""
+    factory = fs.hamiltonian_model_factory(wscc, "8", part)
+    seeds = eq.stationary_points(factory(before))
+    closest = eq.closest_uep(seeds).closest_uep
+    seeds = [p for p in seeds if p is not closest]
+    hm = factory(value)
+    assert enumeration_bytes(hm, seeds=seeds) == enumeration_bytes(hm)
+
+
+def test_seeded_enumeration_in_doubt(nominal_ctx):
+    """A seed that does not converge, or seeds whose closest saddle does not
+    lead to the closest saddle found, leave the seeded result in doubt."""
+    hm = nominal_ctx.hm
+    center = np.asarray(hm.anchor, dtype=float)
+    box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
+    points = eq.stationary_points(hm)
+    (sep,) = [p for p in points if p.type_index == 0]
+    (saddle,) = saddles(hm)
+    assert eq._seeded_points(hm, center, box, points) is not None
+    lost = replace(sep, delta=np.full_like(sep.delta, 1e300))  # steps of 1 rad move it nowhere
+    # a lower "saddle" whose seed converges to the SEP
+    decoy = replace(sep, type_index=1, energy=saddle.energy - 1.0)
+    for seeds in ([*points, lost], [*points, decoy], [sep, replace(saddle, type_index=2)]):
+        assert eq._seeded_points(hm, center, box, seeds) is None
 
 
 def test_empty_uep_set_is_valid_return(pendulum):

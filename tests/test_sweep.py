@@ -88,15 +88,29 @@ def test_admissibility_frontier(wscc):
     assert frontier.tau is None and frontier.tau_H is None and frontier.tau_A is None
 
 
-def test_jobs_give_identical_rows(wscc, tmp_path):
-    """Each worker takes one contiguous block; blocks never change a row."""
-    csvs = []
+def test_jobs_give_identical_rows(wscc, tmp_path, monkeypatch):
+    """Each worker takes one block of whole chains; blocks never change a row."""
+    blocks = []
+
+    class Pool(sweep_mod.ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            blocks.append(len(tasks))
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Pool)
+    # three chains, the last of one point, at a coarse search resolution
+    hi = -1.0 + 0.05 * 2 * sweep_mod.CHAIN
+    base = dict(scenario=wscc, param="8.B", lo=-1.0, hi=hi, step=0.05, resolution=1e-2)
+    results = []
     for jobs in (1, 2, 3):
-        spec = SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=0.25, jobs=jobs)
+        spec = SweepSpec(**base, jobs=jobs)
         rows = run_sweep(spec)
-        assert [r.param for r in rows] == [-1.0, -0.75, -0.5, -0.25, 0.0]
-        csvs.append(rp.write_sweep_csv(rows, tmp_path / f"jobs{jobs}.csv").read_bytes())
-    assert csvs[0] == csvs[1] == csvs[2]
+        assert [r.param for r in rows] == [float(v) for v in spec.values]
+        csv = rp.write_sweep_csv(rows, tmp_path / f"jobs{jobs}.csv").read_bytes()
+        results.append((rows, [r.closest for r in rows], csv))
+    assert blocks == [2, 3]
+    assert results[0] == results[1] == results[2]  # dataclass equality: bit-identical floats
 
 
 def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
@@ -144,13 +158,6 @@ def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
     assert branches
     assert len(fold_locations(branches)) == len(clean) >= 1
     assert np.allclose(fold_locations(branches), clean, rtol=0, atol=1e-12)
-
-
-def test_parallel_serial_equivalence(wscc):
-    base = dict(scenario=wscc, param="8.B", lo=-0.4, hi=-0.2, step=0.1, resolution=1e-3)
-    serial = run_sweep(SweepSpec(**base, jobs=1))
-    parallel = run_sweep(SweepSpec(**base, jobs=2))
-    assert serial == parallel  # dataclass equality: bit-identical floats
 
 
 # ---------------------------------------------------------------------------
