@@ -160,6 +160,19 @@ def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
     assert np.allclose(fold_locations(branches), clean, rtol=0, atol=1e-12)
 
 
+def test_parallel_serial_equivalence(wscc, monkeypatch):
+    """More jobs than chains: the grid runs as one block, in-process, with the serial rows."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chain grid must not start a process pool")
+
+    base = dict(scenario=wscc, param="8.B", lo=-0.4, hi=-0.2, step=0.1, resolution=1e-3)
+    serial = run_sweep(SweepSpec(**base, jobs=1))
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+    parallel = run_sweep(SweepSpec(**base, jobs=2))
+    assert serial == parallel  # dataclass equality: bit-identical floats
+
+
 # ---------------------------------------------------------------------------
 # optimum search and switch detection
 # ---------------------------------------------------------------------------
