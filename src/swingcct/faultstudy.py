@@ -30,6 +30,10 @@ WINDOW = 3.0
 SAMPLE_STEP = 0.005
 #: accepted integrator attempts between two checks of the verdict samples
 _BLOCK = 16
+#: scenarios per chain of continued enumerations: run_fault_studies seeds the
+#: stationary points of each scenario with those of the one before it, except
+#: at every CHAIN-th index
+CHAIN = 20
 
 
 @dataclass(frozen=True)
@@ -347,19 +351,19 @@ def run_fault_studies(
     resolution: float = 1e-4,
     horizon: float = 1.0,
     tol: float = 1e-8,
-    continued: Sequence[bool] | None = None,
 ) -> list[FaultStudyResult]:
     """Compute tau, tau_H, tau_A and the energy margin for every scenario.
 
-    The scenarios must share their machines (as the points of a load sweep
-    do).  Where `continued[i]` is true and scenario i-1 built a context, the
-    stationary points of scenario i are seeded by those of scenario i-1;
-    every other enumeration runs the full grid.  The fault-on runs of all
-    admissible scenarios are one stacked integration, each to the longer of
-    the tau and tau_H horizons, and both metrics only read it; the true_cct
-    searches run in lockstep.  A scenario's result depends only on itself
-    and on the chain of continued scenarios before it.  Raises ValueError
-    for a resolution, horizon or tol that is not positive and finite.
+    The scenarios must share their machines and come in parameter order (as
+    the points of a load sweep do).  The stationary points of scenario i
+    are seeded by those of scenario i-1 when i is not a multiple of CHAIN
+    and scenario i-1 built a context; every other enumeration runs the full
+    grid.  The fault-on runs of all admissible scenarios are one stacked
+    integration, each to the longer of the tau and tau_H horizons, and both
+    metrics only read it; the true_cct searches run in lockstep.  A
+    scenario's result depends only on itself and on the scenarios before it
+    in its chain.  Raises ValueError for a resolution, horizon or tol that
+    is not positive and finite.
     """
     check_search(resolution, horizon, tol)
     # the FaultStudyResult fields of each scenario, filled in as they are found
@@ -372,7 +376,7 @@ def run_fault_studies(
             admissible=False, verdicts={}, message=None,
         )
         fields.append(f)
-        seeds = points if continued is not None and continued[i] else None
+        seeds = points if i % CHAIN else None
         points = None
         try:
             ctx = build_context(sc, seeds)

@@ -10,15 +10,12 @@ import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import FaultScenario, FaultStudyResult, check_search, run_fault_studies
+from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, check_search, run_fault_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 #: closest-UEP positions further apart than this across one grid interval
 #: count as a switch between branches [rad, modulo 2*pi]
 UEP_JUMP = 0.5
-#: grid points per chain: the stationary points of each grid point are
-#: seeded by those of the point before it, except at every CHAIN-th grid index
-CHAIN = 20
 
 
 def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
@@ -119,7 +116,6 @@ def _eval_block(args: tuple) -> list[SweepRow]:
         resolution=spec.resolution,
         horizon=spec.horizon,
         tol=spec.tol,
-        continued=[i % CHAIN != 0 for i in range(len(values))],
     )
     return [_row_from_result(value, result) for value, result in zip(values, results)]
 
@@ -130,8 +126,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     The points are studied together (`run_fault_studies`), in chains of
     CHAIN grid points whose enumerations continue from point to point.
     With jobs > 1 each worker of a process pool takes one block of whole
-    chains; a point's result depends only on the grid, so parallel and
-    serial runs produce identical tables.
+    chains, so every block starts a chain where the serial run does; a
+    point's result depends only on the grid, and parallel and serial runs
+    produce identical tables.
     """
     values = [float(v) for v in spec.values]
     chains = np.arange(0, len(values), CHAIN)

@@ -15,7 +15,7 @@ from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
 from swingcct import report as rp
-from swingcct.sweep import CHAIN, SweepSpec, detect_uep_switches, find_optimum, run_sweep
+from swingcct.sweep import SweepSpec, detect_uep_switches, find_optimum, run_sweep
 
 STEP = 0.05
 
@@ -375,7 +375,7 @@ def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
 
 def test_criterion_9_reproducibility(wscc, tmp_path):
     # two chains, so that the jobs=2 run splits into two blocks
-    base = dict(scenario=wscc, param="8.B", lo=-0.5, hi=-0.5 + STEP * CHAIN, step=STEP)
+    base = dict(scenario=wscc, param="8.B", lo=-0.5, hi=-0.5 + STEP * fs.CHAIN, step=STEP)
     a = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=1)), tmp_path / "a.csv")
     b = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=1)), tmp_path / "b.csv")
     c = rp.write_sweep_csv(run_sweep(SweepSpec(**base, jobs=2)), tmp_path / "c.csv")

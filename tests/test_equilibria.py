@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -194,10 +194,10 @@ def test_retired_starts_change_no_point(wscc, part, grid):
 
 
 @st.composite
-def anchored_models(draw):
+def anchored_models(draw, machines=st.integers(2, 3)):
     """A random network over 2 or 3 machines whose inputs make a random
     anchor an equilibrium (a point unless the anchor is marginal)."""
-    n = draw(st.integers(2, 3))
+    n = draw(machines)
     red, gp = network(draw, n, draw(st.integers(0, n - 1)))
     anchor = draw(arrays(float, n - 1, elements=st.floats(-np.pi, np.pi)))
     gp = replace(gp, Pm=Coupling(red, gp.active).power(anchor))
@@ -264,6 +264,42 @@ def test_seeded_enumeration_equals_full_grid(request, monkeypatch, scenario, bus
         seeds = eq.stationary_points(hm, seeds=seeds)
         assert point_bytes(seeds) == enumeration_bytes(hm), value
     assert sum(kept) >= 0.8 * len(kept) > 0
+
+
+@st.composite
+def neighbour_models(draw, machines=st.integers(2, 3)):
+    """A random anchored model and its neighbour, whose inputs are moved by
+    a random step of up to 0.5, as the next point of a load sweep moves
+    them; steps this large make some networks gain roots that no seed
+    reaches.  The anchor is a regular equilibrium: an uncoupled network,
+    whose every point is a root, would make each grid start a cluster of
+    its own."""
+    hm = draw(anchored_models(machines))
+    assume(abs(np.linalg.det(hm.coupling.jacobian(hm.anchor))) > 1e-6)
+    step = draw(arrays(float, hm.gp.Pm.size, elements=st.floats(-0.5, 0.5)))
+    near = en.HamiltonianModel(red=hm.red, gp=replace(hm.gp, Pm=hm.gp.Pm + step), Pa=hm.Pa, anchor=hm.anchor)
+    return hm, near
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(neighbour_models())
+def test_seeded_enumeration_equals_full_grid_on_random_networks(models):
+    """One and two modeled angles: the neighbour's points seeded by the
+    model's points are the neighbour's full-grid points, bit for bit."""
+    hm, near = models
+    assert enumeration_bytes(near, seeds=eq.stationary_points(hm)) == enumeration_bytes(near)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(neighbour_models(st.just(4)))
+def test_seeded_enumeration_equals_full_grid_with_three_angles(models):
+    """Three modeled angles (64,000 full-grid starts against 216 coarse ones).
+    Networks whose roots form a continuum are left out: both paths agree on
+    them, but with tens of thousands of points each enumeration takes a
+    minute."""
+    hm, near = models
+    assume(len(eq.stationary_points(hm, grid_density=10)) < 100)
+    assert enumeration_bytes(near, seeds=eq.stationary_points(hm)) == enumeration_bytes(near)
 
 
 @pytest.mark.parametrize("part, value, before", [("B", -5.0, -5.25), ("B", -1.0, -1.25), ("G", 3.0, 2.75)])

@@ -7,7 +7,7 @@ from swingcct import report as rp
 from swingcct import sweep as sweep_mod
 from swingcct.equilibria import continue_branch
 from swingcct.errors import ScenarioFormatError
-from swingcct.faultstudy import hamiltonian_model_factory
+from swingcct.faultstudy import CHAIN, hamiltonian_model_factory
 from swingcct.sweep import SweepRow, SweepSpec, detect_uep_switches, find_optimum, run_sweep
 
 
@@ -100,7 +100,7 @@ def test_jobs_give_identical_rows(wscc, tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Pool)
     # three chains, the last of one point, at a coarse search resolution
-    hi = -1.0 + 0.05 * 2 * sweep_mod.CHAIN
+    hi = -1.0 + 0.05 * 2 * CHAIN
     base = dict(scenario=wscc, param="8.B", lo=-1.0, hi=hi, step=0.05, resolution=1e-2)
     results = []
     for jobs in (1, 2, 3):
