@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .equilibria import continue_branch, fold_locations
+from .equilibria import check_continuation, continue_branch, fold_locations
 from .errors import ScenarioFormatError, ToolkitError
 from .faultstudy import FaultScenario, check_search, run_fault_study
 from .report import emit_reports
@@ -119,9 +119,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_branches(args: argparse.Namespace) -> int:
     sc = _load(args.scenario, args.freq)
     lo, hi, step = _parse_range(args.range, want_step=False)
-    branches = continue_branch(
-        sc, (lo, hi), initial_step=(hi - lo) / 200.0 if step is None else step, param=args.param
-    )
+    step = (hi - lo) / 200.0 if step is None else step
+    try:
+        check_continuation((lo, hi), step)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from None
+    branches = continue_branch(sc, (lo, hi), initial_step=step, param=args.param)
     if not branches:
         print("no equilibrium branches found in range", file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -11,7 +11,7 @@ a natural-parameter predictor/corrector with fold refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,8 @@ _SEEDED_ITER = 25
 _CHECKPOINT_STEP = 0.05
 #: fold_locations pools folds closer than this in the parameter
 _FOLD_MERGE = 0.02
+#: a corrected branch point may lie at most this far (max norm) from its guess
+_JUMP_GUARD = 0.45
 
 
 def _newton(
@@ -338,38 +340,49 @@ class Branch:
         return bool(ps.min() - slack <= param <= ps.max() + slack)
 
 
-def _correct(hm: HamiltonianModel, guess: np.ndarray, jump_guard: float = 0.45) -> EquilibriumPoint | None:
-    """Newton-correct a predicted point on `hm`; None on failure or jump."""
-    X, converged = _newton(hm.coupling, hm.drive, np.asarray(guess, dtype=float)[None, :], max_iter=25)
-    if not converged[0]:
-        return None
-    root = X[0]
-    if np.max(np.abs(root - guess)) > jump_guard:
-        return None
-    try:
-        return _equilibrium_point(hm, root)
-    except EquilibriumError:
-        return None
+def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[EquilibriumPoint | None]:
+    """Newton-correct a (k, m) stack of predicted points on `hm` as one stack.
+
+    A row is None when its Newton run fails or its root lies more than
+    _JUMP_GUARD from its guess; each row gets the bits it gets alone.
+    """
+    X, converged = _newton(hm.coupling, hm.drive, guesses, max_iter=25)
+    points: list[EquilibriumPoint | None] = []
+    for root, guess, ok in zip(X, guesses, converged):
+        point = None
+        if ok and np.max(np.abs(root - guess)) <= _JUMP_GUARD:
+            try:
+                point = _equilibrium_point(hm, root)
+            except EquilibriumError:
+                pass
+        points.append(point)
+    return points
+
+
+def _correct(hm: HamiltonianModel, guess: np.ndarray) -> EquilibriumPoint | None:
+    """`_correct_rows` of one predicted point."""
+    return _correct_rows(hm, np.asarray(guess, dtype=float)[None, :])[0]
+
+
+#: what a tracer is sent back for a request: the corrected point, None when
+#: the corrector fails or jumps, or the exception the factory raised there
+Answer = EquilibriumPoint | InadmissibleScenario | EquilibriumError | None
+Tracer = Generator[tuple[float, np.ndarray], Answer, Branch]
 
 
 def _trace(
-    factory: ModelFactory,
     p0: float,
     point0: EquilibriumPoint,
     p_stop: float,
     initial_step: float,
     fold_tol: float = 1e-4,
     step_floor: float = 1e-5,
-) -> Branch:
-    """Trace one branch from (p0, point0) towards p_stop."""
+) -> Tracer:
+    """Trace one branch from (p0, point0) towards p_stop.
 
-    def correct(param: float, guess: np.ndarray) -> EquilibriumPoint | None:
-        try:
-            hm = factory(param)
-        except (InadmissibleScenario, EquilibriumError):
-            return None
-        return _correct(hm, guess)
-
+    A generator: it yields each (param, guess) it needs corrected, is sent
+    the answer at that value, and returns the branch (see `_lockstep`).
+    """
     branch = Branch(points=[(p0, point0)])
     direction = 1.0 if p_stop >= p0 else -1.0
     step = initial_step
@@ -385,35 +398,35 @@ def _trace(
             guess = d_prev + slope * (p_next - p_prev)
         else:
             guess = d_prev
-        point = correct(p_next, guess)
-        if point is not None:
-            branch.points.append((p_next, point))
+        answer = yield p_next, guess
+        if isinstance(answer, EquilibriumPoint):
+            branch.points.append((p_next, answer))
             p_prev2, d_prev2 = p_prev, d_prev
-            p_prev, d_prev = p_next, point.delta
-            last_type = point.type_index
+            p_prev, d_prev = p_next, answer.delta
+            last_type = answer.type_index
             step = min(step * 1.5, initial_step)
             continue
         if step > step_floor:
             step = max(step / 2.0, step_floor)
             continue
-        # persistent corrector failure at the floor: bracket the end point
+        # persistent corrector failure at the floor: bracket the end point;
+        # the factory's answer at p_next tells a domain edge from a fold
         lo, hi = p_prev, p_next
-        try:
-            factory(p_next)
-            domain_edge = False
-        except InadmissibleScenario as exc:
+        if isinstance(answer, InadmissibleScenario):
             # a model that dies because its SEP vanished is the SEP branch
             # folding, not a domain edge
-            domain_edge = not (exc.code == "no-sep" and last_type == 0)
-        except EquilibriumError:
+            domain_edge = not (answer.code == "no-sep" and last_type == 0)
+        elif isinstance(answer, EquilibriumError):
             domain_edge = last_type != 0
+        else:
+            domain_edge = False
         while abs(hi - lo) > fold_tol:
             mid = 0.5 * (lo + hi)
-            point = correct(mid, d_prev)
-            if point is not None:
-                branch.points.append((mid, point))
-                p_prev, d_prev = mid, point.delta
-                last_type = point.type_index
+            answer = yield mid, d_prev
+            if isinstance(answer, EquilibriumPoint):
+                branch.points.append((mid, answer))
+                p_prev, d_prev = mid, answer.delta
+                last_type = answer.type_index
                 lo = mid
             else:
                 hi = mid
@@ -421,6 +434,48 @@ def _trace(
             branch.folds.append(0.5 * (lo + hi))
         break
     return branch
+
+
+def _lockstep(factory: ModelFactory, tracers: Sequence[Tracer]) -> list[Branch]:
+    """Run the tracers together; their branches, in order.
+
+    Each round collects the request of every live tracer and groups the
+    requests by exact parameter value: one model per value, and one Newton
+    stack for all of its guesses.  A factory exception at a value answers
+    every request there.  No model outlives its round.
+    """
+    done: dict[int, Branch] = {}
+    answers: dict[int, Answer] = dict.fromkeys(range(len(tracers)))
+    while answers:
+        requests: dict[float, list[tuple[int, np.ndarray]]] = {}
+        for i, answer in answers.items():
+            try:
+                param, guess = tracers[i].send(answer)
+            except StopIteration as stop:
+                done[i] = stop.value
+                continue
+            requests.setdefault(param, []).append((i, guess))
+        answers = {}
+        for param, asks in requests.items():
+            try:
+                hm = factory(param)
+            except (InadmissibleScenario, EquilibriumError) as exc:
+                answers.update((i, exc) for i, _guess in asks)
+                continue
+            points = _correct_rows(hm, np.array([guess for _i, guess in asks]))
+            answers.update((i, point) for (i, _guess), point in zip(asks, points))
+    return [done[i] for i in range(len(tracers))]
+
+
+def check_continuation(prange: tuple[float, float], initial_step: float) -> None:
+    """Raise ValueError unless lo < hi are finite with a finite, nonzero
+    checkpoint spacing and initial_step is positive and finite (a zero step
+    would never advance)."""
+    lo, hi = prange
+    if not (-np.inf < lo < hi < np.inf and 0.0 < (hi - lo) * _CHECKPOINT_STEP < np.inf):
+        raise ValueError(f"parameter range {prange}: need finite lo < hi with a finite, nonzero width")
+    if not 0.0 < initial_step < np.inf:
+        raise ValueError(f"initial step {initial_step!r}: must be positive and finite")
 
 
 def continue_branch(
@@ -436,15 +491,16 @@ def continue_branch(
     component ("<bus>.G" / "<bus>.B").  Seeds come from an enumeration at
     every _CHECKPOINT_STEP of the range, which picks up disconnected
     branches; each checkpoint's enumeration is seeded by the points of the
-    one before it.  Every new seed is traced in both directions.
+    one before it.  Every new seed is traced in both directions, and all
+    branches of one checkpoint are traced together (`_lockstep`): one model
+    per parameter value per round, shared by every branch that asks for
+    it.  A factory must therefore be a pure function of the value; it is
+    called fewer times than there are traced points.
     Fold locations are refined to 1e-4 in the parameter.  Raises ValueError
-    unless lo < hi are finite and initial_step is positive and finite.
+    on the settings `check_continuation` rejects.
     """
+    check_continuation(prange, initial_step)
     lo, hi = prange
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError(f"parameter range {prange}: need finite lo < hi")
-    if not 0.0 < initial_step < np.inf:
-        raise ValueError(f"initial step {initial_step!r}: must be positive and finite")
     if callable(source):
         factory: ModelFactory = source
     else:
@@ -471,25 +527,25 @@ def continue_branch(
                 return True
         return False
 
-    checkpoints = np.arange(lo, hi + 1e-12, (hi - lo) * _CHECKPOINT_STEP)
+    spacing = (hi - lo) * _CHECKPOINT_STEP
+    checkpoints = np.arange(lo, hi + 0.5 * spacing, spacing)
     points = None
-    for cp in checkpoints:
+    for cp in map(float, checkpoints):
         try:
-            hm = factory(float(cp))
+            hm = factory(cp)
         except (InadmissibleScenario, EquilibriumError):
             points = None
             continue
         points = stationary_points(hm, seeds=points)
-        for seed in points:
-            if is_covered(hm, float(cp), seed.delta):
-                continue
-            fwd = _trace(factory, float(cp), seed, hi, initial_step)
-            bwd = _trace(factory, float(cp), seed, lo, initial_step)
-            merged = Branch(
-                points=list(reversed(bwd.points[1:])) + fwd.points,
-                folds=bwd.folds + fwd.folds,
+        # every seed is checked before any is traced: a branch traced from
+        # another seed here holds that seed's own exact point at cp, which
+        # refits to itself, so it never covers this one
+        fresh = [seed for seed in points if not is_covered(hm, cp, seed.delta)]
+        traced = _lockstep(factory, [_trace(cp, seed, end, initial_step) for seed in fresh for end in (hi, lo)])
+        for fwd, bwd in zip(traced[::2], traced[1::2]):
+            branches.append(
+                Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds)
             )
-            branches.append(merged)
     return branches
 
 

@@ -220,6 +220,8 @@ def test_cli_branches(tmp_path, capsys):
         ("9:8", "lo must be below hi"), ("8:9:-0.05", "step must be positive"), ("8:9:0", "step must be positive"),
         ("0:inf", "both finite"), ("-inf:0", "both finite"), ("nan:1", "both finite"),
         ("8:9:inf", "positive and finite"), ("8:9:nan", "positive and finite"),
+        # widths whose checkpoint spacing underflows to 0 or overflows to inf
+        ("-5e-324:0", "nonzero width"), ("-5e-324:0:0.05", "nonzero width"), ("-1e308:1e308", "nonzero width"),
     ],
 )
 def test_cli_branches_bad_range(rng, message, tmp_path, capsys):
@@ -227,6 +229,15 @@ def test_cli_branches_bad_range(rng, message, tmp_path, capsys):
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("rng", ["-1e-300:0", "0:1e308"])
+def test_cli_branches_extreme_range_ends(rng, tmp_path, capsys):
+    """Ranges far narrower or far wider than the default step end in a
+    trace, not a traceback: the checkpoint grid's slack scales with it."""
+    rc = cli.main(["branches", "wscc9-tmib", "--param", "8.B", "--range", rng, "--out", str(tmp_path / "rep")])
+    assert rc == 0
+    assert "branches:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

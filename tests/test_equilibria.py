@@ -433,3 +433,123 @@ def test_continue_branch_bad_range_or_step_raises(wscc, monkeypatch, prange, ste
     monkeypatch.setattr(eq, "stationary_points", None)
     with pytest.raises(ValueError, match="finite"):
         eq.continue_branch(wscc, prange, initial_step=step, param="8.B")
+
+
+def serve_alone(factory, tracers):
+    """The branches of the tracers run one after another, each request
+    answered by its own factory call and a one-row Newton run."""
+    branches = []
+    for tracer in tracers:
+        answer = None
+        while True:
+            try:
+                param, guess = tracer.send(answer)
+            except StopIteration as stop:
+                branches.append(stop.value)
+                break
+            try:
+                answer = eq._correct(factory(param), guess)
+            except (InadmissibleScenario, EquilibriumError) as exc:
+                answer = exc
+    return branches
+
+
+def branch_bytes(branches):
+    return [
+        (
+            br.params.tobytes(),
+            [(pt.delta.tobytes(), pt.energy, pt.type_index) for _p, pt in br.points],
+            br.folds,
+        )
+        for br in branches
+    ]
+
+
+def traced_alone(factory, prange, step):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_lockstep", serve_alone)
+        return eq.continue_branch(factory, prange, initial_step=step)
+
+
+def counting(factory):
+    """The factory, and the list of values it is called at."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return factory(value)
+
+    return counted, calls
+
+
+def failing_at(factory, failing):
+    def model(value):
+        if failing(value):
+            raise InadmissibleScenario(f"no model at {value!r}", code="singular-network")
+        return factory(value)
+
+    return model
+
+
+def test_lockstep_trace_equals_tracing_alone(bc_branches):
+    """One model and one Newton stack per value give the bytes of tracing
+    each branch on its own."""
+    factory, branches = bc_branches
+    assert branch_bytes(branches) == branch_bytes(traced_alone(factory, (-6.2, -3.4), 0.05))
+
+
+@pytest.mark.parametrize(
+    "failing",
+    # the first forward step of every seed at the first checkpoint; and a
+    # domain edge that every branch reaching -4.0 runs into
+    [lambda value: value == -6.2 + 0.05, lambda value: value > -4.0],
+    ids=["one-shared-value", "domain-edge"],
+)
+def test_factory_exception_answers_every_request_at_its_value(wscc, failing):
+    """Each value where the factory fails is shared by two branches, and is
+    asked for once; its exception also decides a domain edge there."""
+    factory = failing_at(fs.hamiltonian_model_factory(wscc, "8", "B"), failing)
+    runs = []
+    for trace in (eq.continue_branch, traced_alone):
+        counted, calls = counting(factory)
+        runs.append((branch_bytes(trace(counted, (-6.2, -3.4), 0.05)), [v for v in calls if failing(v)]))
+    (lockstep, failed), (alone, failed_alone) = runs
+    assert lockstep == alone
+    assert failed and sorted(failed) == sorted(set(failed_alone))
+    assert len(failed_alone) > len(failed)
+
+
+@st.composite
+def model_families(draw, machines=st.integers(2, 3)):
+    """A random anchored model whose inputs move along a random direction
+    with the parameter; past a random cutoff it has no model at all."""
+    hm = draw(anchored_models(machines))
+    assume(abs(np.linalg.det(hm.coupling.jacobian(hm.anchor))) > 1e-6)
+    direction = draw(arrays(float, hm.gp.Pm.size, elements=st.floats(-1.0, 1.0)))
+    cutoff = draw(st.floats(0.5, 1.5))
+
+    def factory(value):
+        if value > cutoff:
+            raise InadmissibleScenario("past the cutoff", code="no-sep")
+        gp = replace(hm.gp, Pm=hm.gp.Pm + value * direction)
+        return en.HamiltonianModel(red=hm.red, gp=gp, Pa=hm.Pa, anchor=hm.anchor)
+
+    return factory
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(model_families())
+def test_lockstep_trace_equals_tracing_alone_on_random_networks(factory):
+    """One and two modeled angles, with folds and a domain edge."""
+    lockstep = eq.continue_branch(factory, (0.0, 1.0), initial_step=0.1)
+    assert branch_bytes(lockstep) == branch_bytes(traced_alone(factory, (0.0, 1.0), 0.1))
+
+
+def test_branch_trace_factory_calls(wscc):
+    """The acceptance range asks for one model per distinct value, plus one
+    for the value that is both a checkpoint and a trace step.  Tracing each
+    branch on its own made 597 calls here, for 403 distinct values."""
+    counted, calls = counting(fs.hamiltonian_model_factory(wscc, "8", "B"))
+    eq.continue_branch(counted, (-10.0, 0.0), initial_step=0.05)
+    assert len(calls) == 404
+    assert len(set(calls)) == 403
