@@ -69,7 +69,6 @@ from .swing import (
     Coupling,
     GeneratorParams,
     SwingField,
-    SystemState,
     Trajectory,
     dispatch_from_angles,
     integrate,

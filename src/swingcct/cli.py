@@ -141,6 +141,9 @@ def cmd_branches(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="scenario file path, or the bundled name 'wscc9-tmib'")
     p.add_argument("--freq", type=float, default=None, help="override the grid frequency [Hz]")
+
+
+def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=1e-8, help="integrator relative tolerance")
     p.add_argument("--horizon", type=float, default=1.0, help="clearing-time search upper bound [s]")
     p.add_argument("--resolution", type=float, default=1e-4, help="binary-search bracket width [s]")
@@ -155,10 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run one fault study and print the metrics")
     _add_common(p)
+    _add_search(p)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("sweep", help="sweep one load parameter and emit reports")
     _add_common(p)
+    _add_search(p)
     p.add_argument("--param", required=True, help="parameter path, e.g. 8.B (bus 8 susceptance)")
     p.add_argument("--range", required=True, help="lo:hi:step")
     p.add_argument("--out", default="reports", help="output directory")
@@ -191,7 +196,12 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(list(argv if argv is not None else sys.argv[1:])))
+    try:
+        args = parser.parse_args(_merge_value_flags(list(argv if argv is not None else sys.argv[1:])))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is an
+        # input error here (2 means no admissible parameter point)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ScenarioFormatError as exc:

@@ -6,6 +6,10 @@ level E_c (from the closest type-1 saddle) and the margin dE.  tau_H locates
 the first crossing of E_c along the fault-on trajectory; tau_A solves the
 closed-form quartic obtained from a constant-acceleration fault trajectory
 and a quadratic expansion of the angle coupling terms.
+
+States are packed [delta; omega] arrays over the modeled machines, and every
+per-machine vector (Pa, Pa_on, the accelerations u) has one entry per
+modeled machine, as in `swing`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import Coupling, GeneratorParams, SwingField, SystemState, Trajectory, integrate_rows, swing_field
+from .swing import Coupling, GeneratorParams, SwingField, Trajectory, integrate_rows, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -38,15 +42,14 @@ class HamiltonianModel:
 
     red: ReducedNetwork
     gp: GeneratorParams
-    Pa: np.ndarray        # frozen conductance power, full machine vector
+    Pa: np.ndarray        # frozen conductance power of the modeled machines
     anchor: np.ndarray    # SEP angles of the modeled machines
     coupling: Coupling = field(init=False, repr=False, compare=False)
     drive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        act = self.gp.active
-        object.__setattr__(self, "coupling", Coupling(self.red, act, conductive=False))
-        object.__setattr__(self, "drive", self.gp.Pm[act] - self.Pa[act])
+        object.__setattr__(self, "coupling", Coupling(self.red, self.gp.active, conductive=False))
+        object.__setattr__(self, "drive", self.gp.Pm - self.Pa)
 
     @classmethod
     def at_anchor(
@@ -85,36 +88,27 @@ def potential(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
 
 def potential_gradient(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `potential` with respect to the modeled angles."""
-    return hm.coupling.active_power(delta) - hm.drive
+    return hm.coupling.power(delta) - hm.drive
 
 
 def hamiltonian(hm: HamiltonianModel, states: np.ndarray) -> np.ndarray:
     """Total energy, kinetic (1/2) sum M_i w_i^2 plus potential, of packed
     states [delta; omega], one state per row of a (..., 2m) stack."""
-    gp = hm.gp
-    act = gp.active
-    m = act.size
+    M = hm.gp.M
     states = np.asarray(states, dtype=float)
-    kin = 0.5 * (gp.M[act] * states[..., m:] ** 2).sum(axis=-1)
-    return kin + potential(hm, states[..., :m])
+    kin = 0.5 * (M * states[..., M.size:] ** 2).sum(axis=-1)
+    return kin + potential(hm, states[..., : M.size])
 
 
-def energy_margin(E_c: float, hm: HamiltonianModel, x_pre: SystemState) -> float:
-    """Energy headroom E_c - H(x_pre) of the pre-fault operating point."""
-    return float(E_c - hamiltonian(hm, x_pre.packed()))
+def energy_margin(E_c: float, hm: HamiltonianModel, x_pre: np.ndarray) -> float:
+    """Energy headroom E_c - H(x_pre) of the packed pre-fault state x_pre."""
+    return float(E_c - hamiltonian(hm, x_pre))
 
 
 def initial_accelerations(fom: FaultOnHamiltonianModel, gp: GeneratorParams) -> np.ndarray:
-    """Rotor accelerations at fault inception, full machine vector.
-
-    u_i = (Pm_i - Pe_on_i(delta_pre)) / M_i for modeled machines; the
-    infinite machine contributes u = 0.
-    """
-    Pe = Coupling(fom.red_on, gp.active).power(fom.anchor)
-    u = np.zeros(gp.n)
-    act = gp.active
-    u[act] = (gp.Pm[act] - Pe[act]) / gp.M[act]
-    return u
+    """Rotor accelerations u_i = (Pm_i - Pe_on_i(delta_pre)) / M_i of the
+    modeled machines at fault inception (the infinite machine never moves)."""
+    return (gp.Pm - Coupling(fom.red_on, gp.active).power(fom.anchor)) / gp.M
 
 
 @dataclass(frozen=True)
@@ -124,8 +118,8 @@ class QuarticCoefficients:
     alpha: float
     beta: float
     gamma: float
-    u: np.ndarray
-    u_ik: np.ndarray  # pairwise differences u_i - u_k
+    u: np.ndarray     # accelerations of the modeled machines
+    u_ik: np.ndarray  # pairwise differences u_i - u_k over all n machines
 
     def h_alt(self, t: np.ndarray | float) -> np.ndarray | float:
         """Polynomial energy surrogate relative to the pre-fault energy."""
@@ -133,14 +127,9 @@ class QuarticCoefficients:
         return self.alpha * t2**2 + self.beta * t2
 
 
-def quartic_coefficients(
-    hm: HamiltonianModel,
-    fom: FaultOnHamiltonianModel,
-    gp: GeneratorParams,
-    x_pre: SystemState,
-    E_c: float,
-) -> QuarticCoefficients:
-    """Assemble the quartic coefficients from the two reduced networks.
+def quartic_coefficients(hm: HamiltonianModel, fom: FaultOnHamiltonianModel, E_c: float) -> QuarticCoefficients:
+    """Assemble the quartic coefficients from the two reduced networks; the
+    pre-fault state is at rest at the fault-on anchor.
 
     beta takes the angle form of the coupling terms: it uses the pre-fault
     angle difference delta0_ik where the exact t^2 coefficient of the
@@ -149,10 +138,10 @@ def quartic_coefficients(
     term (1/2) sum_{i<k} dPbar_ik u_ik (delta0_ik - sin delta0_ik) is taken
     out of beta; acceptance check 8g holds the surrogate to that promise.
     """
-    u = initial_accelerations(fom, gp)
-    n = gp.n
-    du = hm.coupling.diffs(u[gp.active]).reshape(n, n)
-    dpre = hm.coupling.diffs(x_pre.delta).reshape(n, n)
+    u = initial_accelerations(fom, hm.gp)
+    n = hm.gp.n
+    du = hm.coupling.diffs(u).reshape(n, n)
+    dpre = hm.coupling.diffs(fom.anchor).reshape(n, n)
     dPbar = hm.red.Pbar - fom.red_on.Pbar
 
     alpha = float(np.triu(dPbar * du**2, k=1).sum() / 8.0)
@@ -160,7 +149,7 @@ def quartic_coefficients(
         0.5 * np.triu(dPbar * du * dpre, k=1).sum()
         + 0.5 * float((hm.Pa - fom.Pa_on) @ u)
     )
-    gamma = energy_margin(E_c, hm, x_pre)
+    gamma = energy_margin(E_c, hm, np.concatenate([fom.anchor, np.zeros_like(fom.anchor)]))
     return QuarticCoefficients(alpha=alpha, beta=beta, gamma=gamma, u=u, u_ik=du)
 
 
@@ -190,18 +179,18 @@ def tau_A(qc: QuarticCoefficients) -> float | str:
 def fault_on_trajectory(
     fom: Sequence[FaultOnHamiltonianModel],
     gp: Sequence[GeneratorParams],
-    x_pre: Sequence[SystemState],
+    x_pre: Sequence[np.ndarray],
     horizon: float,
     tol: float = 1e-8,
     atol: float = 1e-10,
 ) -> list[Trajectory | IntegrationError]:
     """Integrate the exact fault-on dynamics from the pre-fault operating points.
 
-    fom, gp and x_pre are equal-length sequences, one entry per fault; the
-    faults are one stacked run (see `integrate_rows`).
+    fom, gp and x_pre (packed states) are equal-length sequences, one entry
+    per fault; the faults are one stacked run (see `integrate_rows`).
     """
     stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
-    return integrate_rows(stacked, np.array([x.packed() for x in x_pre]), horizon, tol=tol, atol=atol)
+    return integrate_rows(stacked, np.array(x_pre), horizon, tol=tol, atol=atol)
 
 
 def tau_H(
@@ -219,7 +208,7 @@ def tau_H(
     """
     if trajectory.t_end < TAU_H_HORIZON:
         raise ValueError(f"fault-on run ends at t={trajectory.t_end:.6g}, before the horizon {TAU_H_HORIZON:.6g}")
-    gamma = energy_margin(E_c, hm, trajectory.state(0.0))
+    gamma = energy_margin(E_c, hm, trajectory.sample([0.0])[0])
     if gamma < 0.0:
         raise InadmissibleScenario(
             f"energy margin is negative (dE={gamma:.6g})", code="negative-margin"

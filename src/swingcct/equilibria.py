@@ -48,7 +48,7 @@ def _newton(
     max_iter: int = 50,
     stall: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on power[act] = drive from a (k, m) stack of starts.
+    """Damped Newton on power = drive from a (k, m) stack of starts.
 
     Steps are capped at 1 rad in the max norm.  A start stops once its
     residual is within tol and is dropped when its Jacobian is (near)
@@ -67,7 +67,7 @@ def _newton(
         if work.size == 0:
             break
         Xw = X[work]
-        R = drive - coupling.active_power(Xw)
+        R = drive - coupling.power(Xw)
         res = np.max(np.abs(R), axis=1)
         done = res <= tol
         converged[work[done]] = True
@@ -106,10 +106,9 @@ class CriticalEnergy:
 
 
 def _spectrum(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
-    gp = hm.gp
-    m = gp.n_active
+    m = hm.gp.n_active
     H = hm.coupling.jacobian(delta)
-    Minv = 1.0 / gp.M[gp.active]
+    Minv = 1.0 / hm.gp.M
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = np.eye(m)
     J[m:, :m] = -(Minv[:, None] * H)
@@ -147,7 +146,7 @@ def find_sep(
     """
     guess = np.asarray(guess, dtype=float)
     kernel = Coupling(red, gp.active)
-    X, converged = _newton(kernel, gp.Pm[gp.active], guess[None, :])
+    X, converged = _newton(kernel, gp.Pm, guess[None, :])
     if not converged[0]:
         raise EquilibriumError("SEP Newton did not converge")
     delta = X[0]
@@ -171,11 +170,11 @@ def _wrap_to_cell(delta: np.ndarray, center: np.ndarray) -> np.ndarray:
     return center + w
 
 
-def wrapped_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between angle vectors modulo 2*pi per coordinate."""
+def wrapped_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-norm distance between angle vectors modulo 2*pi per coordinate,
+    over the last axis of the broadcast a - b."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    w = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.max(np.abs(w)))
+    return np.max(np.abs(np.mod(d + np.pi, 2.0 * np.pi) - np.pi), axis=-1)
 
 
 def _distinct(roots: np.ndarray) -> np.ndarray:
@@ -189,8 +188,7 @@ def _distinct(roots: np.ndarray) -> np.ndarray:
     kept = []
     while rows.shape[0]:
         kept.append(rows[0])
-        w = np.mod(rows - rows[0] + np.pi, 2.0 * np.pi) - np.pi
-        rows = rows[np.max(np.abs(w), axis=1) > 1e-6]
+        rows = rows[wrapped_distance(rows, rows[0]) > 1e-6]
     return np.array(kept).reshape(-1, roots.shape[1])
 
 
@@ -251,8 +249,7 @@ def _seeded_points(
         return None
     roots = _wrap_to_cell(X[:k], center)
     probes = _wrap_to_cell(X[k:][converged[k:]], center)
-    w = np.mod(probes[:, None, :] - roots[None, :, :] + np.pi, 2.0 * np.pi) - np.pi
-    if np.any(np.min(np.max(np.abs(w), axis=2), axis=1) > 1e-6):
+    if np.any(np.min(wrapped_distance(probes[:, None, :], roots[None, :, :]), axis=1) > 1e-6):
         return None
     points = _polish(hm, center, roots)
     before, after = _closest_saddle(seeds), _closest_saddle(points)
@@ -391,7 +388,9 @@ def _trace(
     p_prev2: float | None = None
     d_prev2: np.ndarray | None = None
 
-    while direction * (p_stop - p_prev) > 1e-12:
+    # the end is reached within a tiny fraction of the step, so that a range
+    # far narrower than 1e-12 is traced too
+    while direction * (p_stop - p_prev) > 1e-10 * initial_step:
         p_next = p_prev + direction * min(step, abs(p_stop - p_prev))
         if p_prev2 is not None and abs(p_prev - p_prev2) > 1e-14:
             slope = (d_prev - d_prev2) / (p_prev - p_prev2)

@@ -87,7 +87,7 @@ class StudyContext:
     red_pre: nm.ReducedNetwork
     red_post: nm.ReducedNetwork
     gp: sw.GeneratorParams
-    x_pre: sw.SystemState
+    x_pre: np.ndarray     # packed pre-fault state [delta_pre; 0]
     sep: eq.EquilibriumPoint
     hm: en.HamiltonianModel
     points: list[eq.EquilibriumPoint]
@@ -132,9 +132,8 @@ def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> tuple[sw.
     """Machine constants, the mechanical powers dispatched at the pre-fault angles, and those angles."""
     delta_pre, infinite_index = prefault_state(sc)
     omega0 = 2.0 * np.pi * sc.frequency
-    gen_buses = sc.net.generator_buses
-    M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in gen_buses])
-    M[infinite_index] = np.inf
+    modeled = [b for i, b in enumerate(sc.net.generator_buses) if i != infinite_index]
+    M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in modeled])
     Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
     return sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index), delta_pre
 
@@ -160,7 +159,7 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
     """
     red_pre, red_on, red_post = regimes(sc)
     gp, delta_pre, sep, hm = _post_fault(sc, red_pre, red_post)
-    x_pre = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
+    x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
 
     points = eq.stationary_points(hm, seeds=seeds)
     try:
@@ -388,7 +387,7 @@ def run_fault_studies(
         if ctx.delta_E <= 0.0:
             f["verdicts"]["scenario"] = "negative-margin"
             continue
-        qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
+        qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.crit.E_c)
         f.update(admissible=True, tau_A=en.tau_A(qc))
         admitted.append((f, ctx))
 

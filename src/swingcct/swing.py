@@ -1,10 +1,11 @@
 """Swing-equation dynamics: exact and dissipation-frozen fields, integration.
 
-Machine convention: all vectors over machines have length n (machine order =
-generator bus order).  Exactly one machine is infinite; it is excluded from
-the state vector and its angle is pinned to 0, which serves as the reference
-for the other rotor angles.  All pairwise sin/cos coupling goes through
-`Coupling`.
+Machine convention: the n machines are ordered as their generator buses, and
+exactly one of them is infinite; its angle is pinned to 0, which serves as
+the reference for the other rotor angles.  Everything else (inertias,
+inputs, powers and the packed state [delta; omega]) covers the m = n - 1
+modeled machines only, in machine order.  All pairwise sin/cos coupling goes
+through `Coupling`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,19 @@ from .netmodel import ReducedNetwork
 Field = Callable[[np.ndarray], np.ndarray]
 
 
+def _modeled_machines(n: int, infinite_index: int) -> np.ndarray:
+    """Indices of the modeled (non-infinite) machines among n."""
+    idx = np.arange(n)
+    return idx[idx != infinite_index]
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Per-machine constants of the swing model.
+    """Constants of the modeled machines of the swing model.
 
-    M holds the lumped inertia 2*H/omega0 for each machine (np.inf for the
-    infinite machine); Pm the mechanical input powers.
+    M holds the lumped inertia 2*H/omega0 and Pm the mechanical input power
+    of each modeled machine; infinite_index is the position of the infinite
+    machine among all n = M.size + 1 machines.
     """
 
     M: np.ndarray
@@ -41,52 +49,23 @@ class GeneratorParams:
         object.__setattr__(self, "Pm", Pm)
         if M.shape != Pm.shape or M.ndim != 1:
             raise ValueError("M and Pm must be equal-length vectors")
-        if not 0 <= self.infinite_index < M.size:
+        if not 0 <= self.infinite_index <= M.size:
             raise ValueError("infinite_index out of range")
-        act = self.active
-        if np.any(M[act] <= 0.0) or not np.all(np.isfinite(M[act])):
+        if np.any(M <= 0.0) or not np.all(np.isfinite(M)):
             raise ValueError("modeled machines need positive finite inertia")
 
     @property
     def n(self) -> int:
-        return self.M.size
+        return self.M.size + 1
 
     @property
     def active(self) -> np.ndarray:
-        """Indices of the modeled (non-infinite) machines."""
-        idx = np.arange(self.n)
-        return idx[idx != self.infinite_index]
+        """Indices of the modeled machines among all n."""
+        return _modeled_machines(self.n, self.infinite_index)
 
     @property
     def n_active(self) -> int:
-        return self.n - 1
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Rotor angles and speed deviations of the modeled machines."""
-
-    delta: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.delta, dtype=float)
-        w = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "omega", w)
-        if d.shape != w.shape or d.ndim != 1:
-            raise ValueError("delta and omega must be equal-length vectors")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
-            raise ValueError("non-finite state")
-
-    def packed(self) -> np.ndarray:
-        return np.concatenate([self.delta, self.omega])
-
-    @classmethod
-    def from_packed(cls, y: np.ndarray) -> "SystemState":
-        y = np.asarray(y, dtype=float)
-        m = y.size // 2
-        return cls(delta=y[:m], omega=y[m:])
+        return self.M.size
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,10 +93,11 @@ class Coupling:
 
     Every method takes the angles of the machines in `act` with shape (..., m)
     and treats each leading index as one independent state; the machine left
-    out of `act` (the infinite one) sits at angle 0.  The pairwise
-    differences d_i - d_k of all n x n machine pairs come from one product
-    with a fixed difference operator K of +1/-1/0 entries, so each one is the
-    exactly rounded difference.
+    out of `act` (the infinite one) sits at angle 0.  Powers, conductances
+    and Jacobians cover the rows of the machines in `act`.  The pairwise
+    differences d_i - d_k come from one product with a fixed difference
+    operator K of +1/-1/0 entries, so each one is the exactly rounded
+    difference.
 
     The conductive form evaluates the electric power
     P_i = sum_k E_i E_k (G_ik cos d_ik + B_ik sin d_ik); the anchored form
@@ -125,24 +105,24 @@ class Coupling:
     into its drive Pm - Pa.
 
     A kernel built from one network applies it to every state; `stack` joins
-    kernels into one whose network parameters PG and Pbar have shape
-    (K, n*n), so row k of a (K, m) stack is evaluated on network k.
+    kernels into one whose network parameters have one row per network, so
+    row k of a (K, m) stack is evaluated on network k.
     """
+
+    #: the network parameters: E_i E_k G_ik and Pbar_ik over the rows of act,
+    #: and Pbar_ik over the pairs i < k
+    _NETWORK = ("_PG_act", "_Pbar_act", "_Pbar_pairs")
 
     def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
         self.n = red.n
         self.act = act
         self.conductive = conductive
-        self.K, self.pairs, self._K_pairs, self._act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
+        self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
         self._diag = np.arange(act.size)
-        self._set_network((np.outer(red.E, red.E) * red.G).ravel(), red.Pbar.ravel())
-
-    def _set_network(self, PG: np.ndarray, Pbar: np.ndarray) -> None:
-        self.PG = PG
-        self.Pbar = Pbar
-        self._Pbar_pairs = Pbar.take(self.pairs, axis=-1)
-        self._PG_act = PG.take(self._act_terms, axis=-1)
-        self._Pbar_act = Pbar.take(self._act_terms, axis=-1)
+        Pbar = red.Pbar.ravel()
+        self._PG_act = (np.outer(red.E, red.E) * red.G).ravel()[act_terms]
+        self._Pbar_act = Pbar[act_terms]
+        self._Pbar_pairs = Pbar[self.pairs]
 
     @classmethod
     def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":
@@ -152,13 +132,15 @@ class Coupling:
             if k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act):
                 raise ValueError("stacked kernels need the same machines and form")
         out = copy.copy(first)
-        out._set_network(np.vstack([k.PG for k in kernels]), np.vstack([k.Pbar for k in kernels]))
+        for name in cls._NETWORK:
+            setattr(out, name, np.vstack([getattr(k, name) for k in kernels]))
         return out
 
     def take(self, rows: np.ndarray) -> "Coupling":
         """The stacked kernel of the given rows of this stacked kernel."""
         out = copy.copy(self)
-        out._set_network(self.PG[rows], self.Pbar[rows])
+        for name in self._NETWORK:
+            setattr(out, name, getattr(self, name)[rows])
         return out
 
     def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
@@ -174,34 +156,32 @@ class Coupling:
         """d_i - d_k for every machine pair, flattened row-major to (..., n*n)."""
         return np.asarray(delta, dtype=float) @ self.K
 
-    def power(self, delta: np.ndarray) -> np.ndarray:
-        """Power leaving every machine (the anchored form: its sine part), shape (..., n)."""
-        D = self.diffs(delta)
-        if self.conductive:
-            return self._sum_rows(self.PG * np.cos(D) + self.Pbar * np.sin(D))
-        return self._sum_rows(self.Pbar * np.sin(D))
+    def _act_diffs(self, delta: np.ndarray) -> np.ndarray:
+        """d_i - d_k for i in act and every k, flattened to (..., m*n)."""
+        return np.asarray(delta, dtype=float) @ self._K_act
 
-    def active_power(self, delta: np.ndarray) -> np.ndarray:
-        """`power` of the modeled machines only, shape (..., m), with the same bits."""
-        D = np.asarray(delta, dtype=float) @ self._K_act
+    def power(self, delta: np.ndarray) -> np.ndarray:
+        """Power leaving every modeled machine (the anchored form: its sine
+        part), shape (..., m)."""
+        D = self._act_diffs(delta)
         if self.conductive:
             return self._sum_rows(self._PG_act * np.cos(D) + self._Pbar_act * np.sin(D))
         return self._sum_rows(self._Pbar_act * np.sin(D))
 
     def conductance(self, delta: np.ndarray) -> np.ndarray:
-        """The conductance term sum_k E_i E_k G_ik cos d_ik alone, shape (..., n)."""
-        return self._sum_rows(self.PG * np.cos(self.diffs(delta)))
+        """The conductance term sum_k E_i E_k G_ik cos d_ik alone, shape (..., m)."""
+        return self._sum_rows(self._PG_act * np.cos(self._act_diffs(delta)))
 
     def jacobian(self, delta: np.ndarray) -> np.ndarray:
         """d power_i / d delta_j over the modeled machines, shape (..., m, m).
 
         The anchored form is the Hessian of the potential energy.
         """
-        D = self.diffs(delta)
-        C = self.Pbar * np.cos(D)
+        D = self._act_diffs(delta)
+        C = self._Pbar_act * np.cos(D)
         if self.conductive:
-            C = C - self.PG * np.sin(D)
-        C = C.reshape(D.shape[:-1] + (self.n, self.n))[..., self.act, :]
+            C = C - self._PG_act * np.sin(D)
+        C = C.reshape(D.shape[:-1] + (-1, self.n))
         J = -C[..., self.act]
         J[..., self._diag, self._diag] = C.sum(axis=-1)
         return J
@@ -241,20 +221,20 @@ class SwingField:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         m = self.m
-        accel = (self.drive - self.coupling.active_power(y[..., :m])) * self.Minv
+        accel = (self.drive - self.coupling.power(y[..., :m])) * self.Minv
         return np.concatenate([y[..., m:], accel], axis=-1)
 
 
 def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None = None) -> SwingField:
     """Right-hand side over the packed state [delta; omega].
 
-    Without Pa this is the exact field; with Pa (full machine vector) it is
-    the conservative field whose conductance power is frozen at Pa.
+    Without Pa this is the exact field; with Pa (one entry per modeled
+    machine) it is the conservative field whose conductance power is frozen
+    at Pa.
     """
-    act = gp.active
-    coupling = Coupling(red, act, conductive=Pa is None)
-    drive = gp.Pm[act] if Pa is None else gp.Pm[act] - Pa[act]
-    return SwingField(coupling, drive, 1.0 / gp.M[act])
+    coupling = Coupling(red, gp.active, conductive=Pa is None)
+    drive = gp.Pm if Pa is None else gp.Pm - Pa
+    return SwingField(coupling, drive, 1.0 / gp.M)
 
 
 @dataclass(frozen=True)
@@ -284,10 +264,6 @@ class Trajectory:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         g = np.clip(np.searchsorted(self.t, ts, side="left") - 1, 0, self.h.size - 1)
         return dense_state(self.y, self.h, self.Q, g, ((ts - self.t[g]) / self.h[g])[:, None])
-
-    def state(self, t: float) -> SystemState:
-        """Dense-output state at time t."""
-        return SystemState.from_packed(self.sample(np.array([t]))[0])
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
@@ -482,12 +458,10 @@ def integrate_rows(
         return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed, Y.shape[1])
 
 
-def integrate(
-    field: Field, x0: SystemState | np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL
-) -> Trajectory:
-    """`integrate_rows` of one state (a SystemState or shape (d,)); raises
-    IntegrationError if its step size underflows."""
-    y0 = x0.packed() if isinstance(x0, SystemState) else np.asarray(x0, dtype=float)
+def integrate(field: Field, x0: np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL) -> Trajectory:
+    """`integrate_rows` of one state, shape (d,); raises IntegrationError if
+    its step size underflows."""
+    y0 = np.asarray(x0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("integrate takes one state; use integrate_rows for a stack")
     (run,) = integrate_rows(field, y0[None], t_end, tol=tol, atol=atol)
@@ -504,21 +478,19 @@ def dispatch_from_angles(
     """Mechanical powers that make (delta_pre, 0) stationary pre-fault.
 
     delta_pre covers the modeled machines; the infinite machine sits at 0.
-    Returns the full-length Pm vector (the infinite machine's entry is its
-    electrical output, kept for bookkeeping only).  Pre-fault angles must lie
-    within pi/2 of each other pairwise and modeled machines must come out as
+    Returns Pm of the modeled machines.  Pre-fault angles must lie within
+    pi/2 of each other pairwise and modeled machines must come out as
     generators (Pm > 0), otherwise the scenario is rejected.
     """
-    idx = np.arange(red_pre.n)
-    act = idx[idx != infinite_index]
+    act = _modeled_machines(red_pre.n, infinite_index)
     coupling = Coupling(red_pre, act)
     if np.any(np.abs(coupling.diffs(delta_pre)) >= np.pi / 2.0):
         raise InadmissibleScenario(
             "pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles"
         )
     Pm = coupling.power(delta_pre)
-    if np.any(Pm[act] <= 0.0):
-        bad = [int(i) for i in act[Pm[act] <= 0.0]]
+    if np.any(Pm <= 0.0):
+        bad = [int(i) for i in act[Pm <= 0.0]]
         raise InadmissibleScenario(
             f"dispatch gives non-positive mechanical power for machines {bad}",
             code="pm-nonpositive",

@@ -60,7 +60,7 @@ def smib(Pm: float = 0.5, Pbar: float = 1.0, M: float = 0.1):
         n=2, G=np.zeros((2, 2)), B=B, Pbar=np.array([[0.0, Pbar], [Pbar, 0.0]]),
         E=np.ones(2),
     )
-    gp = GeneratorParams(M=np.array([M, np.inf]), Pm=np.array([Pm, 0.0]), infinite_index=1)
+    gp = GeneratorParams(M=np.array([M]), Pm=np.array([Pm]), infinite_index=1)
     return red, gp
 
 

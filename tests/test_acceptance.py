@@ -233,10 +233,10 @@ def test_criterion_8a_hamiltonian_drift(nominal_ctx):
     from swingcct import swing as sw
 
     ctx = nominal_ctx
-    x0 = sw.SystemState(delta=ctx.sep.delta + 0.3, omega=np.array([0.4, -0.2]))
+    x0 = np.concatenate([ctx.sep.delta + 0.3, [0.4, -0.2]])
     field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
-    h0 = en.hamiltonian(ctx.hm, x0.packed())
+    h0 = en.hamiltonian(ctx.hm, x0)
     drift = np.max(np.abs(en.hamiltonian(ctx.hm, traj.sample(np.linspace(0, 1, 21))) - h0))
     ok = drift <= 1e-6 * max(1.0, abs(h0))
     check("8a", ok, f"drift={drift:.2e} over 1 s (limit 1e-6)")
@@ -332,15 +332,16 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
     """
     ctx = nominal_ctx
     gp = ctx.gp
-    qc = en.quartic_coefficients(ctx.hm, ctx.fom, gp, ctx.x_pre, ctx.crit.E_c)
-    u = en.initial_accelerations(ctx.fom, gp)
-    full_pre = np.insert(ctx.x_pre.delta, gp.infinite_index, 0.0)
+    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.crit.E_c)
+    # over all n machines, the infinite one at rest
+    u = np.insert(en.initial_accelerations(ctx.fom, gp), gp.infinite_index, 0.0)
+    full_pre = np.insert(ctx.x_pre[:2], gp.infinite_index, 0.0)
     iu, ku = np.triu_indices(gp.n, k=1)
     dPbar = ctx.hm.red.Pbar - ctx.fom.red_on.Pbar
     dd_pre = full_pre[iu] - full_pre[ku]
     defect = 0.5 * float((dPbar[iu, ku] * (u[iu] - u[ku])) @ (dd_pre - np.sin(dd_pre)))
 
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
     traj = fault_on(ctx, 0.02, tol=1e-12, atol=1e-14)
     ts = np.logspace(-4, -2, 25)
     h = en.hamiltonian(ctx.hm, traj.sample(ts))
@@ -356,11 +357,11 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
 
 def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
     ratios = {}
     for s in (0.1, 0.01):
         E_scaled = h0 + s * ctx.delta_E
-        qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, E_scaled)
+        qc = en.quartic_coefficients(ctx.hm, ctx.fom, E_scaled)
         t_a = en.tau_A(qc)
         t_h = en.tau_H(ctx.hm, E_scaled, nominal_fault_on, locate_tol=1e-8)
         ratios[s] = t_a / t_h

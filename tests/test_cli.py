@@ -234,10 +234,24 @@ def test_cli_branches_bad_range(rng, message, tmp_path, capsys):
 @pytest.mark.parametrize("rng", ["-1e-300:0", "0:1e308"])
 def test_cli_branches_extreme_range_ends(rng, tmp_path, capsys):
     """Ranges far narrower or far wider than the default step end in a
-    trace, not a traceback: the checkpoint grid's slack scales with it."""
+    trace, not a traceback: the checkpoint grid's slack and the trace's end
+    test scale with it, so the two branches of the bundled case's range
+    -1:0 are two branches here too."""
     rc = cli.main(["branches", "wscc9-tmib", "--param", "8.B", "--range", rng, "--out", str(tmp_path / "rep")])
     assert rc == 0
-    assert "branches:" in capsys.readouterr().out
+    assert "branches: 2\n" in capsys.readouterr().out
+
+
+def test_cli_branches_takes_no_search_setting(tmp_path, capsys):
+    """A branch trace integrates nothing, so the clearing-time search flags
+    of study and sweep are unknown to it: a usage error."""
+    rc = cli.main([
+        "branches", "wscc9-tmib", "--param", "8.B", "--range", "-1:0", "--resolution", "1e-3",
+        "--out", str(tmp_path / "rep"),
+    ])
+    assert rc == 3
+    assert "unrecognized arguments: --resolution" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize(
@@ -252,6 +266,28 @@ def test_cli_sweep_bad_range_or_jobs(flag, value, message, tmp_path, capsys):
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "wscc9-tmib", "--range", "0:1:0.5"], "required: --param"),
+        (["study", "wscc9-tmib", "--bogus"], "unrecognized arguments: --bogus"),
+        (["study", "wscc9-tmib", "--resolution", "abc"], "invalid float value: 'abc'"),
+    ],
+    ids=["missing-param", "unknown-flag", "bad-number"],
+)
+def test_cli_usage_error_is_input_error(argv, message, capsys):
+    """A command line argparse rejects exits 3, like any input error, and
+    not argparse's own 2, which means no admissible parameter point here."""
+    assert cli.main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["study", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    assert "usage: swingcct" in capsys.readouterr().out
 
 
 def test_cli_input_errors(tmp_path, capsys):

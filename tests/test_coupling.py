@@ -20,7 +20,8 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def network(draw, n: int, inf: int) -> tuple[ReducedNetwork, GeneratorParams]:
-    """Random symmetric G/B, EMFs, inertias and inputs over n machines."""
+    """Random symmetric G/B and EMFs over n machines, and inertias and
+    inputs of the modeled ones (drawn for all n, the infinite entry deleted)."""
     entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
     G = draw(arrays(float, (n, n), elements=entries))
     B = draw(arrays(float, (n, n), elements=entries))
@@ -30,9 +31,8 @@ def network(draw, n: int, inf: int) -> tuple[ReducedNetwork, GeneratorParams]:
     np.fill_diagonal(Pbar, 0.0)
     red = ReducedNetwork(n=n, G=G, B=B, Pbar=Pbar, E=E)
     M = draw(arrays(float, n, elements=st.floats(0.05, 1.0)))
-    M[inf] = np.inf
     Pm = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
-    gp = GeneratorParams(M=M, Pm=Pm, infinite_index=inf)
+    gp = GeneratorParams(M=np.delete(M, inf), Pm=np.delete(Pm, inf), infinite_index=inf)
     return red, gp
 
 
@@ -76,7 +76,8 @@ def test_stacked_rows_equal_single_rows(case):
             for i, row in enumerate(angles):
                 assert same_bits(stacked[i], method(row))
                 assert same_bits(stacked[i], method(angles[i : i + 1])[0])
-        assert same_bits(cp.active_power(angles), cp.power(angles)[:, gp.active])
+        # powers and conductances cover the modeled machines only
+        assert cp.power(angles).shape == cp.conductance(angles).shape == angles.shape
 
 
 @st.composite
@@ -101,7 +102,7 @@ def test_stacked_networks_equal_single_networks(case):
     for conductive in (True, False):
         kernels = [Coupling(red, gp.active, conductive=conductive) for red, gp in nets]
         stacked = Coupling.stack(kernels)
-        for name in ("power", "active_power", "conductance", "jacobian", "pair_energy"):
+        for name in ("power", "conductance", "jacobian", "pair_energy"):
             rows = getattr(stacked, name)(angles)
             for i, kernel in enumerate(kernels):
                 assert same_bits(rows[i], getattr(kernel, name)(angles[i]))
@@ -137,7 +138,7 @@ def test_jacobian_matches_central_differences(case):
             for j in range(act.size):
                 e = np.zeros(act.size)
                 e[j] = h
-                fd[:, j] = (cp.power(x + e)[act] - cp.power(x - e)[act]) / (2.0 * h)
+                fd[:, j] = (cp.power(x + e) - cp.power(x - e)) / (2.0 * h)
             assert np.allclose(cp.jacobian(x), fd, rtol=1e-6, atol=1e-6)
 
 

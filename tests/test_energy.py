@@ -38,8 +38,7 @@ def test_kinetic_matches_work_integral(nominal_ctx):
     omega_end = RNG.normal(size=2)
     ts = np.linspace(0.0, 1.0, 20001)
     # omega(t) = omega_end * t: instantaneous power = sum M_i omega_i omegadot_i
-    act = gp.active
-    power = (gp.M[act] * omega_end**2)[None, :] * ts[:, None]
+    power = (gp.M * omega_end**2)[None, :] * ts[:, None]
     work = np.trapezoid(power.sum(axis=1), ts)
     assert work == pytest.approx(kinetic(nominal_ctx.hm, omega_end), rel=1e-8)
 
@@ -66,10 +65,8 @@ def test_potential_gradient_matches_field(nominal_ctx):
     """Gradient equals -M times the conservative accelerations at omega = 0."""
     ctx = nominal_ctx
     delta = ctx.sep.delta + np.array([0.4, -0.3])
-    x = sw.SystemState(delta=delta, omega=np.zeros(2))
-    acc = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)(x.packed())[2:]
-    M = ctx.gp.M[ctx.gp.active]
-    assert np.allclose(en.potential_gradient(ctx.hm, delta), -M * acc, atol=1e-12)
+    acc = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)(np.concatenate([delta, np.zeros(2)]))[2:]
+    assert np.allclose(en.potential_gradient(ctx.hm, delta), -ctx.gp.M * acc, atol=1e-12)
 
 
 def test_critical_level_set_passes_through_uep(nominal_ctx):
@@ -78,18 +75,18 @@ def test_critical_level_set_passes_through_uep(nominal_ctx):
 
 
 def test_hamiltonian_reduces_to_potential_at_rest(nominal_ctx):
-    x = sw.SystemState(delta=nominal_ctx.sep.delta + 0.1, omega=np.zeros(2))
-    assert en.hamiltonian(nominal_ctx.hm, x.packed()) == pytest.approx(
-        en.potential(nominal_ctx.hm, x.delta), abs=0
+    delta = nominal_ctx.sep.delta + 0.1
+    assert en.hamiltonian(nominal_ctx.hm, np.concatenate([delta, np.zeros(2)])) == pytest.approx(
+        en.potential(nominal_ctx.hm, delta), abs=0
     )
 
 
 def test_prefault_energy_below_critical(nominal_ctx):
-    assert en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre.packed()) < nominal_ctx.crit.E_c
+    assert en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre) < nominal_ctx.crit.E_c
 
 
 def test_energy_margin_zero_case(nominal_ctx):
-    h0 = en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre.packed())
+    h0 = en.hamiltonian(nominal_ctx.hm, nominal_ctx.x_pre)
     assert en.energy_margin(h0, nominal_ctx.hm, nominal_ctx.x_pre) == 0.0
 
 
@@ -100,7 +97,7 @@ def test_energy_margin_zero_case(nominal_ctx):
 
 def null_fault(ctx):
     """Context variant whose fault-on network equals the pre-fault one."""
-    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_pre, ctx.gp, ctx.x_pre.delta)
+    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_pre, ctx.gp, ctx.x_pre[:2])
     return fom
 
 
@@ -110,8 +107,10 @@ def test_null_fault_accelerations_vanish(nominal_ctx):
 
 
 def test_infinite_machine_never_accelerates(nominal_ctx):
+    """The accelerations cover the modeled machines only: the infinite
+    machine has no entry."""
     u = en.initial_accelerations(nominal_ctx.fom, nominal_ctx.gp)
-    assert u[nominal_ctx.gp.infinite_index] == 0.0
+    assert u.shape == (nominal_ctx.gp.n_active,) == (nominal_ctx.gp.n - 1,)
 
 
 def test_accelerations_match_short_trajectory(nominal_ctx):
@@ -120,8 +119,8 @@ def test_accelerations_match_short_trajectory(nominal_ctx):
     h = 1e-3
     traj = fault_on(ctx, h, tol=1e-10, atol=1e-12)
     d_h = traj.sample(np.array([h]))[0][:2]
-    u_fd = 2.0 * (d_h - ctx.x_pre.delta) / h**2
-    u = en.initial_accelerations(ctx.fom, ctx.gp)[ctx.gp.active]
+    u_fd = 2.0 * (d_h - ctx.x_pre[:2]) / h**2
+    u = en.initial_accelerations(ctx.fom, ctx.gp)
     assert np.max(np.abs(u_fd - u) / np.abs(u)) <= 0.01
 
 
@@ -129,9 +128,8 @@ def test_quartic_degenerate_when_networks_match(nominal_ctx):
     """No fault at all: fault-on equals post-fault and the system sits at the
     post-fault equilibrium, so every parameter difference vanishes."""
     ctx = nominal_ctx
-    x_sep = sw.SystemState(delta=ctx.sep.delta, omega=np.zeros(2))
-    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_post, ctx.gp, x_sep.delta)
-    qc = en.quartic_coefficients(ctx.hm, fom, ctx.gp, x_sep, ctx.crit.E_c)
+    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_post, ctx.gp, ctx.sep.delta)
+    qc = en.quartic_coefficients(ctx.hm, fom, ctx.crit.E_c)
     assert abs(qc.alpha) <= 1e-18
     assert abs(qc.beta) <= 1e-12
     assert np.max(np.abs(qc.u)) <= 1e-10
@@ -139,7 +137,7 @@ def test_quartic_degenerate_when_networks_match(nominal_ctx):
 
 def test_quartic_alpha_positive_nominal(nominal_ctx):
     ctx = nominal_ctx
-    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
+    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.crit.E_c)
     assert qc.alpha > 0.0
     assert qc.gamma == pytest.approx(ctx.delta_E)
 
@@ -148,11 +146,12 @@ def test_h_alt_matches_symbolic_substitution(nominal_ctx):
     """Assembled coefficients equal the angle-form surrogate on the
     constant-acceleration trajectory."""
     ctx = nominal_ctx
-    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.gp, ctx.x_pre, ctx.crit.E_c)
+    qc = en.quartic_coefficients(ctx.hm, ctx.fom, ctx.crit.E_c)
     gp = ctx.gp
-    full_pre = np.insert(ctx.x_pre.delta, gp.infinite_index, 0.0)
-    u = qc.u
-    dPa = ctx.hm.Pa - ctx.fom.Pa_on
+    # over all n machines, the infinite one at rest
+    full_pre = np.insert(ctx.x_pre[:2], gp.infinite_index, 0.0)
+    u = np.insert(qc.u, gp.infinite_index, 0.0)
+    dPa = np.insert(ctx.hm.Pa - ctx.fom.Pa_on, gp.infinite_index, 0.0)
     dPbar = ctx.hm.red.Pbar - ctx.fom.red_on.Pbar
     iu, ku = np.triu_indices(gp.n, k=1)
     for t in RNG.uniform(0.0, 0.5, size=50):
@@ -236,8 +235,20 @@ def test_tau_a_companion_matrix_oracle():
 
 def test_tau_h_zero_margin(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    h0 = en.hamiltonian(ctx.hm, ctx.x_pre.packed())
+    h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
     assert en.tau_H(ctx.hm, h0, nominal_fault_on) == 0.0
+
+
+def test_prefault_state_is_read_once(nominal_ctx, nominal_fault_on, monkeypatch):
+    """The fault-on run starts from ctx.x_pre, and tau_H takes its margin
+    from that run's first sample: the bits of the context's dE."""
+    ctx = nominal_ctx
+    assert nominal_fault_on.sample([0.0])[0].tobytes() == ctx.x_pre.tobytes()
+    margins = []
+    margin = en.energy_margin
+    monkeypatch.setattr(en, "energy_margin", lambda *args: margins.append(margin(*args)) or margins[-1])
+    en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
+    assert margins == [ctx.delta_E]
 
 
 def test_tau_h_no_crossing_without_fault(nominal_ctx):
@@ -262,7 +273,7 @@ def test_tau_h_dense_scan_oracle(nominal_ctx, nominal_fault_on):
 
 def test_tau_h_negative_margin_rejected(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
-    bad = en.hamiltonian(ctx.hm, ctx.x_pre.packed()) - 1.0
+    bad = en.hamiltonian(ctx.hm, ctx.x_pre) - 1.0
     with pytest.raises(InadmissibleScenario):
         en.tau_H(ctx.hm, bad, nominal_fault_on)
 
@@ -290,8 +301,8 @@ def test_smib_tau_h_against_separatrix():
 
     delta_s = np.array([np.arcsin(0.3)])
     sep, hm = find_sep(red, gp, delta_s)
-    x_pre = sw.SystemState(delta=sep.delta, omega=np.zeros(1))
-    fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, x_pre.delta)
+    x_pre = np.concatenate([sep.delta, np.zeros(1)])
+    fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, sep.delta)
     E_c = en.potential(hm, np.array([np.pi - np.arcsin(0.3)]))
     t_h = en.tau_H(hm, E_c, en.fault_on_trajectory([fom], [gp], [x_pre], 2.0)[0])
     # constant acceleration u: delta(t) = d_s + u t^2 / 2, H grows accordingly;

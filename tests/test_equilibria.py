@@ -30,8 +30,8 @@ def symmetric_three_machine():
     Pbar = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     red = ReducedNetwork(n=3, G=np.zeros((3, 3)), B=Pbar.copy(), Pbar=Pbar, E=np.ones(3))
     gp = GeneratorParams(
-        M=np.array([0.1, 0.1, np.inf]),
-        Pm=np.zeros(3),
+        M=np.array([0.1, 0.1]),
+        Pm=np.zeros(2),
         infinite_index=2,
     )
     return red, gp
@@ -52,8 +52,7 @@ def test_sep_of_symmetric_unloaded_system_is_origin():
 
 def test_nominal_sep_residual_and_cell(nominal_ctx):
     ctx = nominal_ctx
-    act = ctx.gp.active
-    r = ctx.gp.Pm[act] - Coupling(ctx.red_post, act).power(ctx.sep.delta)[act]
+    r = ctx.gp.Pm - Coupling(ctx.red_post, ctx.gp.active).power(ctx.sep.delta)
     assert np.max(np.abs(r)) <= 1e-10
     full = np.insert(ctx.sep.delta, ctx.gp.infinite_index, 0.0)
     pairwise = np.abs(np.subtract.outer(full, full))
@@ -101,7 +100,7 @@ def test_classify_pendulum_saddle(pendulum):
 
 def test_classify_marginal_verdict():
     red = ReducedNetwork(n=2, G=np.zeros((2, 2)), B=np.zeros((2, 2)), Pbar=np.zeros((2, 2)), E=np.ones(2))
-    gp = GeneratorParams(M=np.array([0.1, np.inf]), Pm=np.zeros(2), infinite_index=1)
+    gp = GeneratorParams(M=np.array([0.1]), Pm=np.zeros(1), infinite_index=1)
     hm = en.HamiltonianModel.at_anchor(red, gp, np.zeros(1))
     with pytest.raises(EquilibriumError, match="marginal"):
         eq._equilibrium_point(hm, np.array([0.4]))
@@ -276,7 +275,7 @@ def neighbour_models(draw, machines=st.integers(2, 3)):
     its own."""
     hm = draw(anchored_models(machines))
     assume(abs(np.linalg.det(hm.coupling.jacobian(hm.anchor))) > 1e-6)
-    step = draw(arrays(float, hm.gp.Pm.size, elements=st.floats(-0.5, 0.5)))
+    step = np.delete(draw(arrays(float, hm.gp.n, elements=st.floats(-0.5, 0.5))), hm.gp.infinite_index)
     near = en.HamiltonianModel(red=hm.red, gp=replace(hm.gp, Pm=hm.gp.Pm + step), Pa=hm.Pa, anchor=hm.anchor)
     return hm, near
 
@@ -525,7 +524,7 @@ def model_families(draw, machines=st.integers(2, 3)):
     with the parameter; past a random cutoff it has no model at all."""
     hm = draw(anchored_models(machines))
     assume(abs(np.linalg.det(hm.coupling.jacobian(hm.anchor))) > 1e-6)
-    direction = draw(arrays(float, hm.gp.Pm.size, elements=st.floats(-1.0, 1.0)))
+    direction = np.delete(draw(arrays(float, hm.gp.n, elements=st.floats(-1.0, 1.0))), hm.gp.infinite_index)
     cutoff = draw(st.floats(0.5, 1.5))
 
     def factory(value):

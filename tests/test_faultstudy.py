@@ -14,7 +14,7 @@ from swingcct.errors import IntegrationError
 
 def null_fault_context(ctx):
     """Context whose fault-on regime equals the pre-fault network."""
-    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_pre, ctx.gp, ctx.x_pre.delta)
+    fom = en.FaultOnHamiltonianModel.at_prefault(ctx.red_pre, ctx.gp, ctx.x_pre[:2])
     return replace(ctx, fom=fom)
 
 
@@ -36,7 +36,7 @@ def test_divergent_trajectory_is_unstable(nominal_ctx):
     ctx = nominal_ctx
     traj = fault_on(ctx, 0.4)
     field = sw.swing_field(ctx.red_post, ctx.gp)
-    post = sw.integrate(field, traj.state(0.4), 2.0)
+    post = sw.integrate(field, traj.sample([0.4])[0], 2.0)
     cp = ctx.hm.coupling
     exc = fs._pair_excursions(cp, post.sample(np.linspace(0, 2.0, 400)), cp.diffs(ctx.sep.delta)[cp.pairs])
     assert exc.max() >= np.pi  # confirms the mechanism behind the verdict

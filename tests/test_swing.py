@@ -55,26 +55,25 @@ def test_power_sine_peak():
 
 
 def test_power_matches_hand_evaluation(nominal_ctx):
-    full = np.insert(nominal_ctx.x_pre.delta, nominal_ctx.gp.infinite_index, 0.0)
-    got = sw.Coupling(nominal_ctx.red_pre, nominal_ctx.gp.active).power(nominal_ctx.x_pre.delta)
-    assert np.allclose(got, hand_electrical_power(nominal_ctx.red_pre, full), atol=1e-14)
+    gp, delta_pre = nominal_ctx.gp, nominal_ctx.x_pre[:2]
+    full = np.insert(delta_pre, gp.infinite_index, 0.0)
+    got = sw.Coupling(nominal_ctx.red_pre, gp.active).power(delta_pre)
+    assert np.allclose(got, hand_electrical_power(nominal_ctx.red_pre, full)[gp.active], atol=1e-14)
 
 
 def test_rhs_zero_at_stationary_point(nominal_ctx):
-    d = sw.swing_field(nominal_ctx.red_pre, nominal_ctx.gp)(nominal_ctx.x_pre.packed())
+    d = sw.swing_field(nominal_ctx.red_pre, nominal_ctx.gp)(nominal_ctx.x_pre)
     assert np.max(np.abs(d)) <= 1e-12
 
 
 def test_rhs_kinematic_identity():
     red, gp = smib()
-    x = sw.SystemState(delta=np.array([0.3]), omega=np.array([1.7]))
-    assert sw.swing_field(red, gp)(x.packed())[0] == 1.7
+    assert sw.swing_field(red, gp)(np.array([0.3, 1.7]))[0] == 1.7
 
 
 def test_rhs_hand_arithmetic():
     red, gp = smib(Pm=0.5, Pbar=1.0, M=0.1)
-    x = sw.SystemState(delta=np.zeros(1), omega=np.zeros(1))
-    d = sw.swing_field(red, gp)(x.packed())
+    d = sw.swing_field(red, gp)(np.zeros(2))
     assert d[1] == pytest.approx(5.0, rel=1e-15)
 
 
@@ -82,16 +81,13 @@ def test_hamiltonian_field_equals_exact_without_conductance():
     red, gp = smib(Pm=0.4)
     anchor = np.array([0.2])
     for _ in range(5):
-        x = sw.SystemState(delta=RNG.normal(size=1), omega=RNG.normal(size=1))
-        assert np.allclose(
-            sw.swing_field(red, gp)(x.packed()), anchored_field(red, gp, anchor)(x.packed()), atol=1e-15
-        )
+        x = RNG.normal(size=2)
+        assert np.allclose(sw.swing_field(red, gp)(x), anchored_field(red, gp, anchor)(x), atol=1e-15)
 
 
 def test_hamiltonian_field_zero_at_own_anchor(nominal_ctx):
     sep = nominal_ctx.sep.delta
-    x = sw.SystemState(delta=sep, omega=np.zeros_like(sep))
-    d = anchored_field(nominal_ctx.red_post, nominal_ctx.gp, sep)(x.packed())
+    d = anchored_field(nominal_ctx.red_post, nominal_ctx.gp, sep)(np.concatenate([sep, np.zeros_like(sep)]))
     assert np.max(np.abs(d)) <= 1e-10
 
 
@@ -102,16 +98,16 @@ def test_tmib_equations_reproduced(nominal_ctx):
     for _ in range(10):
         d1, d2 = RNG.uniform(-np.pi, np.pi, 2)
         w1, w2 = RNG.normal(size=2)
-        x = sw.SystemState(delta=np.array([d1, d2]), omega=np.array([w1, w2]))
-        got = sw.swing_field(red, gp, Pa)(x.packed())
-        # machine indices: 0 infinite, 1 and 2 modeled; pairwise maxima
+        got = sw.swing_field(red, gp, Pa)(np.array([d1, d2, w1, w2]))
+        # machine indices: 0 infinite, 1 and 2 modeled (entries 0 and 1 of
+        # the modeled-machine vectors); pairwise maxima
         P13, P23, P12 = red.Pbar[1, 0], red.Pbar[2, 0], red.Pbar[1, 2]
         expect = np.array(
             [
                 w1,
                 w2,
-                (gp.Pm[1] - Pa[1] - P13 * np.sin(d1) - P12 * np.sin(d1 - d2)) / gp.M[1],
-                (gp.Pm[2] - Pa[2] - P23 * np.sin(d2) - P12 * np.sin(d2 - d1)) / gp.M[2],
+                (gp.Pm[0] - Pa[0] - P13 * np.sin(d1) - P12 * np.sin(d1 - d2)) / gp.M[0],
+                (gp.Pm[1] - Pa[1] - P23 * np.sin(d2) - P12 * np.sin(d2 - d1)) / gp.M[1],
             ]
         )
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -123,16 +119,16 @@ def test_tmib_equations_reproduced(nominal_ctx):
 
 
 def test_integrate_zero_field_is_constant():
-    x0 = sw.SystemState(delta=np.array([0.5]), omega=np.array([-0.2]))
+    x0 = np.array([0.5, -0.2])
     traj = sw.integrate(lambda y: np.zeros_like(y), x0, 1.0)
-    assert np.allclose(traj.sample(np.linspace(0, 1, 7)), x0.packed(), atol=0)
+    assert np.allclose(traj.sample(np.linspace(0, 1, 7)), x0, atol=0)
 
 
 def test_integrate_harmonic_period():
     red, gp = smib(Pm=0.5, Pbar=1.0, M=0.1)
     delta_s = math.asin(0.5)
     T = 2 * math.pi * math.sqrt(gp.M[0] / (red.Pbar[0, 1] * math.cos(delta_s)))
-    x0 = sw.SystemState(delta=np.array([delta_s + 1e-3]), omega=np.zeros(1))
+    x0 = np.array([delta_s + 1e-3, 0.0])
     traj = sw.integrate(sw.swing_field(red, gp), x0, 3.2 * T, tol=1e-10, atol=1e-12)
     ts = np.linspace(0, traj.t_end, 20001)
     d = traj.sample(ts)[:, 0] - delta_s
@@ -146,10 +142,10 @@ def test_integrate_conserves_anchored_energy(nominal_ctx):
     from swingcct.energy import hamiltonian
 
     ctx = nominal_ctx
-    x0 = sw.SystemState(delta=ctx.sep.delta + 0.3, omega=np.array([0.5, -0.4]))
+    x0 = np.concatenate([ctx.sep.delta + 0.3, [0.5, -0.4]])
     field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
-    h0 = hamiltonian(ctx.hm, x0.packed())
+    h0 = hamiltonian(ctx.hm, x0)
     drift = np.max(np.abs(hamiltonian(ctx.hm, traj.sample(np.linspace(0.1, 1.0, 10))) - h0))
     assert drift <= 1e-6 * max(1.0, abs(h0))
 
@@ -157,10 +153,10 @@ def test_integrate_conserves_anchored_energy(nominal_ctx):
 def test_integrate_reversibility(nominal_ctx):
     ctx = nominal_ctx
     field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
-    x0 = sw.SystemState(delta=ctx.sep.delta + 0.2, omega=np.array([0.1, -0.3]))
+    x0 = np.concatenate([ctx.sep.delta + 0.2, [0.1, -0.3]])
     fwd = sw.integrate(field, x0, 1.0)
-    back = sw.integrate(lambda y: -field(y), fwd.state(1.0), 1.0)
-    assert np.max(np.abs(back.sample(np.array([1.0]))[0] - x0.packed())) <= 1e-6
+    back = sw.integrate(lambda y: -field(y), fwd.sample([1.0])[0], 1.0)
+    assert np.max(np.abs(back.sample(np.array([1.0]))[0] - x0)) <= 1e-6
 
 
 def test_integrate_blowup_reports_time():
@@ -226,7 +222,7 @@ def test_dispatch_zero_angles_zero_conductance_rejected():
 
 def test_dispatch_stationarity_residual(wscc, nominal_ctx):
     field = sw.swing_field(nominal_ctx.red_pre, nominal_ctx.gp)
-    assert np.max(np.abs(field(nominal_ctx.x_pre.packed()))) <= 1e-12
+    assert np.max(np.abs(field(nominal_ctx.x_pre))) <= 1e-12
 
 
 @pytest.mark.parametrize("b_c", [-7.5, -4.0, -1.0])
@@ -234,8 +230,8 @@ def test_dispatch_stationarity_across_sweep_points(wscc, b_c):
     sc = wscc.with_load("8", complex(0.969, b_c))
     red_pre, _, _ = fs.regimes(sc)
     gp, delta_pre = fs.generator_params(sc, red_pre)
-    x = sw.SystemState(delta=delta_pre, omega=np.zeros_like(delta_pre))
-    assert np.max(np.abs(sw.swing_field(red_pre, gp)(x.packed()))) <= 1e-12
+    x = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
+    assert np.max(np.abs(sw.swing_field(red_pre, gp)(x))) <= 1e-12
 
 
 def test_dispatch_rejects_wide_angles():
@@ -247,8 +243,8 @@ def test_dispatch_rejects_wide_angles():
 
 def test_classical_dispatch_recovered(nominal_ctx):
     """The fixed operating-point dispatch lands on the classical powers."""
-    assert nominal_ctx.gp.Pm[1] == pytest.approx(1.63, abs=0.005)
-    assert nominal_ctx.gp.Pm[2] == pytest.approx(0.85, abs=0.005)
+    assert nominal_ctx.gp.Pm[0] == pytest.approx(1.63, abs=0.005)
+    assert nominal_ctx.gp.Pm[1] == pytest.approx(0.85, abs=0.005)
 
 
 @pytest.mark.xfail(
