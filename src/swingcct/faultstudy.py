@@ -28,7 +28,7 @@ ROWS_PER_ROUND = 32
 WINDOW = 3.0
 #: spacing of the samples a first-swing verdict checks [s]
 SAMPLE_STEP = 0.005
-#: accepted integrator attempts between two checks of the verdict samples
+#: integrator attempts between two checks of the verdict samples
 _BLOCK = 16
 #: scenarios per chain of continued enumerations: run_fault_studies seeds the
 #: stationary points of each scenario with those of the one before it, except
@@ -177,8 +177,7 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
 
 def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|pairwise angle difference - its SEP value `ref`| of packed states (..., 2m)."""
-    m = coupling.act.size
-    return np.abs(coupling.diffs(states[..., :m])[..., coupling.pairs] - ref)
+    return np.abs(states[..., : coupling.act.size] @ coupling.K[:, coupling.pairs] - ref)
 
 
 def first_swing_stable(
@@ -198,8 +197,8 @@ def first_swing_stable(
     within DIVERGENCE_THRESHOLD of its post-fault equilibrium value over the
     observation window (WINDOW) and swings back (reaches a peak and
     retreats), judged on the dense output every SAMPLE_STEP.  The samples
-    are checked as the steps arrive, every _BLOCK accepted attempts, and a
-    row leaves the stack once it diverges.
+    are checked as the steps arrive, every _BLOCK integrator attempts, and a
+    row leaves the stack at the first check that finds it diverged.
     """
     times = [np.asarray(t, dtype=float) for t in t_cl]
     for fo, tp in zip(fault_on, times):
@@ -223,23 +222,22 @@ def first_swing_stable(
 
     def check(block: list) -> np.ndarray:
         """Fold a block of steps into the verdict state; the rows it diverged."""
-        rows, states = sw.sample_steps(block, ts)
+        rows = block[0][0]
+        count, angles = sw.sample_steps(block, ts, coupling.act.size)
         block.clear()
-        if not rows.size:
-            return rows
-        # one line per row, padded with NaN, which fmax and the comparisons skip
-        hit, first, count = np.unique(rows, return_index=True, return_counts=True)
-        exc = np.full((hit.size, count.max(), ref.shape[1]), np.nan)
-        exc[np.repeat(np.arange(hit.size), count), np.arange(rows.size) - np.repeat(first, count)] = (
-            _pair_excursions(coupling, states, ref[rows])
+        # one line per row and pair, padded with NaN, which fmax and comparisons skip
+        line = np.repeat(np.arange(rows.size), count)
+        exc = np.full((rows.size, ref.shape[1], count.max(initial=1)), np.nan)
+        exc[line, :, np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)] = (
+            _pair_excursions(coupling, angles.T, ref[rows[line]])
         )
-        # prior[:, j]: the peak of each pair before sample j
-        prior = np.fmax.accumulate(np.concatenate([peak[hit, None], exc[:, :-1]], axis=1), axis=1)
-        returned[hit] |= np.any(exc < prior - 1e-2, axis=1)
-        peak[hit] = np.fmax(prior[:, -1], exc[:, -1])
+        # prior[..., j]: the peak of each pair before sample j
+        prior = np.fmax.accumulate(np.concatenate([peak[rows, :, None], exc[..., :-1]], axis=-1), axis=-1)
+        returned[rows] |= np.any(exc < prior - 1e-2, axis=-1)
+        peak[rows] = np.fmax(prior[..., -1], exc[..., -1])
         # the divergence bound is enforced over the whole window: an orbit may
         # complete its first return swing and still run away afterwards
-        out = hit[np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))]
+        out = rows[np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))]
         diverged[out] = True
         return out
 

@@ -52,6 +52,9 @@ class SweepSpec:
             raise ScenarioFormatError(f"step {self.step}: must be positive and finite")
         if self.jobs < 1:
             raise ScenarioFormatError(f"jobs {self.jobs}: must be at least 1")
+        # np.arange sizes a grid of (stop - lo) / step float64 points
+        if not (self._stop - self.lo) / self.step < np.iinfo(np.intp).max / 8:
+            raise ScenarioFormatError(f"range [{self.lo}, {self.hi}] at step {self.step}: too many points")
         parse_param_path(self.scenario, self.param)
         try:
             check_search(self.resolution, self.horizon, self.tol)
@@ -59,8 +62,14 @@ class SweepSpec:
             raise ScenarioFormatError(str(exc)) from None
 
     @property
+    def _stop(self) -> float:
+        # hi is a point despite rounding, and no point lies beyond hi by more
+        # than a billionth of a step (1e-12 for every step of 1e-3 or more)
+        return self.hi + min(1e-12, 1e-9 * self.step)
+
+    @property
     def values(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1e-12, self.step)
+        return np.arange(self.lo, self._stop, self.step)
 
 
 @dataclass(frozen=True)

@@ -73,16 +73,16 @@ def _operators(n: int, act: bytes) -> tuple[np.ndarray, ...]:
     """The network-independent arrays of a kernel over n machines.
 
     K (the difference operator), the flat indices `pairs` of the pairs
-    i < k, K restricted to them, the flat indices of the rows of the machines
-    in act (the bytes of an int array) and K restricted to those; built once
-    per machine set.
+    i < k, K restricted to them, the flat indices of the terms (i, k), i in
+    act (the bytes of an int array), laid out machine-major as (n, len(act)),
+    and the transpose of K restricted to those; built once per machine set.
     """
     a = np.frombuffer(act, dtype=int)
     unit = np.eye(n)[a]
     K = (unit[:, :, None] - unit[:, None, :]).reshape(a.size, n * n)
     pairs = np.array([i * n + k for i in range(n) for k in range(i + 1, n)], dtype=int)
-    act_terms = (a[:, None] * n + np.arange(n)).ravel()
-    out = (K, pairs, K[:, pairs], act_terms, K[:, act_terms])
+    act_terms = a * n + np.arange(n)[:, None]
+    out = (K, pairs, K[:, pairs], act_terms, np.ascontiguousarray(K[:, act_terms.ravel()].T))
     for x in out:
         x.flags.writeable = False
     return out
@@ -97,7 +97,8 @@ class Coupling:
     and Jacobians cover the rows of the machines in `act`.  The pairwise
     differences d_i - d_k come from one product with a fixed difference
     operator K of +1/-1/0 entries, so each one is the exactly rounded
-    difference.
+    difference.  The terms of the rows of act are laid out (n, m, states), so
+    one reduction over n adds each row's terms in machine order.
 
     The conductive form evaluates the electric power
     P_i = sum_k E_i E_k (G_ik cos d_ik + B_ik sin d_ik); the anchored form
@@ -109,9 +110,9 @@ class Coupling:
     row k of a (K, m) stack is evaluated on network k.
     """
 
-    #: the network parameters: E_i E_k G_ik and Pbar_ik over the rows of act,
-    #: and Pbar_ik over the pairs i < k
-    _NETWORK = ("_PG_act", "_Pbar_act", "_Pbar_pairs")
+    #: the network parameters and the axis of their rows, one per network: E_i E_k G_ik
+    #: and Pbar_ik over the terms (k, i) of act, (n, m, rows); Pbar_ik over i < k, (rows, pairs)
+    _NETWORK = {"_PG_act": -1, "_Pbar_act": -1, "_Pbar_pairs": 0}
 
     def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
         self.n = red.n
@@ -120,9 +121,9 @@ class Coupling:
         self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
         self._diag = np.arange(act.size)
         Pbar = red.Pbar.ravel()
-        self._PG_act = (np.outer(red.E, red.E) * red.G).ravel()[act_terms]
-        self._Pbar_act = Pbar[act_terms]
-        self._Pbar_pairs = Pbar[self.pairs]
+        self._PG_act = (np.outer(red.E, red.E) * red.G).ravel()[act_terms, None]
+        self._Pbar_act = Pbar[act_terms, None]
+        self._Pbar_pairs = Pbar[None, self.pairs]
 
     @classmethod
     def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":
@@ -132,72 +133,72 @@ class Coupling:
             if k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act):
                 raise ValueError("stacked kernels need the same machines and form")
         out = copy.copy(first)
-        for name in cls._NETWORK:
-            setattr(out, name, np.vstack([getattr(k, name) for k in kernels]))
+        for name, axis in cls._NETWORK.items():
+            setattr(out, name, np.concatenate([getattr(k, name) for k in kernels], axis=axis))
         return out
 
     def take(self, rows: np.ndarray) -> "Coupling":
         """The stacked kernel of the given rows of this stacked kernel."""
         out = copy.copy(self)
-        for name in self._NETWORK:
-            setattr(out, name, getattr(self, name)[rows])
+        for name, axis in self._NETWORK.items():
+            setattr(out, name, np.take(getattr(self, name), rows, axis=axis))
         return out
-
-    def _sum_rows(self, terms: np.ndarray) -> np.ndarray:
-        # sequential sum over k of the (..., rows, n) terms, in numpy's order
-        # for n <= 7 and independent of the leading shape for any n
-        t = terms.reshape(terms.shape[:-1] + (-1, self.n))
-        acc = t[..., 0]
-        for k in range(1, self.n):
-            acc = acc + t[..., k]
-        return acc
 
     def diffs(self, delta: np.ndarray) -> np.ndarray:
         """d_i - d_k for every machine pair, flattened row-major to (..., n*n)."""
         return np.asarray(delta, dtype=float) @ self.K
 
-    def _act_diffs(self, delta: np.ndarray) -> np.ndarray:
-        """d_i - d_k for i in act and every k, flattened to (..., m*n)."""
-        return np.asarray(delta, dtype=float) @ self._K_act
+    def _columns(self, delta: np.ndarray) -> np.ndarray:
+        """The states of (..., m) angles as the columns of an (m, states) array."""
+        return np.asarray(delta, dtype=float).reshape(-1, self.act.size).T
+
+    def _act_diffs(self, dT: np.ndarray) -> np.ndarray:
+        """d_i - d_k, i in act, of the (m, states) angles dT, as (n, m, states)."""
+        return (self._K_act @ dT).reshape(self.n, self.act.size, dT.shape[1])
+
+    def _power_of(self, dT: np.ndarray) -> np.ndarray:
+        """`power` of the (m, states) angles dT, shape (m, states)."""
+        D = self._act_diffs(dT)
+        P = self._Pbar_act * np.sin(D)
+        if self.conductive:
+            P += self._PG_act * np.cos(D)
+        return np.add.reduce(P)
 
     def power(self, delta: np.ndarray) -> np.ndarray:
         """Power leaving every modeled machine (the anchored form: its sine
         part), shape (..., m)."""
-        D = self._act_diffs(delta)
-        if self.conductive:
-            return self._sum_rows(self._PG_act * np.cos(D) + self._Pbar_act * np.sin(D))
-        return self._sum_rows(self._Pbar_act * np.sin(D))
+        return self._power_of(self._columns(delta)).T.reshape(np.shape(delta))
 
     def conductance(self, delta: np.ndarray) -> np.ndarray:
         """The conductance term sum_k E_i E_k G_ik cos d_ik alone, shape (..., m)."""
-        return self._sum_rows(self._PG_act * np.cos(self._act_diffs(delta)))
+        D = self._act_diffs(self._columns(delta))
+        return np.add.reduce(self._PG_act * np.cos(D)).T.reshape(np.shape(delta))
 
     def jacobian(self, delta: np.ndarray) -> np.ndarray:
         """d power_i / d delta_j over the modeled machines, shape (..., m, m).
 
         The anchored form is the Hessian of the potential energy.
         """
-        D = self._act_diffs(delta)
+        D = self._act_diffs(self._columns(delta))
         C = self._Pbar_act * np.cos(D)
         if self.conductive:
-            C = C - self._PG_act * np.sin(D)
-        C = C.reshape(D.shape[:-1] + (-1, self.n))
-        J = -C[..., self.act]
-        J[..., self._diag, self._diag] = C.sum(axis=-1)
-        return J
+            C -= self._PG_act * np.sin(D)
+        J = -C[self.act].T
+        J[:, self._diag, self._diag] = np.add.reduce(C).T
+        return J.reshape(np.shape(delta) + (self.act.size,))
 
     def pair_energy(self, delta: np.ndarray) -> np.ndarray:
         """sum_{i<k} Pbar_ik cos d_ik, shape (...)."""
         D = np.asarray(delta, dtype=float) @ self._K_pairs
-        return (self._Pbar_pairs * np.cos(D)).sum(axis=-1)
+        return (self._Pbar_pairs * np.cos(D)).sum(axis=-1).reshape(D.shape[:-1])
 
 
 class SwingField:
-    """Right-hand side over packed states [delta; omega], shape (..., 2m).
+    """Right-hand side over packed states [delta; omega], (2m,) or (K, 2m).
 
     `drive` is Pm (exact field) or Pm - Pa (conservative field) of the
-    modeled machines and `Minv` their inverse inertias; with a stacked
-    coupling both carry one row per network.
+    modeled machines and `Minv` their inverse inertias, both as columns
+    (m, 1); with a stacked coupling both carry one column per network.
     """
 
     def __init__(self, coupling: Coupling, drive: np.ndarray, Minv: np.ndarray):
@@ -211,18 +212,20 @@ class SwingField:
         """One field whose row k evaluates fields[k]."""
         return cls(
             Coupling.stack([f.coupling for f in fields]),
-            np.vstack([f.drive for f in fields]),
-            np.vstack([f.Minv for f in fields]),
+            np.hstack([f.drive for f in fields]),
+            np.hstack([f.Minv for f in fields]),
         )
 
     def take(self, rows: np.ndarray) -> "SwingField":
         """The stacked field of the given rows of this stacked field."""
-        return SwingField(self.coupling.take(rows), self.drive[rows], self.Minv[rows])
+        return SwingField(self.coupling.take(rows), self.drive[:, rows], self.Minv[:, rows])
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        if y.ndim == 1:
+            return self(y[None])[0]
         m = self.m
-        accel = (self.drive - self.coupling.power(y[..., :m])) * self.Minv
-        return np.concatenate([y[..., m:], accel], axis=-1)
+        accel = (self.drive - self.coupling._power_of(y[:, :m].T)) * self.Minv
+        return np.concatenate([y[:, m:], accel.T], axis=1)
 
 
 def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None = None) -> SwingField:
@@ -234,7 +237,7 @@ def swing_field(red: ReducedNetwork, gp: GeneratorParams, Pa: np.ndarray | None 
     """
     coupling = Coupling(red, gp.active, conductive=Pa is None)
     drive = gp.Pm if Pa is None else gp.Pm - Pa
-    return SwingField(coupling, drive, 1.0 / gp.M)
+    return SwingField(coupling, drive[:, None], 1.0 / gp.M[:, None])
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ class Trajectory:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         g = np.clip(np.searchsorted(self.t, ts, side="left") - 1, 0, self.h.size - 1)
-        return dense_state(self.y, self.h, self.Q, g, ((ts - self.t[g]) / self.h[g])[:, None])
+        return dense_state(self.y[g], self.h[g][:, None], self.Q[:, g], ((ts - self.t[g]) / self.h[g])[:, None])
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
@@ -286,6 +289,10 @@ _W = np.array([
     (-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072,
      701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
 ])[:, :, None, None]
+#: (first row, end row, weights) of stages 1-6: stage s reads row s-1 (the
+#: input of stages 1-5, the solution for stage 6) and is added, in stage
+#: order, to its rows of nonzero weight (1-4 for stage 1, else s-9)
+_STAGES = [(a, b, _W[a:b, s]) for s, (a, b) in enumerate([(1, 5), (2, 10), (3, 10), (4, 10), (5, 10), (6, 10)], 1)]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 #: default absolute tolerance of the integrator
@@ -293,7 +300,7 @@ ATOL = 1e-10
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.square(x).sum(axis=-1)) / x.shape[-1] ** 0.5
+    return np.sqrt(np.add.reduce(np.square(x), axis=-1)) / x.shape[-1] ** 0.5
 
 
 def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol: float, atol: float) -> np.ndarray:
@@ -313,14 +320,13 @@ def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol:
     return np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
-def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Quartic dense output y + h (Q0 x + Q1 x^2 + Q2 x^3 + Q3 x^4) of the
-    steps g of (y, h, Q) at step fractions x, with the powers as cumulative
-    products."""
+def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Quartic dense output y + h (Q0 x + Q1 x^2 + Q2 x^3 + Q3 x^4) at step
+    fractions x, with the powers as cumulative products; every operand
+    holds one entry per sample (or broadcasts to it)."""
     p2 = x * x
     p3 = p2 * x
-    poly = Q[0][g] * x + Q[1][g] * p2 + Q[2][g] * p3 + Q[3][g] * (p3 * x)
-    return y[g] + h[g][..., None] * poly
+    return y + h * (Q[0] * x + Q[1] * p2 + Q[2] * p3 + Q[3] * (p3 * x))
 
 
 def dopri_steps(
@@ -328,11 +334,11 @@ def dopri_steps(
 ) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
     """Lockstep Dormand-Prince 5(4) over a (K, d) stack of initial states.
 
-    Yields, for every attempt that accepts a step in some row, the tuple
-    (rows, t, t_new, h, y, Q) of those rows: their indices in the initial
-    stack, the step's start and end time, its size, the state at its start
-    and its dense-output coefficients, shape (4, rows, d).  A row whose step
-    size underflows gets its time in `failed` (indexed like the initial
+    Yields, for every attempt, the tuple (ids, accept, t, t_new, y, Q) of
+    the current stack: the rows' indices in the initial stack, the mask of
+    accepted steps, their start and end times (a step's size is t_new - t),
+    start states and dense-output coefficients, shape (4, K, d).  A row whose
+    step size underflows gets its time in `failed` (indexed like the initial
     stack) and stops.  Sending an index array of rows retires them: the
     stepper then drops them, and every row that has finished or failed, from
     its state and from the stacked field (which needs a `take`).
@@ -348,95 +354,91 @@ def dopri_steps(
     other rows (a BLAS product may).  Run it under np.errstate that ignores
     overflow: a failing row overflows.
     """
-    K = y.shape[0]
-    ids = np.arange(K)
+    ids = np.arange(y.shape[0])
     f = field(y)
     h_abs = _initial_step(field, y, f, t_end, tol, atol)
-    t = np.zeros(K)
-    live = np.ones(K, dtype=bool)
-    fresh = np.ones(K, dtype=bool)     # the next attempt starts a new step
-    while live.any():
-        if np.min(h_abs, where=live, initial=np.inf) <= 10.0 * np.spacing(t_end):
+    t = np.zeros(ids.size)
+    live = np.ones(ids.size, dtype=bool)
+    fresh = np.ones(ids.size, dtype=bool)     # the next attempt starts a new step
+    min_end_step = 10.0 * np.spacing(t_end)
+    # the smallest step of a live row, inf once no row is live; a finished
+    # row keeps t = t_end and a failed one gets h_abs = 0, so neither moves
+    while (h_min := np.minimum.reduce(h_abs, where=live, initial=np.inf)) != np.inf:
+        if h_min <= min_end_step:
             # a step near the float spacing of t: raise a new step to the
             # minimum, fail a rejected one below it
             min_step = 10.0 * np.spacing(t)
             np.maximum(h_abs, min_step, out=h_abs, where=fresh)
             small = live & (h_abs < min_step)
             failed[ids[small]] = t[small]
+            h_abs[small] = 0.0
             live &= ~small
         t_new = np.minimum(t + h_abs, t_end)
-        h = np.where(live, t_new - t, 0.0)
+        h = t_new - t
         hc = h[:, None]
-        # each stage is added, in stage order, to the rows where its weight
-        # is nonzero: stage 1 to rows 1-4, stages 2-5 to rows s-9, stage 6
-        # to rows 6-9
         acc = _W[:, 0] * f
-        for s in range(1, 6):
-            k = field(y + acc[s - 1] * hc)
-            a, b = (1, 5) if s == 1 else (s, 10)
-            acc[a:b] += _W[a:b, s] * k
-        y_new = y + hc * acc[5]
-        k = field(y_new)
-        acc[6:] += _W[6:, 6] * k
+        for a, b, w in _STAGES:
+            y_new = y + acc[a - 1] * hc
+            k = field(y_new)
+            rows = acc[a:b]
+            rows += w * k
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err = _rms(acc[6] * hc / scale)
-        grow = _SAFETY * err**_ERROR_EXPONENT
         accept = live & (err < 1)
-        # after a rejection the step may not grow; err == 0 gives the cap
-        grown = np.minimum(np.where(fresh, _MAX_FACTOR, 1.0), grow)
-        h_abs = h * np.where(accept, grown, np.fmax(_MIN_FACTOR, grow))
-        r = np.flatnonzero(accept)
-        if r.size:
-            step = (ids[r], t[r], t_new[r], h[r], y[r], np.concatenate([f[None, r], acc[7:, r]]))
+        # after a rejection the step may not grow; err == 0 gives the cap;
+        # a rejected step (err >= 1) never reaches the cap
+        grow = np.minimum(np.where(fresh, _MAX_FACTOR, 1.0), _SAFETY * np.power(err, _ERROR_EXPONENT))
+        h_abs = h * np.fmax(_MIN_FACTOR, grow)
+        step = (ids, accept, t, t_new, y, np.concatenate((f[None], acc[7:])))
         fresh = accept
         t = np.where(accept, t_new, t)
-        y = np.where(accept[:, None], y_new, y)
-        f = np.where(accept[:, None], k, f)
-        live &= ~accept | (t_new < t_end)
-        if r.size:
-            retire = yield step
-            if retire is not None:
-                keep = live & ~np.isin(ids, retire)
-                if not keep.all():
-                    ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
-                    field = field.take(np.flatnonzero(keep))
+        moved = accept[:, None]
+        y = np.where(moved, y_new, y)
+        f = np.where(moved, k, f)
+        live &= t < t_end
+        retire = yield step
+        if retire is not None:
+            keep = live & ~np.isin(ids, retire)
+            if not keep.all():
+                ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
+                field = field.take(np.flatnonzero(keep))
 
 
-def _concat(steps: list, d: int) -> list[np.ndarray]:
-    """The `dopri_steps` tuples of `steps` joined field by field."""
-    empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((4, 0, d)))
-    return [np.concatenate([e, *(step[i] for step in steps)], axis=-2 if i == 5 else 0) for i, e in enumerate(empty)]
-
-
-def sample_steps(steps: list, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sample times ts inside a nonempty list of `dopri_steps` tuples,
-    evaluated as `Trajectory.sample` does: a step (t, t_new] holds the times
-    above t up to t_new, and a row's first step also holds t = 0.  Returns,
-    sorted by row and then by time, the row of each sample and its state."""
-    rows, t, t_new, h, y, Q = _concat(steps, steps[0][4].shape[-1])
+def sample_steps(steps: list, ts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first m components of the states at the sample times ts inside a
+    list of `dopri_steps` tuples of one stack (no rows retired in between),
+    evaluated as `Trajectory.sample` does: an accepted step (t, t_new] holds
+    the times above t up to t_new, and a row's first step also holds t = 0.
+    Returns the number of samples of each row of the stack and the samples,
+    sorted by row and then by time, component-major as (m, S)."""
+    accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*steps))[1:])
     lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
-    n = np.searchsorted(ts, t_new, side="right") - lo
-    # the steps by row, each row's in time order
-    order = np.argsort(rows, kind="stable")
-    lo, n = lo[order], n[order]
-    g = np.repeat(order, n)
-    j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(g.size)
-    return rows[g], dense_state(y, h, Q, g, ((ts[j] - t[g]) / h[g])[:, None])
+    n = np.where(accept, np.searchsorted(ts, t_new, side="right") - lo, 0)
+    # the (attempt, row) of the steps with samples, by row and then by time
+    k, a = np.nonzero(n.T)
+    n_step = n[a, k]
+    g = np.repeat(a * t.shape[1] + k, n_step)
+    j = np.repeat(lo[a, k] - (np.cumsum(n_step) - n_step), n_step) + np.arange(g.size)
+    t = t.ravel()[g]
+    h = t_new.ravel()[g] - t
+    return n.sum(axis=0), dense_state(
+        np.take(y[..., :m].transpose(2, 0, 1).reshape(m, -1), g, axis=-1), h,
+        np.take(Q[..., :m].transpose(1, 3, 0, 2).reshape(4, m, -1), g, axis=-1), (ts[j] - t) / h,
+    )
 
 
-def _collect(steps: list, failed: np.ndarray, d: int) -> list[Trajectory | IntegrationError]:
-    """Accepted steps of `dopri_steps` as one trajectory per row, in step
-    order; a row with a time in `failed` is its IntegrationError."""
-    rows, _t, t_new, h, y, Q = _concat(steps, d)
-    # drop the per-attempt blocks as soon as they are copied: they dominate
-    # the memory of a large stack
-    steps.clear()
-    order = np.argsort(rows, kind="stable")
-    per_row = np.split(order, np.cumsum(np.bincount(rows, minlength=failed.size))[:-1])
+def _collect(steps: list, failed: np.ndarray) -> list[Trajectory | IntegrationError]:
+    """The accepted steps of one `dopri_steps` run as one trajectory per
+    row; a row with a time in `failed` is its IntegrationError."""
+    if not steps:    # an empty stack takes no step
+        return []
+    accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*steps))[1:])
+    steps.clear()    # the per-attempt arrays dominate the memory of a large stack
     return [
-        Trajectory(t=np.append(0.0, t_new[g]), h=h[g], y=y[g], Q=Q[:, g]) if np.isnan(t_bad)
+        Trajectory(t=np.append(0.0, t_new[s, r]), h=t_new[s, r] - t[s, r], y=y[s, r], Q=Q[s, :, r].swapaxes(0, 1))
+        if np.isnan(t_bad)
         else IntegrationError(f"integration failed at t={t_bad:.6g}: step size underflow", time=float(t_bad))
-        for g, t_bad in zip(per_row, failed)
+        for r, (s, t_bad) in enumerate(zip(accept.T, failed))
     ]
 
 
@@ -455,7 +457,7 @@ def integrate_rows(
     Y = np.asarray(Y, dtype=float)
     failed = np.full(Y.shape[0], np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed, Y.shape[1])
+        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed)
 
 
 def integrate(field: Field, x0: np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL) -> Trajectory:

@@ -268,6 +268,27 @@ def test_cli_sweep_bad_range_or_jobs(flag, value, message, tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_cli_sweep_grid_numpy_cannot_size(tmp_path, capsys):
+    """A grid of more points than numpy can size is an input error, raised
+    before any point runs."""
+    rc = cli.main(["sweep", "wscc9-tmib", "--param", "8.G", "--range", "0:1:1e-300", "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    assert "too many points" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_cli_sweep_tiny_step_ends_at_hi(tmp_path):
+    """A step far below 1e-12 gives the grid lo, lo + step, ..., hi and no
+    point past hi."""
+    rc = cli.main([
+        "sweep", "wscc9-tmib", "--param", "8.G", "--range", "0:1e-13:5e-14", "--resolution", "1e-3",
+        "--out", str(tmp_path / "rep"),
+    ])
+    assert rc == 0
+    rows = (tmp_path / "rep" / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 5e-14, 1e-13]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

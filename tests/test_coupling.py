@@ -37,10 +37,10 @@ def network(draw, n: int, inf: int) -> tuple[ReducedNetwork, GeneratorParams]:
 
 
 @st.composite
-def networks(draw):
-    """A random network over n = 2..4 machines, one infinite, plus a (k, m)
-    stack of modeled-machine angles."""
-    n = draw(st.integers(2, 4))
+def networks(draw, max_n: int = 4):
+    """A random network over n = 2..max_n machines, one infinite, plus a
+    (k, m) stack of modeled-machine angles."""
+    n = draw(st.integers(2, max_n))
     red, gp = network(draw, n, draw(st.integers(0, n - 1)))
     k = draw(st.integers(1, 6))
     angles = draw(arrays(float, (k, n - 1), elements=st.floats(-2.0 * np.pi, 2.0 * np.pi)))
@@ -78,6 +78,39 @@ def test_stacked_rows_equal_single_rows(case):
                 assert same_bits(stacked[i], method(angles[i : i + 1])[0])
         # powers and conductances cover the modeled machines only
         assert cp.power(angles).shape == cp.conductance(angles).shape == angles.shape
+
+
+def in_machine_order(terms: np.ndarray) -> np.ndarray:
+    """The terms (..., n) added one by one, k = 0, 1, ..., n - 1."""
+    acc = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        acc = acc + terms[..., k]
+    return acc
+
+
+@PROPERTY
+@given(networks(max_n=9))
+def test_kernel_sums_terms_in_machine_order(case):
+    """Powers (both forms), conductances and the Jacobian's diagonal are, bit
+    for bit, their terms added one by one in machine order, also beyond the
+    seven machines up to which numpy's own sum of a row is sequential."""
+    red, gp, angles = case
+    act = gp.active
+    full = np.insert(angles, gp.infinite_index, 0.0, axis=1)
+    D = (full[:, :, None] - full[:, None, :])[:, act]   # d_i - d_k, i in act
+    PG = (np.outer(red.E, red.E) * red.G)[act]
+    Pbar = red.Pbar[act]
+    diag = np.arange(act.size)
+    for conductive in (True, False):
+        cp = Coupling(red, act, conductive=conductive)
+        P, C = Pbar * np.sin(D), Pbar * np.cos(D)
+        if conductive:
+            P, C = PG * np.cos(D) + P, C - PG * np.sin(D)
+        J = -C[..., act]
+        J[..., diag, diag] = in_machine_order(C)
+        assert same_bits(cp.power(angles), in_machine_order(P))
+        assert same_bits(cp.conductance(angles), in_machine_order(PG * np.cos(D)))
+        assert same_bits(cp.jacobian(angles), J)
 
 
 @st.composite
@@ -188,8 +221,9 @@ def _combine(coefs, stages):
 
 def staged_integrate(field, y, t_end, tol=1e-8, atol=1e-10) -> list:
     """Stacked integration with one stage sum per weight vector, as the
-    integrator computed it before its stage sums were fused."""
-    K, d = y.shape
+    integrator computed it before its stage sums were fused, assembled into
+    one trajectory per row (or its IntegrationError) step by step."""
+    K = y.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = field(y)
         h_abs = sw._initial_step(field, y, f, t_end, tol, atol)
@@ -197,7 +231,8 @@ def staged_integrate(field, y, t_end, tol=1e-8, atol=1e-10) -> list:
         live = np.ones(K, dtype=bool)
         fresh = np.ones(K, dtype=bool)
         failed = np.full(K, np.nan)
-        steps = []
+        # each row's accepted steps (t_new, h, y, Q) in step order
+        steps = [[] for _ in range(K)]
         while live.any():
             if np.min(h_abs, where=live, initial=np.inf) <= 10.0 * np.spacing(t_end):
                 min_step = 10.0 * np.spacing(t)
@@ -219,17 +254,21 @@ def staged_integrate(field, y, t_end, tol=1e-8, atol=1e-10) -> list:
             accept = live & (err < 1)
             grown = np.minimum(np.where(fresh, 10.0, 1.0), grow)
             h_abs = h * np.where(accept, grown, np.fmax(0.2, grow))
-            r = np.flatnonzero(accept)
-            if r.size:
-                stages = np.stack(ks, axis=1)[r].transpose(1, 0, 2)
-                Q = np.stack([_combine([p[j] for p in _P], stages) for j in range(4)])
-                steps.append((r, t[r], t_new[r], h[r], y[r], Q))
+            for i in np.flatnonzero(accept):
+                Q = np.stack([_combine([p[j] for p in _P], [k[i] for k in ks]) for j in range(4)])
+                steps[i].append((t_new[i], h[i], y[i], Q))
             fresh = accept
             t = np.where(accept, t_new, t)
             y = np.where(accept[:, None], y_new, y)
             f = np.where(accept[:, None], ks[6], f)
             live &= ~accept | (t_new < t_end)
-    return sw._collect(steps, failed, d)
+    return [
+        sw.Trajectory(
+            t=np.array([0.0] + [s[0] for s in row]), h=np.array([s[1] for s in row]),
+            y=np.array([s[2] for s in row]), Q=np.stack([s[3] for s in row], axis=1),
+        ) if np.isnan(t_bad) else IntegrationError("step size underflow", time=float(t_bad))
+        for row, t_bad in zip(steps, failed)
+    ]
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swingcct import report as rp
 from swingcct import sweep as sweep_mod
@@ -48,6 +50,40 @@ def test_spec_validation(wscc):
     for jobs in (0, -2):
         with pytest.raises(ScenarioFormatError, match="at least 1"):
             SweepSpec(scenario=wscc, param="8.B", lo=-1.0, hi=0.0, step=0.1, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, count",
+    [(0.0, 1e-13, 1e-14, 11), (0.0, 1e-13, 5e-14, 3), (0.0, 1e-300, 1e-301, 11), (0.0, 1.0, 0.4, 3)],
+)
+def test_grid_ends_at_hi_for_any_step(wscc, lo, hi, step, count):
+    """The grid's slack past hi is a tiny fraction of the step, so a step far
+    below 1e-12 does not run on past hi, and a step that does not divide the
+    range gains no point beyond it."""
+    values = SweepSpec(scenario=wscc, param="8.G", lo=lo, hi=hi, step=step).values
+    assert values.size == count
+    assert values[-1] <= hi + 1e-9 * step
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 1.0), st.integers(1, 2000),
+    st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-13, 1.0 + 1e-13]),
+)
+def test_grid_bits_kept_for_steps_of_a_thousandth_or_more(wscc, lo, step, points, frac):
+    """Every grid with a step of 1e-3 or more is the one np.arange(lo, hi +
+    1e-12, step) gives, bit for bit."""
+    hi = lo + step * (points - frac)
+    if not lo < hi:
+        return
+    values = SweepSpec(scenario=wscc, param="8.G", lo=lo, hi=hi, step=step).values
+    assert values.tobytes() == np.arange(lo, hi + 1e-12, step).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, step", [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0), (0.0, 1e300, 1e-10)])
+def test_grid_numpy_cannot_size_is_an_input_error(wscc, lo, hi, step):
+    with pytest.raises(ScenarioFormatError, match="too many points"):
+        SweepSpec(scenario=wscc, param="8.G", lo=lo, hi=hi, step=step)
 
 
 @pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
