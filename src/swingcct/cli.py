@@ -10,9 +10,9 @@ import math
 import sys
 from dataclasses import replace
 
-from .equilibria import check_continuation, continue_branch, fold_locations
+from .equilibria import continue_branch, fold_locations
 from .errors import ScenarioFormatError, ToolkitError
-from .faultstudy import FaultScenario, check_search, run_fault_study
+from .faultstudy import FaultScenario, run_fault_study
 from .report import emit_reports
 from .scenario import load_scenario
 from .sweep import METRICS, SweepSpec, detect_uep_switches, find_optimum, run_sweep
@@ -55,10 +55,6 @@ def _fmt_metric(value) -> str:
 
 def cmd_study(args: argparse.Namespace) -> int:
     sc = _load(args.scenario, args.freq)
-    try:
-        check_search(args.resolution, args.horizon, args.tolerance)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from None
     result = run_fault_study(
         sc,
         resolution=args.resolution,
@@ -120,10 +116,6 @@ def cmd_branches(args: argparse.Namespace) -> int:
     sc = _load(args.scenario, args.freq)
     lo, hi, step = _parse_range(args.range, want_step=False)
     step = (hi - lo) / 200.0 if step is None else step
-    try:
-        check_continuation((lo, hi), step)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from None
     branches = continue_branch(sc, (lo, hi), initial_step=step, param=args.param)
     if not branches:
         print("no equilibrium branches found in range", file=sys.stderr)

@@ -16,11 +16,12 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .energy import HamiltonianModel, potential, potential_gradient
-from .errors import EquilibriumError, InadmissibleScenario
+from .errors import EquilibriumError, InadmissibleScenario, ScenarioFormatError
 from .netmodel import ReducedNetwork
 from .swing import Coupling, GeneratorParams
 
 _EIG_AXIS_TOL = 1e-9
+_NEWTON_TOL = 1e-12
 #: stationary_points retires a grid start whose best residual has not
 #: improved for this many Newton iterations
 _STALL = 3
@@ -38,20 +39,21 @@ _CHECKPOINT_STEP = 0.05
 _FOLD_MERGE = 0.02
 #: a corrected branch point may lie at most this far (max norm) from its guess
 _JUMP_GUARD = 0.45
+#: a branch trace halves its step down to _STEP_FLOOR, then brackets its end to _FOLD_TOL
+_STEP_FLOOR, _FOLD_TOL = 1e-5, 1e-4
 
 
 def _newton(
     coupling: Coupling,
     drive: np.ndarray,
     starts: np.ndarray,
-    tol: float = 1e-12,
     max_iter: int = 50,
     stall: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on power = drive from a (k, m) stack of starts.
 
     Steps are capped at 1 rad in the max norm.  A start stops once its
-    residual is within tol and is dropped when its Jacobian is (near)
+    residual is within _NEWTON_TOL and is dropped when its Jacobian is (near)
     singular or its iterate leaves the finite numbers.  With `stall`, a
     start whose best residual (max norm) has not improved for `stall`
     iterations is dropped too.  Returns the iterates and the mask of
@@ -69,7 +71,7 @@ def _newton(
         Xw = X[work]
         R = drive - coupling.power(Xw)
         res = np.max(np.abs(R), axis=1)
-        done = res <= tol
+        done = res <= _NEWTON_TOL
         converged[work[done]] = True
         J = coupling.jacobian(Xw)
         keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
@@ -324,18 +326,6 @@ class Branch:
     points: list[tuple[float, EquilibriumPoint]] = field(default_factory=list)
     folds: list[float] = field(default_factory=list)
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([p for p, _ in self.points])
-
-    def nearest(self, param: float) -> tuple[float, EquilibriumPoint]:
-        k = int(np.argmin(np.abs(self.params - param)))
-        return self.points[k]
-
-    def covers(self, param: float, slack: float) -> bool:
-        ps = self.params
-        return bool(ps.min() - slack <= param <= ps.max() + slack)
-
 
 def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[EquilibriumPoint | None]:
     """Newton-correct a (k, m) stack of predicted points on `hm` as one stack.
@@ -356,11 +346,6 @@ def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[Equilibrium
     return points
 
 
-def _correct(hm: HamiltonianModel, guess: np.ndarray) -> EquilibriumPoint | None:
-    """`_correct_rows` of one predicted point."""
-    return _correct_rows(hm, np.asarray(guess, dtype=float)[None, :])[0]
-
-
 #: what a tracer is sent back for a request: the corrected point, None when
 #: the corrector fails or jumps, or the exception the factory raised there
 Answer = EquilibriumPoint | InadmissibleScenario | EquilibriumError | None
@@ -372,8 +357,6 @@ def _trace(
     point0: EquilibriumPoint,
     p_stop: float,
     initial_step: float,
-    fold_tol: float = 1e-4,
-    step_floor: float = 1e-5,
 ) -> Tracer:
     """Trace one branch from (p0, point0) towards p_stop.
 
@@ -405,8 +388,8 @@ def _trace(
             last_type = answer.type_index
             step = min(step * 1.5, initial_step)
             continue
-        if step > step_floor:
-            step = max(step / 2.0, step_floor)
+        if step > _STEP_FLOOR:
+            step = max(step / 2.0, _STEP_FLOOR)
             continue
         # persistent corrector failure at the floor: bracket the end point;
         # the factory's answer at p_next tells a domain edge from a fold
@@ -419,7 +402,7 @@ def _trace(
             domain_edge = last_type != 0
         else:
             domain_edge = False
-        while abs(hi - lo) > fold_tol:
+        while abs(hi - lo) > _FOLD_TOL:
             mid = 0.5 * (lo + hi)
             answer = yield mid, d_prev
             if isinstance(answer, EquilibriumPoint):
@@ -466,15 +449,26 @@ def _lockstep(factory: ModelFactory, tracers: Sequence[Tracer]) -> list[Branch]:
     return [done[i] for i in range(len(tracers))]
 
 
-def check_continuation(prange: tuple[float, float], initial_step: float) -> None:
-    """Raise ValueError unless lo < hi are finite with a finite, nonzero
-    checkpoint spacing and initial_step is positive and finite (a zero step
-    would never advance)."""
-    lo, hi = prange
-    if not (-np.inf < lo < hi < np.inf and 0.0 < (hi - lo) * _CHECKPOINT_STEP < np.inf):
-        raise ValueError(f"parameter range {prange}: need finite lo < hi with a finite, nonzero width")
-    if not 0.0 < initial_step < np.inf:
-        raise ValueError(f"initial step {initial_step!r}: must be positive and finite")
+def _uncovered(
+    hm: HamiltonianModel, cp: float, points: Sequence[EquilibriumPoint], branches: Sequence[Branch], reach: float
+) -> list[EquilibriumPoint]:
+    """The points of hm, the model at cp, that lie on none of the branches.
+
+    Each branch reaching within `reach` of cp offers its point nearest to cp,
+    and all of them are refit on hm as one stack.  A point is covered when it
+    lies within 1e-6 of a refit or of an offered point at cp, modulo 2*pi:
+    traced branches stay unwrapped while enumeration wraps into the cell.
+    """
+    near = []
+    for br in branches:
+        ps = np.array([p for p, _pt in br.points])
+        if ps.min() - reach <= cp <= ps.max() + reach:
+            near.append(br.points[int(np.argmin(np.abs(ps - cp)))])
+    m = hm.gp.n_active
+    refits = _correct_rows(hm, np.array([pt.delta for _p, pt in near]).reshape(-1, m))
+    known = [pt.delta for p, pt in near if abs(p - cp) <= 1e-12] + [r.delta for r in refits if r is not None]
+    known = np.array(known).reshape(-1, m)
+    return [point for point in points if not np.any(wrapped_distance(known, point.delta) <= 1e-6)]
 
 
 def continue_branch(
@@ -495,11 +489,15 @@ def continue_branch(
     per parameter value per round, shared by every branch that asks for
     it.  A factory must therefore be a pure function of the value; it is
     called fewer times than there are traced points.
-    Fold locations are refined to 1e-4 in the parameter.  Raises ValueError
-    on the settings `check_continuation` rejects.
+    Fold locations are refined to _FOLD_TOL in the parameter.  Raises
+    ScenarioFormatError unless lo < hi are finite with a finite, nonzero
+    checkpoint spacing and initial_step is positive and finite.
     """
-    check_continuation(prange, initial_step)
     lo, hi = prange
+    if not (-np.inf < lo < hi < np.inf and 0.0 < (hi - lo) * _CHECKPOINT_STEP < np.inf):
+        raise ScenarioFormatError(f"parameter range {prange}: need finite lo < hi with a finite, nonzero width")
+    if not 0.0 < initial_step < np.inf:
+        raise ScenarioFormatError(f"initial step {initial_step!r}: must be positive and finite")
     if callable(source):
         factory: ModelFactory = source
     else:
@@ -511,21 +509,6 @@ def continue_branch(
         bus, part = parse_param_path(source, param)
         factory = hamiltonian_model_factory(source, bus, part)
     branches: list[Branch] = []
-
-    def is_covered(hm: HamiltonianModel, param: float, delta: np.ndarray) -> bool:
-        # comparisons are modulo 2*pi: traced branches are left unwrapped for
-        # continuity while enumeration wraps into the SEP-centered cell
-        for br in branches:
-            if not br.covers(param, slack=initial_step):
-                continue
-            p_near, pt = br.nearest(param)
-            if abs(p_near - param) <= 1e-12 and wrapped_distance(pt.delta, delta) <= 1e-6:
-                return True
-            refit = _correct(hm, pt.delta)
-            if refit is not None and wrapped_distance(refit.delta, delta) <= 1e-6:
-                return True
-        return False
-
     spacing = (hi - lo) * _CHECKPOINT_STEP
     checkpoints = np.arange(lo, hi + 0.5 * spacing, spacing)
     points = None
@@ -539,7 +522,7 @@ def continue_branch(
         # every seed is checked before any is traced: a branch traced from
         # another seed here holds that seed's own exact point at cp, which
         # refits to itself, so it never covers this one
-        fresh = [seed for seed in points if not is_covered(hm, cp, seed.delta)]
+        fresh = _uncovered(hm, cp, points, branches, initial_step)
         traced = _lockstep(factory, [_trace(cp, seed, end, initial_step) for seed in fresh for end in (hi, lo)])
         for fwd, bwd in zip(traced[::2], traced[1::2]):
             branches.append(

@@ -33,5 +33,5 @@ class InadmissibleScenario(ToolkitError):
         self.code = code
 
 
-class ScenarioFormatError(ToolkitError):
-    """Scenario file failed validation; message carries field context."""
+class ScenarioFormatError(ToolkitError, ValueError):
+    """Input failed validation; message carries field context."""

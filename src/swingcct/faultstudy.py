@@ -12,7 +12,7 @@ from . import energy as en
 from . import equilibria as eq
 from . import netmodel as nm
 from . import swing as sw
-from .errors import EquilibriumError, InadmissibleScenario, IntegrationError, SingularNetworkError
+from .errors import EquilibriumError, InadmissibleScenario, IntegrationError, ScenarioFormatError, SingularNetworkError
 
 UNBOUNDED = "unbounded"
 #: verdict for tau and tau_H when the fault-on integration fails
@@ -177,7 +177,7 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
 
 def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|pairwise angle difference - its SEP value `ref`| of packed states (..., 2m)."""
-    return np.abs(states[..., : coupling.act.size] @ coupling.K[:, coupling.pairs] - ref)
+    return np.abs(coupling.pair_diffs(states[..., : coupling.act.size]) - ref)
 
 
 def first_swing_stable(
@@ -211,7 +211,7 @@ def first_swing_stable(
     coupling = ctx[0].hm.coupling
     field = sw.SwingField.stack([sw.swing_field(c.red_post, c.gp) for c in ctx]).take(of_point)
     # pairwise angle differences at each row's post-fault SEP
-    ref = np.array([coupling.diffs(c.sep.delta)[coupling.pairs] for c in ctx])[of_point]
+    ref = coupling.pair_diffs(np.array([c.sep.delta for c in ctx]))[of_point]
     state = np.concatenate([fo.sample(tp) for fo, tp in zip(fault_on, times)])
 
     ts = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
@@ -293,11 +293,11 @@ def _bisect(
 
 
 def check_search(resolution: float, horizon: float, tol: float) -> None:
-    """Raise ValueError unless the clearing-time search settings are positive
-    and finite (a bisection with resolution <= 0 would never end)."""
+    """Raise ScenarioFormatError unless the clearing-time search settings are
+    positive and finite (a bisection with resolution <= 0 would never end)."""
     for name, value in (("resolution", resolution), ("horizon", horizon), ("tolerance", tol)):
         if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise ScenarioFormatError(f"{name} must be positive and finite, got {value!r}")
 
 
 def true_cct(

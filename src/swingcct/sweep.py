@@ -32,7 +32,7 @@ def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: which load component to vary, over what grid."""
+    """One sweep: which load component to vary, over what grid (`values`)."""
 
     scenario: FaultScenario
     param: str          # "<bus>.G" or "<bus>.B"
@@ -52,24 +52,15 @@ class SweepSpec:
             raise ScenarioFormatError(f"step {self.step}: must be positive and finite")
         if self.jobs < 1:
             raise ScenarioFormatError(f"jobs {self.jobs}: must be at least 1")
-        # np.arange sizes a grid of (stop - lo) / step float64 points
-        if not (self._stop - self.lo) / self.step < np.iinfo(np.intp).max / 8:
-            raise ScenarioFormatError(f"range [{self.lo}, {self.hi}] at step {self.step}: too many points")
-        parse_param_path(self.scenario, self.param)
-        try:
-            check_search(self.resolution, self.horizon, self.tol)
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from None
-
-    @property
-    def _stop(self) -> float:
         # hi is a point despite rounding, and no point lies beyond hi by more
         # than a billionth of a step (1e-12 for every step of 1e-3 or more)
-        return self.hi + min(1e-12, 1e-9 * self.step)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.arange(self.lo, self._stop, self.step)
+        try:
+            values = np.arange(self.lo, self.hi + min(1e-12, 1e-9 * self.step), self.step)
+        except (ValueError, MemoryError):  # numpy cannot size or allocate the grid
+            raise ScenarioFormatError(f"range [{self.lo}, {self.hi}] at step {self.step}: too many points") from None
+        object.__setattr__(self, "values", values)
+        parse_param_path(self.scenario, self.param)
+        check_search(self.resolution, self.horizon, self.tol)
 
 
 @dataclass(frozen=True)

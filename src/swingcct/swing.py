@@ -187,9 +187,13 @@ class Coupling:
         J[:, self._diag, self._diag] = np.add.reduce(C).T
         return J.reshape(np.shape(delta) + (self.act.size,))
 
+    def pair_diffs(self, delta: np.ndarray) -> np.ndarray:
+        """d_i - d_k for the machine pairs i < k, shape (..., pairs)."""
+        return np.asarray(delta, dtype=float) @ self._K_pairs
+
     def pair_energy(self, delta: np.ndarray) -> np.ndarray:
         """sum_{i<k} Pbar_ik cos d_ik, shape (...)."""
-        D = np.asarray(delta, dtype=float) @ self._K_pairs
+        D = self.pair_diffs(delta)
         return (self._Pbar_pairs * np.cos(D)).sum(axis=-1).reshape(D.shape[:-1])
 
 
@@ -364,12 +368,12 @@ def dopri_steps(
     # the smallest step of a live row, inf once no row is live; a finished
     # row keeps t = t_end and a failed one gets h_abs = 0, so neither moves
     while (h_min := np.minimum.reduce(h_abs, where=live, initial=np.inf)) != np.inf:
-        if h_min <= min_end_step:
-            # a step near the float spacing of t: raise a new step to the
-            # minimum, fail a rejected one below it
+        if not h_min > min_end_step:
+            # a step near the float spacing of t, or NaN: raise a new step to
+            # the minimum, fail a rejected one below it and a NaN one
             min_step = 10.0 * np.spacing(t)
             np.maximum(h_abs, min_step, out=h_abs, where=fresh)
-            small = live & (h_abs < min_step)
+            small = live & ~(h_abs >= min_step)
             failed[ids[small]] = t[small]
             h_abs[small] = 0.0
             live &= ~small

@@ -277,6 +277,16 @@ def test_cli_sweep_grid_numpy_cannot_size(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_cli_sweep_grid_numpy_cannot_allocate(tmp_path, capsys):
+    """A grid numpy can size but not allocate is an input error too: 1e15
+    points would take 7.1 PiB, past any address space, so the allocation
+    fails before any memory is taken."""
+    rc = cli.main(["sweep", "wscc9-tmib", "--param", "8.G", "--range", "0:1:1e-15", "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    assert "too many points" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_cli_sweep_tiny_step_ends_at_hi(tmp_path):
     """A step far below 1e-12 gives the grid lo, lo + step, ..., hi and no
     point past hi."""

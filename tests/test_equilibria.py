@@ -392,6 +392,24 @@ def test_branch_points_satisfy_residual(bc_branches):
             assert np.max(np.abs(r)) <= 1e-10
 
 
+def branch_params(br):
+    return np.array([p for p, _pt in br.points])
+
+
+def nearest_point(br, param, reach):
+    """The branch's (parameter, point) nearest to param, or None when the
+    branch does not reach within `reach` of param."""
+    ps = branch_params(br)
+    if not ps.min() - reach <= param <= ps.max() + reach:
+        return None
+    return br.points[int(np.argmin(np.abs(ps - param)))]
+
+
+def refit_alone(hm, delta):
+    """A one-row corrector run of delta on hm."""
+    return eq._correct_rows(hm, np.asarray(delta, dtype=float)[None, :])[0]
+
+
 def test_branch_checkpoints_coincide_with_enumeration(bc_branches):
     factory, branches = bc_branches
     checkpoint = -4.8
@@ -400,13 +418,58 @@ def test_branch_checkpoints_coincide_with_enumeration(bc_branches):
     for e in enumerated:
         hits = []
         for br in branches:
-            if not br.covers(checkpoint, slack=0.05):
+            near = nearest_point(br, checkpoint, 0.05)
+            if near is None:
                 continue
-            _p, pt = br.nearest(checkpoint)
-            refit = eq._correct(hm, pt.delta)
+            refit = refit_alone(hm, near[1].delta)
             if refit is not None:
                 hits.append(eq.wrapped_distance(refit.delta, e.delta))
         assert hits and min(hits) <= 1e-6
+
+
+def covered_alone(hm, cp, delta, branches, reach):
+    """The per-seed coverage rule: each branch reaching cp refits its point
+    nearest to cp on its own, and the seed is covered by the first branch
+    whose nearest point (exactly at cp) or refit lies within 1e-6 of it."""
+    for br in branches:
+        near = nearest_point(br, cp, reach)
+        if near is None:
+            continue
+        p_near, pt = near
+        if abs(p_near - cp) <= 1e-12 and eq.wrapped_distance(pt.delta, delta) <= 1e-6:
+            return True
+        refit = refit_alone(hm, pt.delta)
+        if refit is not None and eq.wrapped_distance(refit.delta, delta) <= 1e-6:
+            return True
+    return False
+
+
+def traced_checking_coverage(factory, prange, step):
+    """continue_branch with every checkpoint's fresh seeds checked against
+    the per-seed rule; the branches, and the number of seeds and of fresh
+    seeds at each checkpoint."""
+    uncovered, counts = eq._uncovered, []
+
+    def checked(hm, cp, points, branches, reach):
+        fresh = uncovered(hm, cp, points, branches, reach)
+        alone = [s for s in points if not covered_alone(hm, cp, s.delta, branches, reach)]
+        assert [id(s) for s in fresh] == [id(s) for s in alone]
+        counts.append((len(points), len(fresh)))
+        return fresh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_uncovered", checked)
+        return eq.continue_branch(factory, prange, initial_step=step), counts
+
+
+def test_coverage_equals_the_per_seed_rule(wscc):
+    """One refit stack per checkpoint finds the fresh seeds that refitting
+    per seed and per branch finds, at every checkpoint."""
+    factory = fs.hamiltonian_model_factory(wscc, "8", "B")
+    branches, counts = traced_checking_coverage(factory, (-6.2, -3.4), 0.05)
+    assert len(counts) == 21
+    assert any(0 < fresh < seeds for seeds, fresh in counts)
+    assert sum(fresh for _seeds, fresh in counts) == len(branches)
 
 
 def test_branch_segment_labels(bc_branches):
@@ -447,7 +510,7 @@ def serve_alone(factory, tracers):
                 branches.append(stop.value)
                 break
             try:
-                answer = eq._correct(factory(param), guess)
+                answer = refit_alone(factory(param), guess)
             except (InadmissibleScenario, EquilibriumError) as exc:
                 answer = exc
     return branches
@@ -456,7 +519,7 @@ def serve_alone(factory, tracers):
 def branch_bytes(branches):
     return [
         (
-            br.params.tobytes(),
+            branch_params(br).tobytes(),
             [(pt.delta.tobytes(), pt.energy, pt.type_index) for _p, pt in br.points],
             br.folds,
         )
@@ -542,6 +605,14 @@ def test_lockstep_trace_equals_tracing_alone_on_random_networks(factory):
     """One and two modeled angles, with folds and a domain edge."""
     lockstep = eq.continue_branch(factory, (0.0, 1.0), initial_step=0.1)
     assert branch_bytes(lockstep) == branch_bytes(traced_alone(factory, (0.0, 1.0), 0.1))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(model_families())
+def test_coverage_equals_the_per_seed_rule_on_random_networks(factory):
+    """One and two modeled angles, with folds and a domain edge."""
+    branches, counts = traced_checking_coverage(factory, (0.0, 1.0), 0.1)
+    assert sum(fresh for _seeds, fresh in counts) == len(branches)
 
 
 def test_branch_trace_factory_calls(wscc):

@@ -206,6 +206,22 @@ def test_stacked_row_fails_alone():
     assert np.array_equal(ok.t, alone.t)
 
 
+def test_nan_first_step_fails_its_row_alone():
+    """A NaN state has a NaN first step, which fails at t = 0 instead of
+    keeping its row live forever; the other row keeps the bits it gets alone.
+    Run in a subprocess with a timeout, since the fault is a hang."""
+    src = str(Path(sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import numpy as np; from swingcct import swing as sw; "
+        "bad, ok = sw.integrate_rows(lambda y: -y, np.array([[np.nan, 1.0], [1.0, 1.0]]), 1.0); "
+        "alone = sw.integrate(lambda y: -y, np.array([1.0, 1.0]), 1.0); "
+        "print(type(bad).__name__, bad.time, np.array_equal(ok.t, alone.t) and np.array_equal(ok.y, alone.y))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["IntegrationError", "0.0", "True"]
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
