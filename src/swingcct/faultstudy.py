@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -55,12 +56,16 @@ class FaultScenario:
 
     def with_load_part(self, bus_id: str, part: str, value: float) -> "FaultScenario":
         """Set the conductance ('G') or susceptance ('B') of one shunt load."""
-        base = self.net.shunt_loads.get(bus_id, 0j)
-        if part == "G":
-            return self.with_load(bus_id, complex(value, base.imag))
-        if part == "B":
-            return self.with_load(bus_id, complex(base.real, value))
-        raise ValueError(f"parameter part must be 'G' or 'B', got {part!r}")
+        return self.with_load(bus_id, _with_part(self.net.shunt_loads.get(bus_id, 0j), part, value))
+
+
+def _with_part(load: complex, part: str, value: float) -> complex:
+    """`load` with its conductance ('G') or susceptance ('B') set to value."""
+    if part == "G":
+        return complex(value, load.imag)
+    if part == "B":
+        return complex(load.real, value)
+    raise ValueError(f"parameter part must be 'G' or 'B', got {part!r}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,23 @@ class StudyContext:
     delta_E: float
 
 
-def _reduce(*nets: nm.BusNetwork) -> list[nm.ReducedNetwork]:
-    """Kron reductions; a singular eliminated block makes the scenario inadmissible."""
+@contextmanager
+def _verdicts():
+    """A singular eliminated block or a failed SEP search makes the scenario inadmissible."""
     try:
-        return [nm.reduce_to_generators(net) for net in nets]
+        yield
     except SingularNetworkError as exc:
         raise InadmissibleScenario(str(exc), code="singular-network") from exc
+    except EquilibriumError as exc:
+        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
 
 
 def regimes(sc: FaultScenario) -> list[nm.ReducedNetwork]:
     """Reduced admittance parameters for pre-fault, fault-on and post-fault."""
     pre = sc.net
-    return _reduce(pre, nm.apply_fault(pre, sc.fault_bus), nm.apply_clearing(pre, sc.clearing_branch))
+    nets = (pre, nm.apply_fault(pre, sc.fault_bus), nm.apply_clearing(pre, sc.clearing_branch))
+    with _verdicts():
+        return [nm.reduce_to_generators(net) for net in nets]
 
 
 def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
@@ -128,26 +138,20 @@ def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
     return np.array(delta), infinite_index
 
 
-def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> tuple[sw.GeneratorParams, np.ndarray]:
-    """Machine constants, the mechanical powers dispatched at the pre-fault angles, and those angles."""
+def _machines(sc: FaultScenario) -> tuple[np.ndarray, np.ndarray, int]:
+    """Modeled-machine inertias M, pre-fault angles and the infinite machine index."""
     delta_pre, infinite_index = prefault_state(sc)
     omega0 = 2.0 * np.pi * sc.frequency
     modeled = [b for i, b in enumerate(sc.net.generator_buses) if i != infinite_index]
     M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in modeled])
+    return M, delta_pre, infinite_index
+
+
+def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> tuple[sw.GeneratorParams, np.ndarray]:
+    """Machine constants, the mechanical powers dispatched at the pre-fault angles, and those angles."""
+    M, delta_pre, infinite_index = _machines(sc)
     Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
     return sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index), delta_pre
-
-
-def _post_fault(
-    sc: FaultScenario, red_pre: nm.ReducedNetwork, red_post: nm.ReducedNetwork
-) -> tuple[sw.GeneratorParams, np.ndarray, eq.EquilibriumPoint, en.HamiltonianModel]:
-    """Machine constants, pre-fault angles, post-fault SEP and anchored post-fault model."""
-    gp, delta_pre = generator_params(sc, red_pre)
-    try:
-        sep, hm = eq.find_sep(red_post, gp, delta_pre)
-    except EquilibriumError as exc:
-        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
-    return gp, delta_pre, sep, hm
 
 
 def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
@@ -158,7 +162,9 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
     one of the admissibility constraints.
     """
     red_pre, red_on, red_post = regimes(sc)
-    gp, delta_pre, sep, hm = _post_fault(sc, red_pre, red_post)
+    gp, delta_pre = generator_params(sc, red_pre)
+    with _verdicts():
+        sep, hm = eq.find_sep(red_post, gp, delta_pre)
     x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
 
     points = eq.stationary_points(hm, seeds=seeds)
@@ -425,15 +431,49 @@ def run_fault_study(
     return run_fault_studies([sc], resolution=resolution, horizon=horizon, tol=tol)[0]
 
 
+def check_load_param(sc: FaultScenario, bus_id: str, part: str, where: str) -> None:
+    """Raise ScenarioFormatError, prefixed by `where`, unless `part` is 'G' or
+    'B' and `bus_id` is a bus of the scenario."""
+    if part not in ("G", "B"):
+        raise ScenarioFormatError(f"{where}: part must be 'G' or 'B'")
+    if bus_id not in {b.id for b in sc.net.buses}:
+        raise ScenarioFormatError(f"{where}: no bus {bus_id!r} in scenario")
+
+
 def hamiltonian_model_factory(
     sc: FaultScenario, bus_id: str, part: str
 ) -> "eq.ModelFactory":
-    """Post-fault anchored-model builder as a function of one load parameter."""
+    """Post-fault anchored-model builder as a function of one load parameter:
+    the conductance ('G') or susceptance ('B') of the shunt load at bus_id.
+
+    What does not depend on the value is done here, once: the Kron template
+    of the pre-fault and post-fault regimes (the fault-on regime plays no
+    role in equilibrium continuation), the machine constants and the
+    pre-fault angles.  Per value, the factory stamps the load into the
+    template, reduces both regimes in one stacked solve, dispatches Pm and
+    locates the SEP; its model is that of build_context on
+    `sc.with_load_part(bus_id, part, value)` bit for bit.  Raises
+    ScenarioFormatError for an unknown bus or part.
+    """
+    check_load_param(sc, bus_id, part, f"load parameter ({bus_id!r}, {part!r})")
+    base = sc.net.shunt_loads.get(bus_id, 0j)
+    template = nm.KronTemplate([sc.net, nm.apply_clearing(sc.net, sc.clearing_branch)], bus_id)
+    try:
+        M, delta_pre, infinite_index = _machines(sc)
+    except InadmissibleScenario as exc:
+        # the scenario's own verdict, the same at every value
+        message, code = str(exc), exc.code
+
+        def rejected(value: float) -> en.HamiltonianModel:
+            raise InadmissibleScenario(message, code=code)
+
+        return rejected
 
     def factory(value: float) -> en.HamiltonianModel:
-        sc_p = sc.with_load_part(bus_id, part, value)
-        # the fault-on regime plays no role in equilibrium continuation
-        red_pre, red_post = _reduce(sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch))
-        return _post_fault(sc_p, red_pre, red_post)[3]
+        with _verdicts():
+            red_pre, red_post = template.reduce(_with_part(base, part, value))
+            Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
+            gp = sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index)
+            return eq.find_sep(red_post, gp, delta_pre)[1]
 
     return factory

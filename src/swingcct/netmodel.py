@@ -183,12 +183,9 @@ class ReducedNetwork:
         return cls(n=n, G=G, B=B, Pbar=Pbar, E=E)
 
 
-def build_ybus(net: BusNetwork) -> ComplexMatrix:
-    """Assemble the nodal admittance matrix, generator internal nodes appended.
-
-    Grounded buses are stamped and then removed (row/column deletion), so the
-    returned dimension is N + g - len(grounded).
-    """
+def _stamp_buses(net: BusNetwork) -> tuple[np.ndarray, list[str], dict[str, int]]:
+    """Branch and shunt-load stamps over the buses and the generator internal
+    nodes; the matrix, its node labels and their indices."""
     nodes = [b.id for b in net.buses]
     nodes += [internal_node(b) for b in net.generator_buses]
     idx = {nid: i for i, nid in enumerate(nodes)}
@@ -207,28 +204,86 @@ def build_ybus(net: BusNetwork) -> ComplexMatrix:
 
     for bus_id, load in net.shunt_loads.items():
         Y[idx[bus_id], idx[bus_id]] += complex(load)
+    return Y, nodes, idx
 
+
+def _stamp_machines(net: BusNetwork, Y: np.ndarray, idx: Mapping[str, int]) -> dict[str, complex]:
+    """Stamp each machine's transient reactance between its bus and its
+    internal node; returns the stamped admittances by bus."""
+    stamped = {}
     for bus_id in net.generator_buses:
         gen = net.generators[bus_id]
         if gen.xd_prime <= 0.0:
             raise NetworkError(f"generator at {bus_id!r}: x'_d must be positive")
-        y = 1.0 / (1j * gen.xd_prime)
+        y = stamped[bus_id] = 1.0 / (1j * gen.xd_prime)
         i, j = idx[bus_id], idx[internal_node(bus_id)]
         Y[i, i] += y
         Y[j, j] += y
         Y[i, j] -= y
         Y[j, i] -= y
+    return stamped
 
+
+def _ground(net: BusNetwork, Y: np.ndarray, nodes: list[str]) -> ComplexMatrix:
+    """Delete the rows and columns of the grounded buses."""
     if net.grounded:
-        inf = net.infinite_bus
-        for g in net.grounded:
-            if g == inf:
-                raise NetworkError("cannot ground the infinite bus")
-        keep = [idx[n] for n in nodes if n not in net.grounded]
+        if net.infinite_bus in net.grounded:
+            raise NetworkError("cannot ground the infinite bus")
+        keep = [i for i, n in enumerate(nodes) if n not in net.grounded]
         Y = Y[np.ix_(keep, keep)]
-        nodes = [n for n in nodes if n not in net.grounded]
-
+        nodes = [nodes[i] for i in keep]
     return ComplexMatrix(values=Y, nodes=tuple(nodes))
+
+
+def build_ybus(net: BusNetwork) -> ComplexMatrix:
+    """Assemble the nodal admittance matrix, generator internal nodes appended.
+
+    Branches are stamped first, then shunt loads, then machines.  Grounded
+    buses are stamped and then removed (row/column deletion), so the
+    returned dimension is N + g - len(grounded).
+    """
+    Y, nodes, idx = _stamp_buses(net)
+    _stamp_machines(net, Y, idx)
+    return _ground(net, Y, nodes)
+
+
+def _partition(Y: ComplexMatrix, retained: Sequence[str]) -> tuple[list[int], list[int]]:
+    """Indices of the retained and of the eliminated nodes, in matrix order."""
+    for r in retained:
+        if r not in Y.nodes:
+            raise NetworkError(f"retained node {r!r} not in matrix")
+    keep = [i for i, n in enumerate(Y.nodes) if n in set(retained)]
+    drop = [i for i, n in enumerate(Y.nodes) if n not in set(retained)]
+    return keep, drop
+
+
+def _blocks(A: np.ndarray, keep: list[int], drop: list[int]) -> list[np.ndarray]:
+    """Y_RR, Y_RL, Y_LR and Y_LL of the partition (keep, drop)."""
+    return [A[np.ix_(r, c)] for r, c in ((keep, keep), (keep, drop), (drop, keep), (drop, drop))]
+
+
+def _symmetric(A: np.ndarray) -> bool:
+    """Whether A equals its transpose up to roundoff."""
+    return bool(np.allclose(A, A.T, rtol=0.0, atol=1e-9 * max(1.0, np.abs(A).max())))
+
+
+def schur_complement(
+    Y_RR: np.ndarray, Y_RL: np.ndarray, Y_LR: np.ndarray, Y_LL: np.ndarray, symmetric: bool, dropped: Sequence[str]
+) -> np.ndarray:
+    """Y_RR - Y_RL Y_LL^{-1} Y_LR of one matrix or of a stack (k, ., .).
+
+    With `symmetric` the result is symmetrised to scrub roundoff.  A
+    singular Y_LL raises SingularNetworkError naming the eliminated nodes
+    `dropped`.
+    """
+    try:
+        X = np.linalg.solve(Y_LL, Y_LR)
+    except np.linalg.LinAlgError:
+        raise SingularNetworkError(f"singular eliminated block for bus set {list(dropped)}") from None
+    red = Y_RR - Y_RL @ X
+    if symmetric:
+        red = 0.5 * (red + np.swapaxes(red, -1, -2))
+    return red
 
 
 def kron_reduce(Y: ComplexMatrix, retained: Iterable[str]) -> ComplexMatrix:
@@ -237,31 +292,68 @@ def kron_reduce(Y: ComplexMatrix, retained: Iterable[str]) -> ComplexMatrix:
     Y_red = Y_RR - Y_RL Y_LL^{-1} Y_LR.  Symmetry of the input is preserved
     (the result is explicitly symmetrised to scrub roundoff).
     """
-    retained = list(retained)
-    for r in retained:
-        if r not in Y.nodes:
-            raise NetworkError(f"retained node {r!r} not in matrix")
-    keep = [i for i, n in enumerate(Y.nodes) if n in set(retained)]
-    drop = [i for i, n in enumerate(Y.nodes) if n not in set(retained)]
-    order = [Y.nodes[i] for i in keep]
+    keep, drop = _partition(Y, list(retained))
+    order = tuple(Y.nodes[i] for i in keep)
     if not drop:
-        return ComplexMatrix(values=Y.values.copy(), nodes=tuple(order))
-
+        return ComplexMatrix(values=Y.values.copy(), nodes=order)
     A = Y.values
-    Y_RR = A[np.ix_(keep, keep)]
-    Y_RL = A[np.ix_(keep, drop)]
-    Y_LR = A[np.ix_(drop, keep)]
-    Y_LL = A[np.ix_(drop, drop)]
-    try:
-        X = np.linalg.solve(Y_LL, Y_LR)
-    except np.linalg.LinAlgError:
-        dropped = [Y.nodes[i] for i in drop]
-        raise SingularNetworkError(f"singular eliminated block for bus set {dropped}") from None
-    red = Y_RR - Y_RL @ X
-    sym = np.allclose(A, A.T, rtol=0.0, atol=1e-9 * max(1.0, np.abs(A).max()))
-    if sym:
-        red = 0.5 * (red + red.T)
-    return ComplexMatrix(values=red, nodes=tuple(order))
+    red = schur_complement(*_blocks(A, keep, drop), _symmetric(A), [Y.nodes[i] for i in drop])
+    return ComplexMatrix(values=red, nodes=order)
+
+
+class KronTemplate:
+    """Kron reductions of regimes of one network to the generator internal
+    nodes, as a function of the shunt load at one bus.
+
+    The regimes share their nodes (they differ in branches, as pre-fault and
+    post-fault do).  Everything but the swept load is assembled once: each
+    regime's Y_BUS and its retained/eliminated blocks with the swept
+    diagonal entry left open, the symmetry decision, and the EMFs.  The
+    decision holds at every value: build_ybus stamps each off-diagonal pair
+    alike, and the load stamps a diagonal entry.  `reduce(load)`
+    fills that entry as build_ybus adds it (after the branch stamps, before
+    the machine stamp) and eliminates all regimes in one stacked solve, so
+    its reductions are those of reduce_to_generators bit for bit.
+    """
+
+    def __init__(self, nets: Sequence[BusNetwork], bus: str):
+        if bus not in {b.id for b in nets[0].buses}:
+            raise NetworkError(f"no bus {bus!r}")
+        retained = [internal_node(b) for b in nets[0].generator_buses]
+        self._emf = [nets[0].generators[b].emf for b in nets[0].generator_buses]
+        self._nodes = tuple(retained)
+        blocks, before, machine, symmetric = [], [], [], []
+        for net in nets:
+            net = replace(net, shunt_loads={k: v for k, v in net.shunt_loads.items() if k != bus})
+            Y, nodes, idx = _stamp_buses(net)
+            before.append(Y[idx[bus], idx[bus]])
+            machine.append(_stamp_machines(net, Y, idx).get(bus))
+            Y = _ground(net, Y, nodes)
+            keep, drop = _partition(Y, retained)
+            if blocks and Y.nodes != labels:
+                raise NetworkError("the regimes of a template must share their nodes")
+            labels = Y.nodes
+            blocks.append(_blocks(Y.values, keep, drop))
+            symmetric.append(_symmetric(Y.values))
+        self._RR, self._RL, self._LR, self._LL = (np.array(b) for b in zip(*blocks))
+        self._symmetric = all(symmetric)
+        self._dropped = [labels[i] for i in drop]
+        self._at = self._dropped.index(bus)
+        self._before = np.array(before)
+        self._machine = None if machine[0] is None else np.array(machine)
+
+    def reduce(self, load: complex) -> list[ReducedNetwork]:
+        """Each regime's reduction with `load` at the swept bus."""
+        # build_ybus's order: branch stamps, then the load, then the machine
+        entry = self._before + complex(load)
+        if self._machine is not None:
+            entry = entry + self._machine
+        if not np.all(np.isfinite(entry.view(float))):
+            raise NetworkError("non-finite matrix entry")
+        Y_LL = self._LL.copy()
+        Y_LL[:, self._at, self._at] = entry
+        red = schur_complement(self._RR, self._RL, self._LR, Y_LL, self._symmetric, self._dropped)
+        return [ReducedNetwork.from_matrix(ComplexMatrix(values=r, nodes=self._nodes), self._emf) for r in red]
 
 
 def apply_fault(net: BusNetwork, fault_bus: str) -> BusNetwork:

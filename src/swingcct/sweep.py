@@ -10,7 +10,7 @@ import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, check_search, run_fault_studies
+from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, check_load_param, check_search, run_fault_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 #: closest-UEP positions further apart than this across one grid interval
@@ -23,10 +23,7 @@ def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
     if "." not in param:
         raise ScenarioFormatError(f"param path {param!r}: expected '<bus>.G' or '<bus>.B'")
     bus, part = param.rsplit(".", 1)
-    if part not in ("G", "B"):
-        raise ScenarioFormatError(f"param path {param!r}: part must be 'G' or 'B'")
-    if bus not in {b.id for b in sc.net.buses}:
-        raise ScenarioFormatError(f"param path {param!r}: no bus {bus!r} in scenario")
+    check_load_param(sc, bus, part, f"param path {param!r}")
     return bus, part
 
 

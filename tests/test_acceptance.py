@@ -369,6 +369,39 @@ def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
     check("8h", ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")
 
 
+#: largest change of tau allowed when the verdict window doubles (README)
+WINDOW_DRIFT_BOUND = 8e-4
+
+
+def test_criterion_8i_tau_window_drift(wscc, monkeypatch):
+    """tau counts the escapes within the verdict window (faultstudy.WINDOW).
+
+    An orbit that swings back and escapes on a later swing counts as
+    unstable only if it escapes within the window, so a longer window can
+    lower tau.  The check doubles the window at the nominal point,
+    8.B = -8.2, 8.G = 0 and 8.G = 6, prints the four changes, and fails when
+    one exceeds the README's bound, so a verdict change that widens the gap
+    shows.
+    """
+    points = {
+        "nominal": wscc,
+        "8.B=-8.2": wscc.with_load_part("8", "B", -8.2),
+        "8.G=0": wscc.with_load_part("8", "G", 0.0),
+        "8.G=6": wscc.with_load_part("8", "G", 6.0),
+    }
+    taus = []
+    for window in (fs.WINDOW, 2 * fs.WINDOW):
+        monkeypatch.setattr(fs, "WINDOW", window)
+        taus.append({name: fs.run_fault_study(sc).tau for name, sc in points.items()})
+    drift = {name: taus[0][name] - taus[1][name] for name in points}
+    check(
+        "8i",
+        all(abs(d) <= WINDOW_DRIFT_BOUND for d in drift.values()),
+        "tau(WINDOW) - tau(2 WINDOW): " + ", ".join(f"{k} {d:.2e} s" for k, d in drift.items())
+        + f" (limit {WINDOW_DRIFT_BOUND:.0e} s)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 9. reproducibility
 # ---------------------------------------------------------------------------

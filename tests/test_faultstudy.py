@@ -1,5 +1,6 @@
 """Three-regime fault studies: predicates, binary search, orchestration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,17 @@ import pytest
 
 from conftest import cct, fault_on, stable
 from swingcct import energy as en
+from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
+from swingcct import netmodel as nm
 from swingcct import swing as sw
-from swingcct.errors import IntegrationError
+from swingcct.errors import (
+    EquilibriumError,
+    InadmissibleScenario,
+    IntegrationError,
+    NetworkError,
+    ScenarioFormatError,
+)
 
 
 def null_fault_context(ctx):
@@ -326,3 +335,89 @@ def test_regimes_shapes(wscc):
     assert np.all(red_on.Pbar[1, :] == 0.0)
     # clearing removes one line: pre and post differ
     assert not np.allclose(red_pre.B, red_post.B)
+
+
+# ---------------------------------------------------------------------------
+# the load-parametric model factory
+# ---------------------------------------------------------------------------
+
+
+def rebuilt_model(sc, bus, part, value):
+    """The factory's model the long way: a new network for the value, then
+    clearing, Kron reduction, dispatch and the SEP search."""
+    sc_p = sc.with_load_part(bus, part, value)
+    red_pre, red_post = (nm.reduce_to_generators(net) for net in (sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch)))
+    gp, delta_pre = fs.generator_params(sc_p, red_pre)
+    try:
+        return eq.find_sep(red_post, gp, delta_pre)[1]
+    except EquilibriumError as exc:
+        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
+
+
+def model_bytes(hm):
+    return [np.asarray(a).tobytes() for a in (hm.red.G, hm.red.B, hm.red.Pbar, hm.red.E, hm.gp.Pm, hm.Pa, hm.anchor)]
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        ("8.B", np.linspace(-10.0, 0.0, 9)),
+        ("8.G", np.linspace(0.0, 8.5, 9)),
+        ("6.B", np.linspace(-10.0, 0.0, 9)),
+        # a generator bus without a base load; at -0.7, -0.3 and -0.05 the
+        # sum of its diagonal entry depends on the order of the stamps
+        ("2.B", [-1.0, -0.7, -0.3, -0.05, 0.0]),
+    ],
+)
+def test_factory_equals_rebuilt_network(wscc, param, values):
+    """The factory's template gives the bits of a network rebuilt per value."""
+    bus, part = param.split(".")
+    factory = fs.hamiltonian_model_factory(wscc, bus, part)
+    for value in map(float, values):
+        assert model_bytes(factory(value)) == model_bytes(rebuilt_model(wscc, bus, part, value)), value
+
+
+def test_factory_no_sep_matches_rebuilt_network(wscc):
+    with pytest.raises(InadmissibleScenario) as rebuilt:
+        rebuilt_model(wscc, "8", "G", 9.0)
+    with pytest.raises(InadmissibleScenario) as templated:
+        fs.hamiltonian_model_factory(wscc, "8", "G")(9.0)
+    assert templated.value.code == rebuilt.value.code == "no-sep"
+    assert str(templated.value) == str(rebuilt.value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_factory_rejects_non_finite_load(wscc, value):
+    with pytest.raises(NetworkError, match="non-finite matrix entry"):
+        fs.hamiltonian_model_factory(wscc, "8", "B")(value)
+
+
+@pytest.mark.parametrize("bus, part", [("99", "B"), ("8", "X"), ("8", "g")])
+def test_factory_checked_when_made(wscc, bus, part):
+    with pytest.raises(ScenarioFormatError):
+        fs.hamiltonian_model_factory(wscc, bus, part)
+
+
+def test_factory_warns_islanding_once(wscc):
+    """Clearing a generator's only line islands it: one warning per factory,
+    and every value ends in no-sep without warning again."""
+    with pytest.warns(UserWarning, match="islands") as record:
+        factory = fs.hamiltonian_model_factory(replace(wscc, clearing_branch="2-7"), "8", "B")
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (-1.0, -0.5, 0.0):
+            with pytest.raises(InadmissibleScenario, match="no post-fault SEP"):
+                factory(value)
+
+
+def test_factory_bad_angles_at_every_value(wscc):
+    """A scenario without a modeled machine's angle is inadmissible at every
+    value, so a branch trace finds no branch rather than failing."""
+    angles = {k: v for k, v in wscc.prefault_angles.items() if k != "2"}
+    factory = fs.hamiltonian_model_factory(replace(wscc, prefault_angles=angles), "8", "B")
+    for value in (-1.0, 0.0):
+        with pytest.raises(InadmissibleScenario, match="missing pre-fault angle") as err:
+            factory(value)
+        assert err.value.code == "bad-angles"
+    assert eq.continue_branch(factory, (-1.0, 0.0)) == []

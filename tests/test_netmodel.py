@@ -7,9 +7,11 @@ at retained nodes against the reduced matrix acting on the same voltages.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swingcct.netmodel as nm
-from swingcct.errors import NetworkError
+from swingcct.errors import NetworkError, SingularNetworkError
 from swingcct.faultstudy import regimes
 
 RNG = np.random.default_rng(42)
@@ -286,3 +288,85 @@ def test_random_networks_stay_symmetric():
         assert np.max(np.abs(Y.values - Y.values.T)) <= 1e-12
         red = nm.kron_reduce(Y, ["b0"])
         assert np.max(np.abs(red.values - red.values.T)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Kron template of a swept load
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def swept_networks(draw):
+    """A random connected network (bus 0 infinite, then 1-3 generator buses,
+    then 1-4 load buses), a line whose removal leaves it connected, the bus
+    whose shunt load is swept (a load, a generator or the infinite bus) and
+    that load's value."""
+    n_gen, n_load = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = 1 + n_gen + n_load
+    ids = [f"b{i}" for i in range(n)]
+    kinds = ["infinite"] + ["generator"] * n_gen + ["load"] * n_load
+    conductance, susceptance = st.floats(0.0, 2.0), st.floats(1.0, 20.0)
+
+    def admittance():
+        return complex(draw(conductance), -draw(susceptance))
+
+    # a random spanning tree, plus extra lines that close loops
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                           min_size=1, max_size=4))
+    branches = tuple(
+        nm.Branch(id=f"l{k}", from_bus=ids[i], to_bus=ids[j], y_series=admittance(),
+                  shunt_from=complex(0.0, draw(st.floats(0.0, 0.2))))
+        for k, (i, j) in enumerate(pairs)
+    )
+    load = st.builds(complex, st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+    loads = {ids[i]: draw(load) for i in range(n) if draw(st.booleans())}
+    generators = {
+        ids[i]: nm.Generator(bus=ids[i], emf=draw(st.floats(0.9, 1.2)), xd_prime=draw(st.floats(0.05, 0.5)),
+                             inertia=draw(st.floats(1.0, 20.0)))
+        for i in range(1 + n_gen)
+    }
+    net = nm.BusNetwork(buses=tuple(nm.Bus(b, k) for b, k in zip(ids, kinds)), branches=branches,
+                        shunt_loads=loads, generators=generators)
+    kind = draw(st.sampled_from(["load", "generator", "infinite"]))
+    bus = {"infinite": ids[0], "generator": ids[1], "load": ids[-1]}[kind]
+    return net, f"l{n - 1}", bus, draw(load)
+
+
+def reduced_bytes(red):
+    return [a.tobytes() for a in (red.G, red.B, red.Pbar, red.E)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_networks())
+def test_template_equals_rebuilt_network(case):
+    """At a load, a generator or the infinite bus, the template's reductions
+    are those of the network rebuilt with the load, bit for bit."""
+    net, extra_line, bus, load = case
+    nets = [net, nm.apply_clearing(net, extra_line)]
+    rebuilt = []
+    try:
+        rebuilt = [nm.reduce_to_generators(nm.set_load(n, bus, load)) for n in nets]
+    except SingularNetworkError:
+        with pytest.raises(SingularNetworkError):
+            nm.KronTemplate(nets, bus).reduce(load)
+        return
+    got = nm.KronTemplate(nets, bus).reduce(load)
+    assert [reduced_bytes(r) for r in got] == [reduced_bytes(r) for r in rebuilt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_networks(), st.integers(0, 2**32 - 1))
+def test_template_nodal_oracle(case, seed):
+    """Zero current injection at the eliminated nodes of the full network
+    gives the currents of the template's reduced matrix."""
+    net, _line, bus, load = case
+    full = nm.set_load(net, bus, load)
+    (red,) = nm.KronTemplate([net], bus).reduce(load)
+    Y = nm.build_ybus(full)
+    retained = [nm.internal_node(b) for b in full.generator_buses]
+    rng = np.random.default_rng(seed)
+    V_R = rng.normal(size=len(retained)) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=len(retained)))
+    expected = nodal_currents(Y, retained, V_R)
+    scale = np.abs(Y.values).max() * np.abs(V_R).max()
+    assert np.max(np.abs((red.G + 1j * red.B) @ V_R - expected)) <= 1e-10 * scale

@@ -182,15 +182,23 @@ def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
     from swingcct.errors import SingularNetworkError
 
     clean = fold_locations(continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G"))
-    original = nm.reduce_to_generators
+    original = nm.schur_complement
+    # bus 8's diagonal entry at 8.G = 8.5 (the cleared line 5-7 does not touch bus 8)
+    Y = nm.build_ybus(wscc.with_load_part("8", "G", 8.5).net)
+    target = Y.values[Y.index("8"), Y.index("8")]
+    fired = []
 
-    def reduce(net):
-        if abs(net.shunt_loads["8"].real - 8.5) < 1e-6:
+    def schur(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped):
+        k = list(dropped).index("8")
+        entry = Y_LL[..., k, k]
+        if np.any((np.abs(entry.real - target.real) < 1e-6) & (entry.imag == target.imag)):
+            fired.append(entry)
             raise SingularNetworkError("singular eliminated block for bus set ['8']")
-        return original(net)
+        return original(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped)
 
-    monkeypatch.setattr(nm, "reduce_to_generators", reduce)
+    monkeypatch.setattr(nm, "schur_complement", schur)
     branches = continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G")
+    assert fired  # at 8.G = 8.5, to 1e-6
     assert branches
     assert len(fold_locations(branches)) == len(clean) >= 1
     assert np.allclose(fold_locations(branches), clean, rtol=0, atol=1e-12)
