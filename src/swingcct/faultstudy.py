@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import cached_property, partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,19 +54,6 @@ class FaultScenario:
 
     def with_load(self, bus_id: str, Y: complex) -> "FaultScenario":
         return replace(self, net=nm.set_load(self.net, bus_id, Y))
-
-    def with_load_part(self, bus_id: str, part: str, value: float) -> "FaultScenario":
-        """Set the conductance ('G') or susceptance ('B') of one shunt load."""
-        return self.with_load(bus_id, _with_part(self.net.shunt_loads.get(bus_id, 0j), part, value))
-
-
-def _with_part(load: complex, part: str, value: float) -> complex:
-    """`load` with its conductance ('G') or susceptance ('B') set to value."""
-    if part == "G":
-        return complex(value, load.imag)
-    if part == "B":
-        return complex(load.real, value)
-    raise ValueError(f"parameter part must be 'G' or 'B', got {part!r}")
 
 
 @dataclass(frozen=True)
@@ -120,51 +108,37 @@ def regimes(sc: FaultScenario) -> list[nm.ReducedNetwork]:
         return [nm.reduce_to_generators(net) for net in nets]
 
 
-def prefault_state(sc: FaultScenario) -> tuple[np.ndarray, int]:
-    """Modeled-machine pre-fault angles and the infinite machine index."""
-    gen_buses = sc.net.generator_buses
-    infinite_index = gen_buses.index(sc.net.infinite_bus)
-    delta = []
-    for i, bus in enumerate(gen_buses):
-        if i == infinite_index:
-            continue
-        if bus not in sc.prefault_angles:
-            raise InadmissibleScenario(
-                f"missing pre-fault angle for generator bus {bus!r}", code="bad-angles"
-            )
-        delta.append(float(sc.prefault_angles[bus]))
-    if not np.all(np.isfinite(delta)):
-        raise InadmissibleScenario(f"non-finite pre-fault angles {delta}", code="bad-angles")
-    return np.array(delta), infinite_index
-
-
 def _machines(sc: FaultScenario) -> tuple[np.ndarray, np.ndarray, int]:
     """Modeled-machine inertias M, pre-fault angles and the infinite machine index."""
-    delta_pre, infinite_index = prefault_state(sc)
+    gen_buses = sc.net.generator_buses
+    infinite_index = gen_buses.index(sc.net.infinite_bus)
+    modeled = [b for i, b in enumerate(gen_buses) if i != infinite_index]
+    missing = [b for b in modeled if b not in sc.prefault_angles]
+    if missing:
+        raise InadmissibleScenario(f"missing pre-fault angle for generator bus {missing[0]!r}", code="bad-angles")
+    delta = [float(sc.prefault_angles[b]) for b in modeled]
+    if not np.all(np.isfinite(delta)):
+        raise InadmissibleScenario(f"non-finite pre-fault angles {delta}", code="bad-angles")
     omega0 = 2.0 * np.pi * sc.frequency
-    modeled = [b for i, b in enumerate(sc.net.generator_buses) if i != infinite_index]
     M = np.array([2.0 * sc.net.generators[b].inertia / omega0 for b in modeled])
-    return M, delta_pre, infinite_index
+    return M, np.array(delta), infinite_index
 
 
-def generator_params(sc: FaultScenario, red_pre: nm.ReducedNetwork) -> tuple[sw.GeneratorParams, np.ndarray]:
-    """Machine constants, the mechanical powers dispatched at the pre-fault angles, and those angles."""
+def _model(sc: FaultScenario, red_pre: nm.ReducedNetwork, red_post: nm.ReducedNetwork) -> tuple:
+    """The model step: dispatch on red_pre, then the SEP on red_post; (gp, delta_pre, sep, hm)."""
     M, delta_pre, infinite_index = _machines(sc)
-    Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
-    return sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index), delta_pre
-
-
-def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
-    """Run the full pipeline up to the critical energy; `seeds` seed the
-    enumeration of the post-fault stationary points (`stationary_points`).
-
-    Raises InadmissibleScenario (with a reason code) when the scenario fails
-    one of the admissibility constraints.
-    """
-    red_pre, red_on, red_post = regimes(sc)
-    gp, delta_pre = generator_params(sc, red_pre)
     with _verdicts():
-        sep, hm = eq.find_sep(red_post, gp, delta_pre)
+        Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
+        gp = sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index)
+        return (gp, delta_pre) + eq.find_sep(red_post, gp, delta_pre)
+
+
+def _context(
+    sc: FaultScenario, red_pre: nm.ReducedNetwork, red_on: nm.ReducedNetwork, red_post: nm.ReducedNetwork,
+    seeds: Sequence[eq.EquilibriumPoint] | None,
+) -> StudyContext:
+    """The pipeline from the pre-fault, fault-on and post-fault reductions up to the critical energy."""
+    gp, delta_pre, sep, hm = _model(sc, red_pre, red_post)
     x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
 
     points = eq.stationary_points(hm, seeds=seeds)
@@ -179,6 +153,16 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
         red_pre=red_pre, red_post=red_post, gp=gp,
         x_pre=x_pre, sep=sep, hm=hm, points=points, fom=fom, crit=crit, delta_E=delta_E,
     )
+
+
+def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
+    """Run the full pipeline up to the critical energy; `seeds` seed the
+    enumeration of the post-fault stationary points (`stationary_points`).
+
+    Raises InadmissibleScenario (with a reason code) when the scenario fails
+    one of the admissibility constraints.
+    """
+    return _context(sc, *regimes(sc), seeds)
 
 
 def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -349,31 +333,32 @@ def true_cct(
     return results
 
 
-def run_fault_studies(
-    scenarios: Sequence[FaultScenario],
+def run_studies(
+    builds: Sequence[Callable[[Sequence[eq.EquilibriumPoint] | None], StudyContext]],
     resolution: float = 1e-4,
     horizon: float = 1.0,
     tol: float = 1e-8,
 ) -> list[FaultStudyResult]:
-    """Compute tau, tau_H, tau_A and the energy margin for every scenario.
+    """Compute tau, tau_H, tau_A and the energy margin for every point, given
+    one context builder per point (seeds -> StudyContext, as build_context).
 
-    The scenarios must share their machines and come in parameter order (as
-    the points of a load sweep do).  The stationary points of scenario i
-    are seeded by those of scenario i-1 when i is not a multiple of CHAIN
-    and scenario i-1 built a context; every other enumeration runs the full
-    grid.  The fault-on runs of all admissible scenarios are one stacked
-    integration, each to the longer of the tau and tau_H horizons, and both
-    metrics only read it; the true_cct searches run in lockstep.  A
-    scenario's result depends only on itself and on the scenarios before it
-    in its chain.  Raises ValueError for a resolution, horizon or tol that
-    is not positive and finite.
+    The points must share their machines and come in parameter order (as
+    the points of a load sweep do).  The stationary points of point i are
+    seeded by those of point i-1 when i is not a multiple of CHAIN and point
+    i-1 built a context; every other enumeration runs the full grid.  The
+    fault-on runs of all admissible points are one stacked integration, each
+    to the longer of the tau and tau_H horizons, and both metrics only read
+    it; the true_cct searches run in lockstep.  A point's result depends
+    only on itself and on the points before it in its chain.  Raises
+    ValueError for a resolution, horizon or tol that is not positive and
+    finite.
     """
     check_search(resolution, horizon, tol)
-    # the FaultStudyResult fields of each scenario, filled in as they are found
+    # the FaultStudyResult fields of each point, filled in as they are found
     fields = []
     admitted = []
     points = None
-    for i, sc in enumerate(scenarios):
+    for i, build in enumerate(builds):
         f = dict(
             tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
             admissible=False, verdicts={}, message=None,
@@ -382,7 +367,7 @@ def run_fault_studies(
         seeds = points if i % CHAIN else None
         points = None
         try:
-            ctx = build_context(sc, seeds)
+            ctx = build(seeds)
         except InadmissibleScenario as exc:
             f.update(verdicts={"scenario": exc.code}, message=str(exc))
             continue
@@ -420,6 +405,17 @@ def run_fault_studies(
     return [FaultStudyResult(**f) for f in fields]
 
 
+def run_fault_studies(
+    scenarios: Sequence[FaultScenario],
+    resolution: float = 1e-4,
+    horizon: float = 1.0,
+    tol: float = 1e-8,
+) -> list[FaultStudyResult]:
+    """Compute tau, tau_H, tau_A and the energy margin for every scenario:
+    `run_studies` with each scenario's build_context."""
+    return run_studies([partial(build_context, sc) for sc in scenarios], resolution, horizon, tol)
+
+
 def run_fault_study(
     sc: FaultScenario,
     resolution: float = 1e-4,
@@ -440,40 +436,40 @@ def check_load_param(sc: FaultScenario, bus_id: str, part: str, where: str) -> N
         raise ScenarioFormatError(f"{where}: no bus {bus_id!r} in scenario")
 
 
-def hamiltonian_model_factory(
-    sc: FaultScenario, bus_id: str, part: str
-) -> "eq.ModelFactory":
-    """Post-fault anchored-model builder as a function of one load parameter:
-    the conductance ('G') or susceptance ('B') of the shunt load at bus_id.
+class LoadFamily:
+    """One scenario's models as a function of one load parameter: the
+    conductance ('G') or susceptance ('B') of the shunt load at bus_id.
 
-    What does not depend on the value is done here, once: the Kron template
-    of the pre-fault and post-fault regimes (the fault-on regime plays no
-    role in equilibrium continuation), the machine constants and the
-    pre-fault angles.  Per value, the factory stamps the load into the
-    template, reduces both regimes in one stacked solve, dispatches Pm and
-    locates the SEP; its model is that of build_context on
-    `sc.with_load_part(bus_id, part, value)` bit for bit.  Raises
-    ScenarioFormatError for an unknown bus or part.
+    The Kron templates are built once: pre-fault with post-fault when the
+    family is made, fault-on at the first context (a branch trace needs
+    none, so it runs even where the fault bus does not exist).  Per value,
+    `model` and `context` stamp the load, solve once per template and run
+    the model step: those of build_context on the scenario with that load,
+    bit for bit.  Raises ScenarioFormatError for an unknown bus or part.
     """
-    check_load_param(sc, bus_id, part, f"load parameter ({bus_id!r}, {part!r})")
-    base = sc.net.shunt_loads.get(bus_id, 0j)
-    template = nm.KronTemplate([sc.net, nm.apply_clearing(sc.net, sc.clearing_branch)], bus_id)
-    try:
-        M, delta_pre, infinite_index = _machines(sc)
-    except InadmissibleScenario as exc:
-        # the scenario's own verdict, the same at every value
-        message, code = str(exc), exc.code
 
-        def rejected(value: float) -> en.HamiltonianModel:
-            raise InadmissibleScenario(message, code=code)
+    def __init__(self, sc: FaultScenario, bus_id: str, part: str):
+        check_load_param(sc, bus_id, part, f"load parameter ({bus_id!r}, {part!r})")
+        self.sc, self.bus_id = sc, bus_id
+        base = sc.net.shunt_loads.get(bus_id, 0j)
+        self._load = (lambda v: complex(v, base.imag)) if part == "G" else (lambda v: complex(base.real, v))
+        self._pair = nm.KronTemplate([sc.net, nm.apply_clearing(sc.net, sc.clearing_branch)], bus_id)
 
-        return rejected
+    @cached_property
+    def _fault_on(self) -> nm.KronTemplate:
+        return nm.KronTemplate([nm.apply_fault(self.sc.net, self.sc.fault_bus)], self.bus_id)
 
-    def factory(value: float) -> en.HamiltonianModel:
+    def model(self, value: float) -> en.HamiltonianModel:
         with _verdicts():
-            red_pre, red_post = template.reduce(_with_part(base, part, value))
-            Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
-            gp = sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index)
-            return eq.find_sep(red_post, gp, delta_pre)[1]
+            return _model(self.sc, *self._pair.reduce(self._load(value)))[-1]
 
-    return factory
+    def context(self, value: float, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
+        with _verdicts():
+            (red_on,) = self._fault_on.reduce(self._load(value))
+            red_pre, red_post = self._pair.reduce(self._load(value))
+        return _context(self.sc, red_pre, red_on, red_post, seeds)
+
+
+def hamiltonian_model_factory(sc: FaultScenario, bus_id: str, part: str) -> "eq.ModelFactory":
+    """Post-fault anchored-model builder of one load parameter (`LoadFamily.model`)."""
+    return LoadFamily(sc, bus_id, part).model

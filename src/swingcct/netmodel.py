@@ -308,12 +308,12 @@ class KronTemplate:
     The regimes share their nodes (they differ in branches, as pre-fault and
     post-fault do).  Everything but the swept load is assembled once: each
     regime's Y_BUS and its retained/eliminated blocks with the swept
-    diagonal entry left open, the symmetry decision, and the EMFs.  The
-    decision holds at every value: build_ybus stamps each off-diagonal pair
-    alike, and the load stamps a diagonal entry.  `reduce(load)`
-    fills that entry as build_ybus adds it (after the branch stamps, before
-    the machine stamp) and eliminates all regimes in one stacked solve, so
-    its reductions are those of reduce_to_generators bit for bit.
+    diagonal entry left open (none where a fault grounds the swept bus), and
+    the EMFs.  `reduce(load)` fills the entry as build_ybus adds it (after
+    the branch stamps, before the machine stamp) and eliminates all regimes
+    in one stacked solve, symmetrised as kron_reduce symmetrises every Y_BUS
+    (build_ybus stamps each off-diagonal pair alike): the reductions of
+    reduce_to_generators bit for bit.
     """
 
     def __init__(self, nets: Sequence[BusNetwork], bus: str):
@@ -322,7 +322,7 @@ class KronTemplate:
         retained = [internal_node(b) for b in nets[0].generator_buses]
         self._emf = [nets[0].generators[b].emf for b in nets[0].generator_buses]
         self._nodes = tuple(retained)
-        blocks, before, machine, symmetric = [], [], [], []
+        blocks, before, machine = [], [], []
         for net in nets:
             net = replace(net, shunt_loads={k: v for k, v in net.shunt_loads.items() if k != bus})
             Y, nodes, idx = _stamp_buses(net)
@@ -334,25 +334,25 @@ class KronTemplate:
                 raise NetworkError("the regimes of a template must share their nodes")
             labels = Y.nodes
             blocks.append(_blocks(Y.values, keep, drop))
-            symmetric.append(_symmetric(Y.values))
         self._RR, self._RL, self._LR, self._LL = (np.array(b) for b in zip(*blocks))
-        self._symmetric = all(symmetric)
         self._dropped = [labels[i] for i in drop]
-        self._at = self._dropped.index(bus)
+        self._at = self._dropped.index(bus) if bus in self._dropped else None
         self._before = np.array(before)
         self._machine = None if machine[0] is None else np.array(machine)
 
     def reduce(self, load: complex) -> list[ReducedNetwork]:
         """Each regime's reduction with `load` at the swept bus."""
-        # build_ybus's order: branch stamps, then the load, then the machine
-        entry = self._before + complex(load)
-        if self._machine is not None:
-            entry = entry + self._machine
-        if not np.all(np.isfinite(entry.view(float))):
-            raise NetworkError("non-finite matrix entry")
-        Y_LL = self._LL.copy()
-        Y_LL[:, self._at, self._at] = entry
-        red = schur_complement(self._RR, self._RL, self._LR, Y_LL, self._symmetric, self._dropped)
+        Y_LL = self._LL
+        if self._at is not None:
+            # build_ybus's order: branch stamps, then the load, then the machine
+            entry = self._before + complex(load)
+            if self._machine is not None:
+                entry = entry + self._machine
+            if not np.all(np.isfinite(entry.view(float))):
+                raise NetworkError("non-finite matrix entry")
+            Y_LL = Y_LL.copy()
+            Y_LL[:, self._at, self._at] = entry
+        red = schur_complement(self._RR, self._RL, self._LR, Y_LL, True, self._dropped)
         return [ReducedNetwork.from_matrix(ComplexMatrix(values=r, nodes=self._nodes), self._emf) for r in red]
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, check_load_param, check_search, run_fault_studies
+from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, LoadFamily, check_load_param, check_search, run_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 #: closest-UEP positions further apart than this across one grid interval
@@ -49,10 +50,11 @@ class SweepSpec:
             raise ScenarioFormatError(f"step {self.step}: must be positive and finite")
         if self.jobs < 1:
             raise ScenarioFormatError(f"jobs {self.jobs}: must be at least 1")
-        # hi is a point despite rounding, and no point lies beyond hi by more
-        # than a billionth of a step (1e-12 for every step of 1e-3 or more)
+        # hi is a point despite rounding, and no point lies beyond hi by more than
+        # min(1e-12, 1e-9 * step) or, where more, four float spacings of the larger end
+        pad = max(min(1e-12, 1e-9 * self.step), 4 * float(np.spacing(max(abs(self.lo), abs(self.hi)))))
         try:
-            values = np.arange(self.lo, self.hi + min(1e-12, 1e-9 * self.step), self.step)
+            values = np.arange(self.lo, self.hi + pad, self.step)
         except (ValueError, MemoryError):  # numpy cannot size or allocate the grid
             raise ScenarioFormatError(f"range [{self.lo}, {self.hi}] at step {self.step}: too many points") from None
         object.__setattr__(self, "values", values)
@@ -107,9 +109,9 @@ def _row_from_result(value: float, result: FaultStudyResult) -> SweepRow:
 def _eval_block(args: tuple) -> list[SweepRow]:
     """Rows of a run of whole chains (its first value starts a chain)."""
     spec, values = args
-    bus, part = parse_param_path(spec.scenario, spec.param)
-    results = run_fault_studies(
-        [spec.scenario.with_load_part(bus, part, value) for value in values],
+    family = LoadFamily(spec.scenario, *parse_param_path(spec.scenario, spec.param))
+    results = run_studies(
+        [partial(family.context, value) for value in values],
         resolution=spec.resolution,
         horizon=spec.horizon,
         tol=spec.tol,
@@ -120,8 +122,9 @@ def _eval_block(args: tuple) -> list[SweepRow]:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, ascending; rows keep inadmissible points.
 
-    The points are studied together (`run_fault_studies`), in chains of
-    CHAIN grid points whose enumerations continue from point to point.
+    Each point is a value of the scenario's LoadFamily, and the points are
+    studied together (`run_studies`), in chains of CHAIN grid points whose
+    enumerations continue from point to point.
     With jobs > 1 each worker of a process pool takes one block of whole
     chains, so every block starts a chain where the serial run does; a
     point's result depends only on the grid, and parallel and serial runs

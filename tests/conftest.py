@@ -23,6 +23,13 @@ def wscc_lossless(wscc):
     return sc
 
 
+def with_part(sc, bus, part, value):
+    """The scenario with the conductance ('G') or susceptance ('B') of the
+    shunt load at `bus` set to value, rebuilt through `with_load`."""
+    load = sc.net.shunt_loads.get(bus, 0j)
+    return sc.with_load(bus, complex(value, load.imag) if part == "G" else complex(load.real, value))
+
+
 @pytest.fixture(scope="session")
 def nominal_ctx(wscc):
     """Prepared pipeline for the nominal fault (bus 7, clear line 5-7)."""

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cct, fault_on, stable
+from conftest import cct, fault_on, stable, with_part
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -385,9 +385,9 @@ def test_criterion_8i_tau_window_drift(wscc, monkeypatch):
     """
     points = {
         "nominal": wscc,
-        "8.B=-8.2": wscc.with_load_part("8", "B", -8.2),
-        "8.G=0": wscc.with_load_part("8", "G", 0.0),
-        "8.G=6": wscc.with_load_part("8", "G", 6.0),
+        "8.B=-8.2": with_part(wscc, "8", "B", -8.2),
+        "8.G=0": with_part(wscc, "8", "G", 0.0),
+        "8.G=6": with_part(wscc, "8", "G", 6.0),
     }
     taus = []
     for window in (fs.WINDOW, 2 * fs.WINDOW):

@@ -1,12 +1,13 @@
 """Three-regime fault studies: predicates, binary search, orchestration."""
 
+import dataclasses
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import cct, fault_on, stable
+from conftest import cct, fault_on, stable, with_part
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -98,7 +99,7 @@ def serial_bisection(ctx, fo, resolution=1e-4, horizon=1.0):
 
 
 def test_lockstep_true_cct_equals_serial_bisection(wscc, nominal_ctx, nominal_fault_on):
-    ctxs = [nominal_ctx] + [fs.build_context(wscc.with_load_part("8", "G", g)) for g in (1.0, 5.0, 7.0)]
+    ctxs = [nominal_ctx] + [fs.build_context(with_part(wscc, "8", "G", g)) for g in (1.0, 5.0, 7.0)]
     fault_ons = [nominal_fault_on] + [fault_on(c, 2.0) for c in ctxs[1:]]
     lockstep = fs.true_cct(ctxs, fault_ons)
     assert lockstep == [serial_bisection(c, fo) for c, fo in zip(ctxs, fault_ons)]
@@ -243,7 +244,7 @@ def test_failed_fault_on_row_fails_alone(wscc, monkeypatch):
         return [IntegrationError("step size underflow", time=0.1)] + original(*args, **kwargs)[1:]
 
     monkeypatch.setattr(en, "fault_on_trajectory", fail_first)
-    failed, ok = fs.run_fault_studies([wscc.with_load_part("8", "B", -0.5), wscc], resolution=5e-4)
+    failed, ok = fs.run_fault_studies([with_part(wscc, "8", "B", -0.5), wscc], resolution=5e-4)
     assert failed.admissible and failed.tau is None and failed.tau_H is None
     assert failed.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
     for name in ("admissible", "tau", "tau_H", "tau_A", "delta_E", "E_c", "verdicts"):
@@ -338,16 +339,22 @@ def test_regimes_shapes(wscc):
 
 
 # ---------------------------------------------------------------------------
-# the load-parametric model factory
+# the load family: the model factory and the sweep's contexts
 # ---------------------------------------------------------------------------
 
 
 def rebuilt_model(sc, bus, part, value):
     """The factory's model the long way: a new network for the value, then
-    clearing, Kron reduction, dispatch and the SEP search."""
-    sc_p = sc.with_load_part(bus, part, value)
+    clearing, Kron reduction, the machine constants, dispatch and the SEP
+    search."""
+    sc_p = with_part(sc, bus, part, value)
     red_pre, red_post = (nm.reduce_to_generators(net) for net in (sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch)))
-    gp, delta_pre = fs.generator_params(sc_p, red_pre)
+    gens = sc_p.net.generator_buses
+    inf = gens.index(sc_p.net.infinite_bus)
+    modeled = [b for i, b in enumerate(gens) if i != inf]
+    delta_pre = np.array([sc_p.prefault_angles[b] for b in modeled])
+    M = np.array([2.0 * sc_p.net.generators[b].inertia / (2.0 * np.pi * sc_p.net.frequency) for b in modeled])
+    gp = sw.GeneratorParams(M=M, Pm=sw.dispatch_from_angles(red_pre, delta_pre, inf), infinite_index=inf)
     try:
         return eq.find_sep(red_post, gp, delta_pre)[1]
     except EquilibriumError as exc:
@@ -375,6 +382,60 @@ def test_factory_equals_rebuilt_network(wscc, param, values):
     factory = fs.hamiltonian_model_factory(wscc, bus, part)
     for value in map(float, values):
         assert model_bytes(factory(value)) == model_bytes(rebuilt_model(wscc, bus, part, value)), value
+
+
+def field_bits(x):
+    """The compared fields of a (nested) dataclass, numbers and arrays as bytes."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: field_bits(getattr(x, f.name)) for f in dataclasses.fields(x) if f.compare}
+    if isinstance(x, (list, tuple)):
+        return [field_bits(v) for v in x]
+    return type(x).__name__, np.shape(x), np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        ("8.B", [-8.2, -3.0, 0.0]),
+        ("8.G", [0.0, 6.0, 9.0]),
+        ("6.B", [-10.0, -2.0]),
+        ("2.B", [-0.7, -0.05]),
+        # the faulted bus: the fault-on regime grounds the swept load
+        ("7.B", [-2.0, -0.5]),
+    ],
+)
+def test_sweep_context_equals_rebuilt_scenario(wscc, param, values):
+    """A sweep point's context is build_context of the scenario rebuilt with
+    its value, field by field and bit for bit; where that is inadmissible,
+    the point is too, with the same code and message."""
+    bus, part = param.split(".")
+    family = fs.LoadFamily(wscc, bus, part)
+    for value in values:
+        try:
+            want = fs.build_context(with_part(wscc, bus, part, value))
+        except InadmissibleScenario as exc:
+            with pytest.raises(InadmissibleScenario) as err:
+                family.context(value)
+            assert (err.value.code, str(err.value)) == (exc.code, str(exc))
+            continue
+        got = family.context(value)
+        for name in ("red_pre", "red_post", "gp", "x_pre", "sep", "hm", "points", "crit", "delta_E"):
+            assert field_bits(getattr(got, name)) == field_bits(getattr(want, name)), (value, name)
+        for name in ("red_on", "Pa_on"):
+            assert field_bits(getattr(got.fom, name)) == field_bits(getattr(want.fom, name)), (value, name)
+
+
+@pytest.mark.parametrize("fault_bus", ["99", "1"])
+def test_branch_trace_needs_no_fault_on_regime(wscc, fault_bus):
+    """A fault bus that does not exist, or the infinite bus, fails a study
+    but not an equilibrium trace, which has no fault-on regime."""
+    sc = replace(wscc, fault_bus=fault_bus)
+    with pytest.raises(NetworkError, match="fault"):
+        fs.run_fault_study(sc)
+    traced = eq.continue_branch(sc, (-1.0, 0.0), param="8.B")
+    nominal = eq.continue_branch(wscc, (-1.0, 0.0), param="8.B")
+    assert len(traced) == 2
+    assert [field_bits(br) for br in traced] == [field_bits(br) for br in nominal]
 
 
 def test_factory_no_sep_matches_rebuilt_network(wscc):

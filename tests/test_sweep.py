@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_part
 from swingcct import report as rp
 from swingcct import sweep as sweep_mod
 from swingcct.equilibria import continue_branch
@@ -63,6 +64,18 @@ def test_grid_ends_at_hi_for_any_step(wscc, lo, hi, step, count):
     values = SweepSpec(scenario=wscc, param="8.G", lo=lo, hi=hi, step=step).values
     assert values.size == count
     assert values[-1] <= hi + 1e-9 * step
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, count",
+    [(1e4, 2e4, 1e3, 11), (1e6, 2e6, 1e5, 11), (-10.0, 0.0, 0.05, 201), (0.0, 1e-13, 5e-14, 3)],
+)
+def test_grid_ends_at_hi_at_any_magnitude(wscc, lo, hi, step, count):
+    """hi stays a point where its float spacing outgrows the 1e-12 slack
+    (|hi| of 8192 or more), and the small-magnitude grids keep theirs."""
+    values = SweepSpec(scenario=wscc, param="8.G", lo=lo, hi=hi, step=step).values
+    assert values.size == count
+    assert abs(values[-1] - hi) <= 1e-9 * step
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -154,16 +167,25 @@ def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
     from swingcct import netmodel as nm
     from swingcct.errors import SingularNetworkError
 
-    original = nm.reduce_to_generators
+    original = nm.schur_complement
+    # bus 8's diagonal entry at 8.B = -0.5, the same in every regime: the
+    # fault at bus 7 and the cleared line 5-7 leave bus 8's stamps as they are
+    Y = nm.build_ybus(with_part(wscc, "8", "B", -0.5).net)
+    target = Y.values[Y.index("8"), Y.index("8")]
+    fired = []
 
-    def reduce(net):
-        if net.shunt_loads["8"].imag == -0.5:
+    def schur(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped):
+        k = list(dropped).index("8")
+        entry = Y_LL[..., k, k]
+        if np.any((entry.real == target.real) & (np.abs(entry.imag - target.imag) < 1e-6)):
+            fired.append(entry)
             raise SingularNetworkError("singular eliminated block for bus set ['8']")
-        return original(net)
+        return original(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped)
 
-    monkeypatch.setattr(nm, "reduce_to_generators", reduce)
+    monkeypatch.setattr(nm, "schur_complement", schur)
     spec = SweepSpec(scenario=wscc, param="8.B", lo=-0.75, hi=-0.25, step=0.25, resolution=1e-3)
     rows = run_sweep(spec)
+    assert len(fired) == 1
     assert [r.param for r in rows] == [-0.75, -0.5, -0.25]
     bad = rows[1]
     assert not bad.admissible and bad.verdicts == "scenario=singular-network"
@@ -184,7 +206,7 @@ def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
     clean = fold_locations(continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G"))
     original = nm.schur_complement
     # bus 8's diagonal entry at 8.G = 8.5 (the cleared line 5-7 does not touch bus 8)
-    Y = nm.build_ybus(wscc.with_load_part("8", "G", 8.5).net)
+    Y = nm.build_ybus(with_part(wscc, "8", "G", 8.5).net)
     target = Y.values[Y.index("8"), Y.index("8")]
     fired = []
 

@@ -243,11 +243,8 @@ def test_dispatch_stationarity_residual(wscc, nominal_ctx):
 
 @pytest.mark.parametrize("b_c", [-7.5, -4.0, -1.0])
 def test_dispatch_stationarity_across_sweep_points(wscc, b_c):
-    sc = wscc.with_load("8", complex(0.969, b_c))
-    red_pre, _, _ = fs.regimes(sc)
-    gp, delta_pre = fs.generator_params(sc, red_pre)
-    x = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
-    assert np.max(np.abs(sw.swing_field(red_pre, gp)(x))) <= 1e-12
+    ctx = fs.build_context(wscc.with_load("8", complex(0.969, b_c)))
+    assert np.max(np.abs(sw.swing_field(ctx.red_pre, ctx.gp)(ctx.x_pre))) <= 1e-12
 
 
 def test_dispatch_rejects_wide_angles():
@@ -272,6 +269,6 @@ def test_ba_sweep_dispatch_cutoff(wscc):
     base = wscc.net.shunt_loads["5"]
     sc = wscc.with_load("5", complex(base.real, -14.4))
     red_pre, _, _ = fs.regimes(sc)
-    delta_pre, inf_idx = fs.prefault_state(sc)
+    _M, delta_pre, inf_idx = fs._machines(sc)
     with pytest.raises(InadmissibleScenario):
         sw.dispatch_from_angles(red_pre, delta_pre, inf_idx)
