@@ -39,7 +39,6 @@ from .faultstudy import (
     FaultStudyResult,
     build_context,
     first_swing_stable,
-    run_fault_studies,
     run_fault_study,
     true_cct,
 )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import Coupling, GeneratorParams, SwingField, Trajectory, integrate_rows, swing_field
+from .swing import ATOL, Coupling, GeneratorParams, SwingField, Trajectory, integrate_rows, swing_field
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -182,7 +182,7 @@ def fault_on_trajectory(
     x_pre: Sequence[np.ndarray],
     horizon: float,
     tol: float = 1e-8,
-    atol: float = 1e-10,
+    atol: float = ATOL,
 ) -> list[Trajectory | IntegrationError]:
     """Integrate the exact fault-on dynamics from the pre-fault operating points.
 

@@ -22,6 +22,9 @@ from .swing import Coupling, GeneratorParams
 
 _EIG_AXIS_TOL = 1e-9
 _NEWTON_TOL = 1e-12
+#: iterations of every Newton run: on the bundled case's load ranges the
+#: starts that converge at all do so within 20 iterations
+_NEWTON_ITER = 25
 #: stationary_points retires a grid start whose best residual has not
 #: improved for this many Newton iterations
 _STALL = 3
@@ -29,10 +32,6 @@ _STALL = 3
 _START_BUDGET = 64000
 #: points per axis of the coarse grid that checks a seeded enumeration
 _COARSE = 6
-#: Newton iterations of a seeded enumeration: the seeds start next to their
-#: roots, and on the bundled case's load ranges the coarse starts that
-#: converge at all do so within 15 iterations
-_SEEDED_ITER = 25
 #: continue_branch re-enumerates at every this fraction of its range
 _CHECKPOINT_STEP = 0.05
 #: fold_locations pools folds closer than this in the parameter
@@ -47,10 +46,10 @@ def _newton(
     coupling: Coupling,
     drive: np.ndarray,
     starts: np.ndarray,
-    max_iter: int = 50,
     stall: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on power = drive from a (k, m) stack of starts.
+    """Damped Newton on power = drive from a (k, m) stack of starts, for at
+    most _NEWTON_ITER iterations.
 
     Steps are capped at 1 rad in the max norm.  A start stops once its
     residual is within _NEWTON_TOL and is dropped when its Jacobian is (near)
@@ -65,7 +64,7 @@ def _newton(
     work = np.arange(X.shape[0])
     best = np.full(X.shape[0], np.inf)
     idle = np.zeros(X.shape[0], dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITER):
         if work.size == 0:
             break
         Xw = X[work]
@@ -217,7 +216,7 @@ def _polish(hm: HamiltonianModel, center: np.ndarray, roots: np.ndarray) -> list
     """Classified points of the distinct in-cell `roots` (deduplicated at
     1e-6), each polished by a plain Newton run from its value rounded to
     1e-6, sorted by angle."""
-    X, converged = _newton(hm.coupling, hm.drive, np.round(_distinct(roots), 6), max_iter=60)
+    X, converged = _newton(hm.coupling, hm.drive, np.round(_distinct(roots), 6))
     points = []
     for r in _distinct(_wrap_to_cell(X[converged], center)):
         if np.max(np.abs(potential_gradient(hm, r))) > 1e-10:
@@ -246,7 +245,7 @@ def _seeded_points(
     """
     k = len(seeds)
     starts = np.concatenate([np.array([s.delta for s in seeds]), _grid(*box, _COARSE)])
-    X, converged = _newton(hm.coupling, hm.drive, starts, max_iter=_SEEDED_ITER, stall=_STALL)
+    X, converged = _newton(hm.coupling, hm.drive, starts, stall=_STALL)
     if not converged[:k].all():
         return None
     roots = _wrap_to_cell(X[:k], center)
@@ -292,7 +291,7 @@ def stationary_points(
         points = _seeded_points(hm, center, box, seeds)
         if points is not None:
             return points
-    X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density), max_iter=60, stall=_STALL)
+    X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density), stall=_STALL)
     return _polish(hm, center, _wrap_to_cell(X[converged], center))
 
 
@@ -333,7 +332,7 @@ def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[Equilibrium
     A row is None when its Newton run fails or its root lies more than
     _JUMP_GUARD from its guess; each row gets the bits it gets alone.
     """
-    X, converged = _newton(hm.coupling, hm.drive, guesses, max_iter=25)
+    X, converged = _newton(hm.coupling, hm.drive, guesses)
     points: list[EquilibriumPoint | None] = []
     for root, guess, ok in zip(X, guesses, converged):
         point = None

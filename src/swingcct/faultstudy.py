@@ -32,8 +32,8 @@ WINDOW = 3.0
 SAMPLE_STEP = 0.005
 #: integrator attempts between two checks of the verdict samples
 _BLOCK = 16
-#: scenarios per chain of continued enumerations: run_fault_studies seeds the
-#: stationary points of each scenario with those of the one before it, except
+#: points per chain of continued enumerations: run_studies seeds the
+#: stationary points of each point with those of the one before it, except
 #: at every CHAIN-th index
 CHAIN = 20
 
@@ -405,17 +405,6 @@ def run_studies(
     return [FaultStudyResult(**f) for f in fields]
 
 
-def run_fault_studies(
-    scenarios: Sequence[FaultScenario],
-    resolution: float = 1e-4,
-    horizon: float = 1.0,
-    tol: float = 1e-8,
-) -> list[FaultStudyResult]:
-    """Compute tau, tau_H, tau_A and the energy margin for every scenario:
-    `run_studies` with each scenario's build_context."""
-    return run_studies([partial(build_context, sc) for sc in scenarios], resolution, horizon, tol)
-
-
 def run_fault_study(
     sc: FaultScenario,
     resolution: float = 1e-4,
@@ -423,8 +412,8 @@ def run_fault_study(
     tol: float = 1e-8,
 ) -> FaultStudyResult:
     """Compute tau, tau_H, tau_A and the energy margin for one scenario
-    (`run_fault_studies` of one scenario)."""
-    return run_fault_studies([sc], resolution=resolution, horizon=horizon, tol=tol)[0]
+    (`run_studies` of its build_context)."""
+    return run_studies([partial(build_context, sc)], resolution, horizon, tol)[0]
 
 
 def check_load_param(sc: FaultScenario, bus_id: str, part: str, where: str) -> None:

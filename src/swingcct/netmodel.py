@@ -183,49 +183,38 @@ class ReducedNetwork:
         return cls(n=n, G=G, B=B, Pbar=Pbar, E=E)
 
 
-def _stamp_buses(net: BusNetwork) -> tuple[np.ndarray, list[str], dict[str, int]]:
-    """Branch and shunt-load stamps over the buses and the generator internal
-    nodes; the matrix, its node labels and their indices."""
-    nodes = [b.id for b in net.buses]
-    nodes += [internal_node(b) for b in net.generator_buses]
-    idx = {nid: i for i, nid in enumerate(nodes)}
-    m = len(nodes)
-    Y = np.zeros((m, m), dtype=complex)
+def _stamp(Y: np.ndarray, i: int, j: int, y: complex, shunt_i: complex = 0j, shunt_j: complex = 0j) -> None:
+    """Stamp a two-terminal admittance y between nodes i and j, plus shunts
+    on each terminal."""
+    Y[i, i] += y + shunt_i
+    Y[j, j] += y + shunt_j
+    Y[i, j] -= y
+    Y[j, i] -= y
 
+
+def build_ybus(net: BusNetwork) -> ComplexMatrix:
+    """Assemble the nodal admittance matrix, generator internal nodes appended.
+
+    Branches are stamped first, then each machine's transient reactance
+    between its bus and its internal node, then the shunt loads, last.
+    Grounded buses are stamped and then removed (row/column deletion), so
+    the returned dimension is N + g - len(grounded).
+    """
+    nodes = [b.id for b in net.buses] + [internal_node(b) for b in net.generator_buses]
+    idx = {nid: i for i, nid in enumerate(nodes)}
+    Y = np.zeros((len(nodes), len(nodes)), dtype=complex)
     for br in net.branches:
         y = complex(br.y_series)
         if not (np.isfinite(y.real) and np.isfinite(y.imag)):
             raise NetworkError(f"branch {br.id!r}: zero-impedance (non-finite admittance)")
-        i, j = idx[br.from_bus], idx[br.to_bus]
-        Y[i, i] += y + complex(br.shunt_from)
-        Y[j, j] += y + complex(br.shunt_to)
-        Y[i, j] -= y
-        Y[j, i] -= y
-
-    for bus_id, load in net.shunt_loads.items():
-        Y[idx[bus_id], idx[bus_id]] += complex(load)
-    return Y, nodes, idx
-
-
-def _stamp_machines(net: BusNetwork, Y: np.ndarray, idx: Mapping[str, int]) -> dict[str, complex]:
-    """Stamp each machine's transient reactance between its bus and its
-    internal node; returns the stamped admittances by bus."""
-    stamped = {}
+        _stamp(Y, idx[br.from_bus], idx[br.to_bus], y, complex(br.shunt_from), complex(br.shunt_to))
     for bus_id in net.generator_buses:
         gen = net.generators[bus_id]
         if gen.xd_prime <= 0.0:
             raise NetworkError(f"generator at {bus_id!r}: x'_d must be positive")
-        y = stamped[bus_id] = 1.0 / (1j * gen.xd_prime)
-        i, j = idx[bus_id], idx[internal_node(bus_id)]
-        Y[i, i] += y
-        Y[j, j] += y
-        Y[i, j] -= y
-        Y[j, i] -= y
-    return stamped
-
-
-def _ground(net: BusNetwork, Y: np.ndarray, nodes: list[str]) -> ComplexMatrix:
-    """Delete the rows and columns of the grounded buses."""
+        _stamp(Y, idx[bus_id], idx[internal_node(bus_id)], 1.0 / (1j * gen.xd_prime))
+    for bus_id, load in net.shunt_loads.items():
+        Y[idx[bus_id], idx[bus_id]] += complex(load)
     if net.grounded:
         if net.infinite_bus in net.grounded:
             raise NetworkError("cannot ground the infinite bus")
@@ -233,18 +222,6 @@ def _ground(net: BusNetwork, Y: np.ndarray, nodes: list[str]) -> ComplexMatrix:
         Y = Y[np.ix_(keep, keep)]
         nodes = [nodes[i] for i in keep]
     return ComplexMatrix(values=Y, nodes=tuple(nodes))
-
-
-def build_ybus(net: BusNetwork) -> ComplexMatrix:
-    """Assemble the nodal admittance matrix, generator internal nodes appended.
-
-    Branches are stamped first, then shunt loads, then machines.  Grounded
-    buses are stamped and then removed (row/column deletion), so the
-    returned dimension is N + g - len(grounded).
-    """
-    Y, nodes, idx = _stamp_buses(net)
-    _stamp_machines(net, Y, idx)
-    return _ground(net, Y, nodes)
 
 
 def _partition(Y: ComplexMatrix, retained: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -307,12 +284,12 @@ class KronTemplate:
 
     The regimes share their nodes (they differ in branches, as pre-fault and
     post-fault do).  Everything but the swept load is assembled once: each
-    regime's Y_BUS and its retained/eliminated blocks with the swept
-    diagonal entry left open (none where a fault grounds the swept bus), and
-    the EMFs.  `reduce(load)` fills the entry as build_ybus adds it (after
-    the branch stamps, before the machine stamp) and eliminates all regimes
-    in one stacked solve, symmetrised as kron_reduce symmetrises every Y_BUS
-    (build_ybus stamps each off-diagonal pair alike): the reductions of
+    regime's build_ybus without that load, split into its retained and
+    eliminated blocks, and the EMFs.  `reduce(load)` adds the load to its
+    diagonal entry (none where a fault grounds the swept bus), which is
+    build_ybus's last stamp there, and eliminates all regimes in one stacked
+    solve, symmetrised as kron_reduce symmetrises every Y_BUS (build_ybus
+    stamps each off-diagonal pair alike): the reductions of
     reduce_to_generators bit for bit.
     """
 
@@ -322,13 +299,9 @@ class KronTemplate:
         retained = [internal_node(b) for b in nets[0].generator_buses]
         self._emf = [nets[0].generators[b].emf for b in nets[0].generator_buses]
         self._nodes = tuple(retained)
-        blocks, before, machine = [], [], []
+        blocks = []
         for net in nets:
-            net = replace(net, shunt_loads={k: v for k, v in net.shunt_loads.items() if k != bus})
-            Y, nodes, idx = _stamp_buses(net)
-            before.append(Y[idx[bus], idx[bus]])
-            machine.append(_stamp_machines(net, Y, idx).get(bus))
-            Y = _ground(net, Y, nodes)
+            Y = build_ybus(replace(net, shunt_loads={k: v for k, v in net.shunt_loads.items() if k != bus}))
             keep, drop = _partition(Y, retained)
             if blocks and Y.nodes != labels:
                 raise NetworkError("the regimes of a template must share their nodes")
@@ -337,21 +310,15 @@ class KronTemplate:
         self._RR, self._RL, self._LR, self._LL = (np.array(b) for b in zip(*blocks))
         self._dropped = [labels[i] for i in drop]
         self._at = self._dropped.index(bus) if bus in self._dropped else None
-        self._before = np.array(before)
-        self._machine = None if machine[0] is None else np.array(machine)
 
     def reduce(self, load: complex) -> list[ReducedNetwork]:
         """Each regime's reduction with `load` at the swept bus."""
         Y_LL = self._LL
         if self._at is not None:
-            # build_ybus's order: branch stamps, then the load, then the machine
-            entry = self._before + complex(load)
-            if self._machine is not None:
-                entry = entry + self._machine
-            if not np.all(np.isfinite(entry.view(float))):
-                raise NetworkError("non-finite matrix entry")
             Y_LL = Y_LL.copy()
-            Y_LL[:, self._at, self._at] = entry
+            Y_LL[:, self._at, self._at] += complex(load)
+            if not np.all(np.isfinite(Y_LL[:, self._at, self._at])):
+                raise NetworkError("non-finite matrix entry")
         red = schur_complement(self._RR, self._RL, self._LR, Y_LL, True, self._dropped)
         return [ReducedNetwork.from_matrix(ComplexMatrix(values=r, nodes=self._nodes), self._emf) for r in red]
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ from swingcct.swing import GeneratorParams
 def wscc():
     """Bundled two-machine-infinite-bus scenario (60 Hz, static charging)."""
     return load_scenario("wscc9-tmib")
+
+
+@pytest.fixture(scope="session")
+def three_machine():
+    """The bundled case with machine 1 modeled (pre-fault angle 0.05 rad) and
+    a new infinite bus 10 tied to bus 4 by y = -5j."""
+    return load_scenario(Path(__file__).parent / "data" / "wscc9_three_machine.json")
 
 
 @pytest.fixture(scope="session")

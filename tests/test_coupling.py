@@ -181,9 +181,9 @@ def test_stacked_newton_equals_single_starts(case, seed):
     red, gp, starts = case
     cp = Coupling(red, gp.active, conductive=False)
     drive = np.random.default_rng(seed).uniform(-1.0, 1.0, size=gp.n_active)
-    X, converged = eq._newton(cp, drive, starts, max_iter=20)
+    X, converged = eq._newton(cp, drive, starts)
     for i, start in enumerate(starts):
-        Xi, ci = eq._newton(cp, drive, start[None, :], max_iter=20)
+        Xi, ci = eq._newton(cp, drive, start[None, :])
         assert converged[i] == ci[0]
         assert same_bits(X[i], Xi[0])
 

@@ -3,6 +3,7 @@
 import dataclasses
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_bad_search_setting_raises(wscc, nominal_ctx, nominal_fault_on, monkeypa
     with pytest.raises(ValueError, match="must be positive and finite"):
         cct(nominal_ctx, nominal_fault_on, **{name: value})
     with pytest.raises(ValueError, match="must be positive and finite"):
-        fs.run_fault_studies([wscc], **{name: value})
+        fs.run_fault_study(wscc, **{name: value})
 
 
 def test_fault_on_integration_failure_verdict(wscc, monkeypatch):
@@ -244,12 +245,23 @@ def test_failed_fault_on_row_fails_alone(wscc, monkeypatch):
         return [IntegrationError("step size underflow", time=0.1)] + original(*args, **kwargs)[1:]
 
     monkeypatch.setattr(en, "fault_on_trajectory", fail_first)
-    failed, ok = fs.run_fault_studies([with_part(wscc, "8", "B", -0.5), wscc], resolution=5e-4)
+    builds = [partial(fs.build_context, sc) for sc in (with_part(wscc, "8", "B", -0.5), wscc)]
+    failed, ok = fs.run_studies(builds, resolution=5e-4)
     assert failed.admissible and failed.tau is None and failed.tau_H is None
     assert failed.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
     for name in ("admissible", "tau", "tau_H", "tau_A", "delta_E", "E_c", "verdicts"):
         assert getattr(ok, name) == getattr(solo, name), name
     assert np.array_equal(ok.closest_uep.delta, solo.closest_uep.delta)
+
+
+def test_three_machine_study(three_machine):
+    """Three modeled machines against an infinite bus: an admissible study
+    whose metrics are all numbers."""
+    result = fs.run_fault_study(three_machine)
+    assert result.admissible and result.verdicts == {}
+    for name in ("tau", "tau_H", "tau_A", "delta_E", "E_c"):
+        assert isinstance(getattr(result, name), float), name
+    assert result.closest_uep.delta.shape == (3,)
 
 
 def test_zero_margin_is_negative_margin(wscc, monkeypatch):
@@ -402,17 +414,25 @@ def field_bits(x):
         ("2.B", [-0.7, -0.05]),
         # the faulted bus: the fault-on regime grounds the swept load
         ("7.B", [-2.0, -0.5]),
+        # three modeled machines; bus 1 is a generator bus without a base
+        # load, and at both values the sum of its diagonal entry depends on
+        # the order of the stamps
+        pytest.param(("three_machine", "8.B"), [-3.0], id="three-machine-8.B"),
+        pytest.param(("three_machine", "1.B"), [-0.7, -0.35], id="three-machine-1.B"),
     ],
 )
-def test_sweep_context_equals_rebuilt_scenario(wscc, param, values):
+def test_sweep_context_equals_rebuilt_scenario(request, param, values):
     """A sweep point's context is build_context of the scenario rebuilt with
     its value, field by field and bit for bit; where that is inadmissible,
-    the point is too, with the same code and message."""
+    the point is too, with the same code and message.  A (fixture, path)
+    param sweeps the scenario of that fixture instead of the bundled one."""
+    case, param = param if isinstance(param, tuple) else ("wscc", param)
+    sc = request.getfixturevalue(case)
     bus, part = param.split(".")
-    family = fs.LoadFamily(wscc, bus, part)
+    family = fs.LoadFamily(sc, bus, part)
     for value in values:
         try:
-            want = fs.build_context(with_part(wscc, bus, part, value))
+            want = fs.build_context(with_part(sc, bus, part, value))
         except InadmissibleScenario as exc:
             with pytest.raises(InadmissibleScenario) as err:
                 family.context(value)
