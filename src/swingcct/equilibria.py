@@ -479,14 +479,14 @@ def continue_branch(
     """Trace all equilibrium branches over a load-parameter range.
 
     `source` is either a model factory (parameter value -> anchored model) or
-    a fault scenario, in which case `param` selects the swept shunt-load
-    component ("<bus>.G" / "<bus>.B").  Seeds come from an enumeration at
-    every _CHECKPOINT_STEP of the range, which picks up disconnected
-    branches; each checkpoint's enumeration is seeded by the points of the
-    one before it.  Every new seed is traced in both directions, and all
-    branches of one checkpoint are traced together (`_lockstep`): one model
-    per parameter value per round, shared by every branch that asks for
-    it.  A factory must therefore be a pure function of the value; it is
+    a fault scenario, which traces its `model_factory(param)`: `param` names
+    the swept shunt-load component ("<bus>.G" / "<bus>.B").  Seeds come from
+    an enumeration at every _CHECKPOINT_STEP of the range, which picks up
+    disconnected branches; each checkpoint's enumeration is seeded by the
+    points of the one before it.  Every new seed is traced in both
+    directions, and all branches of one checkpoint are traced together
+    (`_lockstep`): one model per parameter value per round, shared by every
+    branch that asks for it.  A factory must therefore be a pure function of the value; it is
     called fewer times than there are traced points.
     Fold locations are refined to _FOLD_TOL in the parameter.  Raises
     ScenarioFormatError unless lo < hi are finite with a finite, nonzero
@@ -502,11 +502,7 @@ def continue_branch(
     else:
         if param is None:
             raise ValueError("a parameter path is required when passing a scenario")
-        from .faultstudy import hamiltonian_model_factory
-        from .sweep import parse_param_path
-
-        bus, part = parse_param_path(source, param)
-        factory = hamiltonian_model_factory(source, bus, part)
+        factory = source.model_factory(param)
     branches: list[Branch] = []
     spacing = (hi - lo) * _CHECKPOINT_STEP
     checkpoints = np.arange(lo, hi + 0.5 * spacing, spacing)

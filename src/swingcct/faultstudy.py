@@ -55,6 +55,10 @@ class FaultScenario:
     def with_load(self, bus_id: str, Y: complex) -> "FaultScenario":
         return replace(self, net=nm.set_load(self.net, bus_id, Y))
 
+    def model_factory(self, param: str) -> "eq.ModelFactory":
+        """Post-fault model builder of the load parameter `param` (`hamiltonian_model_factory`)."""
+        return hamiltonian_model_factory(self, param)
+
 
 @dataclass(frozen=True)
 class FaultStudyResult:
@@ -113,6 +117,8 @@ def _machines(sc: FaultScenario) -> tuple[np.ndarray, np.ndarray, int]:
     gen_buses = sc.net.generator_buses
     infinite_index = gen_buses.index(sc.net.infinite_bus)
     modeled = [b for i, b in enumerate(gen_buses) if i != infinite_index]
+    if not modeled:
+        raise ScenarioFormatError(f"no modeled machine: the only generator is on the infinite bus {gen_buses[0]!r}")
     missing = [b for b in modeled if b not in sc.prefault_angles]
     if missing:
         raise InadmissibleScenario(f"missing pre-fault angle for generator bus {missing[0]!r}", code="bad-angles")
@@ -416,29 +422,33 @@ def run_fault_study(
     return run_studies([partial(build_context, sc)], resolution, horizon, tol)[0]
 
 
-def check_load_param(sc: FaultScenario, bus_id: str, part: str, where: str) -> None:
-    """Raise ScenarioFormatError, prefixed by `where`, unless `part` is 'G' or
-    'B' and `bus_id` is a bus of the scenario."""
+def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
+    """Split a load parameter '<bus>.G' / '<bus>.B' into (bus, part); raise
+    ScenarioFormatError unless it has that form with a bus of the scenario."""
+    bus, dot, part = param.rpartition(".")
+    if not dot:
+        raise ScenarioFormatError(f"param path {param!r}: expected '<bus>.G' or '<bus>.B'")
     if part not in ("G", "B"):
-        raise ScenarioFormatError(f"{where}: part must be 'G' or 'B'")
-    if bus_id not in {b.id for b in sc.net.buses}:
-        raise ScenarioFormatError(f"{where}: no bus {bus_id!r} in scenario")
+        raise ScenarioFormatError(f"param path {param!r}: part must be 'G' or 'B'")
+    if bus not in {b.id for b in sc.net.buses}:
+        raise ScenarioFormatError(f"param path {param!r}: no bus {bus!r} in scenario")
+    return bus, part
 
 
 class LoadFamily:
-    """One scenario's models as a function of one load parameter: the
-    conductance ('G') or susceptance ('B') of the shunt load at bus_id.
+    """One scenario's models as a function of one load parameter `param`:
+    the conductance ('<bus>.G') or susceptance ('<bus>.B') of a shunt load.
 
     The Kron templates are built once: pre-fault with post-fault when the
     family is made, fault-on at the first context (a branch trace needs
     none, so it runs even where the fault bus does not exist).  Per value,
     `model` and `context` stamp the load, solve once per template and run
     the model step: those of build_context on the scenario with that load,
-    bit for bit.  Raises ScenarioFormatError for an unknown bus or part.
+    bit for bit.  Raises ScenarioFormatError for a path parse_param_path rejects.
     """
 
-    def __init__(self, sc: FaultScenario, bus_id: str, part: str):
-        check_load_param(sc, bus_id, part, f"load parameter ({bus_id!r}, {part!r})")
+    def __init__(self, sc: FaultScenario, param: str):
+        bus_id, part = parse_param_path(sc, param)
         self.sc, self.bus_id = sc, bus_id
         base = sc.net.shunt_loads.get(bus_id, 0j)
         self._load = (lambda v: complex(v, base.imag)) if part == "G" else (lambda v: complex(base.real, v))
@@ -459,6 +469,6 @@ class LoadFamily:
         return _context(self.sc, red_pre, red_on, red_post, seeds)
 
 
-def hamiltonian_model_factory(sc: FaultScenario, bus_id: str, part: str) -> "eq.ModelFactory":
+def hamiltonian_model_factory(sc: FaultScenario, param: str) -> "eq.ModelFactory":
     """Post-fault anchored-model builder of one load parameter (`LoadFamily.model`)."""
-    return LoadFamily(sc, bus_id, part).model
+    return LoadFamily(sc, param).model

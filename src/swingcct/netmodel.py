@@ -81,6 +81,8 @@ class BusNetwork:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise NetworkError("duplicate bus ids")
+        if len({br.id for br in self.branches}) != len(self.branches):
+            raise NetworkError("duplicate branch ids")
         known = set(ids)
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:

@@ -11,21 +11,12 @@ import numpy as np
 
 from .equilibria import wrapped_distance
 from .errors import ScenarioFormatError
-from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, LoadFamily, check_load_param, check_search, run_studies
+from .faultstudy import CHAIN, FaultScenario, FaultStudyResult, LoadFamily, check_search, parse_param_path, run_studies
 
 METRICS = ("tau", "tau_H", "tau_A", "dE")
 #: closest-UEP positions further apart than this across one grid interval
 #: count as a switch between branches [rad, modulo 2*pi]
 UEP_JUMP = 0.5
-
-
-def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
-    """Split '<bus>.G' / '<bus>.B' and validate against the scenario."""
-    if "." not in param:
-        raise ScenarioFormatError(f"param path {param!r}: expected '<bus>.G' or '<bus>.B'")
-    bus, part = param.rsplit(".", 1)
-    check_load_param(sc, bus, part, f"param path {param!r}")
-    return bus, part
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ def _row_from_result(value: float, result: FaultStudyResult) -> SweepRow:
 def _eval_block(args: tuple) -> list[SweepRow]:
     """Rows of a run of whole chains (its first value starts a chain)."""
     spec, values = args
-    family = LoadFamily(spec.scenario, *parse_param_path(spec.scenario, spec.param))
+    family = LoadFamily(spec.scenario, spec.param)
     results = run_studies(
         [partial(family.context, value) for value in values],
         resolution=spec.resolution,

@@ -47,13 +47,13 @@ def sweep_bc_lossless(wscc_lossless):
 
 @pytest.fixture(scope="session")
 def branches_gc(wscc):
-    factory = fs.hamiltonian_model_factory(wscc, "8", "G")
+    factory = fs.hamiltonian_model_factory(wscc, "8.G")
     return eq.continue_branch(factory, (0.0, 9.0), initial_step=STEP)
 
 
 @pytest.fixture(scope="session")
 def branches_bc(wscc):
-    factory = fs.hamiltonian_model_factory(wscc, "8", "B")
+    factory = fs.hamiltonian_model_factory(wscc, "8.B")
     return eq.continue_branch(factory, (-10.0, 0.0), initial_step=STEP)
 
 
@@ -229,52 +229,90 @@ def test_criterion_7_metric_proximity(sweep_gc, sweep_bc):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8a_hamiltonian_drift(nominal_ctx):
+@pytest.fixture(scope="session")
+def three_machine_ctx(three_machine):
+    return fs.build_context(three_machine)
+
+
+@pytest.fixture(scope="session")
+def three_machine_fault_on(three_machine_ctx):
+    return fault_on(three_machine_ctx, 2.0)
+
+
+# 8a, 8b, 8c, 8f and 8h run on the bundled case and on the three-machine case
+
+
+def check_8a(num, ctx):
     from swingcct import swing as sw
 
-    ctx = nominal_ctx
-    x0 = np.concatenate([ctx.sep.delta + 0.3, [0.4, -0.2]])
+    m = ctx.gp.n_active
+    x0 = np.concatenate([ctx.sep.delta + 0.3, np.linspace(0.4, -0.2, m)])
     field = sw.swing_field(ctx.red_post, ctx.gp, ctx.hm.Pa)
     traj = sw.integrate(field, x0, 1.0, tol=1e-8, atol=1e-10)
     h0 = en.hamiltonian(ctx.hm, x0)
     drift = np.max(np.abs(en.hamiltonian(ctx.hm, traj.sample(np.linspace(0, 1, 21))) - h0))
     ok = drift <= 1e-6 * max(1.0, abs(h0))
-    check("8a", ok, f"drift={drift:.2e} over 1 s (limit 1e-6)")
+    check(num, ok, f"drift={drift:.2e} over 1 s (limit 1e-6)")
 
 
-def test_criterion_8b_gradient_check(nominal_ctx):
+def test_criterion_8a_hamiltonian_drift(nominal_ctx):
+    check_8a("8a", nominal_ctx)
+
+
+def test_criterion_8a_hamiltonian_drift_three_machine(three_machine_ctx):
+    check_8a("8a (three machines)", three_machine_ctx)
+
+
+def check_8b(num, ctx):
     rng = np.random.default_rng(5)
-    hm = nominal_ctx.hm
+    hm = ctx.hm
+    m = ctx.gp.n_active
     worst = 0.0
     for _ in range(20):
-        delta = nominal_ctx.sep.delta + rng.uniform(-2, 2, size=2)
+        delta = ctx.sep.delta + rng.uniform(-2, 2, size=m)
         grad = en.potential_gradient(hm, delta)
-        for i in range(2):
-            e = np.zeros(2)
+        for i in range(m):
+            e = np.zeros(m)
             e[i] = 1e-6
             fd = (en.potential(hm, delta + e) - en.potential(hm, delta - e)) / 2e-6
             if abs(grad[i]) > 1e-8:
                 worst = max(worst, abs(fd - grad[i]) / abs(grad[i]))
-    check("8b", worst <= 1e-5, f"max FD gradient rel err={worst:.2e} (limit 1e-5)")
+    check(num, worst <= 1e-5, f"max FD gradient rel err={worst:.2e} (limit 1e-5)")
 
 
-def test_criterion_8c_kron_oracle(wscc):
+def test_criterion_8b_gradient_check(nominal_ctx):
+    check_8b("8b", nominal_ctx)
+
+
+def test_criterion_8b_gradient_check_three_machine(three_machine_ctx):
+    check_8b("8b (three machines)", three_machine_ctx)
+
+
+def check_8c(num, sc):
     import swingcct.netmodel as nm
 
     rng = np.random.default_rng(8)
-    Y = nm.build_ybus(wscc.net)
-    retained = [nm.internal_node(b) for b in wscc.net.generator_buses]
+    Y = nm.build_ybus(sc.net)
+    retained = [nm.internal_node(b) for b in sc.net.generator_buses]
     red = nm.kron_reduce(Y, retained)
     keep = [Y.index(r) for r in retained]
     drop = [i for i in range(len(Y.nodes)) if i not in keep]
     A = Y.values
     worst = 0.0
     for _ in range(10):
-        V_R = rng.normal(size=3) + 1j * rng.normal(size=3)
+        V_R = rng.normal(size=len(keep)) + 1j * rng.normal(size=len(keep))
         V_L = np.linalg.solve(A[np.ix_(drop, drop)], -A[np.ix_(drop, keep)] @ V_R)
         I_R = A[np.ix_(keep, keep)] @ V_R + A[np.ix_(keep, drop)] @ V_L
         worst = max(worst, float(np.max(np.abs(red.values @ V_R - I_R))))
-    check("8c", worst <= 1e-10, f"max nodal-oracle residual={worst:.2e} (limit 1e-10)")
+    check(num, worst <= 1e-10, f"max nodal-oracle residual={worst:.2e} (limit 1e-10)")
+
+
+def test_criterion_8c_kron_oracle(wscc):
+    check_8c("8c", wscc)
+
+
+def test_criterion_8c_kron_oracle_three_machine(three_machine):
+    check_8c("8c (three machines)", three_machine)
 
 
 def test_criterion_8d_quartic_oracle():
@@ -308,13 +346,21 @@ def test_criterion_8e_uep_enumeration(nominal_ctx):
     check("8e", ok, f"40x40 found {len(a)} type-1 points, 80x80 found {len(b)}")
 
 
-def test_criterion_8f_cct_bracket(nominal_ctx, nominal_fault_on):
+def check_8f(num, ctx, fo):
     resolution = 1e-4
-    t, _ = cct(nominal_ctx, nominal_fault_on, resolution=resolution)
-    stable_below = stable(nominal_ctx, nominal_fault_on, t - 2 * resolution)
-    unstable_above = not stable(nominal_ctx, nominal_fault_on, t + 2 * resolution)
+    t, _ = cct(ctx, fo, resolution=resolution)
+    stable_below = stable(ctx, fo, t - 2 * resolution)
+    unstable_above = not stable(ctx, fo, t + 2 * resolution)
     ok = stable_below and unstable_above
-    check("8f", ok, f"tau={t:.5f}: stable at -2res={stable_below}, unstable at +2res={unstable_above}")
+    check(num, ok, f"tau={t:.5f}: stable at -2res={stable_below}, unstable at +2res={unstable_above}")
+
+
+def test_criterion_8f_cct_bracket(nominal_ctx, nominal_fault_on):
+    check_8f("8f", nominal_ctx, nominal_fault_on)
+
+
+def test_criterion_8f_cct_bracket_three_machine(three_machine_ctx, three_machine_fault_on):
+    check_8f("8f (three machines)", three_machine_ctx, three_machine_fault_on)
 
 
 def test_criterion_8g_taylor_slope(nominal_ctx):
@@ -355,18 +401,25 @@ def test_criterion_8g_taylor_slope(nominal_ctx):
     )
 
 
-def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
-    ctx = nominal_ctx
+def check_8h(num, ctx, fo):
     h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
     ratios = {}
     for s in (0.1, 0.01):
         E_scaled = h0 + s * ctx.delta_E
         qc = en.quartic_coefficients(ctx.hm, ctx.fom, E_scaled)
         t_a = en.tau_A(qc)
-        t_h = en.tau_H(ctx.hm, E_scaled, nominal_fault_on, locate_tol=1e-8)
+        t_h = en.tau_H(ctx.hm, E_scaled, fo, locate_tol=1e-8)
         ratios[s] = t_a / t_h
     ok = abs(ratios[0.01] - 1.0) <= 0.05
-    check("8h", ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")
+    check(num, ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")
+
+
+def test_criterion_8h_margin_scaling(nominal_ctx, nominal_fault_on):
+    check_8h("8h", nominal_ctx, nominal_fault_on)
+
+
+def test_criterion_8h_margin_scaling_three_machine(three_machine_ctx, three_machine_fault_on):
+    check_8h("8h (three machines)", three_machine_ctx, three_machine_fault_on)
 
 
 #: largest change of tau allowed when the verdict window doubles (README)

@@ -350,3 +350,37 @@ def test_scenario_requires_one_infinite_bus(tmp_path, wscc, capsys):
     p.write_text(json.dumps(data))
     assert cli.main(["study", str(p)]) == 3
     assert "exactly one bus" in capsys.readouterr().err
+
+
+def test_duplicate_branch_ids_exit_with_input_error(tmp_path, wscc, capsys):
+    """A file with two branches of one id would clear both: it is rejected."""
+    data = scenario_to_dict(wscc)
+    for br in data["branches"]:
+        if br["id"] == "4-6":
+            br["id"] = "5-7"
+    with pytest.raises(ScenarioFormatError, match="network: duplicate branch ids"):
+        scenario_from_dict(data)
+    p = tmp_path / "duplicate-branch.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["study", str(p)]) == 3
+    assert "duplicate branch ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study"],
+        ["sweep", "--param", "2.B", "--range", "-1:0:0.5"],
+        ["sweep", "--param", "2.B", "--range", "-1:0:0.01", "--jobs", "3"],
+        ["branches", "--param", "2.B", "--range", "-1:0"],
+    ],
+    ids=["study", "sweep", "sweep-jobs", "branches"],
+)
+def test_no_modeled_machine_exits_with_input_error(argv, tmp_path, capsys):
+    """A file whose only generator is on the infinite bus has no machine to
+    study: every command names that and exits 3."""
+    command, *flags = argv
+    out = [] if command == "study" else ["--out", str(tmp_path)]
+    assert cli.main([command, str(DATA / "no_modeled_machine.json"), *flags, *out]) == 3
+    err = capsys.readouterr().err
+    assert "input error: no modeled machine" in err and "Traceback" not in err

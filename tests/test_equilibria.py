@@ -155,7 +155,7 @@ def test_every_enumerated_point_satisfies_residual(nominal_ctx):
 
 
 def test_equilibrium_count_changes_across_fold(wscc):
-    factory = fs.hamiltonian_model_factory(wscc, "8", "G")
+    factory = fs.hamiltonian_model_factory(wscc, "8.G")
     before = eq.stationary_points(factory(2.5))
     after = eq.stationary_points(factory(3.2))
     assert len(before) == 2
@@ -183,7 +183,7 @@ def full_run_bytes(hm, **kw):
 )
 def test_retired_starts_change_no_point(wscc, part, grid):
     """Stall-retired starts give the points and bytes of the full run."""
-    factory = fs.hamiltonian_model_factory(wscc, "8", part)
+    factory = fs.hamiltonian_model_factory(wscc, f"8.{part}")
     for value in grid:
         try:
             hm = factory(float(value))
@@ -212,7 +212,7 @@ def test_retired_starts_change_no_point_on_random_networks(hm):
 @pytest.mark.parametrize("value", [None, 3.0, 6.5])
 def test_enumeration_is_grid_independent(wscc, nominal_ctx, value):
     """25x25, 40x40 and 80x80 grids give the same points bit for bit."""
-    hm = nominal_ctx.hm if value is None else fs.hamiltonian_model_factory(wscc, "8", "G")(value)
+    hm = nominal_ctx.hm if value is None else fs.hamiltonian_model_factory(wscc, "8.G")(value)
     a, b, c = (eq.stationary_points(hm, grid_density=d) for d in (25, 40, 80))
     assert len(a) == len(b) == len(c) >= 2
     for pa, pb, pc in zip(a, b, c):
@@ -252,7 +252,7 @@ def test_seeded_enumeration_equals_full_grid(request, monkeypatch, scenario, bus
         return points
 
     monkeypatch.setattr(eq, "_seeded_points", counted)
-    factory = fs.hamiltonian_model_factory(request.getfixturevalue(scenario), bus, part)
+    factory = fs.hamiltonian_model_factory(request.getfixturevalue(scenario), f"{bus}.{part}")
     seeds = None
     for value in np.arange(lo, hi + 1e-9, 0.25):
         try:
@@ -304,7 +304,7 @@ def test_seeded_enumeration_equals_full_grid_with_three_angles(models):
 @pytest.mark.parametrize("part, value, before", [("B", -5.0, -5.25), ("B", -1.0, -1.25), ("G", 3.0, 2.75)])
 def test_seeded_enumeration_without_closest_saddle_seed_falls_back(wscc, part, value, before):
     """Seeds that miss the closest saddle still give the full grid's points."""
-    factory = fs.hamiltonian_model_factory(wscc, "8", part)
+    factory = fs.hamiltonian_model_factory(wscc, f"8.{part}")
     seeds = eq.stationary_points(factory(before))
     closest = eq.closest_uep(seeds).closest_uep
     seeds = [p for p in seeds if p is not closest]
@@ -371,7 +371,7 @@ def test_closest_uep_empty_raises(nominal_ctx):
 
 @pytest.fixture(scope="module")
 def bc_branches(wscc):
-    factory = fs.hamiltonian_model_factory(wscc, "8", "B")
+    factory = fs.hamiltonian_model_factory(wscc, "8.B")
     return factory, eq.continue_branch(factory, (-6.2, -3.4), initial_step=0.05)
 
 
@@ -465,7 +465,7 @@ def traced_checking_coverage(factory, prange, step):
 def test_coverage_equals_the_per_seed_rule(wscc):
     """One refit stack per checkpoint finds the fresh seeds that refitting
     per seed and per branch finds, at every checkpoint."""
-    factory = fs.hamiltonian_model_factory(wscc, "8", "B")
+    factory = fs.hamiltonian_model_factory(wscc, "8.B")
     branches, counts = traced_checking_coverage(factory, (-6.2, -3.4), 0.05)
     assert len(counts) == 21
     assert any(0 < fresh < seeds for seeds, fresh in counts)
@@ -570,7 +570,7 @@ def test_lockstep_trace_equals_tracing_alone(bc_branches):
 def test_factory_exception_answers_every_request_at_its_value(wscc, failing):
     """Each value where the factory fails is shared by two branches, and is
     asked for once; its exception also decides a domain edge there."""
-    factory = failing_at(fs.hamiltonian_model_factory(wscc, "8", "B"), failing)
+    factory = failing_at(fs.hamiltonian_model_factory(wscc, "8.B"), failing)
     runs = []
     for trace in (eq.continue_branch, traced_alone):
         counted, calls = counting(factory)
@@ -619,7 +619,7 @@ def test_branch_trace_factory_calls(wscc):
     """The acceptance range asks for one model per distinct value, plus one
     for the value that is both a checkpoint and a trace step.  Tracing each
     branch on its own made 597 calls here, for 403 distinct values."""
-    counted, calls = counting(fs.hamiltonian_model_factory(wscc, "8", "B"))
+    counted, calls = counting(fs.hamiltonian_model_factory(wscc, "8.B"))
     eq.continue_branch(counted, (-10.0, 0.0), initial_step=0.05)
     assert len(calls) == 404
     assert len(set(calls)) == 403

@@ -391,7 +391,7 @@ def model_bytes(hm):
 def test_factory_equals_rebuilt_network(wscc, param, values):
     """The factory's template gives the bits of a network rebuilt per value."""
     bus, part = param.split(".")
-    factory = fs.hamiltonian_model_factory(wscc, bus, part)
+    factory = fs.hamiltonian_model_factory(wscc, param)
     for value in map(float, values):
         assert model_bytes(factory(value)) == model_bytes(rebuilt_model(wscc, bus, part, value)), value
 
@@ -429,7 +429,7 @@ def test_sweep_context_equals_rebuilt_scenario(request, param, values):
     case, param = param if isinstance(param, tuple) else ("wscc", param)
     sc = request.getfixturevalue(case)
     bus, part = param.split(".")
-    family = fs.LoadFamily(sc, bus, part)
+    family = fs.LoadFamily(sc, param)
     for value in values:
         try:
             want = fs.build_context(with_part(sc, bus, part, value))
@@ -462,7 +462,7 @@ def test_factory_no_sep_matches_rebuilt_network(wscc):
     with pytest.raises(InadmissibleScenario) as rebuilt:
         rebuilt_model(wscc, "8", "G", 9.0)
     with pytest.raises(InadmissibleScenario) as templated:
-        fs.hamiltonian_model_factory(wscc, "8", "G")(9.0)
+        fs.hamiltonian_model_factory(wscc, "8.G")(9.0)
     assert templated.value.code == rebuilt.value.code == "no-sep"
     assert str(templated.value) == str(rebuilt.value)
 
@@ -470,20 +470,20 @@ def test_factory_no_sep_matches_rebuilt_network(wscc):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_factory_rejects_non_finite_load(wscc, value):
     with pytest.raises(NetworkError, match="non-finite matrix entry"):
-        fs.hamiltonian_model_factory(wscc, "8", "B")(value)
+        fs.hamiltonian_model_factory(wscc, "8.B")(value)
 
 
 @pytest.mark.parametrize("bus, part", [("99", "B"), ("8", "X"), ("8", "g")])
 def test_factory_checked_when_made(wscc, bus, part):
-    with pytest.raises(ScenarioFormatError):
-        fs.hamiltonian_model_factory(wscc, bus, part)
+    with pytest.raises(ScenarioFormatError, match="param path"):
+        fs.hamiltonian_model_factory(wscc, f"{bus}.{part}")
 
 
 def test_factory_warns_islanding_once(wscc):
     """Clearing a generator's only line islands it: one warning per factory,
     and every value ends in no-sep without warning again."""
     with pytest.warns(UserWarning, match="islands") as record:
-        factory = fs.hamiltonian_model_factory(replace(wscc, clearing_branch="2-7"), "8", "B")
+        factory = fs.hamiltonian_model_factory(replace(wscc, clearing_branch="2-7"), "8.B")
     assert len(record) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -496,7 +496,7 @@ def test_factory_bad_angles_at_every_value(wscc):
     """A scenario without a modeled machine's angle is inadmissible at every
     value, so a branch trace finds no branch rather than failing."""
     angles = {k: v for k, v in wscc.prefault_angles.items() if k != "2"}
-    factory = fs.hamiltonian_model_factory(replace(wscc, prefault_angles=angles), "8", "B")
+    factory = fs.hamiltonian_model_factory(replace(wscc, prefault_angles=angles), "8.B")
     for value in (-1.0, 0.0):
         with pytest.raises(InadmissibleScenario, match="missing pre-fault angle") as err:
             factory(value)

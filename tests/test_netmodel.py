@@ -5,6 +5,8 @@ zero current injection at eliminated buses and compare the injected currents
 at retained nodes against the reduced matrix acting on the same voltages.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,14 @@ def test_clearing_a_bridge_warns():
     )
     with pytest.warns(UserWarning, match="islands"):
         nm.apply_clearing(net, "12")
+
+
+def test_duplicate_branch_ids_rejected(wscc):
+    """Clearing removes a branch by id, so an id must name one branch."""
+    (b46,) = [br for br in wscc.net.branches if br.id == "4-6"]
+    branches = tuple(replace(br, id="5-7") if br is b46 else br for br in wscc.net.branches)
+    with pytest.raises(NetworkError, match="duplicate branch ids"):
+        replace(wscc.net, branches=branches)
 
 
 def test_set_load_nominal_is_noop(wscc):

@@ -306,7 +306,7 @@ def test_csv_round_trip_bit_exact(small_sweep, tmp_path):
 
 def test_emit_reports_files(small_sweep, tmp_path, wscc):
     _spec, rows = small_sweep
-    factory = hamiltonian_model_factory(wscc, "8", "B")
+    factory = hamiltonian_model_factory(wscc, "8.B")
     branches = continue_branch(factory, (-1.0, -0.5), initial_step=0.1)
     written = rp.emit_reports(rows, branches, tmp_path / "out", x_label="8.B")
     assert set(written) == {"sweep_csv", "trend_svg", "branch_csv", "branch_svg"}
