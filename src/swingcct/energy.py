@@ -36,19 +36,21 @@ _ALPHA_DEGENERATE = 1e-12
 class HamiltonianModel:
     """Conservative post-fault model anchored at the post-fault SEP.
 
-    `coupling` is the anchored kernel of the post-fault network and `drive`
-    the frozen input Pm - Pa of the modeled machines.
+    `coupling` is the anchored kernel of the post-fault network, built
+    unless given, and `drive` the frozen input Pm - Pa of the modeled
+    machines.
     """
 
     red: ReducedNetwork
     gp: GeneratorParams
     Pa: np.ndarray        # frozen conductance power of the modeled machines
     anchor: np.ndarray    # SEP angles of the modeled machines
-    coupling: Coupling = field(init=False, repr=False, compare=False)
+    coupling: Coupling | None = field(default=None, repr=False, compare=False)
     drive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coupling", Coupling(self.red, self.gp.active, conductive=False))
+        if self.coupling is None:
+            object.__setattr__(self, "coupling", Coupling(self.red, self.gp.active, conductive=False))
         object.__setattr__(self, "drive", self.gp.Pm - self.Pa)
 
     @classmethod
@@ -58,8 +60,8 @@ class HamiltonianModel:
         """Model with Pa frozen at `anchor`; `kernel` is the conductive kernel
         of `red`, if the caller already has one."""
         anchor = np.asarray(anchor, dtype=float)
-        Pa = (kernel or Coupling(red, gp.active)).conductance(anchor)
-        return cls(red=red, gp=gp, Pa=Pa, anchor=anchor)
+        kernel = kernel or Coupling(red, gp.active)
+        return cls(red=red, gp=gp, Pa=kernel.conductance(anchor), anchor=anchor, coupling=kernel.anchored())
 
 
 @dataclass(frozen=True)

@@ -61,30 +61,37 @@ def _newton(
     """
     X = np.array(starts, dtype=float)
     converged = np.zeros(X.shape[0], dtype=bool)
-    work = np.arange(X.shape[0])
-    best = np.full(X.shape[0], np.inf)
-    idle = np.zeros(X.shape[0], dtype=int)
+    # the live rows: their indices into X, their iterates (and stall state)
+    work, Xw = np.arange(X.shape[0]), X
+    if stall is not None:
+        best, idle = np.full(X.shape[0], np.inf), np.zeros(X.shape[0], dtype=int)
     for _ in range(_NEWTON_ITER):
-        if work.size == 0:
-            break
-        Xw = X[work]
-        R = drive - coupling.power(Xw)
-        res = np.max(np.abs(R), axis=1)
+        P, J = coupling.power_jacobian(Xw)
+        R = drive - P
+        res = np.abs(R).max(axis=1)
         done = res <= _NEWTON_TOL
         converged[work[done]] = True
-        J = coupling.jacobian(Xw)
         keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
         if stall is not None:
-            improved = res < best[work]
-            best[work[improved]] = res[improved]
-            idle[work] = np.where(improved, 0, idle[work] + 1)
-            keep &= idle[work] < stall
-        step = np.linalg.solve(J[keep], R[keep, :, None])[:, :, 0]
-        norms = np.max(np.abs(step), axis=1, keepdims=True)
-        Xw = Xw[keep] + step * (1.0 / np.maximum(norms, 1.0))
-        finite = np.all(np.isfinite(Xw), axis=1)
-        work = work[keep][finite]
-        X[work] = Xw[finite]
+            improved = res < best
+            best = np.where(improved, res, best)
+            idle = np.where(improved, 0, idle + 1)
+            keep &= idle < stall
+        if not keep.all():
+            if not keep.any():
+                break
+            work, Xw, J, R = work[keep], Xw[keep], J[keep], R[keep]
+            if stall is not None:
+                best, idle = best[keep], idle[keep]
+        step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
+        norms = np.abs(step).max(axis=1, keepdims=True)
+        Xw = Xw + step * (1.0 / np.maximum(norms, 1.0))
+        finite = np.isfinite(Xw).all(axis=1)
+        if not finite.all():
+            work, Xw = work[finite], Xw[finite]
+            if stall is not None:
+                best, idle = best[finite], idle[finite]
+        X[work] = Xw
     return X, converged
 
 
@@ -106,32 +113,35 @@ class CriticalEnergy:
     E_c: float
 
 
-def _spectrum(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
+def _classified(hm: HamiltonianModel, deltas: np.ndarray) -> list[EquilibriumPoint | None]:
+    """The stationary points of hm at the rows of a (k, m) stack, classified
+    as one stack: each row gets the bits it gets alone, or None when it is
+    marginal (an eigenvalue at the origin)."""
     m = hm.gp.n_active
-    H = hm.coupling.jacobian(delta)
-    Minv = 1.0 / hm.gp.M
-    J = np.zeros((2 * m, 2 * m))
-    J[:m, m:] = np.eye(m)
-    J[m:, :m] = -(Minv[:, None] * H)
-    return np.linalg.eigvals(J)
+    deltas = np.array(deltas, dtype=float).reshape(-1, m)
+    A = np.zeros((deltas.shape[0], 2 * m, 2 * m))
+    A[:, :m, m:] = np.eye(m)
+    A[:, m:, :m] = -((1.0 / hm.gp.M)[:, None] * hm.coupling.jacobian(deltas))
+    # energy is always that of the canonical-cell representative, so traced
+    # (unwrapped) points stay comparable with enumerated ones
+    energies = potential(hm, _wrap_to_cell(deltas, np.asarray(hm.anchor, dtype=float)))
+    spectra = np.linalg.eigvals(A)
+    marginal = ((np.abs(spectra.real) <= _EIG_AXIS_TOL) & (np.abs(spectra.imag) <= _EIG_AXIS_TOL)).any(axis=1)
+    types = (spectra.real > _EIG_AXIS_TOL).sum(axis=1)
+    points: list[EquilibriumPoint | None] = []
+    for delta, spectrum, energy, t, off in zip(deltas, spectra, energies, types.tolist(), marginal):
+        # a stack is complex when any row is; a row keeps the dtype one eigvals call gives it
+        if not spectrum.imag.any():
+            spectrum = spectrum.real
+        points.append(None if off else EquilibriumPoint(delta, float(energy), t, spectrum))
+    return points
 
 
 def _equilibrium_point(hm: HamiltonianModel, delta: np.ndarray) -> EquilibriumPoint:
-    spectrum = _spectrum(hm, delta)
-    near_zero = (np.abs(spectrum.real) <= _EIG_AXIS_TOL) & (np.abs(spectrum.imag) <= _EIG_AXIS_TOL)
-    if np.any(near_zero):
+    (point,) = _classified(hm, delta)
+    if point is None:
         raise EquilibriumError("marginal equilibrium: eigenvalue at the origin")
-    t = int(np.sum(spectrum.real > _EIG_AXIS_TOL))
-    delta = np.asarray(delta, dtype=float).copy()
-    # energy is always that of the canonical-cell representative, so traced
-    # (unwrapped) points stay comparable with enumerated ones
-    canonical = _wrap_to_cell(delta, np.asarray(hm.anchor, dtype=float))
-    return EquilibriumPoint(
-        delta=delta,
-        energy=float(potential(hm, canonical)),
-        type_index=t,
-        spectrum=spectrum,
-    )
+    return point
 
 
 def find_sep(
@@ -166,7 +176,7 @@ def _wrap_to_cell(delta: np.ndarray, center: np.ndarray) -> np.ndarray:
     # subtract whole turns only, so in-cell coordinates pass through bit-exact;
     # the lower cell edge belongs to the +pi side (half-open cell)
     d = delta - center
-    w = d - 2.0 * np.pi * np.round(d / (2.0 * np.pi))
+    w = d - 2.0 * np.pi * np.rint(d / (2.0 * np.pi))
     w = np.where(w <= -np.pi + 1e-9, w + 2.0 * np.pi, w)
     return center + w
 
@@ -217,14 +227,10 @@ def _polish(hm: HamiltonianModel, center: np.ndarray, roots: np.ndarray) -> list
     1e-6), each polished by a plain Newton run from its value rounded to
     1e-6, sorted by angle."""
     X, converged = _newton(hm.coupling, hm.drive, np.round(_distinct(roots), 6))
-    points = []
-    for r in _distinct(_wrap_to_cell(X[converged], center)):
-        if np.max(np.abs(potential_gradient(hm, r))) > 1e-10:
-            continue
-        try:
-            points.append(_equilibrium_point(hm, r))
-        except EquilibriumError:
-            continue  # marginal point exactly at a fold; unusable for typing
+    R = _distinct(_wrap_to_cell(X[converged], center))
+    R = R[~(np.abs(potential_gradient(hm, R)).max(axis=1) > 1e-10)]
+    # None: a marginal point exactly at a fold, unusable for typing
+    points = [p for p in _classified(hm, R) if p is not None]
     points.sort(key=lambda p: tuple(np.round(p.delta, 9)))
     return points
 
@@ -333,15 +339,11 @@ def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[Equilibrium
     _JUMP_GUARD from its guess; each row gets the bits it gets alone.
     """
     X, converged = _newton(hm.coupling, hm.drive, guesses)
-    points: list[EquilibriumPoint | None] = []
-    for root, guess, ok in zip(X, guesses, converged):
-        point = None
-        if ok and np.max(np.abs(root - guess)) <= _JUMP_GUARD:
-            try:
-                point = _equilibrium_point(hm, root)
-            except EquilibriumError:
-                pass
-        points.append(point)
+    rows = converged.nonzero()[0]
+    rows = rows[np.abs(X[rows] - guesses[rows]).max(axis=1) <= _JUMP_GUARD]
+    points: list[EquilibriumPoint | None] = [None] * len(guesses)
+    for i, point in zip(rows, _classified(hm, X[rows])):
+        points[i] = point
     return points
 
 

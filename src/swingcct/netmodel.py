@@ -173,16 +173,19 @@ class ReducedNetwork:
     E: np.ndarray
 
     @classmethod
-    def from_matrix(cls, Y: ComplexMatrix, emf: Sequence[float]) -> "ReducedNetwork":
-        n = len(Y.nodes)
+    def from_stack(cls, Y: np.ndarray, emf: Sequence[float]) -> list["ReducedNetwork"]:
+        """One network per matrix of a (k, n, n) stack of reduced admittance
+        matrices with the same EMFs."""
+        n = Y.shape[-1]
         E = np.asarray(emf, dtype=float)
         if E.shape != (n,):
             raise NetworkError("EMF vector length does not match reduced matrix")
-        G = Y.values.real.copy()
-        B = Y.values.imag.copy()
+        if not np.isfinite(Y.view(float)).all():
+            raise NetworkError("non-finite matrix entry")
+        G, B = Y.real.copy(), Y.imag.copy()
         Pbar = np.outer(E, E) * B
-        np.fill_diagonal(Pbar, 0.0)
-        return cls(n=n, G=G, B=B, Pbar=Pbar, E=E)
+        Pbar[:, range(n), range(n)] = 0.0
+        return [cls(n=n, G=g, B=b, Pbar=p, E=E) for g, b, p in zip(G, B, Pbar)]
 
 
 def _stamp(Y: np.ndarray, i: int, j: int, y: complex, shunt_i: complex = 0j, shunt_j: complex = 0j) -> None:
@@ -231,8 +234,9 @@ def _partition(Y: ComplexMatrix, retained: Sequence[str]) -> tuple[list[int], li
     for r in retained:
         if r not in Y.nodes:
             raise NetworkError(f"retained node {r!r} not in matrix")
-    keep = [i for i, n in enumerate(Y.nodes) if n in set(retained)]
-    drop = [i for i, n in enumerate(Y.nodes) if n not in set(retained)]
+    retained = set(retained)
+    keep = [i for i, n in enumerate(Y.nodes) if n in retained]
+    drop = [i for i, n in enumerate(Y.nodes) if n not in retained]
     return keep, drop
 
 
@@ -299,8 +303,7 @@ class KronTemplate:
         if bus not in {b.id for b in nets[0].buses}:
             raise NetworkError(f"no bus {bus!r}")
         retained = [internal_node(b) for b in nets[0].generator_buses]
-        self._emf = [nets[0].generators[b].emf for b in nets[0].generator_buses]
-        self._nodes = tuple(retained)
+        self._emf = np.array([nets[0].generators[b].emf for b in nets[0].generator_buses])
         blocks = []
         for net in nets:
             Y = build_ybus(replace(net, shunt_loads={k: v for k, v in net.shunt_loads.items() if k != bus}))
@@ -322,7 +325,7 @@ class KronTemplate:
             if not np.all(np.isfinite(Y_LL[:, self._at, self._at])):
                 raise NetworkError("non-finite matrix entry")
         red = schur_complement(self._RR, self._RL, self._LR, Y_LL, True, self._dropped)
-        return [ReducedNetwork.from_matrix(ComplexMatrix(values=r, nodes=self._nodes), self._emf) for r in red]
+        return ReducedNetwork.from_stack(red, self._emf)
 
 
 def apply_fault(net: BusNetwork, fault_bus: str) -> BusNetwork:
@@ -385,4 +388,5 @@ def reduce_to_generators(net: BusNetwork) -> ReducedNetwork:
     retained = [internal_node(b) for b in net.generator_buses]
     red = kron_reduce(Y, retained)
     emf = [net.generators[b].emf for b in net.generator_buses]
-    return ReducedNetwork.from_matrix(red, emf)
+    (reduced,) = ReducedNetwork.from_stack(red.values[None], emf)
+    return reduced

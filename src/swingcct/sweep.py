@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -127,6 +126,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     blocks = [values[a:b] for a, b in zip(starts, starts[1:] + [len(values)])]
     if len(blocks) == 1:
         return _eval_block((spec, values))
+    from concurrent.futures import ProcessPoolExecutor  # costly to import: only where a pool runs
+
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         return [row for rows in pool.map(_eval_block, [(spec, b) for b in blocks]) for row in rows]
 

@@ -174,18 +174,32 @@ class Coupling:
         D = self._act_diffs(self._columns(delta))
         return np.add.reduce(self._PG_act * np.cos(D)).T.reshape(np.shape(delta))
 
+    def power_jacobian(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`power` and `jacobian` of the same angles, from one sine and one
+        cosine of the differences: shapes (..., m) and (..., m, m)."""
+        D = self._act_diffs(self._columns(delta))
+        S, Co = np.sin(D), np.cos(D)
+        P, C = self._Pbar_act * S, self._Pbar_act * Co
+        if self.conductive:
+            P += self._PG_act * Co
+            C -= self._PG_act * S
+        J = -C[self.act].T
+        J[:, self._diag, self._diag] = np.add.reduce(C).T
+        shape = np.shape(delta)
+        return np.add.reduce(P).T.reshape(shape), J.reshape(shape + (self.act.size,))
+
     def jacobian(self, delta: np.ndarray) -> np.ndarray:
         """d power_i / d delta_j over the modeled machines, shape (..., m, m).
 
         The anchored form is the Hessian of the potential energy.
         """
-        D = self._act_diffs(self._columns(delta))
-        C = self._Pbar_act * np.cos(D)
-        if self.conductive:
-            C -= self._PG_act * np.sin(D)
-        J = -C[self.act].T
-        J[:, self._diag, self._diag] = np.add.reduce(C).T
-        return J.reshape(np.shape(delta) + (self.act.size,))
+        return self.power_jacobian(delta)[1]
+
+    def anchored(self) -> "Coupling":
+        """The anchored form of this kernel, sharing its arrays."""
+        out = copy.copy(self)
+        out.conductive = False
+        return out
 
     def pair_diffs(self, delta: np.ndarray) -> np.ndarray:
         """d_i - d_k for the machine pairs i < k, shape (..., pairs)."""

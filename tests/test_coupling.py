@@ -158,6 +158,40 @@ def test_stacked_integration_rows_equal_single_runs(case):
             assert same_bits(run.sample(ts), one.sample(ts))
 
 
+def separate_jacobian(cp: Coupling, delta: np.ndarray) -> np.ndarray:
+    """The Jacobian as the kernel computed it before power and Jacobian were
+    fused: its own difference product, sine and cosine, kept as the oracle."""
+    D = cp._act_diffs(cp._columns(delta))
+    C = cp._Pbar_act * np.cos(D)
+    if cp.conductive:
+        C -= cp._PG_act * np.sin(D)
+    J = -C[cp.act].T
+    J[:, cp._diag, cp._diag] = np.add.reduce(C).T
+    return J.reshape(np.shape(delta) + (cp.act.size,))
+
+
+@PROPERTY
+@given(networks(), network_stacks())
+def test_fused_power_jacobian_equals_separate_calls(case, stacks):
+    """One-network and stacked-network kernels, in both forms: the fused
+    evaluation gives `power` and the separately computed Jacobian bit for
+    bit, and the anchored copy of a conductive kernel is the anchored kernel."""
+    red, gp, angles = case
+    nets, states, _ = stacks
+    for conductive in (True, False):
+        one = Coupling(red, gp.active, conductive=conductive)
+        stacked = Coupling.stack([Coupling(r, g.active, conductive=conductive) for r, g in nets])
+        for cp, x in ((one, angles), (one, angles[0]), (stacked, states[:, : states.shape[1] // 2])):
+            P, J = cp.power_jacobian(x)
+            assert same_bits(P, cp.power(x))
+            assert same_bits(J, separate_jacobian(cp, x))
+            assert same_bits(cp.jacobian(x), J)
+    anchored = Coupling(red, gp.active).anchored()
+    assert not anchored.conductive
+    for a, b in zip(anchored.power_jacobian(angles), Coupling(red, gp.active, conductive=False).power_jacobian(angles)):
+        assert same_bits(a, b)
+
+
 @PROPERTY
 @given(networks())
 def test_jacobian_matches_central_differences(case):

@@ -1,6 +1,7 @@
 """Equilibrium location, saddle classification, and branch continuation."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import smib
-from test_coupling import network
+from test_coupling import network, same_bits
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -81,6 +82,101 @@ def test_find_sep_divergence_guard(pendulum):
 
 
 # ---------------------------------------------------------------------------
+# Newton
+# ---------------------------------------------------------------------------
+
+
+def parent_newton(coupling, drive, starts, stall, exits):
+    """The Newton loop as it ran before power and Jacobian were fused, kept
+    as the oracle of `eq._newton`; `exits` collects why rows leave it."""
+    X = np.array(starts, dtype=float)
+    converged = np.zeros(X.shape[0], dtype=bool)
+    work = np.arange(X.shape[0])
+    best = np.full(X.shape[0], np.inf)
+    idle = np.zeros(X.shape[0], dtype=int)
+    for it in range(eq._NEWTON_ITER):
+        if work.size == 0:
+            break
+        Xw = X[work]
+        R = drive - coupling.power(Xw)
+        res = np.max(np.abs(R), axis=1)
+        done = res <= eq._NEWTON_TOL
+        converged[work[done]] = True
+        J = coupling.jacobian(Xw)
+        keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
+        if it == 0 and done.any():
+            exits.add("converged at the start")
+        if (~done & ~keep).any():
+            exits.add("singular")
+        if stall is not None:
+            improved = res < best[work]
+            best[work[improved]] = res[improved]
+            idle[work] = np.where(improved, 0, idle[work] + 1)
+            if (keep & ~(idle[work] < stall)).any():
+                exits.add("stalled")
+            keep &= idle[work] < stall
+        step = np.linalg.solve(J[keep], R[keep, :, None])[:, :, 0]
+        norms = np.max(np.abs(step), axis=1, keepdims=True)
+        Xw = Xw[keep] + step * (1.0 / np.maximum(norms, 1.0))
+        finite = np.all(np.isfinite(Xw), axis=1)
+        if not finite.all():
+            exits.add("non-finite")
+        work = work[keep][finite]
+        X[work] = Xw[finite]
+    return X, converged
+
+
+def solved_systems(run):
+    """run()'s result and the right-hand sides of every non-empty
+    np.linalg.solve call it makes, in one array."""
+    rhs, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        rhs.append(b.reshape(-1))
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", recording):
+        out = run()
+    return out, np.concatenate(rhs) if rhs else np.zeros(0)
+
+
+def test_lean_newton_equals_parent_loop():
+    """On random networks, forms and stacks, with and without the stall
+    rule, the loop gives the parent loop's iterates and converged bits and
+    solves the same systems.  The stacks hold rows that start converged, rows
+    dropped for a near-singular Jacobian, stall-retired rows and, under a
+    NaN drive, rows stepped to non-finite iterates."""
+    exits = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        G, B = rng.uniform(-5.0, 5.0, (2, n, n))
+        E = rng.uniform(0.5, 1.5, n)
+        Pbar = np.outer(E, E) * (B + B.T)
+        np.fill_diagonal(Pbar, 0.0)
+        red = ReducedNetwork(n=n, G=G + G.T, B=B + B.T, Pbar=Pbar, E=E)
+        act = np.delete(np.arange(n), seed % n)
+        drive = rng.uniform(-1.0, 1.0, n - 1)
+        if seed % 5 == 4:
+            drive[0] = np.nan
+        for conductive in (True, False):
+            cp = Coupling(red, act, conductive=conductive)
+            starts = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (24, n - 1))
+            X, converged = eq._newton(cp, drive, starts)
+            # the roots found, and every angle off the infinite one by pi/2,
+            # where the anchored Jacobian of one modeled machine is about 1e-16
+            starts = np.vstack([starts, X[converged], np.full((1, n - 1), np.pi / 2)])
+            for stall in (None, eq._STALL):
+                (new, new_ok), new_rhs = solved_systems(lambda: eq._newton(cp, drive, starts, stall))
+                (old, old_ok), old_rhs = solved_systems(lambda: parent_newton(cp, drive, starts, stall, exits))
+                assert same_bits(new, old) and same_bits(new_ok, old_ok)
+                # a NaN-residual row that steps is dropped with its iterate
+                # unchanged: only the solved systems show that it stepped
+                assert same_bits(new_rhs, old_rhs)
+    assert exits == {"converged at the start", "singular", "stalled", "non-finite"}
+
+
+# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -92,8 +188,9 @@ def test_classify_sep_is_type_zero(nominal_ctx):
 def test_classify_pendulum_saddle(pendulum):
     red, gp = pendulum
     _sep, hm = eq.find_sep(red, gp, np.zeros(1))
-    assert eq._equilibrium_point(hm, np.array([np.pi])).type_index == 1
-    spectrum = eq._spectrum(hm, np.array([np.pi]))
+    saddle = eq._equilibrium_point(hm, np.array([np.pi]))
+    assert saddle.type_index == 1
+    spectrum = saddle.spectrum
     expected = np.sqrt(red.Pbar[0, 1] / gp.M[0])
     assert sorted(np.round(spectrum.real, 9)) == pytest.approx([-expected, expected], rel=1e-9)
 
@@ -115,10 +212,27 @@ def test_classify_matches_hessian_inertia(nominal_ctx):
         assert p.type_index == n_neg
 
 
+def test_stack_classification_keeps_one_call_spectra():
+    """The points of one enumeration are classified as one stack, real and
+    complex spectra mixed; each keeps the bits and dtype of one eigvals call
+    on its own matrix."""
+    red, gp = symmetric_three_machine()
+    _sep, hm = eq.find_sep(red, gp, np.array([0.3, -0.2]))
+    points = eq.stationary_points(hm)
+    assert {p.spectrum.dtype.kind for p in points} == {"f", "c"}
+    m = gp.n_active
+    for p in points:
+        A = np.zeros((2 * m, 2 * m))
+        A[:m, m:] = np.eye(m)
+        A[m:, :m] = -((1.0 / gp.M)[:, None] * hm.coupling.jacobian(p.delta))
+        alone = np.linalg.eigvals(A)
+        assert p.spectrum.dtype == alone.dtype and same_bits(p.spectrum, alone)
+
+
 def test_classification_reproducible_by_fresh_eigensolve(nominal_ctx):
     ctx = nominal_ctx
     for p in eq.stationary_points(ctx.hm):
-        spectrum = eq._spectrum(ctx.hm, p.delta)
+        spectrum = eq._equilibrium_point(ctx.hm, p.delta).spectrum
         assert int(np.sum(spectrum.real > 1e-9)) == p.type_index
 
 

@@ -1,5 +1,9 @@
 """Sweep driver, optimum search, report files, and their round-trips."""
 
+import concurrent.futures
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import with_part
 from swingcct import report as rp
-from swingcct import sweep as sweep_mod
 from swingcct.equilibria import continue_branch
 from swingcct.errors import ScenarioFormatError
 from swingcct.faultstudy import CHAIN, hamiltonian_model_factory
@@ -141,13 +144,13 @@ def test_jobs_give_identical_rows(wscc, tmp_path, monkeypatch):
     """Each worker takes one block of whole chains; blocks never change a row."""
     blocks = []
 
-    class Pool(sweep_mod.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def map(self, fn, tasks):
             tasks = list(tasks)
             blocks.append(len(tasks))
             return super().map(fn, tasks)
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     # three chains, the last of one point, at a coarse search resolution
     hi = -1.0 + 0.05 * 2 * CHAIN
     base = dict(scenario=wscc, param="8.B", lo=-1.0, hi=hi, step=0.05, resolution=1e-2)
@@ -234,9 +237,16 @@ def test_parallel_serial_equivalence(wscc, monkeypatch):
 
     base = dict(scenario=wscc, param="8.B", lo=-0.4, hi=-0.2, step=0.1, resolution=1e-3)
     serial = run_sweep(SweepSpec(**base, jobs=1))
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     parallel = run_sweep(SweepSpec(**base, jobs=2))
     assert serial == parallel  # dataclass equality: bit-identical floats
+
+
+def test_import_leaves_process_pools_unloaded():
+    """The process-pool machinery loads only where a sweep runs more than one block."""
+    code = "import sys, swingcct; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
