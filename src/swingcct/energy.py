@@ -54,13 +54,10 @@ class HamiltonianModel:
         object.__setattr__(self, "drive", self.gp.Pm - self.Pa)
 
     @classmethod
-    def at_anchor(
-        cls, red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray, kernel: Coupling | None = None
-    ) -> "HamiltonianModel":
-        """Model with Pa frozen at `anchor`; `kernel` is the conductive kernel
-        of `red`, if the caller already has one."""
+    def at_anchor(cls, red: ReducedNetwork, gp: GeneratorParams, anchor: np.ndarray) -> "HamiltonianModel":
+        """Model with Pa frozen at `anchor`."""
         anchor = np.asarray(anchor, dtype=float)
-        kernel = kernel or Coupling(red, gp.active)
+        kernel = Coupling(red, gp.active)
         return cls(red=red, gp=gp, Pa=kernel.conductance(anchor), anchor=anchor, coupling=kernel.anchored())
 
 
@@ -83,6 +80,8 @@ def potential(hm: HamiltonianModel, delta: np.ndarray) -> np.ndarray:
     """Potential energy of the conservative post-fault system.
 
     delta holds modeled-machine angles, one state per row of a (..., m) stack.
+    hm may also be a stack of models (a stacked coupling with one drive row
+    per network), whose row k is model k.
     """
     delta = np.asarray(delta, dtype=float)
     return -(delta * hm.drive).sum(axis=-1) - hm.coupling.pair_energy(delta)

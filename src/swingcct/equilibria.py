@@ -11,11 +11,11 @@ a natural-parameter predictor/corrector with fold refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .energy import HamiltonianModel, potential, potential_gradient
+from .energy import HamiltonianModel, potential
 from .errors import EquilibriumError, InadmissibleScenario, ScenarioFormatError
 from .netmodel import ReducedNetwork
 from .swing import Coupling, GeneratorParams
@@ -25,8 +25,8 @@ _NEWTON_TOL = 1e-12
 #: iterations of every Newton run: on the bundled case's load ranges the
 #: starts that converge at all do so within 20 iterations
 _NEWTON_ITER = 25
-#: stationary_points retires a grid start whose best residual has not
-#: improved for this many Newton iterations
+#: a Newton run retires a start whose best residual has not improved for
+#: this many iterations
 _STALL = 3
 #: most Newton starts one enumeration grid may hold (40 per axis at m = 3)
 _START_BUDGET = 64000
@@ -42,55 +42,50 @@ _JUMP_GUARD = 0.45
 _STEP_FLOOR, _FOLD_TOL = 1e-5, 1e-4
 
 
-def _newton(
-    coupling: Coupling,
-    drive: np.ndarray,
-    starts: np.ndarray,
-    stall: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton(coupling: Coupling, drive: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on power = drive from a (k, m) stack of starts, for at
     most _NEWTON_ITER iterations.
 
+    `drive` is one (m,) input for every row, or a (k, m) stack of them; a
+    stacked kernel (`Coupling.stack`) evaluates row i on its network i.
     Steps are capped at 1 rad in the max norm.  A start stops once its
     residual is within _NEWTON_TOL and is dropped when its Jacobian is (near)
-    singular or its iterate leaves the finite numbers.  With `stall`, a
-    start whose best residual (max norm) has not improved for `stall`
-    iterations is dropped too.  Returns the iterates and the mask of
-    converged starts; each row's result is independent of the others in
-    the stack.
+    singular, when its iterate leaves the finite numbers, or when its best
+    residual (max norm) has not improved for _STALL iterations.  Returns the
+    iterates and the mask of converged starts; each row's result is
+    independent of the others in the stack.
     """
     X = np.array(starts, dtype=float)
     converged = np.zeros(X.shape[0], dtype=bool)
-    # the live rows: their indices into X, their iterates (and stall state)
-    work, Xw = np.arange(X.shape[0]), X
-    if stall is not None:
-        best, idle = np.full(X.shape[0], np.inf), np.zeros(X.shape[0], dtype=int)
+    drive = np.asarray(drive, dtype=float)
+    per_row = coupling.networks > 1
+    # the live rows: their indices into X, iterates, drives, kernel and stall state
+    work, Xw, Dw, kernel = np.arange(X.shape[0]), X, drive, coupling
+    best, idle = np.full(X.shape[0], np.inf), np.zeros(X.shape[0], dtype=int)
     for _ in range(_NEWTON_ITER):
-        P, J = coupling.power_jacobian(Xw)
-        R = drive - P
+        P, J = kernel.power_jacobian(Xw)
+        R = Dw - P
         res = np.abs(R).max(axis=1)
         done = res <= _NEWTON_TOL
         converged[work[done]] = True
-        keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14)
-        if stall is not None:
-            improved = res < best
-            best = np.where(improved, res, best)
-            idle = np.where(improved, 0, idle + 1)
-            keep &= idle < stall
+        improved = res < best
+        best = np.where(improved, res, best)
+        idle = np.where(improved, 0, idle + 1)
+        keep = ~done & (np.abs(np.linalg.det(J)) > 1e-14) & (idle < _STALL)
         if not keep.all():
             if not keep.any():
                 break
-            work, Xw, J, R = work[keep], Xw[keep], J[keep], R[keep]
-            if stall is not None:
-                best, idle = best[keep], idle[keep]
+            work, Xw, J, R, best, idle = work[keep], Xw[keep], J[keep], R[keep], best[keep], idle[keep]
+            Dw = Dw[keep] if drive.ndim > 1 else drive
+            kernel = coupling.take(work) if per_row else kernel
         step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
         norms = np.abs(step).max(axis=1, keepdims=True)
         Xw = Xw + step * (1.0 / np.maximum(norms, 1.0))
         finite = np.isfinite(Xw).all(axis=1)
         if not finite.all():
-            work, Xw = work[finite], Xw[finite]
-            if stall is not None:
-                best, idle = best[finite], idle[finite]
+            work, Xw, best, idle = work[finite], Xw[finite], best[finite], idle[finite]
+            Dw = Dw[finite] if drive.ndim > 1 else drive
+            kernel = coupling.take(work) if per_row else kernel
         X[work] = Xw
     return X, converged
 
@@ -113,15 +108,45 @@ class CriticalEnergy:
     E_c: float
 
 
-def _classified(hm: HamiltonianModel, deltas: np.ndarray) -> list[EquilibriumPoint | None]:
+class _Rows(NamedTuple):
+    """Models of the same machines as the rows of one stack, row k on model
+    k: the parts of a model that classification and `potential` read."""
+
+    coupling: Coupling
+    drive: np.ndarray
+    anchor: np.ndarray
+    gp: GeneratorParams
+
+
+def _rows(models: Sequence[HamiltonianModel]) -> _Rows:
+    """The stack of the models, one per row."""
+    return _Rows(
+        Coupling.stack([hm.coupling for hm in models]),
+        np.array([hm.drive for hm in models]),
+        np.array([hm.anchor for hm in models]),
+        models[0].gp,
+    )
+
+
+def _classified(
+    hm: HamiltonianModel | _Rows, deltas: np.ndarray
+) -> tuple[list[EquilibriumPoint | None], np.ndarray]:
     """The stationary points of hm at the rows of a (k, m) stack, classified
-    as one stack: each row gets the bits it gets alone, or None when it is
-    marginal (an eigenvalue at the origin)."""
-    m = hm.gp.n_active
-    deltas = np.array(deltas, dtype=float).reshape(-1, m)
+    as one stack (`_typed`), and the potential gradient at each row."""
+    deltas = np.array(deltas, dtype=float).reshape(-1, hm.gp.n_active)
+    P, J = hm.coupling.power_jacobian(deltas)
+    return _typed(hm, deltas, J), P - hm.drive
+
+
+def _typed(hm: HamiltonianModel | _Rows, deltas: np.ndarray, jacobian: np.ndarray) -> list[EquilibriumPoint | None]:
+    """The stationary points of hm at the rows of a (k, m) stack, given the
+    anchored Jacobian at each, classified as one stack: each row gets the
+    bits it gets alone, or None when it is marginal (an eigenvalue at the
+    origin)."""
+    m = deltas.shape[1]
     A = np.zeros((deltas.shape[0], 2 * m, 2 * m))
     A[:, :m, m:] = np.eye(m)
-    A[:, m:, :m] = -((1.0 / hm.gp.M)[:, None] * hm.coupling.jacobian(deltas))
+    A[:, m:, :m] = -((1.0 / hm.gp.M)[:, None] * jacobian)
     # energy is always that of the canonical-cell representative, so traced
     # (unwrapped) points stay comparable with enumerated ones
     energies = potential(hm, _wrap_to_cell(deltas, np.asarray(hm.anchor, dtype=float)))
@@ -138,10 +163,55 @@ def _classified(hm: HamiltonianModel, deltas: np.ndarray) -> list[EquilibriumPoi
 
 
 def _equilibrium_point(hm: HamiltonianModel, delta: np.ndarray) -> EquilibriumPoint:
-    (point,) = _classified(hm, delta)
+    (point,), _gradient = _classified(hm, delta)
     if point is None:
         raise EquilibriumError("marginal equilibrium: eigenvalue at the origin")
     return point
+
+
+def find_seps(
+    reds: Sequence[ReducedNetwork],
+    gps: Sequence[GeneratorParams],
+    guess: np.ndarray,
+) -> list[tuple[EquilibriumPoint, HamiltonianModel] | EquilibriumError]:
+    """`find_sep` of each network reds[k] with its generators gps[k] (of the
+    same machines), from one guess, as one stack.
+
+    One Newton run covers every network, each row with its own drive.  One
+    sine and cosine of the roots give each its frozen conductance power and
+    its anchored residual and Jacobian, and one classification types them
+    all.  Each network gets the bits it gets alone, or the EquilibriumError
+    find_sep raises for it.
+    """
+    guess = np.asarray(guess, dtype=float)
+    kernels = [Coupling(red, gp.active) for red, gp in zip(reds, gps)]
+    Pm = np.array([gp.Pm for gp in gps])
+    stacked = Coupling.stack(kernels)
+    X, converged = _newton(stacked, Pm, np.tile(guess, (len(gps), 1)))
+    out: list = [None if ok else EquilibriumError("SEP Newton did not converge") for ok in converged]
+    inside = converged & (np.abs(X - guess).max(axis=1) < np.pi)
+    for k in np.flatnonzero(converged & ~inside):
+        out[k] = EquilibriumError("Newton left the principal cell of the initial guess")
+    rows = np.flatnonzero(inside)
+    if not rows.size:
+        return out
+    kernel = stacked if rows.size == len(kernels) else stacked.take(rows)
+    anchors = X[rows]
+    Pa, P, J = kernel.anchor_terms(anchors)
+    stack = _Rows(kernel.anchored(), Pm[rows] - Pa, anchors, gps[0])
+    residual = np.abs(P - stack.drive).max(axis=1)
+    points = _typed(stack, np.array(anchors), J)
+    for i, k in enumerate(rows):
+        if residual[i] > 1e-10:
+            out[k] = EquilibriumError("anchored residual check failed at the SEP")
+        elif points[i] is None:
+            out[k] = EquilibriumError("marginal equilibrium: eigenvalue at the origin")
+        elif points[i].type_index != 0:
+            out[k] = EquilibriumError(f"converged point is type-{points[i].type_index}, not a SEP")
+        else:
+            hm = HamiltonianModel(reds[k], gps[k], Pa[i], anchors[i], kernels[k].anchored())
+            out[k] = (points[i], hm)
+    return out
 
 
 def find_sep(
@@ -153,23 +223,13 @@ def find_sep(
 
     The anchored field with the anchor at its own equilibrium has the same
     residual as the exact field, so the joint fixed point (equilibrium plus
-    frozen conductance power) is found in one Newton run on the exact field.
+    frozen conductance power) is found in one Newton run on the exact field
+    (`find_seps` of one network).
     """
-    guess = np.asarray(guess, dtype=float)
-    kernel = Coupling(red, gp.active)
-    X, converged = _newton(kernel, gp.Pm, guess[None, :])
-    if not converged[0]:
-        raise EquilibriumError("SEP Newton did not converge")
-    delta = X[0]
-    if np.max(np.abs(delta - guess)) >= np.pi:
-        raise EquilibriumError("Newton left the principal cell of the initial guess")
-    hm = HamiltonianModel.at_anchor(red, gp, delta, kernel)
-    if np.max(np.abs(potential_gradient(hm, delta))) > 1e-10:
-        raise EquilibriumError("anchored residual check failed at the SEP")
-    point = _equilibrium_point(hm, delta)
-    if point.type_index != 0:
-        raise EquilibriumError(f"converged point is type-{point.type_index}, not a SEP")
-    return point, hm
+    (found,) = find_seps([red], [gp], guess)
+    if isinstance(found, EquilibriumError):
+        raise found
+    return found
 
 
 def _wrap_to_cell(delta: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -224,13 +284,12 @@ def _grid(lo: np.ndarray, hi: np.ndarray, grid_density: int) -> np.ndarray:
 
 def _polish(hm: HamiltonianModel, center: np.ndarray, roots: np.ndarray) -> list[EquilibriumPoint]:
     """Classified points of the distinct in-cell `roots` (deduplicated at
-    1e-6), each polished by a plain Newton run from its value rounded to
-    1e-6, sorted by angle."""
+    1e-6), each polished by a Newton run from its value rounded to 1e-6,
+    sorted by angle."""
     X, converged = _newton(hm.coupling, hm.drive, np.round(_distinct(roots), 6))
-    R = _distinct(_wrap_to_cell(X[converged], center))
-    R = R[~(np.abs(potential_gradient(hm, R)).max(axis=1) > 1e-10)]
+    found, gradient = _classified(hm, _distinct(_wrap_to_cell(X[converged], center)))
     # None: a marginal point exactly at a fold, unusable for typing
-    points = [p for p in _classified(hm, R) if p is not None]
+    points = [p for p, g in zip(found, gradient) if p is not None and not np.abs(g).max() > 1e-10]
     points.sort(key=lambda p: tuple(np.round(p.delta, 9)))
     return points
 
@@ -244,14 +303,14 @@ def _seeded_points(
     """The points the seeds converge to, or None when that set is in doubt.
 
     One Newton stack runs from the seeds and from a coarse grid (_COARSE per
-    axis) under the stall rule.  The seeds' roots are polished as in the full
-    enumeration; the coarse grid only checks them.  In doubt means: a seed
+    axis).  The seeds' roots are polished as in the full enumeration; the
+    coarse grid only checks them.  In doubt means: a seed
     does not converge, a coarse start reaches a root no seed reached, or the
     closest type-1 saddle is not the root of the seeds' closest saddle.
     """
     k = len(seeds)
     starts = np.concatenate([np.array([s.delta for s in seeds]), _grid(*box, _COARSE)])
-    X, converged = _newton(hm.coupling, hm.drive, starts, stall=_STALL)
+    X, converged = _newton(hm.coupling, hm.drive, starts)
     if not converged[:k].all():
         return None
     roots = _wrap_to_cell(X[:k], center)
@@ -277,10 +336,9 @@ def stationary_points(
 
     Starts a Newton run from each node of a grid over `box` (default: the
     anchor plus/minus 2*pi in every modeled angle), grid_density per axis
-    but at most _START_BUDGET nodes in all; a start whose residual stalls
-    for `_STALL` iterations is retired.  The converged roots are wrapped
+    but at most _START_BUDGET nodes in all.  The converged roots are wrapped
     into the canonical cell and deduplicated at 1e-6, and each distinct
-    root is polished by a plain Newton run from its value rounded to 1e-6,
+    root is polished by a Newton run from its value rounded to 1e-6,
     so a returned point depends on its cluster only, not on which starts
     reached it.
 
@@ -297,7 +355,7 @@ def stationary_points(
         points = _seeded_points(hm, center, box, seeds)
         if points is not None:
             return points
-    X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density), stall=_STALL)
+    X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density))
     return _polish(hm, center, _wrap_to_cell(X[converged], center))
 
 
@@ -321,7 +379,31 @@ def closest_uep(S: Sequence[EquilibriumPoint]) -> CriticalEnergy:
 # Natural-parameter continuation
 # ---------------------------------------------------------------------------
 
+#: a model factory maps a parameter value to its anchored model; one that
+#: also has `models(values)` builds many values as one stack (`_builder`)
 ModelFactory = Callable[[float], HamiltonianModel]
+#: what a build gives for a value: the model, or the exception a factory raises there
+Built = HamiltonianModel | InadmissibleScenario | EquilibriumError
+
+
+def _builder(factory: ModelFactory) -> Callable[[Sequence[float]], list[Built]]:
+    """The factory's `models(values)`: for each value its model or the
+    InadmissibleScenario or EquilibriumError the factory raises there (any
+    other exception propagates).  A factory without one is called per value."""
+    models = getattr(factory, "models", None)
+    if models is not None:
+        return models
+
+    def one_by_one(values: Sequence[float]) -> list[Built]:
+        out: list[Built] = []
+        for value in values:
+            try:
+                out.append(factory(value))
+            except (InadmissibleScenario, EquilibriumError) as exc:
+                out.append(exc)
+        return out
+
+    return one_by_one
 
 
 @dataclass
@@ -332,39 +414,43 @@ class Branch:
     folds: list[float] = field(default_factory=list)
 
 
-def _correct_rows(hm: HamiltonianModel, guesses: np.ndarray) -> list[EquilibriumPoint | None]:
-    """Newton-correct a (k, m) stack of predicted points on `hm` as one stack.
+def _correct_rows(models: Sequence[HamiltonianModel], guesses: np.ndarray) -> list[EquilibriumPoint | None]:
+    """Newton-correct a (k, m) stack of predicted points, row i on
+    models[i], as one stack.
 
     A row is None when its Newton run fails or its root lies more than
     _JUMP_GUARD from its guess; each row gets the bits it gets alone.
     """
-    X, converged = _newton(hm.coupling, hm.drive, guesses)
+    if not models:
+        return []
+    stack = _rows(models)
+    X, converged = _newton(stack.coupling, stack.drive, guesses)
     rows = converged.nonzero()[0]
     rows = rows[np.abs(X[rows] - guesses[rows]).max(axis=1) <= _JUMP_GUARD]
     points: list[EquilibriumPoint | None] = [None] * len(guesses)
-    for i, point in zip(rows, _classified(hm, X[rows])):
-        points[i] = point
+    if rows.size:
+        kept = stack if rows.size == len(models) else _rows([models[i] for i in rows])
+        found, _gradient = _classified(kept, X[rows])
+        for i, point in zip(rows, found):
+            points[i] = point
     return points
 
 
 #: what a tracer is sent back for a request: the corrected point, None when
 #: the corrector fails or jumps, or the exception the factory raised there
 Answer = EquilibriumPoint | InadmissibleScenario | EquilibriumError | None
-Tracer = Generator[tuple[float, np.ndarray], Answer, Branch]
+Tracer = Generator[tuple[float, np.ndarray], Answer, None]
 
 
-def _trace(
-    p0: float,
-    point0: EquilibriumPoint,
-    p_stop: float,
-    initial_step: float,
-) -> Tracer:
-    """Trace one branch from (p0, point0) towards p_stop.
+def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
+    """Trace a branch from its one point towards p_stop.
 
-    A generator: it yields each (param, guess) it needs corrected, is sent
-    the answer at that value, and returns the branch (see `_lockstep`).
+    A generator: it yields each (param, guess) it needs corrected and is
+    sent the answer at that value (see `_round`).  Accepted points, which
+    move monotonically towards p_stop, and the fold it ends in are added to
+    `branch` as they are found.
     """
-    branch = Branch(points=[(p0, point0)])
+    p0, point0 = branch.points[0]
     direction = 1.0 if p_stop >= p0 else -1.0
     step = initial_step
     p_prev, d_prev = p0, point0.delta
@@ -416,38 +502,30 @@ def _trace(
         if not domain_edge:
             branch.folds.append(0.5 * (lo + hi))
         break
-    return branch
 
 
-def _lockstep(factory: ModelFactory, tracers: Sequence[Tracer]) -> list[Branch]:
-    """Run the tracers together; their branches, in order.
+def _round(
+    build: Callable[[Sequence[float]], list[Built]], requests: dict[float, list[tuple[int, np.ndarray]]]
+) -> dict[int, Answer]:
+    """The answers to one round of requests (parameter value -> its
+    (tracer, guess) pairs), by tracer.
 
-    Each round collects the request of every live tracer and groups the
-    requests by exact parameter value: one model per value, and one Newton
-    stack for all of its guesses.  A factory exception at a value answers
-    every request there.  No model outlives its round.
+    The models of all values are built as one stack, one per value, and all
+    guesses at all values are corrected as one Newton stack.  A build
+    exception at a value answers every request there.
     """
-    done: dict[int, Branch] = {}
-    answers: dict[int, Answer] = dict.fromkeys(range(len(tracers)))
-    while answers:
-        requests: dict[float, list[tuple[int, np.ndarray]]] = {}
-        for i, answer in answers.items():
-            try:
-                param, guess = tracers[i].send(answer)
-            except StopIteration as stop:
-                done[i] = stop.value
-                continue
-            requests.setdefault(param, []).append((i, guess))
-        answers = {}
-        for param, asks in requests.items():
-            try:
-                hm = factory(param)
-            except (InadmissibleScenario, EquilibriumError) as exc:
-                answers.update((i, exc) for i, _guess in asks)
-                continue
-            points = _correct_rows(hm, np.array([guess for _i, guess in asks]))
-            answers.update((i, point) for (i, _guess), point in zip(asks, points))
-    return [done[i] for i in range(len(tracers))]
+    answers: dict[int, Answer] = {}
+    rows = []
+    for value, model in zip(requests, build(list(requests))):
+        for i, guess in requests[value]:
+            if isinstance(model, HamiltonianModel):
+                rows.append((i, model, guess))
+            else:
+                answers[i] = model
+    if rows:
+        points = _correct_rows([model for _i, model, _guess in rows], np.array([guess for *_, guess in rows]))
+        answers.update((i, point) for (i, _model, _guess), point in zip(rows, points))
+    return answers
 
 
 def _uncovered(
@@ -466,7 +544,7 @@ def _uncovered(
         if ps.min() - reach <= cp <= ps.max() + reach:
             near.append(br.points[int(np.argmin(np.abs(ps - cp)))])
     m = hm.gp.n_active
-    refits = _correct_rows(hm, np.array([pt.delta for _p, pt in near]).reshape(-1, m))
+    refits = _correct_rows([hm] * len(near), np.array([pt.delta for _p, pt in near]).reshape(-1, m))
     known = [pt.delta for p, pt in near if abs(p - cp) <= 1e-12] + [r.delta for r in refits if r is not None]
     known = np.array(known).reshape(-1, m)
     return [point for point in points if not np.any(wrapped_distance(known, point.delta) <= 1e-6)]
@@ -486,11 +564,17 @@ def continue_branch(
     an enumeration at every _CHECKPOINT_STEP of the range, which picks up
     disconnected branches; each checkpoint's enumeration is seeded by the
     points of the one before it.  Every new seed is traced in both
-    directions, and all branches of one checkpoint are traced together
-    (`_lockstep`): one model per parameter value per round, shared by every
-    branch that asks for it.  A factory must therefore be a pure function of the value; it is
-    called fewer times than there are traced points.
-    Fold locations are refined to _FOLD_TOL in the parameter.  Raises
+    directions.
+
+    All branches are traced together, in rounds (`_round`): one model per
+    parameter value per round, shared by every branch that asks for it, and
+    one Newton stack for all their guesses.  A checkpoint's new seeds (those
+    on no earlier checkpoint's branch, `_uncovered`) join the running rounds
+    as soon as every forward trace from an earlier checkpoint has passed it
+    or ended: from then on, the point of that branch nearest to the
+    checkpoint is final.  A factory must therefore be a pure function of the
+    value; it is called fewer times than there are traced points.  Fold
+    locations are refined to _FOLD_TOL in the parameter.  Raises
     ScenarioFormatError unless lo < hi are finite with a finite, nonzero
     checkpoint spacing and initial_step is positive and finite.
     """
@@ -505,27 +589,67 @@ def continue_branch(
         if param is None:
             raise ValueError("a parameter path is required when passing a scenario")
         factory = source.model_factory(param)
-    branches: list[Branch] = []
+    build = _builder(factory)
     spacing = (hi - lo) * _CHECKPOINT_STEP
-    checkpoints = np.arange(lo, hi + 0.5 * spacing, spacing)
+    checkpoints = [float(cp) for cp in np.arange(lo, hi + 0.5 * spacing, spacing)]
+    # per tracer: its branch half, its generator and whether it has ended;
+    # tracers come in pairs per seed, forward (towards hi) first
+    halves: list[Branch] = []
+    tracers: list[Tracer] = []
+    ended: list[bool] = []
     points = None
-    for cp in map(float, checkpoints):
-        try:
-            hm = factory(cp)
-        except (InadmissibleScenario, EquilibriumError):
-            points = None
+    k = 0
+    # the model at checkpoints[k], once a round has built it
+    ahead: list[Built] = []
+
+    def build_ahead(values: Sequence[float]) -> list[Built]:
+        """The models of the values, built with the next checkpoint's while none is held."""
+        nonlocal ahead
+        if ahead or k == len(checkpoints):
+            return build(values)
+        *built, model = build([*values, checkpoints[k]])
+        ahead = [model]
+        return built
+
+    answers: dict[int, Answer] = {}
+    requests: dict[float, list[tuple[int, np.ndarray]]] = {}
+    while True:
+        for i, answer in answers.items():
+            try:
+                value, guess = tracers[i].send(answer)
+            except StopIteration:
+                ended[i] = True
+                continue
+            requests.setdefault(value, []).append((i, guess))
+        answers = {}
+        # seed the next checkpoint once every forward trace from an earlier one has passed it or ended
+        while not answers and k < len(checkpoints) and all(
+            ended[i] or halves[i].points[-1][0] >= checkpoints[k] for i in range(0, len(halves), 2)
+        ):
+            cp = checkpoints[k]
+            k += 1
+            (hm,) = ahead or build([cp])
+            ahead = []
+            if not isinstance(hm, HamiltonianModel):
+                points = None
+                continue
+            points = stationary_points(hm, seeds=points)
+            for seed in _uncovered(hm, cp, points, halves[::2], initial_step):
+                for end in (hi, lo):
+                    answers[len(tracers)] = None
+                    halves.append(Branch(points=[(cp, seed)]))
+                    tracers.append(_trace(halves[-1], end, initial_step))
+                    ended.append(False)
+        if answers:
+            # the new tracers ask first: one that ends at once may let the next checkpoint in
             continue
-        points = stationary_points(hm, seeds=points)
-        # every seed is checked before any is traced: a branch traced from
-        # another seed here holds that seed's own exact point at cp, which
-        # refits to itself, so it never covers this one
-        fresh = _uncovered(hm, cp, points, branches, initial_step)
-        traced = _lockstep(factory, [_trace(cp, seed, end, initial_step) for seed in fresh for end in (hi, lo)])
-        for fwd, bwd in zip(traced[::2], traced[1::2]):
-            branches.append(
-                Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds)
-            )
-    return branches
+        if not requests:
+            break
+        answers, requests = _round(build_ahead, requests), {}
+    return [
+        Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds)
+        for fwd, bwd in zip(halves[::2], halves[1::2])
+    ]
 
 
 def fold_locations(branches: Sequence[Branch]) -> list[float]:

@@ -93,15 +93,26 @@ class StudyContext:
     delta_E: float
 
 
+def _inadmissible(exc: Exception) -> Exception:
+    """The InadmissibleScenario a singular eliminated block or a failed SEP
+    search makes of a scenario, caused by it; any other exception as it is."""
+    if isinstance(exc, SingularNetworkError):
+        out = InadmissibleScenario(str(exc), code="singular-network")
+    elif isinstance(exc, EquilibriumError):
+        out = InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep")
+    else:
+        return exc
+    out.__cause__ = exc
+    return out
+
+
 @contextmanager
 def _verdicts():
     """A singular eliminated block or a failed SEP search makes the scenario inadmissible."""
     try:
         yield
-    except SingularNetworkError as exc:
-        raise InadmissibleScenario(str(exc), code="singular-network") from exc
-    except EquilibriumError as exc:
-        raise InadmissibleScenario(f"no post-fault SEP: {exc}", code="no-sep") from exc
+    except (SingularNetworkError, EquilibriumError) as exc:
+        raise _inadmissible(exc) from exc
 
 
 def regimes(sc: FaultScenario) -> list[nm.ReducedNetwork]:
@@ -130,21 +141,49 @@ def _machines(sc: FaultScenario) -> tuple[np.ndarray, np.ndarray, int]:
     return M, np.array(delta), infinite_index
 
 
-def _model(sc: FaultScenario, red_pre: nm.ReducedNetwork, red_post: nm.ReducedNetwork) -> tuple:
-    """The model step: dispatch on red_pre, then the SEP on red_post; (gp, delta_pre, sep, hm)."""
+#: the part of the model step that no load changes (`_fixed_part`)
+Fixed = tuple[np.ndarray, np.ndarray, sw.Dispatch]
+
+
+def _fixed_part(sc: FaultScenario) -> Fixed:
+    """The part of the model step that no load changes: the modeled
+    machines' inertias M, their pre-fault angles and their dispatch."""
     M, delta_pre, infinite_index = _machines(sc)
-    with _verdicts():
-        Pm = sw.dispatch_from_angles(red_pre, delta_pre, infinite_index)
-        gp = sw.GeneratorParams(M=M, Pm=Pm, infinite_index=infinite_index)
-        return (gp, delta_pre) + eq.find_sep(red_post, gp, delta_pre)
+    return M, delta_pre, sw.Dispatch(delta_pre, infinite_index)
+
+
+def _model(
+    fixed: Fixed,
+    pairs: Sequence[tuple[nm.ReducedNetwork, nm.ReducedNetwork]],
+) -> list[tuple | InadmissibleScenario]:
+    """The model step of every (red_pre, red_post) pair, as one stack:
+    dispatch on red_pre, then the SEP on red_post.  Per pair, (gp, delta_pre,
+    sep, hm), or the InadmissibleScenario the pair is; `fixed` is the
+    scenario's `_fixed_part`."""
+    M, delta_pre, dispatch = fixed
+    out: list = dispatch.powers([pre for pre, _post in pairs])
+    gps = {
+        i: sw.GeneratorParams(M=M, Pm=Pm, infinite_index=dispatch.infinite_index)
+        for i, Pm in enumerate(out)
+        if not isinstance(Pm, InadmissibleScenario)
+    }
+    if gps:
+        seps = eq.find_seps([pairs[i][1] for i in gps], list(gps.values()), delta_pre)
+        for (i, gp), sep in zip(gps.items(), seps):
+            out[i] = _inadmissible(sep) if isinstance(sep, EquilibriumError) else (gp, delta_pre, *sep)
+    return out
 
 
 def _context(
-    sc: FaultScenario, red_pre: nm.ReducedNetwork, red_on: nm.ReducedNetwork, red_post: nm.ReducedNetwork,
+    fixed: Fixed,
+    red_pre: nm.ReducedNetwork, red_on: nm.ReducedNetwork, red_post: nm.ReducedNetwork,
     seeds: Sequence[eq.EquilibriumPoint] | None,
 ) -> StudyContext:
     """The pipeline from the pre-fault, fault-on and post-fault reductions up to the critical energy."""
-    gp, delta_pre, sep, hm = _model(sc, red_pre, red_post)
+    (step,) = _model(fixed, [(red_pre, red_post)])
+    if isinstance(step, InadmissibleScenario):
+        raise step
+    gp, delta_pre, sep, hm = step
     x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
 
     points = eq.stationary_points(hm, seeds=seeds)
@@ -168,7 +207,8 @@ def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None
     Raises InadmissibleScenario (with a reason code) when the scenario fails
     one of the admissibility constraints.
     """
-    return _context(sc, *regimes(sc), seeds)
+    reds = regimes(sc)
+    return _context(_fixed_part(sc), *reds, seeds)
 
 
 def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -441,10 +481,13 @@ class LoadFamily:
 
     The Kron templates are built once: pre-fault with post-fault when the
     family is made, fault-on at the first context (a branch trace needs
-    none, so it runs even where the fault bus does not exist).  Per value,
+    none, so it runs even where the fault bus does not exist).  So are the
+    machines and their pre-fault angles, at the first model.  Per value,
     `model` and `context` stamp the load, solve once per template and run
     the model step: those of build_context on the scenario with that load,
-    bit for bit.  Raises ScenarioFormatError for a path parse_param_path rejects.
+    bit for bit.  `models` does the same for many values as one stack.  The
+    family is a model factory: calling it is `model`.  Raises
+    ScenarioFormatError for a path parse_param_path rejects.
     """
 
     def __init__(self, sc: FaultScenario, param: str):
@@ -458,17 +501,46 @@ class LoadFamily:
     def _fault_on(self) -> nm.KronTemplate:
         return nm.KronTemplate([nm.apply_fault(self.sc.net, self.sc.fault_bus)], self.bus_id)
 
+    @cached_property
+    def _fixed(self) -> Fixed:
+        return _fixed_part(self.sc)
+
+    def models(self, values: Sequence[float]) -> list[en.HamiltonianModel | InadmissibleScenario]:
+        """`model` of every value, as one stack: one solve for all their
+        reductions and one model step.  Per value, its model or the
+        InadmissibleScenario `model` raises there; any other exception
+        `model` raises propagates."""
+        out: list = [_inadmissible(r) for r in self._pair.reductions([self._load(v) for v in values])]
+        for r in out:
+            if isinstance(r, Exception) and not isinstance(r, InadmissibleScenario):
+                raise r
+        pairs = {i: r for i, r in enumerate(out) if not isinstance(r, InadmissibleScenario)}
+        if pairs:
+            try:
+                steps = _model(self._fixed, list(pairs.values()))
+            except InadmissibleScenario as exc:
+                steps = [exc] * len(pairs)
+            for i, step in zip(pairs, steps):
+                out[i] = step if isinstance(step, InadmissibleScenario) else step[-1]
+        return out
+
     def model(self, value: float) -> en.HamiltonianModel:
-        with _verdicts():
-            return _model(self.sc, *self._pair.reduce(self._load(value)))[-1]
+        (hm,) = self.models([value])
+        if isinstance(hm, InadmissibleScenario):
+            raise hm
+        return hm
+
+    __call__ = model
 
     def context(self, value: float, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
         with _verdicts():
             (red_on,) = self._fault_on.reduce(self._load(value))
             red_pre, red_post = self._pair.reduce(self._load(value))
-        return _context(self.sc, red_pre, red_on, red_post, seeds)
+        return _context(self._fixed, red_pre, red_on, red_post, seeds)
 
 
 def hamiltonian_model_factory(sc: FaultScenario, param: str) -> "eq.ModelFactory":
-    """Post-fault anchored-model builder of one load parameter (`LoadFamily.model`)."""
-    return LoadFamily(sc, param).model
+    """Post-fault anchored-model builder of one load parameter: its
+    LoadFamily, which builds one value per call and many as one stack
+    (`LoadFamily.models`)."""
+    return LoadFamily(sc, param)

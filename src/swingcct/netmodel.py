@@ -318,13 +318,35 @@ class KronTemplate:
 
     def reduce(self, load: complex) -> list[ReducedNetwork]:
         """Each regime's reduction with `load` at the swept bus."""
-        Y_LL = self._LL
+        return self._reduce([load])
+
+    def reductions(self, loads: Sequence[complex]) -> list[list[ReducedNetwork] | NetworkError]:
+        """`reduce` of every load, all in one stacked solve unless one of
+        them fails: each load's regimes, or the NetworkError `reduce` raises
+        with it."""
+        try:
+            nets = self._reduce(loads)
+        except NetworkError:
+            out: list[list[ReducedNetwork] | NetworkError] = []
+            for load in loads:
+                try:
+                    out.append(self.reduce(load))
+                except NetworkError as exc:
+                    out.append(exc)
+            return out
+        k = self._LL.shape[0]
+        return [nets[i : i + k] for i in range(0, len(nets), k)]
+
+    def _reduce(self, loads: Sequence[complex]) -> list[ReducedNetwork]:
+        """The regimes' reductions of each load in turn, as one stack."""
+        tile = (len(loads), 1, 1)
+        Y_LL = np.tile(self._LL, tile)
         if self._at is not None:
-            Y_LL = Y_LL.copy()
-            Y_LL[:, self._at, self._at] += complex(load)
-            if not np.all(np.isfinite(Y_LL[:, self._at, self._at])):
+            at = Y_LL.reshape((len(loads), -1) + Y_LL.shape[1:])[:, :, self._at, self._at]
+            at += np.array(loads, dtype=complex)[:, None]
+            if not np.all(np.isfinite(at)):
                 raise NetworkError("non-finite matrix entry")
-        red = schur_complement(self._RR, self._RL, self._LR, Y_LL, True, self._dropped)
+        red = schur_complement(*(np.tile(b, tile) for b in (self._RR, self._RL, self._LR)), Y_LL, True, self._dropped)
         return ReducedNetwork.from_stack(red, self._emf)
 
 

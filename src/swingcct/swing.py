@@ -10,7 +10,6 @@ through `Coupling`.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
@@ -130,16 +129,24 @@ class Coupling:
         """One kernel whose row k evaluates the network of kernels[k]."""
         first = kernels[0]
         for k in kernels:
-            if k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act):
+            if k is not first and (
+                k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act)
+            ):
                 raise ValueError("stacked kernels need the same machines and form")
-        out = copy.copy(first)
+        out = first._copy()
         for name, axis in cls._NETWORK.items():
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels], axis=axis))
         return out
 
+    def _copy(self) -> "Coupling":
+        """A shallow copy, sharing every array."""
+        out = object.__new__(Coupling)
+        out.__dict__.update(self.__dict__)
+        return out
+
     def take(self, rows: np.ndarray) -> "Coupling":
         """The stacked kernel of the given rows of this stacked kernel."""
-        out = copy.copy(self)
+        out = self._copy()
         for name, axis in self._NETWORK.items():
             setattr(out, name, np.take(getattr(self, name), rows, axis=axis))
         return out
@@ -156,12 +163,21 @@ class Coupling:
         """d_i - d_k, i in act, of the (m, states) angles dT, as (n, m, states)."""
         return (self._K_act @ dT).reshape(self.n, self.act.size, dT.shape[1])
 
+    @property
+    def networks(self) -> int:
+        """How many networks the kernel holds: 1, or one per row of a stack."""
+        return self._Pbar_pairs.shape[0]
+
     def _power_of(self, dT: np.ndarray) -> np.ndarray:
         """`power` of the (m, states) angles dT, shape (m, states)."""
         D = self._act_diffs(dT)
-        P = self._Pbar_act * np.sin(D)
+        return self._power_from(np.sin(D), np.cos(D) if self.conductive else None)
+
+    def _power_from(self, S: np.ndarray, Co: np.ndarray | None) -> np.ndarray:
+        """`power` from the sine and cosine of `_act_diffs`, shape (m, states)."""
+        P = self._Pbar_act * S
         if self.conductive:
-            P += self._PG_act * np.cos(D)
+            P += self._PG_act * Co
         return np.add.reduce(P)
 
     def power(self, delta: np.ndarray) -> np.ndarray:
@@ -183,10 +199,27 @@ class Coupling:
         if self.conductive:
             P += self._PG_act * Co
             C -= self._PG_act * S
+        shape = np.shape(delta)
+        return np.add.reduce(P).T.reshape(shape), self._jacobian_from(C, shape)
+
+    def anchor_terms(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`conductance`, and the anchored form's `power` and `jacobian`, of
+        the same angles, from one sine and one cosine of the differences."""
+        D = self._act_diffs(self._columns(delta))
+        S, Co = np.sin(D), np.cos(D)
+        shape = np.shape(delta)
+        return (
+            np.add.reduce(self._PG_act * Co).T.reshape(shape),
+            np.add.reduce(self._Pbar_act * S).T.reshape(shape),
+            self._jacobian_from(self._Pbar_act * Co, shape),
+        )
+
+    def _jacobian_from(self, C: np.ndarray, shape: tuple) -> np.ndarray:
+        """The Jacobian of (..., m) angles of that `shape` from the terms C of
+        its entries, laid out (n, m, states)."""
         J = -C[self.act].T
         J[:, self._diag, self._diag] = np.add.reduce(C).T
-        shape = np.shape(delta)
-        return np.add.reduce(P).T.reshape(shape), J.reshape(shape + (self.act.size,))
+        return J.reshape(shape + (self.act.size,))
 
     def jacobian(self, delta: np.ndarray) -> np.ndarray:
         """d power_i / d delta_j over the modeled machines, shape (..., m, m).
@@ -197,7 +230,7 @@ class Coupling:
 
     def anchored(self) -> "Coupling":
         """The anchored form of this kernel, sharing its arrays."""
-        out = copy.copy(self)
+        out = self._copy()
         out.conductive = False
         return out
 
@@ -490,29 +523,58 @@ def integrate(field: Field, x0: np.ndarray, t_end: float, tol: float = 1e-8, ato
     return run
 
 
+class Dispatch:
+    """Mechanical powers that make (delta_pre, 0) stationary pre-fault, one
+    per pre-fault network of the same machines.
+
+    delta_pre covers the modeled machines; the infinite machine sits at 0.
+    Pre-fault angles must lie within pi/2 of each other pairwise, otherwise
+    every network is rejected.  The angles are checked, and the sine and
+    cosine of their differences taken, once for all networks.
+    """
+
+    def __init__(self, delta_pre: np.ndarray, infinite_index: int):
+        self.delta_pre = np.asarray(delta_pre, dtype=float)
+        self.infinite_index = infinite_index
+        self._trig: tuple[np.ndarray, np.ndarray] | None = None
+
+    def powers(self, reds: Sequence[ReducedNetwork]) -> list[np.ndarray | InadmissibleScenario]:
+        """Pm of the modeled machines on each network, as one stack, or the
+        InadmissibleScenario of a network on which a modeled machine does not
+        come out as a generator (Pm > 0)."""
+        act = _modeled_machines(reds[0].n, self.infinite_index)
+        kernel = Coupling.stack([Coupling(red, act) for red in reds])
+        if self._trig is None:
+            if np.any(np.abs(kernel.diffs(self.delta_pre)) >= np.pi / 2.0):
+                raise InadmissibleScenario(
+                    "pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles"
+                )
+            D = kernel._act_diffs(kernel._columns(self.delta_pre))
+            self._trig = np.sin(D), np.cos(D)
+        out: list[np.ndarray | InadmissibleScenario] = []
+        for Pm in np.ascontiguousarray(kernel._power_from(*self._trig).T):
+            if np.any(Pm <= 0.0):
+                bad = [int(i) for i in act[Pm <= 0.0]]
+                Pm = InadmissibleScenario(
+                    f"dispatch gives non-positive mechanical power for machines {bad}", code="pm-nonpositive"
+                )
+            out.append(Pm)
+        return out
+
+
 def dispatch_from_angles(
     red_pre: ReducedNetwork,
     delta_pre: np.ndarray,
     infinite_index: int,
 ) -> np.ndarray:
-    """Mechanical powers that make (delta_pre, 0) stationary pre-fault.
+    """Mechanical powers that make (delta_pre, 0) stationary pre-fault
+    (`Dispatch` of one network); raises its InadmissibleScenario.
 
-    delta_pre covers the modeled machines; the infinite machine sits at 0.
-    Returns Pm of the modeled machines.  Pre-fault angles must lie within
-    pi/2 of each other pairwise and modeled machines must come out as
-    generators (Pm > 0), otherwise the scenario is rejected.
+    Pre-fault angles must lie within pi/2 of each other pairwise and modeled
+    machines must come out as generators (Pm > 0), otherwise the scenario is
+    rejected.
     """
-    act = _modeled_machines(red_pre.n, infinite_index)
-    coupling = Coupling(red_pre, act)
-    if np.any(np.abs(coupling.diffs(delta_pre)) >= np.pi / 2.0):
-        raise InadmissibleScenario(
-            "pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles"
-        )
-    Pm = coupling.power(delta_pre)
-    if np.any(Pm <= 0.0):
-        bad = [int(i) for i in act[Pm <= 0.0]]
-        raise InadmissibleScenario(
-            f"dispatch gives non-positive mechanical power for machines {bad}",
-            code="pm-nonpositive",
-        )
+    (Pm,) = Dispatch(delta_pre, infinite_index).powers([red_pre])
+    if isinstance(Pm, InadmissibleScenario):
+        raise Pm
     return Pm

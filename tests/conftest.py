@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from swingcct import energy as en
+from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
+from swingcct.errors import EquilibriumError, InadmissibleScenario
 from swingcct.netmodel import ReducedNetwork
 from swingcct.scenario import load_scenario
 from swingcct.swing import GeneratorParams
@@ -84,3 +86,49 @@ def smib(Pm: float = 0.5, Pbar: float = 1.0, M: float = 0.1):
 def pendulum():
     """Unloaded single-machine system: SEP at 0, saddle at pi."""
     return smib(Pm=0.0)
+
+
+def serial_lockstep(factory, tracers):
+    """Run the tracers of one checkpoint together: each round makes one
+    factory call per value asked for and one Newton stack per value."""
+    answers = dict.fromkeys(range(len(tracers)))
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            try:
+                param, guess = tracers[i].send(answer)
+            except StopIteration:
+                continue
+            requests.setdefault(param, []).append((i, guess))
+        answers = {}
+        for param, asks in requests.items():
+            try:
+                hm = factory(param)
+            except (InadmissibleScenario, EquilibriumError) as exc:
+                answers.update((i, exc) for i, _guess in asks)
+                continue
+            points = eq._correct_rows([hm] * len(asks), np.array([guess for _i, guess in asks]))
+            answers.update((i, point) for (i, _guess), point in zip(asks, points))
+
+
+def serial_continue_branch(factory, prange, initial_step=0.05):
+    """`equilibria.continue_branch` as it was before its checkpoints were
+    pipelined, kept as its oracle: the new branches of a checkpoint are
+    traced together (`serial_lockstep`) only after every branch of every
+    earlier checkpoint has ended."""
+    lo, hi = prange
+    spacing = (hi - lo) * eq._CHECKPOINT_STEP
+    branches, points = [], None
+    for cp in map(float, np.arange(lo, hi + 0.5 * spacing, spacing)):
+        try:
+            hm = factory(cp)
+        except (InadmissibleScenario, EquilibriumError):
+            points = None
+            continue
+        points = eq.stationary_points(hm, seeds=points)
+        fresh = eq._uncovered(hm, cp, points, branches, initial_step)
+        halves = [(eq.Branch(points=[(cp, seed)]), end) for seed in fresh for end in (hi, lo)]
+        serial_lockstep(factory, [eq._trace(half, end, initial_step) for half, end in halves])
+        for (fwd, _hi), (bwd, _lo) in zip(halves[::2], halves[1::2]):
+            branches.append(eq.Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds))
+    return branches

@@ -5,6 +5,8 @@ evaluation, so that batching states never changes a result.  The same holds
 for kernels stacked over networks and for stacked integration runs.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +222,37 @@ def test_stacked_newton_equals_single_starts(case, seed):
         Xi, ci = eq._newton(cp, drive, start[None, :])
         assert converged[i] == ci[0]
         assert same_bits(X[i], Xi[0])
+
+
+def test_stacked_newton_with_a_network_and_drive_per_row():
+    """On random networks, rows with their own network and drive, which
+    leave the stack at different iterations, each get the bits they get
+    alone."""
+    lengths = set()
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        act = np.delete(np.arange(n), seed % n)
+        kernels = []
+        for _row in range(6):
+            G, B = rng.uniform(-5.0, 5.0, (2, n, n))
+            E = rng.uniform(0.5, 1.5, n)
+            Pbar = np.outer(E, E) * (B + B.T)
+            np.fill_diagonal(Pbar, 0.0)
+            red = ReducedNetwork(n=n, G=G + G.T, B=B + B.T, Pbar=Pbar, E=E)
+            kernels.append(Coupling(red, act, conductive=bool(seed % 2)))
+        drives = rng.uniform(-1.0, 1.0, (6, n - 1))
+        starts = rng.uniform(-np.pi, np.pi, (6, n - 1))
+        X, converged = eq._newton(Coupling.stack(kernels), drives, starts)
+        runs, evaluate = [], Coupling.power_jacobian
+        for kernel, drive, start, x, ok in zip(kernels, drives, starts, X, converged):
+            with mock.patch.object(Coupling, "power_jacobian", autospec=True, side_effect=evaluate) as pj:
+                Xi, ci = eq._newton(kernel, drive, start[None, :])
+            runs.append((pj.call_count, bool(ci[0])))
+            assert ok == ci[0] and same_bits(x, Xi[0])
+        lengths.add(len(set(runs)))
+    # stacks whose rows converge and fail after different numbers of iterations
+    assert max(lengths) >= 4
 
 
 # The stage-by-stage Dormand-Prince stepper the fused stage sums replaced,

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import smib
+from conftest import serial_continue_branch, smib
 from test_coupling import network, same_bits
 from swingcct import energy as en
 from swingcct import equilibria as eq
@@ -141,11 +141,11 @@ def solved_systems(run):
 
 
 def test_lean_newton_equals_parent_loop():
-    """On random networks, forms and stacks, with and without the stall
-    rule, the loop gives the parent loop's iterates and converged bits and
-    solves the same systems.  The stacks hold rows that start converged, rows
-    dropped for a near-singular Jacobian, stall-retired rows and, under a
-    NaN drive, rows stepped to non-finite iterates."""
+    """On random networks, forms and stacks, the loop gives the parent
+    loop's iterates and converged bits under the stall rule and solves the
+    same systems.  The stacks hold rows that start converged, rows dropped
+    for a near-singular Jacobian, stall-retired rows and, under a NaN drive,
+    rows stepped to non-finite iterates."""
     exits = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -166,13 +166,12 @@ def test_lean_newton_equals_parent_loop():
             # the roots found, and every angle off the infinite one by pi/2,
             # where the anchored Jacobian of one modeled machine is about 1e-16
             starts = np.vstack([starts, X[converged], np.full((1, n - 1), np.pi / 2)])
-            for stall in (None, eq._STALL):
-                (new, new_ok), new_rhs = solved_systems(lambda: eq._newton(cp, drive, starts, stall))
-                (old, old_ok), old_rhs = solved_systems(lambda: parent_newton(cp, drive, starts, stall, exits))
-                assert same_bits(new, old) and same_bits(new_ok, old_ok)
-                # a NaN-residual row that steps is dropped with its iterate
-                # unchanged: only the solved systems show that it stepped
-                assert same_bits(new_rhs, old_rhs)
+            (new, new_ok), new_rhs = solved_systems(lambda: eq._newton(cp, drive, starts))
+            (old, old_ok), old_rhs = solved_systems(lambda: parent_newton(cp, drive, starts, eq._STALL, exits))
+            assert same_bits(new, old) and same_bits(new_ok, old_ok)
+            # a NaN-residual row that steps is dropped with its iterate
+            # unchanged: only the solved systems show that it stepped
+            assert same_bits(new_rhs, old_rhs)
     assert exits == {"converged at the start", "singular", "stalled", "non-finite"}
 
 
@@ -285,9 +284,10 @@ def enumeration_bytes(hm, **kw):
 
 
 def full_run_bytes(hm, **kw):
-    """The enumeration with every start kept for all of its iterations."""
+    """The enumeration with every start of every Newton run kept for all of
+    its iterations: the parent loop without the stall rule."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_STALL", None)
+        mp.setattr(eq, "_newton", lambda coupling, drive, starts: parent_newton(coupling, drive, starts, None, set()))
         return enumeration_bytes(hm, **kw)
 
 
@@ -521,7 +521,7 @@ def nearest_point(br, param, reach):
 
 def refit_alone(hm, delta):
     """A one-row corrector run of delta on hm."""
-    return eq._correct_rows(hm, np.asarray(delta, dtype=float)[None, :])[0]
+    return eq._correct_rows([hm], np.asarray(delta, dtype=float)[None, :])[0]
 
 
 def test_branch_checkpoints_coincide_with_enumeration(bc_branches):
@@ -611,23 +611,15 @@ def test_continue_branch_bad_range_or_step_raises(wscc, monkeypatch, prange, ste
         eq.continue_branch(wscc, prange, initial_step=step, param="8.B")
 
 
-def serve_alone(factory, tracers):
-    """The branches of the tracers run one after another, each request
-    answered by its own factory call and a one-row Newton run."""
-    branches = []
-    for tracer in tracers:
-        answer = None
-        while True:
-            try:
-                param, guess = tracer.send(answer)
-            except StopIteration as stop:
-                branches.append(stop.value)
-                break
-            try:
-                answer = refit_alone(factory(param), guess)
-            except (InadmissibleScenario, EquilibriumError) as exc:
-                answer = exc
-    return branches
+def serve_alone(build, requests):
+    """A round's requests answered one by one, each by its own model build
+    and a one-row Newton run."""
+    answers = {}
+    for param, asks in requests.items():
+        for i, guess in asks:
+            (model,) = build([param])
+            answers[i] = refit_alone(model, guess) if isinstance(model, en.HamiltonianModel) else model
+    return answers
 
 
 def branch_bytes(branches):
@@ -643,7 +635,7 @@ def branch_bytes(branches):
 
 def traced_alone(factory, prange, step):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_lockstep", serve_alone)
+        mp.setattr(eq, "_round", serve_alone)
         return eq.continue_branch(factory, prange, initial_step=step)
 
 
@@ -737,3 +729,37 @@ def test_branch_trace_factory_calls(wscc):
     eq.continue_branch(counted, (-10.0, 0.0), initial_step=0.05)
     assert len(calls) == 404
     assert len(set(calls)) == 403
+
+
+@pytest.mark.parametrize(
+    "param, prange", [("8.B", (-10.0, 0.0)), ("8.G", (0.0, 9.0)), ("6.B", (-10.0, 0.0)), ("2.B", (-1.0, 0.0))]
+)
+def test_pipelined_trace_equals_serial_trace(wscc, param, prange):
+    """Seeding a checkpoint as soon as every earlier forward trace has
+    passed it gives the branches of tracing one checkpoint after the other,
+    bit for bit."""
+    factory = fs.hamiltonian_model_factory(wscc, param)
+    assert branch_bytes(eq.continue_branch(factory, prange)) == branch_bytes(serial_continue_branch(factory, prange))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(model_families())
+def test_pipelined_trace_equals_serial_trace_on_random_networks(factory):
+    """One and two modeled angles, with folds and a domain edge."""
+    pipelined = eq.continue_branch(factory, (0.0, 1.0), initial_step=0.1)
+    assert branch_bytes(pipelined) == branch_bytes(serial_continue_branch(factory, (0.0, 1.0), 0.1))
+
+
+def test_pipelined_trace_rounds(wscc, monkeypatch):
+    """The acceptance range runs in 200 rounds, where tracing one checkpoint
+    after the other takes 310, and some rounds build several values."""
+    rounds, serve = [], eq._round
+
+    def counted(build, requests):
+        rounds.append(len(requests))
+        return serve(build, requests)
+
+    monkeypatch.setattr(eq, "_round", counted)
+    eq.continue_branch(fs.hamiltonian_model_factory(wscc, "8.B"), (-10.0, 0.0))
+    assert len(rounds) <= 200
+    assert max(rounds) >= 3

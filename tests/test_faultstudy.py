@@ -396,6 +396,39 @@ def test_factory_equals_rebuilt_network(wscc, param, values):
         assert model_bytes(factory(value)) == model_bytes(rebuilt_model(wscc, bus, part, value)), value
 
 
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        # 9.0 has no SEP; a value may come twice
+        ("8.G", [0.0, 9.0, 6.0, 8.5, 9.0, 6.0]),
+        ("8.B", [-10.0, -5.0, -3.0, 0.0]),
+        ("2.B", [-1.0, -0.7, -0.3, -0.05]),
+    ],
+)
+def test_family_models_equal_model_per_value(wscc, param, values):
+    """One stacked build of many values gives each value the model of its
+    own build, bit for bit, or the exception that build raises."""
+    family = fs.LoadFamily(wscc, param)
+    for value, got in zip(values, family.models(values), strict=True):
+        try:
+            want = family.model(value)
+        except InadmissibleScenario as exc:
+            assert (type(got), got.code, str(got)) == (type(exc), exc.code, str(exc)), value
+            continue
+        assert model_bytes(got) == model_bytes(want), value
+        assert model_bytes(got) == model_bytes(rebuilt_model(wscc, *param.split("."), value)), value
+
+
+def test_family_models_fail_as_model_does(wscc):
+    """A scenario that fails at every value fails every value of a stacked
+    build; a non-finite value raises, as it does alone."""
+    angles = {k: v for k, v in wscc.prefault_angles.items() if k != "2"}
+    missing = fs.LoadFamily(replace(wscc, prefault_angles=angles), "8.B")
+    assert [exc.code for exc in missing.models([-1.0, 0.0])] == ["bad-angles", "bad-angles"]
+    with pytest.raises(NetworkError, match="non-finite matrix entry"):
+        fs.LoadFamily(wscc, "8.B").models([-1.0, np.nan])
+
+
 def field_bits(x):
     """The compared fields of a (nested) dataclass, numbers and arrays as bytes."""
     if dataclasses.is_dataclass(x):

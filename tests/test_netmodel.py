@@ -368,6 +368,40 @@ def test_template_equals_rebuilt_network(case, data):
         assert [reduced_bytes(r) for r in got] == [reduced_bytes(r) for r in rebuilt]
 
 
+@settings(max_examples=40, deadline=None)
+@given(swept_networks(), st.data())
+def test_template_reductions_equal_reduce_per_load(case, data):
+    """One stacked solve over many loads gives each load the bits of its own
+    `reduce`, in the order of the loads."""
+    net, extra_line, bus, load = case
+    template = nm.KronTemplate([net, nm.apply_clearing(net, extra_line)], bus)
+    loads = [load] + data.draw(st.lists(st.builds(complex, st.floats(0.0, 2.0), st.floats(-2.0, 2.0)), max_size=4))
+    for load, got in zip(loads, template.reductions(loads), strict=True):
+        try:
+            want = template.reduce(load)
+        except SingularNetworkError as exc:
+            assert isinstance(got, SingularNetworkError) and str(got) == str(exc)
+            continue
+        assert [reduced_bytes(r) for r in got] == [reduced_bytes(r) for r in want]
+
+
+def test_template_reductions_keep_each_load_failure():
+    """A load that leaves the eliminated block singular, or is not finite,
+    fails alone: every other load keeps its reduction."""
+    net = nm.BusNetwork(
+        buses=(nm.Bus("i", "infinite"), nm.Bus("g", "generator"), nm.Bus("dangling")),
+        branches=(nm.Branch("l", "i", "g", -5j),),
+        shunt_loads={},
+        generators={b: nm.Generator(b, emf=1.0, xd_prime=0.2, inertia=5.0) for b in ("i", "g")},
+    )
+    template = nm.KronTemplate([net], "dangling")
+    ok, singular, nan, other = template.reductions([1j, 0j, complex(np.nan, 0.0), 2j])
+    assert isinstance(singular, SingularNetworkError) and "dangling" in str(singular)
+    assert type(nan) is NetworkError and str(nan) == "non-finite matrix entry"
+    for load, got in ((1j, ok), (2j, other)):
+        assert [reduced_bytes(r) for r in got] == [reduced_bytes(r) for r in template.reduce(load)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(swept_networks(), st.integers(0, 2**32 - 1))
 def test_template_nodal_oracle(case, seed):
