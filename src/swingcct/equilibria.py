@@ -162,13 +162,6 @@ def _typed(hm: HamiltonianModel | _Rows, deltas: np.ndarray, jacobian: np.ndarra
     return points
 
 
-def _equilibrium_point(hm: HamiltonianModel, delta: np.ndarray) -> EquilibriumPoint:
-    (point,), _gradient = _classified(hm, delta)
-    if point is None:
-        raise EquilibriumError("marginal equilibrium: eigenvalue at the origin")
-    return point
-
-
 def find_seps(
     reds: Sequence[ReducedNetwork],
     gps: Sequence[GeneratorParams],

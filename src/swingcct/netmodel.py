@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -151,12 +151,6 @@ class ComplexMatrix:
             raise NetworkError("non-finite matrix entry")
         object.__setattr__(self, "values", v)
 
-    def index(self, node: str) -> int:
-        try:
-            return self.nodes.index(node)
-        except ValueError:
-            raise NetworkError(f"no node {node!r}") from None
-
 
 @dataclass(frozen=True)
 class ReducedNetwork:
@@ -245,62 +239,38 @@ def _blocks(A: np.ndarray, keep: list[int], drop: list[int]) -> list[np.ndarray]
     return [A[np.ix_(r, c)] for r, c in ((keep, keep), (keep, drop), (drop, keep), (drop, drop))]
 
 
-def _symmetric(A: np.ndarray) -> bool:
-    """Whether A equals its transpose up to roundoff."""
-    return bool(np.allclose(A, A.T, rtol=0.0, atol=1e-9 * max(1.0, np.abs(A).max())))
-
-
 def schur_complement(
-    Y_RR: np.ndarray, Y_RL: np.ndarray, Y_LR: np.ndarray, Y_LL: np.ndarray, symmetric: bool, dropped: Sequence[str]
+    Y_RR: np.ndarray, Y_RL: np.ndarray, Y_LR: np.ndarray, Y_LL: np.ndarray, dropped: Sequence[str]
 ) -> np.ndarray:
-    """Y_RR - Y_RL Y_LL^{-1} Y_LR of one matrix or of a stack (k, ., .).
-
-    With `symmetric` the result is symmetrised to scrub roundoff.  A
-    singular Y_LL raises SingularNetworkError naming the eliminated nodes
-    `dropped`.
+    """Y_RR - Y_RL Y_LL^{-1} Y_LR of one matrix or of a stack (k, ., .),
+    symmetrised to scrub roundoff (the reduction of a symmetric matrix is
+    symmetric).  A singular Y_LL raises SingularNetworkError naming the
+    eliminated nodes `dropped`.
     """
     try:
         X = np.linalg.solve(Y_LL, Y_LR)
     except np.linalg.LinAlgError:
         raise SingularNetworkError(f"singular eliminated block for bus set {list(dropped)}") from None
     red = Y_RR - Y_RL @ X
-    if symmetric:
-        red = 0.5 * (red + np.swapaxes(red, -1, -2))
-    return red
-
-
-def kron_reduce(Y: ComplexMatrix, retained: Iterable[str]) -> ComplexMatrix:
-    """Schur-complement elimination of every node not in `retained`.
-
-    Y_red = Y_RR - Y_RL Y_LL^{-1} Y_LR.  Symmetry of the input is preserved
-    (the result is explicitly symmetrised to scrub roundoff).
-    """
-    keep, drop = _partition(Y, list(retained))
-    order = tuple(Y.nodes[i] for i in keep)
-    if not drop:
-        return ComplexMatrix(values=Y.values.copy(), nodes=order)
-    A = Y.values
-    red = schur_complement(*_blocks(A, keep, drop), _symmetric(A), [Y.nodes[i] for i in drop])
-    return ComplexMatrix(values=red, nodes=order)
+    return 0.5 * (red + np.swapaxes(red, -1, -2))
 
 
 class KronTemplate:
     """Kron reductions of regimes of one network to the generator internal
-    nodes, as a function of the shunt load at one bus.
+    nodes, as a function of the shunt load at one bus, or of none.
 
     The regimes share their nodes (they differ in branches, as pre-fault and
     post-fault do).  Everything but the swept load is assembled once: each
     regime's build_ybus without that load, split into its retained and
     eliminated blocks, and the EMFs.  `reduce(load)` adds the load to its
-    diagonal entry (none where a fault grounds the swept bus), which is
-    build_ybus's last stamp there, and eliminates all regimes in one stacked
-    solve, symmetrised as kron_reduce symmetrises every Y_BUS (build_ybus
-    stamps each off-diagonal pair alike): the reductions of
-    reduce_to_generators bit for bit.
+    diagonal entry, which is build_ybus's last stamp there, and eliminates
+    all regimes in one stacked solve: the reductions of the networks rebuilt
+    with the load, bit for bit.  Where a fault grounds the swept bus, or
+    `bus` is None, no entry takes the load.
     """
 
-    def __init__(self, nets: Sequence[BusNetwork], bus: str):
-        if bus not in {b.id for b in nets[0].buses}:
+    def __init__(self, nets: Sequence[BusNetwork], bus: str | None = None):
+        if bus is not None and bus not in {b.id for b in nets[0].buses}:
             raise NetworkError(f"no bus {bus!r}")
         retained = [internal_node(b) for b in nets[0].generator_buses]
         self._emf = np.array([nets[0].generators[b].emf for b in nets[0].generator_buses])
@@ -346,7 +316,7 @@ class KronTemplate:
             at += np.array(loads, dtype=complex)[:, None]
             if not np.all(np.isfinite(at)):
                 raise NetworkError("non-finite matrix entry")
-        red = schur_complement(*(np.tile(b, tile) for b in (self._RR, self._RL, self._LR)), Y_LL, True, self._dropped)
+        red = schur_complement(*(np.tile(b, tile) for b in (self._RR, self._RL, self._LR)), Y_LL, self._dropped)
         return ReducedNetwork.from_stack(red, self._emf)
 
 
@@ -405,10 +375,7 @@ def set_load(net: BusNetwork, bus_id: str, Y: complex) -> BusNetwork:
 
 
 def reduce_to_generators(net: BusNetwork) -> ReducedNetwork:
-    """Build, ground, and reduce down to the generator internal nodes."""
-    Y = build_ybus(net)
-    retained = [internal_node(b) for b in net.generator_buses]
-    red = kron_reduce(Y, retained)
-    emf = [net.generators[b].emf for b in net.generator_buses]
-    (reduced,) = ReducedNetwork.from_stack(red.values[None], emf)
+    """Build, ground, and reduce down to the generator internal nodes: the
+    one-regime KronTemplate of `net`, which has no swept bus to take a load."""
+    (reduced,) = KronTemplate([net]).reduce(0j)
     return reduced

@@ -560,21 +560,3 @@ class Dispatch:
                 )
             out.append(Pm)
         return out
-
-
-def dispatch_from_angles(
-    red_pre: ReducedNetwork,
-    delta_pre: np.ndarray,
-    infinite_index: int,
-) -> np.ndarray:
-    """Mechanical powers that make (delta_pre, 0) stationary pre-fault
-    (`Dispatch` of one network); raises its InadmissibleScenario.
-
-    Pre-fault angles must lie within pi/2 of each other pairwise and modeled
-    machines must come out as generators (Pm > 0), otherwise the scenario is
-    rejected.
-    """
-    (Pm,) = Dispatch(delta_pre, infinite_index).powers([red_pre])
-    if isinstance(Pm, InadmissibleScenario):
-        raise Pm
-    return Pm

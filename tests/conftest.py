@@ -6,7 +6,8 @@ import pytest
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
-from swingcct.errors import EquilibriumError, InadmissibleScenario
+from swingcct import netmodel as nm
+from swingcct.errors import EquilibriumError, InadmissibleScenario, SingularNetworkError
 from swingcct.netmodel import ReducedNetwork
 from swingcct.scenario import load_scenario
 from swingcct.swing import GeneratorParams
@@ -32,6 +33,28 @@ def wscc_lossless(wscc):
     for bus in ("5", "6", "8"):
         sc = sc.with_load(bus, complex(0.1, sc.net.shunt_loads[bus].imag))
     return sc
+
+
+def rebuilt_reduction(net):
+    """A regime's reduction to the generator internal nodes the long way, as
+    the oracle of `netmodel.KronTemplate`: build_ybus of the whole network,
+    a partition into retained and eliminated nodes, one 2-D solve and a
+    symmetrisation; raises SingularNetworkError naming the eliminated bus
+    set, as the template does."""
+    Y = nm.build_ybus(net)
+    gens = net.generator_buses
+    retained = {nm.internal_node(b) for b in gens}
+    keep = [i for i, node in enumerate(Y.nodes) if node in retained]
+    drop = [i for i, node in enumerate(Y.nodes) if node not in retained]
+    A = Y.values
+    try:
+        X = np.linalg.solve(A[np.ix_(drop, drop)], A[np.ix_(drop, keep)])
+    except np.linalg.LinAlgError:
+        raise SingularNetworkError(f"singular eliminated block for bus set {[Y.nodes[i] for i in drop]}") from None
+    red = A[np.ix_(keep, keep)] - A[np.ix_(keep, drop)] @ X
+    red = 0.5 * (red + red.T)
+    (reduced,) = ReducedNetwork.from_stack(red[None], [net.generators[b].emf for b in gens])
+    return reduced
 
 
 def with_part(sc, bus, part, value):

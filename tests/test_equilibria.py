@@ -180,14 +180,21 @@ def test_lean_newton_equals_parent_loop():
 # ---------------------------------------------------------------------------
 
 
+def classified(hm, delta):
+    """The EquilibriumPoint `_classified` makes of one stationary point, or
+    None where it is marginal."""
+    (point,), _gradient = eq._classified(hm, delta)
+    return point
+
+
 def test_classify_sep_is_type_zero(nominal_ctx):
-    assert eq._equilibrium_point(nominal_ctx.hm, nominal_ctx.sep.delta).type_index == 0
+    assert classified(nominal_ctx.hm, nominal_ctx.sep.delta).type_index == 0
 
 
 def test_classify_pendulum_saddle(pendulum):
     red, gp = pendulum
     _sep, hm = eq.find_sep(red, gp, np.zeros(1))
-    saddle = eq._equilibrium_point(hm, np.array([np.pi]))
+    saddle = classified(hm, np.array([np.pi]))
     assert saddle.type_index == 1
     spectrum = saddle.spectrum
     expected = np.sqrt(red.Pbar[0, 1] / gp.M[0])
@@ -198,8 +205,10 @@ def test_classify_marginal_verdict():
     red = ReducedNetwork(n=2, G=np.zeros((2, 2)), B=np.zeros((2, 2)), Pbar=np.zeros((2, 2)), E=np.ones(2))
     gp = GeneratorParams(M=np.array([0.1]), Pm=np.zeros(1), infinite_index=1)
     hm = en.HamiltonianModel.at_anchor(red, gp, np.zeros(1))
+    assert classified(hm, np.array([0.4])) is None
+    # every angle is stationary and marginal: the SEP search names it
     with pytest.raises(EquilibriumError, match="marginal"):
-        eq._equilibrium_point(hm, np.array([0.4]))
+        eq.find_sep(red, gp, np.array([0.4]))
 
 
 def test_classify_matches_hessian_inertia(nominal_ctx):
@@ -231,7 +240,7 @@ def test_stack_classification_keeps_one_call_spectra():
 def test_classification_reproducible_by_fresh_eigensolve(nominal_ctx):
     ctx = nominal_ctx
     for p in eq.stationary_points(ctx.hm):
-        spectrum = eq._equilibrium_point(ctx.hm, p.delta).spectrum
+        spectrum = classified(ctx.hm, p.delta).spectrum
         assert int(np.sum(spectrum.real > 1e-9)) == p.type_index
 
 

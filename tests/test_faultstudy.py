@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import cct, fault_on, stable, with_part
+from conftest import cct, fault_on, rebuilt_reduction, stable, with_part
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -357,16 +357,19 @@ def test_regimes_shapes(wscc):
 
 def rebuilt_model(sc, bus, part, value):
     """The factory's model the long way: a new network for the value, then
-    clearing, Kron reduction, the machine constants, dispatch and the SEP
-    search."""
+    clearing, Kron reduction (`rebuilt_reduction`), the machine constants,
+    dispatch and the SEP search."""
     sc_p = with_part(sc, bus, part, value)
-    red_pre, red_post = (nm.reduce_to_generators(net) for net in (sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch)))
+    red_pre, red_post = (rebuilt_reduction(net) for net in (sc_p.net, nm.apply_clearing(sc_p.net, sc_p.clearing_branch)))
     gens = sc_p.net.generator_buses
     inf = gens.index(sc_p.net.infinite_bus)
     modeled = [b for i, b in enumerate(gens) if i != inf]
     delta_pre = np.array([sc_p.prefault_angles[b] for b in modeled])
     M = np.array([2.0 * sc_p.net.generators[b].inertia / (2.0 * np.pi * sc_p.net.frequency) for b in modeled])
-    gp = sw.GeneratorParams(M=M, Pm=sw.dispatch_from_angles(red_pre, delta_pre, inf), infinite_index=inf)
+    (Pm,) = sw.Dispatch(delta_pre, inf).powers([red_pre])
+    if isinstance(Pm, InadmissibleScenario):
+        raise Pm
+    gp = sw.GeneratorParams(M=M, Pm=Pm, infinite_index=inf)
     try:
         return eq.find_sep(red_post, gp, delta_pre)[1]
     except EquilibriumError as exc:
@@ -456,9 +459,11 @@ def field_bits(x):
 )
 def test_sweep_context_equals_rebuilt_scenario(request, param, values):
     """A sweep point's context is build_context of the scenario rebuilt with
-    its value, field by field and bit for bit; where that is inadmissible,
-    the point is too, with the same code and message.  A (fixture, path)
-    param sweeps the scenario of that fixture instead of the bundled one."""
+    its value, field by field and bit for bit, and its three reductions are
+    those of the rebuilt regimes (`rebuilt_reduction`); where that is
+    inadmissible, the point is too, with the same code and message.  A
+    (fixture, path) param sweeps the scenario of that fixture instead of the
+    bundled one."""
     case, param = param if isinstance(param, tuple) else ("wscc", param)
     sc = request.getfixturevalue(case)
     bus, part = param.split(".")
@@ -476,6 +481,9 @@ def test_sweep_context_equals_rebuilt_scenario(request, param, values):
             assert field_bits(getattr(got, name)) == field_bits(getattr(want, name)), (value, name)
         for name in ("red_on", "Pa_on"):
             assert field_bits(getattr(got.fom, name)) == field_bits(getattr(want.fom, name)), (value, name)
+        net = with_part(sc, bus, part, value).net
+        rebuilt = [rebuilt_reduction(n) for n in (net, nm.apply_fault(net, sc.fault_bus), nm.apply_clearing(net, sc.clearing_branch))]
+        assert field_bits([got.red_pre, got.fom.red_on, got.red_post]) == field_bits(rebuilt), value
 
 
 @pytest.mark.parametrize("fault_bus", ["99", "1"])

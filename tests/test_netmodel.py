@@ -16,6 +16,8 @@ import swingcct.netmodel as nm
 from swingcct.errors import NetworkError, SingularNetworkError
 from swingcct.faultstudy import regimes
 
+from conftest import rebuilt_reduction
+
 RNG = np.random.default_rng(42)
 
 
@@ -31,7 +33,7 @@ def two_bus(y=1.0 - 5.0j):
 
 def nodal_currents(Y: nm.ComplexMatrix, retained: list[str], V_R: np.ndarray) -> np.ndarray:
     """Injected currents at retained nodes, zero injection elsewhere."""
-    keep = [Y.index(r) for r in retained]
+    keep = [Y.nodes.index(r) for r in retained]
     drop = [i for i in range(len(Y.nodes)) if i not in keep]
     A = Y.values
     if drop:
@@ -65,7 +67,7 @@ def test_wscc_shunt_loads_on_diagonal(wscc):
     """The published load values appear summed into the bus diagonals."""
     Y = nm.build_ybus(wscc.net)
     for bus, load in (("5", 1.261 - 0.2634j), ("6", 0.8777 - 0.0346j), ("8", 0.969 - 0.1601j)):
-        i = Y.index(bus)
+        i = Y.nodes.index(bus)
         without = nm.build_ybus(nm.set_load(wscc.net, bus, 0j))
         assert Y.values[i, i] - without.values[i, i] == pytest.approx(load, abs=1e-12)
 
@@ -81,68 +83,89 @@ def test_generator_nodes_appended(wscc):
     assert len(Y.nodes) == 9 + 3
     # internal node connects through 1/(j x'_d)
     g = wscc.net.generators["2"]
-    i, j = Y.index("2"), Y.index(nm.internal_node("2"))
+    i, j = Y.nodes.index("2"), Y.nodes.index(nm.internal_node("2"))
     assert Y.values[i, j] == pytest.approx(-1.0 / (1j * g.xd_prime))
     assert np.allclose(Y.values, Y.values.T)
 
 
 # ---------------------------------------------------------------------------
-# kron_reduce
+# Kron reduction: schur_complement of raw matrices, reduce_to_generators of networks
 # ---------------------------------------------------------------------------
 
 
+def matrix(red):
+    """The reduced admittance matrix of a ReducedNetwork."""
+    return red.G + 1j * red.B
+
+
+def schur(A, retained):
+    """schur_complement of the square matrix A onto the indices `retained`."""
+    drop = [i for i in range(len(A)) if i not in retained]
+    return nm.schur_complement(*nm._blocks(A, list(retained), drop), [f"n{i}" for i in drop])
+
+
 def test_kron_identity():
+    """Eliminating nothing leaves the matrix as it is: a raw matrix through
+    schur_complement, and a network whose buses are all grounded, so that
+    only the internal nodes remain, through reduce_to_generators."""
     net, y = two_bus()
+    A = nm.build_ybus(net).values
+    assert np.array_equal(schur(A, [0, 1]), A)
+    gens = {b: nm.Generator(bus=b, emf=1.0, xd_prime=0.2, inertia=5.0) for b in ("a", "b")}
+    net = nm.BusNetwork(
+        buses=(nm.Bus("a", "generator"), nm.Bus("b", "generator")),
+        branches=(nm.Branch(id="ab", from_bus="a", to_bus="b", y_series=y),),
+        shunt_loads={}, generators=gens, grounded=("a", "b"),
+    )
     Y = nm.build_ybus(net)
-    red = nm.kron_reduce(Y, ["a", "b"])
-    assert np.array_equal(red.values, Y.values)
+    assert Y.nodes == (nm.internal_node("a"), nm.internal_node("b"))
+    red = nm.reduce_to_generators(net)
+    assert np.array_equal(red.G, Y.values.real) and np.array_equal(red.B, Y.values.imag)
 
 
 def test_kron_series_shunt_chain():
-    y, y_L = 2.0 - 8.0j, 0.9 - 0.4j
+    y, y_L, x_d = 2.0 - 8.0j, 0.9 - 0.4j, 0.3
     net = nm.BusNetwork(
-        buses=(nm.Bus("a"), nm.Bus("load")),
+        buses=(nm.Bus("a", "generator"), nm.Bus("load")),
         branches=(nm.Branch(id="al", from_bus="a", to_bus="load", y_series=y),),
         shunt_loads={"load": y_L},
-        generators={},
+        generators={"a": nm.Generator(bus="a", emf=1.0, xd_prime=x_d, inertia=5.0)},
     )
-    red = nm.kron_reduce(nm.build_ybus(net), ["a"])
-    assert red.values[0, 0] == pytest.approx(y * y_L / (y + y_L), rel=1e-14)
+    y_g, y_a = 1.0 / (1j * x_d), y * y_L / (y + y_L)
+    red = nm.reduce_to_generators(net)
+    assert matrix(red)[0, 0] == pytest.approx(y_g * y_a / (y_g + y_a), rel=1e-14)
 
 
 def test_kron_wscc_full_nodal_oracle(wscc):
     """Reduced matrix reproduces the full nodal solve for random phasors."""
     Y = nm.build_ybus(wscc.net)
     retained = [nm.internal_node(b) for b in wscc.net.generator_buses]
-    red = nm.kron_reduce(Y, retained)
+    red = nm.reduce_to_generators(wscc.net)
     for _ in range(10):
         V_R = RNG.normal(size=3) * np.exp(1j * RNG.uniform(-np.pi, np.pi, size=3))
         expected = nodal_currents(Y, retained, V_R)
-        assert np.max(np.abs(red.values @ V_R - expected)) <= 1e-10
+        assert np.max(np.abs(matrix(red) @ V_R - expected)) <= 1e-10
 
 
 def test_kron_singular_block_reports_buses():
     # isolated eliminated bus: its diagonal is zero, Y_LL singular
     net = nm.BusNetwork(
-        buses=(nm.Bus("a"), nm.Bus("dangling")),
+        buses=(nm.Bus("i", "infinite"), nm.Bus("dangling")),
         branches=(),
-        shunt_loads={"a": 1.0 + 0j},
-        generators={},
+        shunt_loads={"i": 1.0 + 0j},
+        generators={"i": nm.Generator(bus="i", emf=1.0, xd_prime=0.2, inertia=5.0)},
     )
-    with pytest.raises(NetworkError, match="dangling"):
-        nm.kron_reduce(nm.build_ybus(net), ["a"])
+    with pytest.raises(SingularNetworkError, match="dangling"):
+        nm.reduce_to_generators(net)
 
 
 def test_kron_staged_composability():
     n = 8
     A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
     A = A + A.T + np.diag(10.0 + RNG.uniform(1, 2, n))  # symmetric, well conditioned
-    nodes = tuple(f"n{i}" for i in range(n))
-    Y = nm.ComplexMatrix(values=A, nodes=nodes)
-    final = ["n0", "n1", "n2"]
-    one_shot = nm.kron_reduce(Y, final)
-    staged = nm.kron_reduce(nm.kron_reduce(Y, ["n0", "n1", "n2", "n3", "n4"]), final)
-    assert np.max(np.abs(one_shot.values - staged.values)) <= 1e-10
+    one_shot = schur(A, [0, 1, 2])
+    staged = schur(schur(A, [0, 1, 2, 3, 4]), [0, 1, 2])
+    assert np.max(np.abs(one_shot - staged)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +207,24 @@ def test_fault_pinned_voltage_oracle(wscc):
     """Fault-on reduction equals pinning the faulted bus voltage to zero."""
     Y = nm.build_ybus(wscc.net)  # unfaulted assembly
     retained = [nm.internal_node(b) for b in wscc.net.generator_buses]
-    red_on = nm.kron_reduce(nm.build_ybus(nm.apply_fault(wscc.net, "7")), retained)
+    red_on = matrix(nm.reduce_to_generators(nm.apply_fault(wscc.net, "7")))
 
-    keep = [Y.index(r) for r in retained]
-    pin = Y.index("7")
+    keep = [Y.nodes.index(r) for r in retained]
+    pin = Y.nodes.index("7")
     drop = [i for i in range(len(Y.nodes)) if i not in keep and i != pin]
     A = Y.values
     for _ in range(5):
         V_R = RNG.normal(size=3) + 1j * RNG.normal(size=3)
         V_L = np.linalg.solve(A[np.ix_(drop, drop)], -A[np.ix_(drop, keep)] @ V_R)
         I_R = A[np.ix_(keep, keep)] @ V_R + A[np.ix_(keep, drop)] @ V_L
-        assert np.max(np.abs(red_on.values @ V_R - I_R)) <= 1e-10
+        assert np.max(np.abs(red_on @ V_R - I_R)) <= 1e-10
 
 
 def test_clearing_touches_only_branch_entries(wscc):
     Y_pre = nm.build_ybus(wscc.net)
     Y_post = nm.build_ybus(nm.apply_clearing(wscc.net, "5-7"))
     diff = Y_pre.values - Y_post.values
-    i, j = Y_pre.index("5"), Y_pre.index("7")
+    i, j = Y_pre.nodes.index("5"), Y_pre.nodes.index("7")
     touched = {(i, i), (j, j), (i, j), (j, i)}
     nonzero = set(zip(*np.nonzero(diff)))
     assert nonzero == touched
@@ -267,9 +290,8 @@ def test_symmetry_through_pipeline(wscc):
         nm.build_ybus(nm.apply_clearing(wscc.net, "5-7")),
     ):
         assert np.max(np.abs(red.values - red.values.T)) <= 1e-12
-    retained = [nm.internal_node(b) for b in wscc.net.generator_buses]
-    red = nm.kron_reduce(nm.build_ybus(wscc.net), retained)
-    assert np.max(np.abs(red.values - red.values.T)) <= 1e-12
+    for red in map(matrix, regimes(wscc)):
+        assert np.max(np.abs(red - red.T)) <= 1e-12
 
 
 def test_reduced_network_pbar_identity(wscc):
@@ -285,7 +307,7 @@ def test_random_networks_stay_symmetric():
     rng = np.random.default_rng(7)
     for _ in range(10):
         n_bus = rng.integers(3, 7)
-        buses = tuple(nm.Bus(f"b{i}") for i in range(n_bus))
+        buses = (nm.Bus("b0", "generator"),) + tuple(nm.Bus(f"b{i}") for i in range(1, n_bus))
         branches = []
         for k in range(n_bus - 1):  # spanning chain keeps things connected
             y = rng.normal() + 1j * rng.normal(loc=-4)
@@ -293,11 +315,12 @@ def test_random_networks_stay_symmetric():
                 nm.Branch(id=f"c{k}", from_bus=f"b{k}", to_bus=f"b{k+1}", y_series=y)
             )
         loads = {f"b{i}": rng.normal() + 1j * rng.normal() for i in range(n_bus)}
-        net = nm.BusNetwork(buses=buses, branches=tuple(branches), shunt_loads=loads, generators={})
+        gen = nm.Generator(bus="b0", emf=1.0, xd_prime=rng.uniform(0.05, 0.5), inertia=5.0)
+        net = nm.BusNetwork(buses=buses, branches=tuple(branches), shunt_loads=loads, generators={"b0": gen})
         Y = nm.build_ybus(net)
         assert np.max(np.abs(Y.values - Y.values.T)) <= 1e-12
-        red = nm.kron_reduce(Y, ["b0"])
-        assert np.max(np.abs(red.values - red.values.T)) <= 1e-12
+        red = matrix(nm.reduce_to_generators(net))
+        assert np.max(np.abs(red - red.T)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +374,28 @@ def reduced_bytes(red):
 @given(swept_networks(), st.data())
 def test_template_equals_rebuilt_network(case, data):
     """At a load, a generator or the infinite bus, the template's reductions
-    are those of the network rebuilt with the load, bit for bit: for the
-    pre-fault and post-fault pair, and for a fault-on regime, whose fault
-    is often at the swept bus, which then leaves no entry to fill."""
+    are those of the network rebuilt with the load (`rebuilt_reduction`),
+    bit for bit: for the pre-fault and post-fault pair, and for a fault-on
+    regime, whose fault is often at the swept bus, which then leaves no
+    entry to fill.  So are those of reduce_to_generators of each rebuilt
+    regime; a singular regime fails all three with one message."""
     net, extra_line, bus, load = case
     faultable = [b.id for b in net.buses if b.kind != "infinite"]
     fault = bus if bus in faultable and data.draw(st.booleans()) else data.draw(st.sampled_from(faultable))
     for nets in ([net, nm.apply_clearing(net, extra_line)], [nm.apply_fault(net, fault)]):
+        loaded = [nm.set_load(n, bus, load) for n in nets]
+        template = nm.KronTemplate(nets, bus)
+        reductions = (lambda: template.reduce(load), lambda: [nm.reduce_to_generators(n) for n in loaded])
         try:
-            rebuilt = [nm.reduce_to_generators(nm.set_load(n, bus, load)) for n in nets]
-        except SingularNetworkError:
-            with pytest.raises(SingularNetworkError):
-                nm.KronTemplate(nets, bus).reduce(load)
+            rebuilt = [rebuilt_reduction(n) for n in loaded]
+        except SingularNetworkError as exc:
+            for reduce in reductions:
+                with pytest.raises(SingularNetworkError) as err:
+                    reduce()
+                assert str(err.value) == str(exc)
             continue
-        got = nm.KronTemplate(nets, bus).reduce(load)
-        assert [reduced_bytes(r) for r in got] == [reduced_bytes(r) for r in rebuilt]
+        for reduce in reductions:
+            assert [reduced_bytes(r) for r in reduce()] == [reduced_bytes(r) for r in rebuilt]
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,16 +174,16 @@ def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
     # bus 8's diagonal entry at 8.B = -0.5, the same in every regime: the
     # fault at bus 7 and the cleared line 5-7 leave bus 8's stamps as they are
     Y = nm.build_ybus(with_part(wscc, "8", "B", -0.5).net)
-    target = Y.values[Y.index("8"), Y.index("8")]
+    target = Y.values[Y.nodes.index("8"), Y.nodes.index("8")]
     fired = []
 
-    def schur(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped):
+    def schur(Y_RR, Y_RL, Y_LR, Y_LL, dropped):
         k = list(dropped).index("8")
         entry = Y_LL[..., k, k]
         if np.any((entry.real == target.real) & (np.abs(entry.imag - target.imag) < 1e-6)):
             fired.append(entry)
             raise SingularNetworkError("singular eliminated block for bus set ['8']")
-        return original(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped)
+        return original(Y_RR, Y_RL, Y_LR, Y_LL, dropped)
 
     monkeypatch.setattr(nm, "schur_complement", schur)
     spec = SweepSpec(scenario=wscc, param="8.B", lo=-0.75, hi=-0.25, step=0.25, resolution=1e-3)
@@ -210,16 +210,16 @@ def test_singular_network_point_keeps_branch_trace_alive(wscc, monkeypatch):
     original = nm.schur_complement
     # bus 8's diagonal entry at 8.G = 8.5 (the cleared line 5-7 does not touch bus 8)
     Y = nm.build_ybus(with_part(wscc, "8", "G", 8.5).net)
-    target = Y.values[Y.index("8"), Y.index("8")]
+    target = Y.values[Y.nodes.index("8"), Y.nodes.index("8")]
     fired = []
 
-    def schur(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped):
+    def schur(Y_RR, Y_RL, Y_LR, Y_LL, dropped):
         k = list(dropped).index("8")
         entry = Y_LL[..., k, k]
         if np.any((np.abs(entry.real - target.real) < 1e-6) & (entry.imag == target.imag)):
             fired.append(entry)
             raise SingularNetworkError("singular eliminated block for bus set ['8']")
-        return original(Y_RR, Y_RL, Y_LR, Y_LL, symmetric, dropped)
+        return original(Y_RR, Y_RL, Y_LR, Y_LL, dropped)
 
     monkeypatch.setattr(nm, "schur_complement", schur)
     branches = continue_branch(wscc, (8.0, 9.0), 0.05, param="8.G")

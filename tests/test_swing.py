@@ -231,9 +231,9 @@ def test_dispatch_zero_angles_zero_conductance_rejected():
     red, gp = smib()
     # P_e vanishes identically, so the machines cannot run as generators
     assert np.allclose(sw.Coupling(red, gp.active).power(np.zeros(1)), 0.0)
-    with pytest.raises(InadmissibleScenario) as err:
-        sw.dispatch_from_angles(red, np.zeros(1), infinite_index=1)
-    assert err.value.code == "pm-nonpositive"
+    (err,) = sw.Dispatch(np.zeros(1), infinite_index=1).powers([red])
+    assert isinstance(err, InadmissibleScenario) and err.code == "pm-nonpositive"
+    assert str(err) == "dispatch gives non-positive mechanical power for machines [0]"
 
 
 def test_dispatch_stationarity_residual(wscc, nominal_ctx):
@@ -250,7 +250,7 @@ def test_dispatch_stationarity_across_sweep_points(wscc, b_c):
 def test_dispatch_rejects_wide_angles():
     red, _gp = smib()
     with pytest.raises(InadmissibleScenario, match="pi/2") as err:
-        sw.dispatch_from_angles(red, np.array([1.7]), infinite_index=1)
+        sw.Dispatch(np.array([1.7]), infinite_index=1).powers([red])
     assert err.value.code == "bad-angles"
 
 
@@ -270,5 +270,5 @@ def test_ba_sweep_dispatch_cutoff(wscc):
     sc = wscc.with_load("5", complex(base.real, -14.4))
     red_pre, _, _ = fs.regimes(sc)
     _M, delta_pre, inf_idx = fs._machines(sc)
-    with pytest.raises(InadmissibleScenario):
-        sw.dispatch_from_angles(red_pre, delta_pre, inf_idx)
+    (Pm,) = sw.Dispatch(delta_pre, inf_idx).powers([red_pre])
+    assert isinstance(Pm, InadmissibleScenario)
