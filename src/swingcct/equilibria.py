@@ -292,23 +292,26 @@ def _seeded_points(
     center: np.ndarray,
     box: tuple[np.ndarray, np.ndarray],
     seeds: Sequence[EquilibriumPoint],
+    probes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[EquilibriumPoint] | None:
     """The points the seeds converge to, or None when that set is in doubt.
 
     One Newton stack runs from the seeds and from a coarse grid (_COARSE per
-    axis).  The seeds' roots are polished as in the full enumeration; the
-    coarse grid only checks them.  In doubt means: a seed
+    axis), or from the seeds alone when `probes` holds the grid's run
+    (`_coarse_probes`).  The seeds' roots are polished as in the full
+    enumeration; the coarse grid only checks them.  In doubt means: a seed
     does not converge, a coarse start reaches a root no seed reached, or the
     closest type-1 saddle is not the root of the seeds' closest saddle.
     """
     k = len(seeds)
-    starts = np.concatenate([np.array([s.delta for s in seeds]), _grid(*box, _COARSE)])
-    X, converged = _newton(hm.coupling, hm.drive, starts)
+    grid = [] if probes else [_grid(*box, _COARSE)]
+    X, converged = _newton(hm.coupling, hm.drive, np.concatenate([np.array([s.delta for s in seeds]), *grid]))
+    probes = probes or (X[k:], converged[k:])
     if not converged[:k].all():
         return None
     roots = _wrap_to_cell(X[:k], center)
-    probes = _wrap_to_cell(X[k:][converged[k:]], center)
-    if np.any(np.min(wrapped_distance(probes[:, None, :], roots[None, :, :]), axis=1) > 1e-6):
+    found = _wrap_to_cell(probes[0][probes[1]], center)
+    if np.any(np.min(wrapped_distance(found[:, None, :], roots[None, :, :]), axis=1) > 1e-6):
         return None
     points = _polish(hm, center, roots)
     before, after = _closest_saddle(seeds), _closest_saddle(points)
@@ -319,11 +322,25 @@ def _seeded_points(
     return points
 
 
+def _coarse_probes(models: Sequence[HamiltonianModel]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per model, the Newton run (iterates, converged mask) of the coarse grid
+    over its default box, all models as one stack with a network and a drive
+    per row: each gets the bits of its own run (see `stationary_points`)."""
+    if not models:
+        return []
+    stack = _rows(models)
+    grids = [_grid(a - 2.0 * np.pi, a + 2.0 * np.pi, _COARSE) for a in stack.anchor]
+    owner = np.repeat(np.arange(len(models)), len(grids[0]))
+    X, converged = _newton(stack.coupling.take(owner), stack.drive[owner], np.concatenate(grids))
+    return list(zip(np.split(X, len(models)), np.split(converged, len(models))))
+
+
 def stationary_points(
     hm: HamiltonianModel,
     box: tuple[np.ndarray, np.ndarray] | None = None,
     grid_density: int = 40,
     seeds: Sequence[EquilibriumPoint] | None = None,
+    probes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[EquilibriumPoint]:
     """All stationary points in the SEP-centered angle cell, classified.
 
@@ -338,14 +355,15 @@ def stationary_points(
     With `seeds` (the points of a nearby model, such as the previous point
     of a load sweep), the points are those the seeds converge to, checked
     by a coarse grid; the full grid runs only when that check leaves them
-    in doubt (see `_seeded_points`).
+    in doubt (see `_seeded_points`), which takes the coarse grid's run from
+    `probes` when it was made ahead (`_coarse_probes`).
     """
     center = np.asarray(hm.anchor, dtype=float)
     if box is None:
         box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
     box = tuple(np.asarray(b, dtype=float) for b in box)
     if seeds:
-        points = _seeded_points(hm, center, box, seeds)
+        points = _seeded_points(hm, center, box, seeds, probes)
         if points is not None:
             return points
     X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density))
@@ -432,16 +450,18 @@ def _correct_rows(models: Sequence[HamiltonianModel], guesses: np.ndarray) -> li
 #: what a tracer is sent back for a request: the corrected point, None when
 #: the corrector fails or jumps, or the exception the factory raised there
 Answer = EquilibriumPoint | InadmissibleScenario | EquilibriumError | None
-Tracer = Generator[tuple[float, np.ndarray], Answer, None]
+Tracer = Generator[tuple[float, np.ndarray, list[float]], Answer, None]
 
 
 def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
     """Trace a branch from its one point towards p_stop.
 
-    A generator: it yields each (param, guess) it needs corrected and is
-    sent the answer at that value (see `_round`).  Accepted points, which
-    move monotonically towards p_stop, and the fold it ends in are added to
-    `branch` as they are found.
+    A generator: it yields each (param, guess, ahead) it needs corrected and
+    is sent the answer at param (see `_round`); `ahead` holds the values it
+    asks for next if every answer is a point, bit for bit, as many as it has
+    accepted steps in a row.  Accepted points, which move monotonically
+    towards p_stop, and the fold it ends in are added to `branch` as they
+    are found.
     """
     p0, point0 = branch.points[0]
     direction = 1.0 if p_stop >= p0 else -1.0
@@ -450,24 +470,37 @@ def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
     last_type = point0.type_index
     p_prev2: float | None = None
     d_prev2: np.ndarray | None = None
+    accepted = 0
 
-    # the end is reached within a tiny fraction of the step, so that a range
-    # far narrower than 1e-12 is traced too
-    while direction * (p_stop - p_prev) > 1e-10 * initial_step:
-        p_next = p_prev + direction * min(step, abs(p_stop - p_prev))
+    def after(p: float, s: float) -> float | None:
+        # the value asked for after p at step s; None at p_stop, which is reached within a
+        # tiny fraction of the step, so that a range far narrower than 1e-12 is traced too
+        if direction * (p_stop - p) > 1e-10 * initial_step:
+            return p + direction * min(s, abs(p_stop - p))
+        return None
+
+    while (p_next := after(p_prev, step)) is not None:
         if p_prev2 is not None and abs(p_prev - p_prev2) > 1e-14:
             slope = (d_prev - d_prev2) / (p_prev - p_prev2)
             guess = d_prev + slope * (p_next - p_prev)
         else:
             guess = d_prev
-        answer = yield p_next, guess
+        ahead, p, s = [], p_next, step
+        for _ in range(accepted):
+            s = min(s * 1.5, initial_step)
+            if (p := after(p, s)) is None:
+                break
+            ahead.append(p)
+        answer = yield p_next, guess, ahead
         if isinstance(answer, EquilibriumPoint):
             branch.points.append((p_next, answer))
             p_prev2, d_prev2 = p_prev, d_prev
             p_prev, d_prev = p_next, answer.delta
             last_type = answer.type_index
             step = min(step * 1.5, initial_step)
+            accepted += 1
             continue
+        accepted = 0
         if step > _STEP_FLOOR:
             step = max(step / 2.0, _STEP_FLOOR)
             continue
@@ -484,7 +517,7 @@ def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
             domain_edge = False
         while abs(hi - lo) > _FOLD_TOL:
             mid = 0.5 * (lo + hi)
-            answer = yield mid, d_prev
+            answer = yield mid, d_prev, []
             if isinstance(answer, EquilibriumPoint):
                 branch.points.append((mid, answer))
                 p_prev, d_prev = mid, answer.delta
@@ -559,15 +592,19 @@ def continue_branch(
     points of the one before it.  Every new seed is traced in both
     directions.
 
-    All branches are traced together, in rounds (`_round`): one model per
-    parameter value per round, shared by every branch that asks for it, and
-    one Newton stack for all their guesses.  A checkpoint's new seeds (those
-    on no earlier checkpoint's branch, `_uncovered`) join the running rounds
-    as soon as every forward trace from an earlier checkpoint has passed it
-    or ended: from then on, the point of that branch nearest to the
-    checkpoint is final.  A factory must therefore be a pure function of the
-    value; it is called fewer times than there are traced points.  Fold
-    locations are refined to _FOLD_TOL in the parameter.  Raises
+    Every checkpoint's model is built first, in one build, and their coarse
+    probes run as one Newton stack (`_coarse_probes`).  All branches are
+    traced together, in rounds (`_round`): one model per parameter value per
+    round, shared by every branch that asks for it, and one Newton stack for
+    all their guesses.  A factory with `models(values)` builds a value that
+    a round misses together with the values its requesters announce
+    (`_trace`), some of which no branch asks for in the end; any other
+    factory is called once per value asked for.  A checkpoint's new seeds
+    (those on no earlier checkpoint's branch, `_uncovered`) join the running
+    rounds as soon as every forward trace from an earlier checkpoint has
+    passed it or ended: from then on, the point of that branch nearest to
+    the checkpoint is final.  A factory must therefore be a pure function of
+    the value.  Fold locations are refined to _FOLD_TOL in the parameter.  Raises
     ScenarioFormatError unless lo < hi are finite with a finite, nonzero
     checkpoint spacing and initial_step is positive and finite.
     """
@@ -585,6 +622,8 @@ def continue_branch(
     build = _builder(factory)
     spacing = (hi - lo) * _CHECKPOINT_STEP
     checkpoints = [float(cp) for cp in np.arange(lo, hi + 0.5 * spacing, spacing)]
+    at_checkpoint = build(checkpoints)
+    probes = iter(_coarse_probes([hm for hm in at_checkpoint if isinstance(hm, HamiltonianModel)]))
     # per tracer: its branch half, its generator and whether it has ended;
     # tracers come in pairs per seed, forward (towards hi) first
     halves: list[Branch] = []
@@ -592,41 +631,41 @@ def continue_branch(
     ended: list[bool] = []
     points = None
     k = 0
-    # the model at checkpoints[k], once a round has built it
-    ahead: list[Built] = []
+    # models built before they are asked for; per value of this round, what its requesters announced
+    built: dict[float, Built] = {}
+    ahead: dict[float, list[float]] = {}
 
-    def build_ahead(values: Sequence[float]) -> list[Built]:
-        """The models of the values, built with the next checkpoint's while none is held."""
-        nonlocal ahead
-        if ahead or k == len(checkpoints):
-            return build(values)
-        *built, model = build([*values, checkpoints[k]])
-        ahead = [model]
-        return built
+    def build_round(values: Sequence[float]) -> list[Built]:
+        """The models of the values, a stacked factory's with what their requesters announced."""
+        missing = [v for v in values if v not in built]
+        if missing:
+            extra = [a for v in missing for a in ahead[v] if a not in built] if hasattr(factory, "models") else []
+            fresh = list(dict.fromkeys(missing + extra))
+            built.update(zip(fresh, build(fresh)))
+        return [built.pop(v) for v in values]
 
     answers: dict[int, Answer] = {}
     requests: dict[float, list[tuple[int, np.ndarray]]] = {}
     while True:
         for i, answer in answers.items():
             try:
-                value, guess = tracers[i].send(answer)
+                value, guess, announced = tracers[i].send(answer)
             except StopIteration:
                 ended[i] = True
                 continue
             requests.setdefault(value, []).append((i, guess))
+            ahead.setdefault(value, []).extend(announced)
         answers = {}
         # seed the next checkpoint once every forward trace from an earlier one has passed it or ended
         while not answers and k < len(checkpoints) and all(
             ended[i] or halves[i].points[-1][0] >= checkpoints[k] for i in range(0, len(halves), 2)
         ):
-            cp = checkpoints[k]
+            cp, hm = checkpoints[k], at_checkpoint[k]
             k += 1
-            (hm,) = ahead or build([cp])
-            ahead = []
             if not isinstance(hm, HamiltonianModel):
                 points = None
                 continue
-            points = stationary_points(hm, seeds=points)
+            points = stationary_points(hm, seeds=points, probes=next(probes))
             for seed in _uncovered(hm, cp, points, halves[::2], initial_step):
                 for end in (hi, lo):
                     answers[len(tracers)] = None
@@ -638,7 +677,8 @@ def continue_branch(
             continue
         if not requests:
             break
-        answers, requests = _round(build_ahead, requests), {}
+        answers, requests = _round(build_round, requests), {}
+        ahead.clear()
     return [
         Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds)
         for fwd, bwd in zip(halves[::2], halves[1::2])

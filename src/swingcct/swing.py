@@ -128,10 +128,9 @@ class Coupling:
     def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":
         """One kernel whose row k evaluates the network of kernels[k]."""
         first = kernels[0]
+        # kernels of one machine set share the operator arrays of `_operators`
         for k in kernels:
-            if k is not first and (
-                k.n != first.n or k.conductive != first.conductive or not np.array_equal(k.act, first.act)
-            ):
+            if k.K is not first.K or k.conductive != first.conductive:
                 raise ValueError("stacked kernels need the same machines and form")
         out = first._copy()
         for name, axis in cls._NETWORK.items():

@@ -119,7 +119,7 @@ def serial_lockstep(factory, tracers):
         requests = {}
         for i, answer in answers.items():
             try:
-                param, guess = tracers[i].send(answer)
+                param, guess = tracers[i].send(answer)[:2]
             except StopIteration:
                 continue
             requests.setdefault(param, []).append((i, guess))

@@ -8,6 +8,7 @@ for kernels stacked over networks and for stacked integration runs.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -141,6 +142,31 @@ def test_stacked_networks_equal_single_networks(case):
             rows = getattr(stacked, name)(angles)
             for i, kernel in enumerate(kernels):
                 assert same_bits(rows[i], getattr(kernel, name)(angles[i]))
+
+
+def uniform_network(n: int) -> ReducedNetwork:
+    """n machines, every pair coupled by B = 1 and G = 0.1."""
+    B = np.ones((n, n)) - n * np.eye(n)
+    return ReducedNetwork(n=n, G=0.1 * np.ones((n, n)), B=B, Pbar=B - np.diag(np.diag(B)), E=np.ones(n))
+
+
+def test_stack_rejects_other_machines_or_form():
+    """Kernels of another machine set (other modeled machines, or another
+    machine count) or of the other form do not stack; kernels built apart
+    from equal machine arrays do."""
+    red = uniform_network(3)
+    kernel = Coupling(red, np.array([0, 1]))
+    assert Coupling.stack([kernel, Coupling(uniform_network(3), np.array([0, 1]))]).networks == 2
+    others = [
+        Coupling(red, np.array([1, 2])),  # another infinite machine
+        Coupling(uniform_network(4), np.array([0, 1])),  # the same modeled indices among four machines
+        Coupling(red, np.array([0, 1]), conductive=False),
+        kernel.anchored(),
+    ]
+    for other in others:
+        for pair in ([kernel, other], [other, kernel]):
+            with pytest.raises(ValueError, match="stacked kernels need the same machines and form"):
+                Coupling.stack(pair)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

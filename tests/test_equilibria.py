@@ -452,6 +452,54 @@ def test_seeded_enumeration_in_doubt(nominal_ctx):
         assert eq._seeded_points(hm, center, box, seeds) is None
 
 
+def stacked_probes_equal_one_stack_runs(factory, values, grid_density=40):
+    """Chained enumerations over the values, each seeded by the points of
+    the admissible value before it: with the coarse probes of every
+    admissible model from one stacked run (`_coarse_probes`), as a branch
+    trace runs them, and with the one Newton stack of seeds and probes that
+    studies and sweeps run, kept as the oracle.  Asserts the same bytes for both, and for the probe
+    rows of both runs; returns how many enumerations were seeded."""
+    built = eq._builder(factory)(values)
+    models = [hm for hm in built if isinstance(hm, en.HamiltonianModel)]
+    probes = iter(eq._coarse_probes(models))
+    seeds, seeded = None, 0
+    for hm in built:
+        if not isinstance(hm, en.HamiltonianModel):
+            seeds = None
+            continue
+        X, converged = next(probes)
+        if seeds:
+            center = np.asarray(hm.anchor, dtype=float)
+            grid = eq._grid(center - 2.0 * np.pi, center + 2.0 * np.pi, eq._COARSE)
+            X1, converged1 = eq._newton(hm.coupling, hm.drive, np.concatenate([[s.delta for s in seeds], grid]))
+            assert same_bits(X, X1[len(seeds) :]) and same_bits(converged, converged1[len(seeds) :])
+            seeded += 1
+        points = eq.stationary_points(hm, grid_density=grid_density, seeds=seeds, probes=(X, converged))
+        seeds = eq.stationary_points(hm, grid_density=grid_density, seeds=seeds)
+        assert point_bytes(points) == point_bytes(seeds)
+    return seeded
+
+
+@pytest.mark.parametrize("param, prange", [("8.B", (-10.0, 0.0)), ("8.G", (0.0, 9.0))])
+def test_stacked_probes_equal_one_stack_run(wscc, param, prange):
+    """The acceptance traces' checkpoints, 19 or more of them seeded."""
+    lo, hi = prange
+    spacing = (hi - lo) * eq._CHECKPOINT_STEP
+    checkpoints = [float(cp) for cp in np.arange(lo, hi + 0.5 * spacing, spacing)]
+    assert stacked_probes_equal_one_stack_runs(fs.hamiltonian_model_factory(wscc, param), checkpoints) >= 19
+
+
+@pytest.mark.parametrize("machines", [2, 3, 4])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_stacked_probes_equal_one_stack_run_on_random_networks(machines, data):
+    """One to three modeled angles, with folds and a domain edge; the full
+    grid, where a seeded enumeration falls back to it, has 20 points per
+    axis."""
+    factory = data.draw(model_families(st.just(machines)))
+    stacked_probes_equal_one_stack_runs(factory, [float(v) for v in np.linspace(0.0, 1.5, 7)], grid_density=20)
+
+
 def test_empty_uep_set_is_valid_return(pendulum):
     red, gp = pendulum
     _sep, hm = eq.find_sep(red, gp, np.zeros(1))
@@ -772,3 +820,46 @@ def test_pipelined_trace_rounds(wscc, monkeypatch):
     eq.continue_branch(fs.hamiltonian_model_factory(wscc, "8.B"), (-10.0, 0.0))
     assert len(rounds) <= 200
     assert max(rounds) >= 3
+
+
+@pytest.mark.parametrize("param, prange", [("8.B", (-10.0, 0.0)), ("8.G", (0.0, 9.0))])
+def test_branch_trace_builds_ahead(wscc, monkeypatch, param, prange):
+    """Every checkpoint's model in one build, and a steady branch's next
+    values with the one it misses: the acceptance traces make 57 (8.B) and
+    60 (8.G) model steps, where one per round made 202 and 198, and build
+    1.06 and 1.12 times the distinct values they ask for.  After each
+    accepted step a tracer asks for the first value it announced, bit for
+    bit, and announces the rest again."""
+    steps, asked, models, serve, trace = [], set(), fs.LoadFamily.models, eq._round, eq._trace
+    announced = []
+
+    def checked_trace(branch, p_stop, step):
+        tracer, answer, before = trace(branch, p_stop, step), None, []
+        while True:
+            try:
+                value, guess, ahead = tracer.send(answer)
+            except StopIteration:
+                return
+            if isinstance(answer, eq.EquilibriumPoint) and before:
+                assert value.hex() == before[0].hex()
+                assert [a.hex() for a in ahead[: len(before) - 1]] == [a.hex() for a in before[1:]]
+            announced.append(len(ahead))
+            before = ahead
+            answer = yield value, guess, ahead
+
+    def counted_models(family, values):
+        steps.append(list(values))
+        return models(family, values)
+
+    def counted_round(build, requests):
+        asked.update(requests)
+        return serve(build, requests)
+
+    monkeypatch.setattr(fs.LoadFamily, "models", counted_models)
+    monkeypatch.setattr(eq, "_round", counted_round)
+    monkeypatch.setattr(eq, "_trace", checked_trace)
+    eq.continue_branch(fs.hamiltonian_model_factory(wscc, param), prange)
+    assert max(announced) >= 50
+    asked.update(steps[0])  # the checkpoints
+    assert len(steps) <= 70
+    assert sum(map(len, steps)) <= 1.15 * len(asked)
