@@ -94,7 +94,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(spec)
     label = args.param
-    written = emit_reports(rows, None, args.out, x_label=label, outputs=spec.outputs)
+    written = emit_reports(rows, None, args.out, x_label=label)
     for key, p in written.items():
         print(f"{key}: {p}")
     admissible = [r for r in rows if r.admissible]

@@ -28,6 +28,8 @@ NO_REAL_ROOT = "no-real-root"
 NO_CROSSING = "no-crossing"
 #: fault-on horizon of the tau_H crossing search [s]
 TAU_H_HORIZON = 2.0
+#: width to which tau_H's bisection locates the crossing [s]
+_LOCATE_TOL = 1e-6
 
 _ALPHA_DEGENERATE = 1e-12
 
@@ -194,17 +196,12 @@ def fault_on_trajectory(
     return integrate_rows(stacked, np.array(x_pre), horizon, tol=tol, atol=atol)
 
 
-def tau_H(
-    hm: HamiltonianModel,
-    E_c: float,
-    trajectory: Trajectory,
-    locate_tol: float = 1e-6,
-) -> float | str:
+def tau_H(hm: HamiltonianModel, E_c: float, trajectory: Trajectory) -> float | str:
     """First time the post-fault energy of the fault-on trajectory hits E_c.
 
     `trajectory` is the fault-on run from the pre-fault operating point and
     must cover TAU_H_HORIZON.  The crossing is bracketed on a fine sampling of
-    its dense output and located by bisection to `locate_tol` seconds.
+    its dense output and located by bisection to _LOCATE_TOL seconds.
     Returns NO_CROSSING if the level is never reached within the horizon.
     """
     if trajectory.t_end < TAU_H_HORIZON:
@@ -231,7 +228,7 @@ def tau_H(
     if k == 0:
         return 0.0
     lo, hi = float(ts[k - 1]), float(ts[k])
-    while hi - lo > locate_tol:
+    while hi - lo > _LOCATE_TOL:
         mid = 0.5 * (lo + hi)
         if excess(np.array([mid]))[0] >= 0.0:
             hi = mid

@@ -5,7 +5,7 @@ conductance power depends on the equilibrium it anchors).  Saddles come from
 a batched multi-start Newton over a grid around the SEP, wrapped into the
 2*pi cell centered on it; the lowest type-1 saddle defines the critical
 energy.  Branches of equilibria under a load-parameter change are traced by
-a natural-parameter predictor/corrector with fold refinement.
+a natural-parameter predictor/corrector that halves its step at a fold.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ _CHECKPOINT_STEP = 0.05
 _FOLD_MERGE = 0.02
 #: a corrected branch point may lie at most this far (max norm) from its guess
 _JUMP_GUARD = 0.45
-#: a branch trace halves its step down to _STEP_FLOOR, then brackets its end to _FOLD_TOL
-_STEP_FLOOR, _FOLD_TOL = 1e-5, 1e-4
+#: steps halve down to _STEP_FLOOR; a failed step there ends the branch, a fold at its midpoint
+_STEP_FLOOR = 1e-5
 
 
 def _newton(coupling: Coupling, drive: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,14 +57,13 @@ def _newton(coupling: Coupling, drive: np.ndarray, starts: np.ndarray) -> tuple[
     """
     X = np.array(starts, dtype=float)
     converged = np.zeros(X.shape[0], dtype=bool)
-    drive = np.asarray(drive, dtype=float)
-    per_row = coupling.networks > 1
     # the live rows: their indices into X, iterates, drives, kernel and stall state
-    work, Xw, Dw, kernel = np.arange(X.shape[0]), X, drive, coupling
+    work, Xw, Dw, kernel = np.arange(X.shape[0]), X, np.empty_like(X), coupling
+    Dw[:] = drive
     best, idle = np.full(X.shape[0], np.inf), np.zeros(X.shape[0], dtype=int)
     for _ in range(_NEWTON_ITER):
         P, J = kernel.power_jacobian(Xw)
-        R = Dw - P
+        R = np.subtract(Dw, P, order="F")  # column-major like P, which the row maximum reads faster
         res = np.abs(R).max(axis=1)
         done = res <= _NEWTON_TOL
         converged[work[done]] = True
@@ -75,17 +74,15 @@ def _newton(coupling: Coupling, drive: np.ndarray, starts: np.ndarray) -> tuple[
         if not keep.all():
             if not keep.any():
                 break
-            work, Xw, J, R, best, idle = work[keep], Xw[keep], J[keep], R[keep], best[keep], idle[keep]
-            Dw = Dw[keep] if drive.ndim > 1 else drive
-            kernel = coupling.take(work) if per_row else kernel
+            work, Xw, Dw, J, R, best, idle = work[keep], Xw[keep], Dw[keep], J[keep], R[keep], best[keep], idle[keep]
+            kernel = coupling.take(work)
         step = np.linalg.solve(J, R[:, :, None])[:, :, 0]
         norms = np.abs(step).max(axis=1, keepdims=True)
         Xw = Xw + step * (1.0 / np.maximum(norms, 1.0))
         finite = np.isfinite(Xw).all(axis=1)
         if not finite.all():
-            work, Xw, best, idle = work[finite], Xw[finite], best[finite], idle[finite]
-            Dw = Dw[finite] if drive.ndim > 1 else drive
-            kernel = coupling.take(work) if per_row else kernel
+            work, Xw, Dw, best, idle = work[finite], Xw[finite], Dw[finite], best[finite], idle[finite]
+            kernel = coupling.take(work)
         X[work] = Xw
     return X, converged
 
@@ -116,6 +113,10 @@ class _Rows(NamedTuple):
     drive: np.ndarray
     anchor: np.ndarray
     gp: GeneratorParams
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The stack of the given rows of this stack."""
+        return _Rows(self.coupling.take(rows), self.drive[rows], self.anchor[rows], self.gp)
 
 
 def _rows(models: Sequence[HamiltonianModel]) -> _Rows:
@@ -170,11 +171,9 @@ def find_seps(
     """`find_sep` of each network reds[k] with its generators gps[k] (of the
     same machines), from one guess, as one stack.
 
-    One Newton run covers every network, each row with its own drive.  One
-    sine and cosine of the roots give each its frozen conductance power and
-    its anchored residual and Jacobian, and one classification types them
-    all.  Each network gets the bits it gets alone, or the EquilibriumError
-    find_sep raises for it.
+    One Newton run covers every network, each row with its own drive, and
+    one classification types all the roots.  Each network gets the bits it
+    gets alone, or the EquilibriumError find_sep raises for it.
     """
     guess = np.asarray(guess, dtype=float)
     kernels = [Coupling(red, gp.active) for red, gp in zip(reds, gps)]
@@ -190,8 +189,9 @@ def find_seps(
         return out
     kernel = stacked if rows.size == len(kernels) else stacked.take(rows)
     anchors = X[rows]
-    Pa, P, J = kernel.anchor_terms(anchors)
+    Pa = kernel.conductance(anchors)
     stack = _Rows(kernel.anchored(), Pm[rows] - Pa, anchors, gps[0])
+    P, J = stack.coupling.power_jacobian(anchors)
     residual = np.abs(P - stack.drive).max(axis=1)
     points = _typed(stack, np.array(anchors), J)
     for i, k in enumerate(rows):
@@ -290,26 +290,22 @@ def _polish(hm: HamiltonianModel, center: np.ndarray, roots: np.ndarray) -> list
 def _seeded_points(
     hm: HamiltonianModel,
     center: np.ndarray,
-    box: tuple[np.ndarray, np.ndarray],
     seeds: Sequence[EquilibriumPoint],
-    probes: tuple[np.ndarray, np.ndarray] | None = None,
+    probes: tuple[np.ndarray, np.ndarray],
 ) -> list[EquilibriumPoint] | None:
     """The points the seeds converge to, or None when that set is in doubt.
 
-    One Newton stack runs from the seeds and from a coarse grid (_COARSE per
-    axis), or from the seeds alone when `probes` holds the grid's run
-    (`_coarse_probes`).  The seeds' roots are polished as in the full
-    enumeration; the coarse grid only checks them.  In doubt means: a seed
-    does not converge, a coarse start reaches a root no seed reached, or the
-    closest type-1 saddle is not the root of the seeds' closest saddle.
+    Newton runs from the seeds, and their roots are polished as in the full
+    enumeration.  `probes` holds the Newton run (iterates, converged mask)
+    of a coarse grid, _COARSE per axis over the enumeration box, which only
+    checks them.  In doubt means: a seed does not converge, a coarse start
+    reaches a root no seed reached, or the closest type-1 saddle is not the
+    root of the seeds' closest saddle.
     """
-    k = len(seeds)
-    grid = [] if probes else [_grid(*box, _COARSE)]
-    X, converged = _newton(hm.coupling, hm.drive, np.concatenate([np.array([s.delta for s in seeds]), *grid]))
-    probes = probes or (X[k:], converged[k:])
-    if not converged[:k].all():
+    X, converged = _newton(hm.coupling, hm.drive, np.array([s.delta for s in seeds]))
+    if not converged.all():
         return None
-    roots = _wrap_to_cell(X[:k], center)
+    roots = _wrap_to_cell(X, center)
     found = _wrap_to_cell(probes[0][probes[1]], center)
     if np.any(np.min(wrapped_distance(found[:, None, :], roots[None, :, :]), axis=1) > 1e-6):
         return None
@@ -330,8 +326,8 @@ def _coarse_probes(models: Sequence[HamiltonianModel]) -> list[tuple[np.ndarray,
         return []
     stack = _rows(models)
     grids = [_grid(a - 2.0 * np.pi, a + 2.0 * np.pi, _COARSE) for a in stack.anchor]
-    owner = np.repeat(np.arange(len(models)), len(grids[0]))
-    X, converged = _newton(stack.coupling.take(owner), stack.drive[owner], np.concatenate(grids))
+    rows = stack.take(np.repeat(np.arange(len(models)), len(grids[0])))
+    X, converged = _newton(rows.coupling, rows.drive, np.concatenate(grids))
     return list(zip(np.split(X, len(models)), np.split(converged, len(models))))
 
 
@@ -354,16 +350,19 @@ def stationary_points(
 
     With `seeds` (the points of a nearby model, such as the previous point
     of a load sweep), the points are those the seeds converge to, checked
-    by a coarse grid; the full grid runs only when that check leaves them
-    in doubt (see `_seeded_points`), which takes the coarse grid's run from
-    `probes` when it was made ahead (`_coarse_probes`).
+    by the Newton run of a coarse grid over `box`; the full grid runs only
+    when that check leaves them in doubt (see `_seeded_points`).  `probes`
+    holds the coarse grid's run when it was made ahead (`_coarse_probes`);
+    without it, the grid runs here.
     """
     center = np.asarray(hm.anchor, dtype=float)
     if box is None:
         box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
     box = tuple(np.asarray(b, dtype=float) for b in box)
     if seeds:
-        points = _seeded_points(hm, center, box, seeds, probes)
+        if probes is None:
+            probes = _newton(hm.coupling, hm.drive, _grid(*box, _COARSE))
+        points = _seeded_points(hm, center, seeds, probes)
         if points is not None:
             return points
     X, converged = _newton(hm.coupling, hm.drive, _grid(*box, grid_density))
@@ -440,8 +439,7 @@ def _correct_rows(models: Sequence[HamiltonianModel], guesses: np.ndarray) -> li
     rows = rows[np.abs(X[rows] - guesses[rows]).max(axis=1) <= _JUMP_GUARD]
     points: list[EquilibriumPoint | None] = [None] * len(guesses)
     if rows.size:
-        kept = stack if rows.size == len(models) else _rows([models[i] for i in rows])
-        found, _gradient = _classified(kept, X[rows])
+        found, _gradient = _classified(stack if rows.size == len(models) else stack.take(rows), X[rows])
         for i, point in zip(rows, found):
             points[i] = point
     return points
@@ -460,8 +458,12 @@ def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
     is sent the answer at param (see `_round`); `ahead` holds the values it
     asks for next if every answer is a point, bit for bit, as many as it has
     accepted steps in a row.  Accepted points, which move monotonically
-    towards p_stop, and the fold it ends in are added to `branch` as they
-    are found.
+    towards p_stop, are added to `branch` as they are found.
+
+    A failed step is halved down to _STEP_FLOOR.  A failure there ends the
+    branch, at a fold unless the factory's answer at the failed value marks a
+    domain edge; the fold is the midpoint of that last step, so it lies
+    within _STEP_FLOOR / 2 of the branch's last point.
     """
     p0, point0 = branch.points[0]
     direction = 1.0 if p_stop >= p0 else -1.0
@@ -504,29 +506,14 @@ def _trace(branch: Branch, p_stop: float, initial_step: float) -> Tracer:
         if step > _STEP_FLOOR:
             step = max(step / 2.0, _STEP_FLOOR)
             continue
-        # persistent corrector failure at the floor: bracket the end point;
-        # the factory's answer at p_next tells a domain edge from a fold
-        lo, hi = p_prev, p_next
+        # the factory's answer at p_next tells a fold from a domain edge: a model that
+        # dies because its SEP vanished is the SEP branch folding
         if isinstance(answer, InadmissibleScenario):
-            # a model that dies because its SEP vanished is the SEP branch
-            # folding, not a domain edge
-            domain_edge = not (answer.code == "no-sep" and last_type == 0)
-        elif isinstance(answer, EquilibriumError):
-            domain_edge = last_type != 0
+            fold = answer.code == "no-sep" and last_type == 0
         else:
-            domain_edge = False
-        while abs(hi - lo) > _FOLD_TOL:
-            mid = 0.5 * (lo + hi)
-            answer = yield mid, d_prev, []
-            if isinstance(answer, EquilibriumPoint):
-                branch.points.append((mid, answer))
-                p_prev, d_prev = mid, answer.delta
-                last_type = answer.type_index
-                lo = mid
-            else:
-                hi = mid
-        if not domain_edge:
-            branch.folds.append(0.5 * (lo + hi))
+            fold = last_type == 0 or not isinstance(answer, EquilibriumError)
+        if fold:
+            branch.folds.append(0.5 * (p_prev + p_next))
         break
 
 
@@ -604,7 +591,8 @@ def continue_branch(
     rounds as soon as every forward trace from an earlier checkpoint has
     passed it or ended: from then on, the point of that branch nearest to
     the checkpoint is final.  A factory must therefore be a pure function of
-    the value.  Fold locations are refined to _FOLD_TOL in the parameter.  Raises
+    the value.  A branch ends where a step of _STEP_FLOOR fails, and a fold
+    there is recorded at the midpoint of that step (`_trace`).  Raises
     ScenarioFormatError unless lo < hi are finite with a finite, nonzero
     checkpoint spacing and initial_step is positive and finite.
     """
@@ -686,7 +674,8 @@ def continue_branch(
 
 
 def fold_locations(branches: Sequence[Branch]) -> list[float]:
-    """Pooled fold parameter values, deduplicated across branch ends."""
+    """Pooled fold parameter values, deduplicated across branch ends: folds
+    closer than _FOLD_MERGE count as one, the lowest."""
     raw = sorted(f for br in branches for f in br.folds)
     out: list[float] = []
     for f in raw:

@@ -245,7 +245,9 @@ def first_swing_stable(
     of_point = np.repeat(np.arange(len(ctx)), sizes)
 
     coupling = ctx[0].hm.coupling
-    field = sw.SwingField.stack([sw.swing_field(c.red_post, c.gp) for c in ctx]).take(of_point)
+    # a kernel per row: one kernel shared by the rows evaluates them by broadcasting, more slowly
+    fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
+    field = sw.SwingField.stack([fields[i] for i in of_point])
     # pairwise angle differences at each row's post-fault SEP
     ref = coupling.pair_diffs(np.array([c.sep.delta for c in ctx]))[of_point]
     state = np.concatenate([fo.sample(tp) for fo, tp in zip(fault_on, times)])

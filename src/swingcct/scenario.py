@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .errors import ScenarioFormatError
+from .errors import NetworkError, ScenarioFormatError
 from .faultstudy import FaultScenario
 from .netmodel import Branch, Bus, BusNetwork, Generator
 
@@ -64,7 +64,10 @@ def scenario_from_dict(data: dict) -> FaultScenario:
     buses = []
     for i, b in enumerate(_section(data, "buses", list)):
         where = f"buses[{i}]"
-        buses.append(Bus(id=str(_require(b, "id", where)), kind=_require(b, "kind", where)))
+        try:
+            buses.append(Bus(id=str(_require(b, "id", where)), kind=_require(b, "kind", where)))
+        except NetworkError as exc:
+            raise ScenarioFormatError(f"{where}: {exc}") from exc
 
     branches = []
     for i, br in enumerate(_section(data, "branches", list)):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class SweepSpec:
     resolution: float = 1e-4
     horizon: float = 1.0
     tol: float = 1e-8
-    outputs: tuple[str, ...] = ("csv", "svg")
+    outputs: ClassVar[tuple[str, ...]] = ("csv", "svg")
 
     def __post_init__(self) -> None:
         if not -np.inf < self.lo < self.hi < np.inf:

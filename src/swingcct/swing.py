@@ -144,7 +144,9 @@ class Coupling:
         return out
 
     def take(self, rows: np.ndarray) -> "Coupling":
-        """The stacked kernel of the given rows of this stacked kernel."""
+        """The stacked kernel of the given rows; a kernel of one network is its own."""
+        if self.networks == 1:
+            return self
         out = self._copy()
         for name, axis in self._NETWORK.items():
             setattr(out, name, np.take(getattr(self, name), rows, axis=axis))
@@ -170,13 +172,9 @@ class Coupling:
     def _power_of(self, dT: np.ndarray) -> np.ndarray:
         """`power` of the (m, states) angles dT, shape (m, states)."""
         D = self._act_diffs(dT)
-        return self._power_from(np.sin(D), np.cos(D) if self.conductive else None)
-
-    def _power_from(self, S: np.ndarray, Co: np.ndarray | None) -> np.ndarray:
-        """`power` from the sine and cosine of `_act_diffs`, shape (m, states)."""
-        P = self._Pbar_act * S
+        P = self._Pbar_act * np.sin(D)
         if self.conductive:
-            P += self._PG_act * Co
+            P += self._PG_act * np.cos(D)
         return np.add.reduce(P)
 
     def power(self, delta: np.ndarray) -> np.ndarray:
@@ -200,18 +198,6 @@ class Coupling:
             C -= self._PG_act * S
         shape = np.shape(delta)
         return np.add.reduce(P).T.reshape(shape), self._jacobian_from(C, shape)
-
-    def anchor_terms(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`conductance`, and the anchored form's `power` and `jacobian`, of
-        the same angles, from one sine and one cosine of the differences."""
-        D = self._act_diffs(self._columns(delta))
-        S, Co = np.sin(D), np.cos(D)
-        shape = np.shape(delta)
-        return (
-            np.add.reduce(self._PG_act * Co).T.reshape(shape),
-            np.add.reduce(self._Pbar_act * S).T.reshape(shape),
-            self._jacobian_from(self._Pbar_act * Co, shape),
-        )
 
     def _jacobian_from(self, C: np.ndarray, shape: tuple) -> np.ndarray:
         """The Jacobian of (..., m) angles of that `shape` from the terms C of
@@ -528,14 +514,12 @@ class Dispatch:
 
     delta_pre covers the modeled machines; the infinite machine sits at 0.
     Pre-fault angles must lie within pi/2 of each other pairwise, otherwise
-    every network is rejected.  The angles are checked, and the sine and
-    cosine of their differences taken, once for all networks.
+    every network is rejected.
     """
 
     def __init__(self, delta_pre: np.ndarray, infinite_index: int):
         self.delta_pre = np.asarray(delta_pre, dtype=float)
         self.infinite_index = infinite_index
-        self._trig: tuple[np.ndarray, np.ndarray] | None = None
 
     def powers(self, reds: Sequence[ReducedNetwork]) -> list[np.ndarray | InadmissibleScenario]:
         """Pm of the modeled machines on each network, as one stack, or the
@@ -543,15 +527,10 @@ class Dispatch:
         come out as a generator (Pm > 0)."""
         act = _modeled_machines(reds[0].n, self.infinite_index)
         kernel = Coupling.stack([Coupling(red, act) for red in reds])
-        if self._trig is None:
-            if np.any(np.abs(kernel.diffs(self.delta_pre)) >= np.pi / 2.0):
-                raise InadmissibleScenario(
-                    "pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles"
-                )
-            D = kernel._act_diffs(kernel._columns(self.delta_pre))
-            self._trig = np.sin(D), np.cos(D)
+        if np.any(np.abs(kernel.diffs(self.delta_pre)) >= np.pi / 2.0):
+            raise InadmissibleScenario("pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles")
         out: list[np.ndarray | InadmissibleScenario] = []
-        for Pm in np.ascontiguousarray(kernel._power_from(*self._trig).T):
+        for Pm in np.ascontiguousarray(kernel._power_of(kernel._columns(self.delta_pre)).T):
             if np.any(Pm <= 0.0):
                 bad = [int(i) for i in act[Pm <= 0.0]]
                 Pm = InadmissibleScenario(

@@ -111,6 +111,34 @@ def pendulum():
     return smib(Pm=0.0)
 
 
+def one_stack_stationary_points(hm, seeds, grid_density=40):
+    """`equilibria.stationary_points` of hm over its default box, seeded by
+    `seeds`, as it ran when one Newton stack held the seeds and the coarse
+    grid that checks them, kept as the oracle of the coarse probes that now
+    run apart from the seeds: the seeds' roots, polished, unless a seed
+    fails, a coarse start reaches a root no seed reached, or the closest
+    saddle moves; then the full grid."""
+    center = np.asarray(hm.anchor, dtype=float)
+    box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
+    if seeds:
+        k = len(seeds)
+        starts = np.concatenate([[s.delta for s in seeds], eq._grid(*box, eq._COARSE)])
+        X, converged = eq._newton(hm.coupling, hm.drive, starts)
+        roots = eq._wrap_to_cell(X[:k], center)
+        found = eq._wrap_to_cell(X[k:][converged[k:]], center)
+        if converged[:k].all() and not np.any(
+            np.min(eq.wrapped_distance(found[:, None, :], roots[None, :, :]), axis=1) > 1e-6
+        ):
+            points = eq._polish(hm, center, roots)
+            before, after = eq._closest_saddle(seeds), eq._closest_saddle(points)
+            if before is None and after is None:
+                return points
+            if None not in (before, after) and eq.wrapped_distance(roots[before], points[after].delta) <= 1e-6:
+                return points
+    X, converged = eq._newton(hm.coupling, hm.drive, eq._grid(*box, grid_density))
+    return eq._polish(hm, center, eq._wrap_to_cell(X[converged], center))
+
+
 def serial_lockstep(factory, tracers):
     """Run the tracers of one checkpoint together: each round makes one
     factory call per value asked for and one Newton stack per value."""

@@ -6,6 +6,7 @@ them).  The four sweeps and two branch traces are computed once per session.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ def test_criterion_5_bc_branch_diagram(branches_bc, sweep_bc):
         f"folds {fold_lo:.3f}/{fold_hi:.3f} (targets -5.78/-3.62); UEP switch {switch:.3f} "
         f"(target -4.80)",
     )
+
+
+@pytest.mark.parametrize("traced", ["branches_bc", "branches_gc"])
+def test_folds_lie_at_branch_ends(request, traced):
+    """A branch ends where a step of _STEP_FLOOR fails, and a fold there is
+    the midpoint of that step: every fold lies within _STEP_FLOOR / 2 of one
+    of its branch's two end parameters."""
+    branches = request.getfixturevalue(traced)
+    assert any(br.folds for br in branches)
+    for br in branches:
+        ends = (br.points[0][0], br.points[-1][0])
+        for fold in br.folds:
+            assert min(abs(fold - end) for end in ends) <= eq._STEP_FLOOR / 2 + 1e-12, (fold, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +422,8 @@ def check_8h(num, ctx, fo):
         E_scaled = h0 + s * ctx.delta_E
         qc = en.quartic_coefficients(ctx.hm, ctx.fom, E_scaled)
         t_a = en.tau_A(qc)
-        t_h = en.tau_H(ctx.hm, E_scaled, fo, locate_tol=1e-8)
+        with mock.patch.object(en, "_LOCATE_TOL", 1e-8):
+            t_h = en.tau_H(ctx.hm, E_scaled, fo)
         ratios[s] = t_a / t_h
     ok = abs(ratios[0.01] - 1.0) <= 0.05
     check(num, ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")

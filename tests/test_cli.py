@@ -82,6 +82,8 @@ def test_field_errors_carry_context(wscc):
         (("generators", "2", "emf"), float("nan"), r"generators\['2'\]\.emf: expected a finite number"),
         (("generators", "3", "emf"), float("inf"), r"generators\['3'\]\.emf: expected a finite number"),
         (("shunt_loads", "8"), [0.969, -float("inf")], r"shunt_loads\['8'\]: expected a finite number"),
+        # the kind rule lives in netmodel.Bus; its message gains the field
+        (("buses", 3, "kind"), "bogus", r"buses\[3\]: bus '4': unknown kind 'bogus'"),
     ]
     for path, value, message in cases:
         bad = json.loads(json.dumps(data))

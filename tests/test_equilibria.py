@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import serial_continue_branch, smib
+from conftest import one_stack_stationary_points, serial_continue_branch, smib
 from test_coupling import network, same_bits
 from swingcct import energy as en
 from swingcct import equilibria as eq
@@ -440,25 +440,26 @@ def test_seeded_enumeration_in_doubt(nominal_ctx):
     lead to the closest saddle found, leave the seeded result in doubt."""
     hm = nominal_ctx.hm
     center = np.asarray(hm.anchor, dtype=float)
-    box = (center - 2.0 * np.pi, center + 2.0 * np.pi)
+    probes = eq._newton(hm.coupling, hm.drive, eq._grid(center - 2.0 * np.pi, center + 2.0 * np.pi, eq._COARSE))
     points = eq.stationary_points(hm)
     (sep,) = [p for p in points if p.type_index == 0]
     (saddle,) = saddles(hm)
-    assert eq._seeded_points(hm, center, box, points) is not None
+    assert eq._seeded_points(hm, center, points, probes) is not None
     lost = replace(sep, delta=np.full_like(sep.delta, 1e300))  # steps of 1 rad move it nowhere
     # a lower "saddle" whose seed converges to the SEP
     decoy = replace(sep, type_index=1, energy=saddle.energy - 1.0)
     for seeds in ([*points, lost], [*points, decoy], [sep, replace(saddle, type_index=2)]):
-        assert eq._seeded_points(hm, center, box, seeds) is None
+        assert eq._seeded_points(hm, center, seeds, probes) is None
 
 
 def stacked_probes_equal_one_stack_runs(factory, values, grid_density=40):
     """Chained enumerations over the values, each seeded by the points of
     the admissible value before it: with the coarse probes of every
     admissible model from one stacked run (`_coarse_probes`), as a branch
-    trace runs them, and with the one Newton stack of seeds and probes that
-    studies and sweeps run, kept as the oracle.  Asserts the same bytes for both, and for the probe
-    rows of both runs; returns how many enumerations were seeded."""
+    trace runs them, and with one Newton stack of seeds and probes
+    (`one_stack_stationary_points`), kept as the oracle.  Asserts the same
+    bytes for both, and for the probe rows of both runs; returns how many
+    enumerations were seeded."""
     built = eq._builder(factory)(values)
     models = [hm for hm in built if isinstance(hm, en.HamiltonianModel)]
     probes = iter(eq._coarse_probes(models))
@@ -475,7 +476,7 @@ def stacked_probes_equal_one_stack_runs(factory, values, grid_density=40):
             assert same_bits(X, X1[len(seeds) :]) and same_bits(converged, converged1[len(seeds) :])
             seeded += 1
         points = eq.stationary_points(hm, grid_density=grid_density, seeds=seeds, probes=(X, converged))
-        seeds = eq.stationary_points(hm, grid_density=grid_density, seeds=seeds)
+        seeds = one_stack_stationary_points(hm, seeds, grid_density)
         assert point_bytes(points) == point_bytes(seeds)
     return seeded
 

@@ -125,7 +125,8 @@ def test_streamed_verdicts_equal_full_window_runs(nominal_ctx, nominal_fault_on,
     whole runs, and a row's verdict is the same alone and in a stack whose
     diverging rows are retired."""
     stacks = []
-    take = sw.SwingField.take
+    stack, take = sw.SwingField.stack.__func__, sw.SwingField.take
+    monkeypatch.setattr(sw.SwingField, "stack", classmethod(lambda cls, fields: stacks.append(len(fields)) or stack(cls, fields)))
     monkeypatch.setattr(sw.SwingField, "take", lambda self, rows: stacks.append(len(rows)) or take(self, rows))
     t_cl = np.linspace(0.0, 0.3, 40)
     (streamed,) = fs.first_swing_stable([nominal_ctx], [nominal_fault_on], [t_cl])
