@@ -24,7 +24,9 @@ INTEGRATION_FAILED = "integration-failed"
 DIVERGENCE_THRESHOLD = np.pi
 #: pairs moving less than this never count as diverging-without-return [rad]
 SMALL_SWING = 0.05
-#: verdict rows one true_cct round aims at: open points x (2^levels - 1)
+#: verdict rows true_cct aims at per round of admissions, one for every open
+#: point: each open point admits the midpoints of its next `levels`
+#: bisection steps, open points x (2^levels - 1) rows, levels at least 3
 ROWS_PER_ROUND = 32
 #: post-fault observation window of a first-swing verdict [s]
 WINDOW = 3.0
@@ -32,6 +34,10 @@ WINDOW = 3.0
 SAMPLE_STEP = 0.005
 #: integrator attempts between two checks of the verdict samples
 _BLOCK = 16
+#: the sample times of a first-swing verdict
+_SAMPLES = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
+#: verdict rows a check folds at a time
+_FOLD_ROWS = 128
 #: points per chain of continued enumerations: run_studies seeds the
 #: stationary points of each point with those of the one before it, except
 #: at every CHAIN-th index
@@ -216,6 +222,127 @@ def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray)
     return np.abs(coupling.pair_diffs(states[..., : coupling.act.size]) - ref)
 
 
+class _VerdictStack:
+    """First-swing verdict rows of many points, run as one lockstep stack.
+
+    A row is one clearing time of one point: its post-fault run starts from
+    the point's fault-on state at that time, on the point's post-fault
+    network, with its own step control (`swing.dopri_steps`).  The stack is
+    checked every _BLOCK integrator attempts: each check folds the 5 ms
+    samples of the block into the rows' verdict state and decides a row once
+    it diverges, fails or finishes its WINDOW.  `admit` adds rows (they join
+    at the next check) and `run` retires rows (what its `plan` returns),
+    while every row's verdict stays the one it gets alone.
+    """
+
+    def __init__(self, ctx: Sequence[StudyContext], fault_on: Sequence[sw.Trajectory], tol: float):
+        self._fault_on, self._tol = fault_on, tol
+        self._coupling = ctx[0].hm.coupling
+        # a kernel per row: one kernel shared by the rows evaluates them by broadcasting, more slowly
+        self._fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
+        # pairwise angle differences at each point's post-fault SEP
+        self._ref = self._coupling.pair_diffs(np.array([c.sep.delta for c in ctx]))
+        pairs = self._ref.shape[1]
+        # per row: its point and clearing time, the verdict state and the verdict
+        self.point = np.zeros(0, dtype=int)
+        self.time = np.zeros(0)
+        self._peak = np.zeros((0, pairs))
+        self._returned = np.zeros((0, pairs), dtype=bool)
+        self._decided = np.zeros(0, dtype=bool)
+        self.stable = np.zeros(0, dtype=bool)
+        self._failed: dict[int, float] = {}
+        self._rows = 0     # rows admitted, queued ones included
+        self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def admit(self, p: int, times: Sequence[float]) -> np.ndarray:
+        """Add a row per clearing time of point p; returns their row ids."""
+        times = np.asarray(times, dtype=float)
+        ids = np.arange(self._rows, self._rows + times.size)
+        self._rows += times.size
+        self._queue.append((np.full(times.size, p), times, self._fault_on[p].sample(times)))
+        return ids
+
+    def _admitted(self) -> tuple | None:
+        """The rows admitted since the last call as a `dopri_steps` triple
+        (ids, field, y); their verdict state joins the stack's."""
+        if not self._queue:
+            return None
+        points, times, states = (np.concatenate(x) for x in zip(*self._queue))
+        self._queue.clear()
+        ids = np.arange(self.point.size, self._rows)
+        self.point = np.concatenate([self.point, points])
+        self.time = np.concatenate([self.time, times])
+        self._peak = np.concatenate([self._peak, np.zeros((ids.size, self._peak.shape[1]))])
+        self._returned = np.concatenate([self._returned, np.zeros((ids.size, self._peak.shape[1]), dtype=bool)])
+        self._decided = np.concatenate([self._decided, np.zeros(ids.size, dtype=bool)])
+        self.stable = np.concatenate([self.stable, np.zeros(ids.size, dtype=bool)])
+        return ids, sw.SwingField.stack([self._fields[p] for p in points]), states
+
+    def _fold(self, rows: np.ndarray, block: list) -> np.ndarray:
+        """Fold a block of steps of the given rows into their verdict state;
+        whether each row diverged."""
+        count, angles = sw.sample_steps(block, _SAMPLES, self._coupling.act.size)
+        # one line per row and pair, padded with NaN, which fmax and comparisons skip
+        line = np.repeat(np.arange(rows.size), count)
+        exc = np.full((rows.size, self._peak.shape[1], count.max(initial=1)), np.nan)
+        exc[line, :, np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)] = (
+            _pair_excursions(self._coupling, angles.T, self._ref[self.point[rows[line]]])
+        )
+        # prior[..., j]: the peak of each pair before sample j
+        prior = np.fmax.accumulate(np.concatenate([self._peak[rows, :, None], exc[..., :-1]], axis=-1), axis=-1)
+        self._returned[rows] |= np.any(exc < prior - 1e-2, axis=-1)
+        self._peak[rows] = np.fmax(prior[..., -1], exc[..., -1])
+        # the divergence bound is enforced over the whole window: an orbit may
+        # complete its first return swing and still run away afterwards
+        return np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))
+
+    def _check(self, block: list) -> np.ndarray:
+        """Fold a block of steps into the verdict state, _FOLD_ROWS rows at a
+        time (the samples of a block are its largest arrays); the rows it decides."""
+        rows = block[0][0]
+        _ids, accept, t, t_new = block[-1][:4]
+        finished = (t == WINDOW) | (accept & (t_new == WINDOW))
+        diverged = []
+        for k in range(0, rows.size, _FOLD_ROWS):
+            part = slice(k, k + _FOLD_ROWS)
+            diverged.append(self._fold(rows[part], [(*(x[part] for x in s[:5]), s[5][:, part]) for s in block]))
+        block.clear()
+        # a failed run counts as diverged
+        lost = np.concatenate(diverged) | np.isin(rows, list(self._failed))
+        done = ~self._decided[rows] & (lost | finished)
+        self.stable[rows[done]] = ~lost[done] & np.all(
+            self._returned[rows[done]] | (self._peak[rows[done]] < SMALL_SWING), axis=1
+        )
+        self._decided[rows[done]] = True
+        return rows[done]
+
+    def run(self, plan: Callable[[np.ndarray], list[int]] = lambda decided: []) -> None:
+        """Integrate until no row runs and none is waiting.  After each check
+        the rows it decided retire, and plan(decided) may admit rows and
+        returns the ids of more rows to retire."""
+        steps = None
+        retire = np.zeros(0, dtype=int)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                admit = self._admitted()
+                if steps is not None:
+                    change = (retire, admit)
+                elif admit is None:
+                    return
+                else:
+                    steps = sw.dopri_steps(admit[1], admit[2], WINDOW, self._tol, sw.ATOL, self._failed, admit[0])
+                    change = None
+                block: list = []
+                try:
+                    while len(block) < _BLOCK:
+                        block.append(steps.send(change))
+                        change = None
+                except StopIteration:
+                    steps = None
+                decided = self._check(block) if block else np.zeros(0, dtype=int)
+                retire = np.concatenate([decided, np.array(plan(decided), dtype=int)])
+
+
 def first_swing_stable(
     ctx: Sequence[StudyContext],
     fault_on: Sequence[sw.Trajectory],
@@ -227,11 +354,12 @@ def first_swing_stable(
     ctx, fault_on and t_cl are equal-length sequences with one entry per
     point: its context, its fault-on trajectory and its clearing times.
     Returns one bool array per point, one verdict per clearing time.  All
-    rows are integrated as one stack, each with its point's post-fault
-    network and its own step control, from the fault-on state at its
-    clearing time.  Stable means every pairwise rotor-angle difference stays
-    within DIVERGENCE_THRESHOLD of its post-fault equilibrium value over the
-    observation window (WINDOW) and swings back (reaches a peak and
+    rows are admitted at once to one verdict stack (the one `true_cct`
+    grows as it searches) and integrated in lockstep, each with its point's
+    post-fault network and its own step control, from the fault-on state at
+    its clearing time.  Stable means every pairwise rotor-angle difference
+    stays within DIVERGENCE_THRESHOLD of its post-fault equilibrium value
+    over the observation window (WINDOW) and swings back (reaches a peak and
     retreats), judged on the dense output every SAMPLE_STEP.  The samples
     are checked as the steps arrive, every _BLOCK integrator attempts, and a
     row leaves the stack at the first check that finds it diverged.
@@ -241,59 +369,10 @@ def first_swing_stable(
         for t in tp:
             if not 0.0 <= t <= fo.t_end:
                 raise ValueError(f"clearing time {t:.6g} outside the fault-on run [0, {fo.t_end:.6g}]")
-    sizes = [tp.size for tp in times]
-    of_point = np.repeat(np.arange(len(ctx)), sizes)
-
-    coupling = ctx[0].hm.coupling
-    # a kernel per row: one kernel shared by the rows evaluates them by broadcasting, more slowly
-    fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
-    field = sw.SwingField.stack([fields[i] for i in of_point])
-    # pairwise angle differences at each row's post-fault SEP
-    ref = coupling.pair_diffs(np.array([c.sep.delta for c in ctx]))[of_point]
-    state = np.concatenate([fo.sample(tp) for fo, tp in zip(fault_on, times)])
-
-    ts = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
-    peak = np.zeros(ref.shape)
-    returned = np.zeros(ref.shape, dtype=bool)
-    diverged = np.zeros(of_point.size, dtype=bool)
-    failed = np.full(of_point.size, np.nan)
-
-    def check(block: list) -> np.ndarray:
-        """Fold a block of steps into the verdict state; the rows it diverged."""
-        rows = block[0][0]
-        count, angles = sw.sample_steps(block, ts, coupling.act.size)
-        block.clear()
-        # one line per row and pair, padded with NaN, which fmax and comparisons skip
-        line = np.repeat(np.arange(rows.size), count)
-        exc = np.full((rows.size, ref.shape[1], count.max(initial=1)), np.nan)
-        exc[line, :, np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)] = (
-            _pair_excursions(coupling, angles.T, ref[rows[line]])
-        )
-        # prior[..., j]: the peak of each pair before sample j
-        prior = np.fmax.accumulate(np.concatenate([peak[rows, :, None], exc[..., :-1]], axis=-1), axis=-1)
-        returned[rows] |= np.any(exc < prior - 1e-2, axis=-1)
-        peak[rows] = np.fmax(prior[..., -1], exc[..., -1])
-        # the divergence bound is enforced over the whole window: an orbit may
-        # complete its first return swing and still run away afterwards
-        out = rows[np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))]
-        diverged[out] = True
-        return out
-
-    steps = sw.dopri_steps(field, state, WINDOW, tol, sw.ATOL, failed)
-    block: list = []
-    retire = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            try:
-                block.append(steps.send(retire))
-            except StopIteration:
-                break
-            retire = check(block) if len(block) == _BLOCK else None
-        if block:
-            check(block)
-    # a failed run counts as diverged
-    stable = ~diverged & np.isnan(failed) & np.all(returned | (peak < SMALL_SWING), axis=1)
-    return np.split(stable, np.cumsum(sizes)[:-1])
+    stack = _VerdictStack(ctx, fault_on, tol)
+    ids = [stack.admit(p, tp) for p, tp in enumerate(times)]
+    stack.run()
+    return [stack.stable[i] for i in ids]
 
 
 def _midpoints(lo: float, hi: float, resolution: float, levels: int) -> list[float]:
@@ -304,30 +383,49 @@ def _midpoints(lo: float, hi: float, resolution: float, levels: int) -> list[flo
     return [mid] + _midpoints(lo, mid, resolution, levels - 1) + _midpoints(mid, hi, resolution, levels - 1)
 
 
-def _bisect(
-    known: Mapping[float, bool], horizon: float, resolution: float, levels: int
-) -> tuple[tuple[float | str, str | None] | None, list[float]]:
-    """Replay plain bisection over the verdicts known so far (t_cl -> stable).
-
-    Returns (result, []) once the search is decided, else (None, wanted):
-    the clearing times its next `levels` steps may ask for.
-    """
-    if 0.0 not in known or horizon not in known:
-        return None, [0.0, horizon] + _midpoints(0.0, horizon, resolution, levels)
-    if not known[0.0]:
-        return (0.0, "unstable-at-zero"), []
-    if known[horizon]:
-        return (UNBOUNDED, None), []
+def _replay(
+    verdict: Callable[[float], bool | None], horizon: float, resolution: float
+) -> tuple[tuple[float | str, str | None] | None, tuple[float, float] | None]:
+    """Replay plain bisection over verdict(t_cl): True (stable), False or
+    None (not known).  Returns (result, None) once the search is decided,
+    else (None, bracket): the bracket whose midpoint is the first one not
+    known, or None when only 0 or the horizon is missing.  A missing end
+    is presumed to bracket the search."""
+    if verdict(0.0) is False:
+        return (0.0, "unstable-at-zero"), None
+    if verdict(horizon) is True:
+        return (UNBOUNDED, None), None
     lo, hi = 0.0, horizon
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if mid not in known:
-            return None, _midpoints(lo, hi, resolution, levels)
-        if known[mid]:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, None), []
+        v = verdict(mid)
+        if v is None:
+            return None, (lo, hi)
+        lo, hi = (mid, hi) if v else (lo, mid)
+    if verdict(0.0) is None or verdict(horizon) is None:
+        return None, None
+    return (lo, None), None
+
+
+def _reachable(known: Mapping[float, bool], asked: Mapping[float, int], horizon: float, resolution: float) -> set[float]:
+    """0, the horizon and the asked midpoints some replay of bisection over
+    the known verdicts may still visit: from [0, horizon], a known verdict
+    picks one half and an unknown one both.  The asked times hold every
+    parent of an asked midpoint, so the walk stops at the first one not
+    asked."""
+    out, brackets = {0.0, horizon}, [(0.0, horizon)]
+    while brackets:
+        lo, hi = brackets.pop()
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= resolution or mid not in asked:
+            continue
+        out.add(mid)
+        v = known.get(mid)
+        if v is not False:
+            brackets.append((mid, hi))
+        if v is not True:
+            brackets.append((lo, mid))
+    return out
 
 
 def check_search(resolution: float, horizon: float, tol: float) -> None:
@@ -349,35 +447,71 @@ def true_cct(
     ctx and fault_on are equal-length sequences, searched in lockstep.
 
     Every clearing state is read from the point's fault-on trajectory, which
-    must cover the horizon.  Each round checks, in one batched verdict call,
-    every clearing time the open points' next bisection steps may ask for
-    (the first round adds 0 and the horizon), over as many steps as keep the
-    round near ROWS_PER_ROUND rows and at least 3: 5 for one point, 4 for
-    two, 3 for five or more.  Each point then replays plain bisection over
-    its verdicts, so its bracket is the one serial bisection gets.  Returns
-    (value, verdict) per point: value is the lower end of the final bracket,
-    UNBOUNDED when stable at the horizon; verdict flags the degenerate case
-    of a post-fault system unstable even at instant clearing.
+    must cover the horizon.  All points share one running verdict stack
+    (`first_swing_stable` is its one-shot form), and each point's search is
+    replanned at every check of that stack:
+
+    - the point replays plain bisection over its decided verdicts; once that
+      replay ends, the point is decided and its running rows retire;
+    - else it retires the running rows no such replay can reach any more;
+    - it replays again, counting a midpoint row still running as stable
+      (every running row has been through at least one check), and admits
+      every midpoint its next steps from the first midpoint not asked yet
+      may visit; the first plan adds 0 and the horizon.  It looks as many
+      steps ahead as keep a round of all open points near ROWS_PER_ROUND
+      rows, and at least 3.
+
+    Each clearing time is integrated at most once, and a point's bracket is
+    the one serial bisection gets: every verdict it replays is the verdict
+    of a row that ran alone.  Returns (value, verdict) per point: value is
+    the lower end of the final bracket, UNBOUNDED when stable at the
+    horizon; verdict flags the degenerate case of a post-fault system
+    unstable even at instant clearing.
     """
     check_search(resolution, horizon, tol)
     for fo in fault_on:
         if fo.t_end < horizon:
             raise ValueError(f"fault-on run ends at t={fo.t_end:.6g}, before the horizon {horizon:.6g}")
+    if not ctx:
+        return []
+    stack = _VerdictStack(ctx, fault_on, tol)
     known: list[dict[float, bool]] = [{} for _ in ctx]
+    asked: list[dict[float, int]] = [{} for _ in ctx]   # clearing time -> row, of every row admitted
+    running: list[set[float]] = [set() for _ in ctx]    # the clearing times of the rows still running
     results: list = [None] * len(ctx)
-    while open_points := [p for p, r in enumerate(results) if r is None]:
-        levels = max(3, int(math.log2(ROWS_PER_ROUND / len(open_points) + 1)))
-        wanted = {}
-        for p in open_points:
-            results[p], w = _bisect(known[p], horizon, resolution, levels)
-            if w:
-                wanted[p] = w
-        if wanted:
-            stable = first_swing_stable(
-                [ctx[p] for p in wanted], [fault_on[p] for p in wanted], list(wanted.values()), tol=tol
-            )
-            for (p, w), verdicts in zip(wanted.items(), stable):
-                known[p].update(zip(w, verdicts.tolist()))
+    touched = set(range(len(ctx)))     # the points that admitted rows at the last plan
+
+    def plan(decided: np.ndarray) -> list[int]:
+        retire: list[int] = []
+        settled = set()
+        for p, t, v in zip(*(x[decided].tolist() for x in (stack.point, stack.time, stack.stable))):
+            known[p][t] = v
+            running[p].discard(t)
+            settled.add(p)
+        for p in settled:
+            results[p] = _replay(known[p].get, horizon, resolution)[0]
+            keep = _reachable(known[p], asked[p], horizon, resolution) if results[p] is None else set()
+            retire += [asked[p][t] for t in running[p] - keep]
+            running[p] &= keep
+        open_points = sum(r is None for r in results)
+        replan = touched | settled
+        touched.clear()
+        for p in replan:
+            if results[p] is not None:
+                continue
+            k, a = known[p], asked[p]
+            _, bracket = _replay(lambda t: k.get(t, True if t in a and t not in (0.0, horizon) else None), horizon, resolution)
+            levels = max(3, int(math.log2(ROWS_PER_ROUND / open_points + 1)))
+            wanted = [0.0, horizon] + (_midpoints(*bracket, resolution, levels) if bracket else [])
+            new = [t for t in dict.fromkeys(wanted) if t not in a]
+            if new:
+                a.update(zip(new, stack.admit(p, new).tolist()))
+                running[p].update(new)
+                touched.add(p)
+        return retire
+
+    plan(np.zeros(0, dtype=int))
+    stack.run(plan)
     return results
 
 

@@ -114,15 +114,28 @@ class Coupling:
     _NETWORK = {"_PG_act": -1, "_Pbar_act": -1, "_Pbar_pairs": 0}
 
     def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
-        self.n = red.n
+        self._build(red.n, act, conductive, red.E[None], red.G[None], red.Pbar[None])
+
+    @classmethod
+    def stacked(cls, reds: Sequence[ReducedNetwork], act: np.ndarray) -> "Coupling":
+        """`stack` of the kernels of networks of the same machines, built
+        from their stacked parameters without a kernel per network."""
+        out = object.__new__(cls)
+        out._build(reds[0].n, act, True, *(np.array(x) for x in zip(*((r.E, r.G, r.Pbar) for r in reds))))
+        return out
+
+    def _build(self, n: int, act: np.ndarray, conductive: bool, E: np.ndarray, G: np.ndarray, Pbar: np.ndarray) -> None:
+        """Set up the kernel of the networks whose E (networks, n), G and
+        Pbar (networks, n, n) are stacked along their first axis."""
+        self.n = n
         self.act = act
         self.conductive = conductive
-        self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
+        self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(n, np.asarray(act, dtype=int).tobytes())
         self._diag = np.arange(act.size)
-        Pbar = red.Pbar.ravel()
-        self._PG_act = (np.outer(red.E, red.E) * red.G).ravel()[act_terms, None]
-        self._Pbar_act = Pbar[act_terms, None]
-        self._Pbar_pairs = Pbar[None, self.pairs]
+        Pbar = Pbar.reshape(E.shape[0], -1)
+        self._PG_act = (E[:, :, None] * E[:, None, :] * G).reshape(E.shape[0], -1).T[act_terms]
+        self._Pbar_act = Pbar.T[act_terms]
+        self._Pbar_pairs = Pbar[:, self.pairs]
 
     @classmethod
     def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":
@@ -366,18 +379,24 @@ def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, x: np.ndarray) -> n
 
 
 def dopri_steps(
-    field: Field, y: np.ndarray, t_end: float, tol: float, atol: float, failed: np.ndarray
-) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
+    field: Field, y: np.ndarray, t_end: float, tol: float, atol: float, failed: dict[int, float],
+    ids: np.ndarray | None = None,
+) -> Generator[tuple[np.ndarray, ...], tuple | None, None]:
     """Lockstep Dormand-Prince 5(4) over a (K, d) stack of initial states.
 
     Yields, for every attempt, the tuple (ids, accept, t, t_new, y, Q) of
-    the current stack: the rows' indices in the initial stack, the mask of
-    accepted steps, their start and end times (a step's size is t_new - t),
-    start states and dense-output coefficients, shape (4, K, d).  A row whose
-    step size underflows gets its time in `failed` (indexed like the initial
-    stack) and stops.  Sending an index array of rows retires them: the
-    stepper then drops them, and every row that has finished or failed, from
-    its state and from the stacked field (which needs a `take`).
+    the current stack: the rows' ids (`ids`, by default their indices in the
+    initial stack), the mask of accepted steps, their start and end times (a
+    step's size is t_new - t), start states and dense-output coefficients,
+    shape (4, K, d).  A row whose step size underflows gets its time in
+    `failed` under its id and stops.  Sending a pair (retire, admit) changes
+    the stack before the next attempt: the stepper drops the rows whose ids
+    are in the array `retire`, and every row that has finished or failed,
+    from its state and from the stacked field (which needs a `take`); then
+    `admit`, None or a triple (ids, field, y) of new rows, their stacked
+    field and their states, appends rows (the fields need a `stack`).  A new
+    row starts at its own t = 0 with its own first step size, as in a fresh
+    stack.  The stepper ends once no row is live after a send.
 
     Every row keeps its own step size, error norm and accept/reject: the
     error norm is the RMS of the embedded error over atol + tol * max(|y|,
@@ -387,10 +406,10 @@ def dopri_steps(
     A row that has finished (or failed) rides along with a zero step until
     the last row is done or it is dropped.  Stage sums add each stage's
     elementwise products in stage order, so a row's bits never depend on the
-    other rows (a BLAS product may).  Run it under np.errstate that ignores
-    overflow: a failing row overflows.
+    other rows or on when it joined (a BLAS product may).  Run it under
+    np.errstate that ignores overflow: a failing row overflows.
     """
-    ids = np.arange(y.shape[0])
+    ids = np.arange(y.shape[0]) if ids is None else ids
     f = field(y)
     h_abs = _initial_step(field, y, f, t_end, tol, atol)
     t = np.zeros(ids.size)
@@ -406,7 +425,7 @@ def dopri_steps(
             min_step = 10.0 * np.spacing(t)
             np.maximum(h_abs, min_step, out=h_abs, where=fresh)
             small = live & ~(h_abs >= min_step)
-            failed[ids[small]] = t[small]
+            failed.update(zip(ids[small].tolist(), t[small].tolist()))
             h_abs[small] = 0.0
             live &= ~small
         t_new = np.minimum(t + h_abs, t_end)
@@ -432,19 +451,30 @@ def dopri_steps(
         y = np.where(moved, y_new, y)
         f = np.where(moved, k, f)
         live &= t < t_end
-        retire = yield step
-        if retire is not None:
-            keep = live & ~np.isin(ids, retire)
-            if not keep.all():
-                ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
-                field = field.take(np.flatnonzero(keep))
+        change = yield step
+        if change is None:
+            continue
+        retire, admit = change
+        keep = live & ~np.isin(ids, retire)
+        if not keep.all():
+            ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
+            field = field.take(np.flatnonzero(keep))
+        if admit is not None:
+            new_ids, new_field, new_y = admit
+            new_f = new_field(new_y)
+            new = (new_ids, np.zeros(new_ids.size), new_y, new_f, _initial_step(new_field, new_y, new_f, t_end, tol, atol))
+            ids, t, y, f, h_abs = (np.concatenate(x) for x in zip((ids, t, y, f, h_abs), new))
+            live, fresh = np.ones(ids.size, dtype=bool), np.concatenate([fresh, np.ones(new_ids.size, dtype=bool)])
+            # an emptied stack takes the new rows' field as it is
+            field = type(field).stack([field, new_field]) if keep.any() else new_field
 
 
 def sample_steps(steps: list, ts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The first m components of the states at the sample times ts inside a
-    list of `dopri_steps` tuples of one stack (no rows retired in between),
-    evaluated as `Trajectory.sample` does: an accepted step (t, t_new] holds
-    the times above t up to t_new, and a row's first step also holds t = 0.
+    list of `dopri_steps` tuples of one stack (no rows retired or admitted
+    in between), evaluated as `Trajectory.sample` does: an accepted step
+    (t, t_new] holds the times above t up to t_new, and a row's first step
+    also holds t = 0.
     Returns the number of samples of each row of the stack and the samples,
     sorted by row and then by time, component-major as (m, S)."""
     accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*steps))[1:])
@@ -463,7 +493,7 @@ def sample_steps(steps: list, ts: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     )
 
 
-def _collect(steps: list, failed: np.ndarray) -> list[Trajectory | IntegrationError]:
+def _collect(steps: list, failed: dict[int, float]) -> list[Trajectory | IntegrationError]:
     """The accepted steps of one `dopri_steps` run as one trajectory per
     row; a row with a time in `failed` is its IntegrationError."""
     if not steps:    # an empty stack takes no step
@@ -472,9 +502,9 @@ def _collect(steps: list, failed: np.ndarray) -> list[Trajectory | IntegrationEr
     steps.clear()    # the per-attempt arrays dominate the memory of a large stack
     return [
         Trajectory(t=np.append(0.0, t_new[s, r]), h=t_new[s, r] - t[s, r], y=y[s, r], Q=Q[s, :, r].swapaxes(0, 1))
-        if np.isnan(t_bad)
-        else IntegrationError(f"integration failed at t={t_bad:.6g}: step size underflow", time=float(t_bad))
-        for r, (s, t_bad) in enumerate(zip(accept.T, failed))
+        if r not in failed
+        else IntegrationError(f"integration failed at t={failed[r]:.6g}: step size underflow", time=failed[r])
+        for r, s in enumerate(accept.T)
     ]
 
 
@@ -491,7 +521,7 @@ def integrate_rows(
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     Y = np.asarray(Y, dtype=float)
-    failed = np.full(Y.shape[0], np.nan)
+    failed: dict[int, float] = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed)
 
@@ -526,7 +556,7 @@ class Dispatch:
         InadmissibleScenario of a network on which a modeled machine does not
         come out as a generator (Pm > 0)."""
         act = _modeled_machines(reds[0].n, self.infinite_index)
-        kernel = Coupling.stack([Coupling(red, act) for red in reds])
+        kernel = Coupling.stacked(reds, act)
         if np.any(np.abs(kernel.diffs(self.delta_pre)) >= np.pi / 2.0):
             raise InadmissibleScenario("pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles")
         out: list[np.ndarray | InadmissibleScenario] = []

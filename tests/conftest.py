@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from swingcct import netmodel as nm
 from swingcct.errors import EquilibriumError, InadmissibleScenario, SingularNetworkError
 from swingcct.netmodel import ReducedNetwork
 from swingcct.scenario import load_scenario
-from swingcct.swing import GeneratorParams
+from swingcct.swing import Coupling, GeneratorParams
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +93,65 @@ def stable(ctx, fo, t):
 def cct(ctx, fo, **kw):
     """`faultstudy.true_cct` of one point."""
     return fs.true_cct([ctx], [fo], **kw)[0]
+
+
+def round_true_cct(ctx, fault_on, resolution=1e-4, horizon=1.0, tol=1e-8):
+    """`faultstudy.true_cct` as it ran before its points shared one running
+    verdict stack, kept as its oracle: each round checks, in one batched
+    `first_swing_stable` call, every clearing time the open points' next
+    bisection steps may ask for (5 steps for one open point, 4 for two, 3
+    for five or more), and only then replays bisection over the verdicts."""
+
+    def bisect(known, levels):
+        if 0.0 not in known or horizon not in known:
+            return None, [0.0, horizon] + fs._midpoints(0.0, horizon, resolution, levels)
+        if not known[0.0]:
+            return (0.0, "unstable-at-zero"), []
+        if known[horizon]:
+            return (fs.UNBOUNDED, None), []
+        lo, hi = 0.0, horizon
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            if mid not in known:
+                return None, fs._midpoints(lo, hi, resolution, levels)
+            lo, hi = (mid, hi) if known[mid] else (lo, mid)
+        return (lo, None), []
+
+    known = [{} for _ in ctx]
+    results = [None] * len(ctx)
+    while open_points := [p for p, r in enumerate(results) if r is None]:
+        levels = max(3, int(math.log2(fs.ROWS_PER_ROUND / len(open_points) + 1)))
+        wanted = {}
+        for p in open_points:
+            results[p], w = bisect(known[p], levels)
+            if w:
+                wanted[p] = w
+        if wanted:
+            stable = fs.first_swing_stable(
+                [ctx[p] for p in wanted], [fault_on[p] for p in wanted], list(wanted.values()), tol=tol
+            )
+            for (p, w), verdicts in zip(wanted.items(), stable):
+                known[p].update(zip(w, verdicts.tolist()))
+    return results
+
+
+def per_network_powers(dispatch, reds):
+    """`swing.Dispatch.powers` as it was when it built a full `Coupling` per
+    network and stacked them, kept as its oracle: one stack of powers, the
+    InadmissibleScenario of a network with a non-positive one."""
+    act = np.delete(np.arange(reds[0].n), dispatch.infinite_index)
+    kernel = Coupling.stack([Coupling(red, act) for red in reds])
+    if np.any(np.abs(kernel.diffs(dispatch.delta_pre)) >= np.pi / 2.0):
+        raise InadmissibleScenario("pre-fault angles must satisfy |d_i - d_k| < pi/2 pairwise", code="bad-angles")
+    out = []
+    for Pm in np.ascontiguousarray(kernel._power_of(kernel._columns(dispatch.delta_pre)).T):
+        if np.any(Pm <= 0.0):
+            bad = [int(i) for i in act[Pm <= 0.0]]
+            Pm = InadmissibleScenario(
+                f"dispatch gives non-positive mechanical power for machines {bad}", code="pm-nonpositive"
+            )
+        out.append(Pm)
+    return out
 
 
 def smib(Pm: float = 0.5, Pbar: float = 1.0, M: float = 0.1):

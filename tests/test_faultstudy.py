@@ -4,11 +4,16 @@ import dataclasses
 import warnings
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import cct, fault_on, rebuilt_reduction, stable, with_part
+from conftest import cct, fault_on, rebuilt_reduction, round_true_cct, stable, with_part
+from test_coupling import network
 from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
@@ -109,6 +114,64 @@ def test_lockstep_true_cct_equals_serial_bisection(wscc, nominal_ctx, nominal_fa
     assert fs.true_cct(ctxs[1:3], fault_ons[1:3]) == lockstep[1:3]
 
 
+@pytest.fixture(scope="module")
+def search_cases(wscc, nominal_ctx, nominal_fault_on, three_machine):
+    """(contexts, fault-on runs, true_cct settings) of the searches the round
+    search is the oracle of."""
+    four = [nominal_ctx] + [fs.build_context(with_part(wscc, "8", "G", g)) for g in (1.0, 5.0, 7.0)]
+    three = fs.build_context(three_machine)
+    at_zero = fs.build_context(with_part(wscc, "8", "G", 8.0))
+    null = null_fault_context(nominal_ctx)
+    return {
+        "four-points": (four, [nominal_fault_on] + [fault_on(c, 2.0) for c in four[1:]], {}),
+        "three-machine": ([three], [fault_on(three, 1.0)], {}),
+        "unstable-at-zero": ([at_zero], [fault_on(at_zero, 1.0)], {"resolution": 5e-4}),
+        "null-fault": ([null], [fault_on(null, 2.0)], {"horizon": 0.5}),
+    }
+
+
+@pytest.mark.parametrize("case", ["four-points", "three-machine", "unstable-at-zero", "null-fault"])
+def test_true_cct_equals_round_search(search_cases, case):
+    """One running verdict stack gives the (value, verdict) of the search
+    that waits for every row of a round before it plans the next."""
+    ctx, fo, kw = search_cases[case]
+    got = fs.true_cct(ctx, fo, **kw)
+    assert got == round_true_cct(ctx, fo, **kw)
+    flagged = {"unstable-at-zero": [(0.0, "unstable-at-zero")], "null-fault": [(fs.UNBOUNDED, None)]}
+    assert got == flagged[case] if case in flagged else all(isinstance(t, float) and v is None for t, v in got)
+
+
+@st.composite
+def random_searches(draw):
+    """1..3 points on random networks over 2..4 machines (m = 1..3): each a
+    post-fault network whose inputs make a random anchor its equilibrium,
+    and a fault-on run of 0.5 s on another random network from a state near
+    the anchor."""
+    n = draw(st.integers(2, 4))
+    inf = draw(st.integers(0, n - 1))
+    ctxs, runs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        (red_post, gp), (red_on, _) = network(draw, n, inf), network(draw, n, inf)
+        anchor = draw(arrays(float, n - 1, elements=st.floats(-1.0, 1.0)))
+        gp = replace(gp, Pm=sw.Coupling(red_post, gp.active).power(anchor))
+        hm = en.HamiltonianModel.at_anchor(red_post, gp, anchor)
+        start = np.concatenate([anchor + draw(arrays(float, n - 1, elements=st.floats(-0.3, 0.3))), np.zeros(n - 1)])
+        (run,) = sw.integrate_rows(sw.swing_field(red_on, gp), start[None], 0.5)
+        if isinstance(run, IntegrationError):
+            continue
+        # the fields of a StudyContext a search reads
+        ctxs.append(SimpleNamespace(red_post=red_post, gp=gp, hm=hm, sep=SimpleNamespace(delta=anchor)))
+        runs.append(run)
+    return ctxs, runs
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(random_searches())
+def test_true_cct_equals_round_search_on_random_networks(case):
+    ctx, fo = case
+    assert fs.true_cct(ctx, fo, resolution=1e-3, horizon=0.5) == round_true_cct(ctx, fo, resolution=1e-3, horizon=0.5)
+
+
 def window_verdict(ctx, fo, t_cl):
     """The first-swing rule on one full-window integrate run sampled every 5 ms."""
     run = sw.integrate(sw.swing_field(ctx.red_post, ctx.gp), fo.sample([t_cl])[0], fs.WINDOW)
@@ -192,19 +255,31 @@ def test_study_integrates_fault_on_once(wscc, monkeypatch):
     assert calls == [2.0]
 
 
-def test_study_makes_three_verdict_rounds(wscc, monkeypatch):
-    """One open point checks 5 bisection levels per round: 14 levels to 1e-4 s in 3 rounds."""
-    calls = []
-    original = fs.first_swing_stable
+def test_study_search_attempts(wscc, monkeypatch):
+    """The nominal study's search, one running verdict stack replanned at
+    every check, takes at most 480 lockstep attempts (756 when each round of
+    5 bisection levels waited for its slowest stable row) and integrates
+    each clearing time at most once."""
+    attempts, admitted = [], []
+    dopri_steps, admit = sw.dopri_steps, fs._VerdictStack.admit
 
-    def counted(*args, **kwargs):
-        calls.append(sum(len(t) for t in args[2]))
-        return original(*args, **kwargs)
+    def counted(field, y, t_end, *args, **kwargs):
+        steps = dopri_steps(field, y, t_end, *args, **kwargs)
+        change = None
+        while True:
+            try:
+                step = steps.send(change)
+            except StopIteration:
+                return
+            attempts.append(t_end)
+            change = yield step
 
-    monkeypatch.setattr(fs, "first_swing_stable", counted)
+    monkeypatch.setattr(sw, "dopri_steps", counted)
+    monkeypatch.setattr(fs._VerdictStack, "admit", lambda self, p, times: admitted.extend(times) or admit(self, p, times))
     result = fs.run_fault_study(wscc)
     assert isinstance(result.tau, float)
-    assert calls == [33, 31, 15]
+    assert 0 < attempts.count(fs.WINDOW) <= 480
+    assert len(admitted) == len(set(admitted)) > 0
 
 
 @pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
@@ -213,6 +288,7 @@ def test_bad_search_setting_raises(wscc, nominal_ctx, nominal_fault_on, monkeypa
     """A resolution, horizon or tol that is not positive and finite raises
     before any verdict is computed (resolution <= 0 would never end)."""
     monkeypatch.setattr(fs, "first_swing_stable", None)
+    monkeypatch.setattr(fs, "_VerdictStack", None)
     with pytest.raises(ValueError, match="must be positive and finite"):
         cct(nominal_ctx, nominal_fault_on, **{name: value})
     with pytest.raises(ValueError, match="must be positive and finite"):

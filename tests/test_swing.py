@@ -8,8 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import smib
+from conftest import per_network_powers, smib
+from test_coupling import network, same_bits
 from swingcct import faultstudy as fs
 from swingcct import swing as sw
 from swingcct.errors import InadmissibleScenario, IntegrationError
@@ -222,9 +226,116 @@ def test_nan_first_step_fails_its_row_alone():
     assert out.stdout.split() == ["IntegrationError", "0.0", "True"]
 
 
+class Riccati:
+    """y' = c y^2 per row, with one coefficient c per row: a row with c y0 > 0
+    escapes at t = 1 / (c y0), so its step size underflows there."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+
+    def __call__(self, y):
+        return self.c[:, None] * y * y
+
+    def take(self, rows):
+        return Riccati(self.c[rows])
+
+    @classmethod
+    def stack(cls, fields):
+        return cls(np.concatenate([f.c for f in fields]))
+
+
+def run_with_admissions(field_of, y, plan, t_end=2.0):
+    """Run `dopri_steps` on rows 0.. of (field_of(rows), y[rows]), sending
+    plan[k] = (retire, rows) at its k-th attempt (rows joins the stack);
+    returns the accepted (t_new, y, Q) of every row by id, and `failed`."""
+    failed, accepted = {}, {}
+    start = plan.get(0, ((), ()))[1]
+    steps = sw.dopri_steps(field_of(start), y[start], t_end, 1e-8, sw.ATOL, failed, np.array(start))
+    change, k = None, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            try:
+                ids, accept, _t, t_new, y_, Q = steps.send(change)
+            except StopIteration:
+                break
+            for i, r in enumerate(ids.tolist()):
+                if accept[i]:
+                    accepted.setdefault(r, []).append((t_new[i], y_[i], Q[:, i]))
+            k += 1
+            retire, rows = plan.get(k, (None, None))
+            change = None if retire is None else (
+                np.array(retire, dtype=int), (np.array(rows), field_of(rows), y[rows]) if rows else None
+            )
+    return accepted, failed
+
+
+def test_admitted_rows_equal_rows_alone():
+    """Rows that join a running stack at later sends get the accepted steps,
+    dense output and failure times they get alone, bit for bit: a row that
+    fails, and a row admitted once another has retired."""
+    c = np.array([1.0, -0.5, 0.3, 1.2, 0.05])
+    y = np.array([[1.0], [2.0], [0.5], [1.5], [3.0]])
+    field_of = lambda rows: Riccati(c[list(rows)])
+    plan = {0: ((), [0, 1]), 5: ((), [2, 3]), 12: ([1], []), 20: ((), [4])}
+    accepted, failed = run_with_admissions(field_of, y, plan)
+    assert set(failed) == {0, 3}    # rows 0 and 3 escape inside the window
+    assert len(accepted[1]) < len(run_with_admissions(field_of, y, {0: ((), [1])})[0][1])   # row 1 retired early
+    for r in (0, 2, 3, 4):
+        alone, failed_alone = run_with_admissions(field_of, y, {0: ((), [r])})
+        assert failed.get(r) == failed_alone.get(r)
+        assert len(accepted[r]) == len(alone[r])
+        for got, want in zip(accepted[r], alone[r]):
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_admitted_swing_rows_equal_rows_alone(nominal_ctx, nominal_fault_on):
+    """The same for post-fault swing rows on their stacked fields."""
+    field = sw.swing_field(nominal_ctx.red_post, nominal_ctx.gp)
+    y = nominal_fault_on.sample(np.array([0.05, 0.1, 0.2, 0.12]))
+    field_of = lambda rows: sw.SwingField.stack([field] * len(rows))
+    accepted, failed = run_with_admissions(field_of, y, {0: ((), [0, 1]), 16: ((), [2]), 40: ([0], [3])}, 1.0)
+    assert not failed
+    for r in (1, 2, 3):
+        alone, _ = run_with_admissions(field_of, y, {0: ((), [r])}, 1.0)
+        assert len(accepted[r]) == len(alone[r])
+        for got, want in zip(accepted[r], alone[r]):
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def dispatch_cases(draw):
+    """k = 1..6 random networks over n = 2..5 machines (m = 1..4 modeled)
+    and pre-fault angles of the modeled machines, some too wide."""
+    n = draw(st.integers(2, 5))
+    inf = draw(st.integers(0, n - 1))
+    reds = [network(draw, n, inf)[0] for _ in range(draw(st.integers(1, 6)))]
+    delta_pre = draw(arrays(float, n - 1, elements=st.floats(-1.0, 1.0)))
+    return sw.Dispatch(delta_pre, inf), reds
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(dispatch_cases())
+def test_dispatch_powers_equal_per_network_kernels(case):
+    """The powers from the stacked act-term arrays are, bit for bit, those of
+    a full kernel per network, as are the verdicts of the networks rejected."""
+    dispatch, reds = case
+    try:
+        want = per_network_powers(dispatch, reds)
+    except InadmissibleScenario as exc:
+        with pytest.raises(InadmissibleScenario) as err:
+            dispatch.powers(reds)
+        assert (err.value.code, str(err.value)) == (exc.code, str(exc))
+        return
+    for got, Pm in zip(dispatch.powers(reds), want, strict=True):
+        if isinstance(Pm, InadmissibleScenario):
+            assert (got.code, str(got)) == (Pm.code, str(Pm))
+        else:
+            assert same_bits(got, Pm)
 
 
 def test_dispatch_zero_angles_zero_conductance_rejected():
