@@ -27,6 +27,7 @@ SMALL_SWING = 0.05
 #: verdict rows true_cct aims at per round of admissions, one for every open
 #: point: each open point admits the midpoints of its next `levels`
 #: bisection steps, open points x (2^levels - 1) rows, levels at least 3
+#: (at least 1 where the bracket is a guess past a running row)
 ROWS_PER_ROUND = 32
 #: post-fault observation window of a first-swing verdict [s]
 WINDOW = 3.0
@@ -390,11 +391,12 @@ def _replay(
     None (not known).  Returns (result, None) once the search is decided,
     else (None, bracket): the bracket whose midpoint is the first one not
     known, or None when only 0 or the horizon is missing.  A missing end
-    is presumed to bracket the search."""
+    is presumed to bracket the search.  Bisection asks 0 first, so a point
+    stable at the horizon waits for its verdict at 0."""
     if verdict(0.0) is False:
         return (0.0, "unstable-at-zero"), None
     if verdict(horizon) is True:
-        return (UNBOUNDED, None), None
+        return ((UNBOUNDED, None) if verdict(0.0) else None), None
     lo, hi = 0.0, horizon
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
@@ -413,6 +415,8 @@ def _reachable(known: Mapping[float, bool], asked: Mapping[float, int], horizon:
     picks one half and an unknown one both.  The asked times hold every
     parent of an asked midpoint, so the walk stops at the first one not
     asked."""
+    if known.get(horizon):    # a search stable at the horizon ends at 0 or at the horizon
+        return {0.0, horizon}
     out, brackets = {0.0, horizon}, [(0.0, horizon)]
     while brackets:
         lo, hi = brackets.pop()
@@ -451,15 +455,18 @@ def true_cct(
     (`first_swing_stable` is its one-shot form), and each point's search is
     replanned at every check of that stack:
 
-    - the point replays plain bisection over its decided verdicts; once that
-      replay ends, the point is decided and its running rows retire;
-    - else it retires the running rows no such replay can reach any more;
-    - it replays again, counting a midpoint row still running as stable
-      (every running row has been through at least one check), and admits
-      every midpoint its next steps from the first midpoint not asked yet
-      may visit; the first plan adds 0 and the horizon.  It looks as many
-      steps ahead as keep a round of all open points near ROWS_PER_ROUND
-      rows, and at least 3.
+    - a point with new verdicts replays plain bisection over its decided
+      verdicts, 0 first, so stable at the horizon decides nothing until 0
+      is known; once that replay ends, the point is decided and its running
+      rows retire, else it retires the running rows no such replay can
+      reach any more;
+    - every open point replays again, counting a midpoint row still
+      running as stable (every running row has been through at least one
+      check), and admits every midpoint its next steps from the first
+      midpoint not asked yet may visit; the first plan adds 0 and the
+      horizon.  It looks as many steps ahead as keep a round of all open
+      points near ROWS_PER_ROUND rows: at least 3 from a bracket of decided
+      verdicts, at least 1 from one past a running row, which is a guess.
 
     Each clearing time is integrated at most once, and a point's bracket is
     the one serial bisection gets: every verdict it replays is the verdict
@@ -479,35 +486,36 @@ def true_cct(
     asked: list[dict[float, int]] = [{} for _ in ctx]   # clearing time -> row, of every row admitted
     running: list[set[float]] = [set() for _ in ctx]    # the clearing times of the rows still running
     results: list = [None] * len(ctx)
-    touched = set(range(len(ctx)))     # the points that admitted rows at the last plan
+    frontier: list = [(0.0, horizon)] * len(ctx)     # the bracket of the replay over decided verdicts
 
     def plan(decided: np.ndarray) -> list[int]:
-        retire: list[int] = []
         settled = set()
         for p, t, v in zip(*(x[decided].tolist() for x in (stack.point, stack.time, stack.stable))):
             known[p][t] = v
             running[p].discard(t)
             settled.add(p)
+        retire: list[int] = []
+        # a point's decided replay and reachable rows change only with its
+        # verdicts (redoing them for every open point at every check costs
+        # about 60 ms more on a serial 201-point 8.B sweep)
         for p in settled:
-            results[p] = _replay(known[p].get, horizon, resolution)[0]
+            results[p], frontier[p] = _replay(known[p].get, horizon, resolution)
             keep = _reachable(known[p], asked[p], horizon, resolution) if results[p] is None else set()
             retire += [asked[p][t] for t in running[p] - keep]
             running[p] &= keep
-        open_points = sum(r is None for r in results)
-        replan = touched | settled
-        touched.clear()
-        for p in replan:
-            if results[p] is not None:
-                continue
+        open_points = [p for p, r in enumerate(results) if r is None]
+        ahead = int(math.log2(ROWS_PER_ROUND / max(len(open_points), 1) + 1))
+        for p in open_points:
             k, a = known[p], asked[p]
             _, bracket = _replay(lambda t: k.get(t, True if t in a and t not in (0.0, horizon) else None), horizon, resolution)
-            levels = max(3, int(math.log2(ROWS_PER_ROUND / open_points + 1)))
+            # past a running row the bracket is a guess, kept to its share of
+            # ROWS_PER_ROUND: a floor of 3 there grew a sweep's stack and checks
+            levels = max(3, ahead) if bracket == frontier[p] else max(1, ahead)
             wanted = [0.0, horizon] + (_midpoints(*bracket, resolution, levels) if bracket else [])
             new = [t for t in dict.fromkeys(wanted) if t not in a]
             if new:
                 a.update(zip(new, stack.admit(p, new).tolist()))
                 running[p].update(new)
-                touched.add(p)
         return retire
 
     plan(np.zeros(0, dtype=int))

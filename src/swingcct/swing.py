@@ -114,28 +114,28 @@ class Coupling:
     _NETWORK = {"_PG_act": -1, "_Pbar_act": -1, "_Pbar_pairs": 0}
 
     def __init__(self, red: ReducedNetwork, act: np.ndarray, conductive: bool = True):
-        self._build(red.n, act, conductive, red.E[None], red.G[None], red.Pbar[None])
+        self.n = red.n
+        self.act = act
+        self.conductive = conductive
+        self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(red.n, np.asarray(act, dtype=int).tobytes())
+        self._diag = np.arange(act.size)
+        Pbar = red.Pbar.ravel()
+        self._PG_act = (np.outer(red.E, red.E) * red.G).ravel()[act_terms, None]
+        self._Pbar_act = Pbar[act_terms, None]
+        self._Pbar_pairs = Pbar[None, self.pairs]
 
     @classmethod
     def stacked(cls, reds: Sequence[ReducedNetwork], act: np.ndarray) -> "Coupling":
-        """`stack` of the kernels of networks of the same machines, built
-        from their stacked parameters without a kernel per network."""
-        out = object.__new__(cls)
-        out._build(reds[0].n, act, True, *(np.array(x) for x in zip(*((r.E, r.G, r.Pbar) for r in reds))))
+        """`stack` of the kernels of networks of the same machines, whose
+        network parameters come from one product over the stacked networks."""
+        out = cls(reds[0], act)
+        act_terms = _operators(out.n, np.asarray(act, dtype=int).tobytes())[3]
+        E, G, Pbar = (np.array(x) for x in zip(*((r.E, r.G, r.Pbar) for r in reds)))
+        Pbar = Pbar.reshape(len(reds), -1)
+        out._PG_act = (E[:, :, None] * E[:, None, :] * G).reshape(len(reds), -1).T[act_terms]
+        out._Pbar_act = Pbar.T[act_terms]
+        out._Pbar_pairs = Pbar[:, out.pairs]
         return out
-
-    def _build(self, n: int, act: np.ndarray, conductive: bool, E: np.ndarray, G: np.ndarray, Pbar: np.ndarray) -> None:
-        """Set up the kernel of the networks whose E (networks, n), G and
-        Pbar (networks, n, n) are stacked along their first axis."""
-        self.n = n
-        self.act = act
-        self.conductive = conductive
-        self.K, self.pairs, self._K_pairs, act_terms, self._K_act = _operators(n, np.asarray(act, dtype=int).tobytes())
-        self._diag = np.arange(act.size)
-        Pbar = Pbar.reshape(E.shape[0], -1)
-        self._PG_act = (E[:, :, None] * E[:, None, :] * G).reshape(E.shape[0], -1).T[act_terms]
-        self._Pbar_act = Pbar.T[act_terms]
-        self._Pbar_pairs = Pbar[:, self.pairs]
 
     @classmethod
     def stack(cls, kernels: Sequence["Coupling"]) -> "Coupling":

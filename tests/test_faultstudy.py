@@ -172,6 +172,82 @@ def test_true_cct_equals_round_search_on_random_networks(case):
     assert fs.true_cct(ctx, fo, resolution=1e-3, horizon=0.5) == round_true_cct(ctx, fo, resolution=1e-3, horizon=0.5)
 
 
+class ScriptedStack:
+    """A stand-in for `faultstudy._VerdictStack` whose row for clearing time
+    t of point p is decided at the ctx[p].checks(t)-th check after it joined,
+    with the verdict ctx[p].verdict(t); it records every (p, t) admitted."""
+
+    def __init__(self, ctx, fault_on, tol):
+        self.ctx, self.asked, self.left = ctx, [], {}
+        self.point, self.time, self.stable = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool)
+
+    def admit(self, p, times):
+        ids = np.arange(self.point.size, self.point.size + len(times))
+        self.asked += [(p, t) for t in times]
+        self.point = np.append(self.point, np.full(len(times), p))
+        self.time = np.append(self.time, times)
+        self.stable = np.append(self.stable, [self.ctx[p].verdict(t) for t in times])
+        self.left.update({i: self.ctx[p].checks(t) for i, t in zip(ids.tolist(), times)})
+        return ids
+
+    def run(self, plan):
+        while self.left:
+            self.left = {i: n - 1 for i, n in self.left.items()}
+            decided = np.array([i for i, n in self.left.items() if n == 0], dtype=int)
+            for i in decided.tolist() + plan(decided):
+                self.left.pop(i, None)
+
+
+def scripted_bisection(verdict, horizon, resolution):
+    """Plain serial bisection over verdict(t_cl)."""
+    if not verdict(0.0):
+        return 0.0, "unstable-at-zero"
+    if verdict(horizon):
+        return fs.UNBOUNDED, None
+    lo, hi = 0.0, horizon
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if verdict(mid) else (lo, mid)
+    return lo, None
+
+
+@st.composite
+def scripted_points(draw):
+    """A point whose verdicts and decision times are drawn: its ends
+    directly, every midpoint from a hash of a drawn seed and the time."""
+    ends = {0.0: (draw(st.booleans()), draw(st.integers(1, 6))), 1.0: (draw(st.booleans()), draw(st.integers(1, 6)))}
+    seed, share = draw(st.integers(0, 2**32)), draw(st.sampled_from([0.2, 0.5, 0.8]))
+
+    def drawn(t):
+        rng = np.random.default_rng([seed, int(np.float64(t).view(np.int64))])
+        return ends.get(t, (bool(rng.random() < share), int(rng.integers(1, 7))))
+
+    return SimpleNamespace(verdict=lambda t: drawn(t)[0], checks=lambda t: drawn(t)[1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(scripted_points(), min_size=1, max_size=4))
+def test_true_cct_equals_serial_bisection_in_any_decision_order(ctx):
+    """Whatever the order in which rows are decided, each point's search
+    ends where serial bisection over the same verdicts does and asks no
+    clearing time twice; a point stable at the horizon but not at 0 is
+    unstable at zero even when its horizon row is decided first."""
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fs, "_VerdictStack", lambda *a: stacks.append(ScriptedStack(*a)) or stacks[-1])
+        got = fs.true_cct(ctx, [SimpleNamespace(t_end=1.0)] * len(ctx), resolution=1 / 64)
+    assert got == [scripted_bisection(c.verdict, 1.0, 1 / 64) for c in ctx]
+    assert len(stacks[0].asked) == len(set(stacks[0].asked))
+
+
+def test_replay_waits_for_zero():
+    """Bisection asks 0 before the horizon: a stable horizon decides nothing
+    until 0 is known."""
+    assert fs._replay({1.0: True}.get, 1.0, 0.1) == (None, None)
+    assert fs._replay({0.0: False, 1.0: True}.get, 1.0, 0.1) == ((0.0, "unstable-at-zero"), None)
+    assert fs._replay({0.0: True, 1.0: True}.get, 1.0, 0.1) == ((fs.UNBOUNDED, None), None)
+
+
 def window_verdict(ctx, fo, t_cl):
     """The first-swing rule on one full-window integrate run sampled every 5 ms."""
     run = sw.integrate(sw.swing_field(ctx.red_post, ctx.gp), fo.sample([t_cl])[0], fs.WINDOW)
