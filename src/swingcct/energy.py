@@ -14,14 +14,16 @@ modeled machine, as in `swing`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import ATOL, Coupling, GeneratorParams, SwingField, Trajectory, integrate_rows, swing_field
+from .swing import ATOL, Coupling, GeneratorParams, Runs, SwingField, Trajectory, integrate_rows, swing_field
+from .swing import _collect, dopri_steps, sample_steps
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -30,6 +32,12 @@ NO_CROSSING = "no-crossing"
 TAU_H_HORIZON = 2.0
 #: width to which tau_H's bisection locates the crossing [s]
 _LOCATE_TOL = 1e-6
+#: the grid of tau_H's crossing scan, besides the steps of the run [s]
+_SCAN = np.append(np.arange(0.0, TAU_H_HORIZON, 1e-3), TAU_H_HORIZON)
+#: integrator attempts between two checks of which fault-on runs may stop
+_CHECK = 16
+#: scan points per run that tau_H evaluates at a time
+_SCAN_CHUNK = 128
 
 _ALPHA_DEGENERATE = 1e-12
 
@@ -61,6 +69,30 @@ class HamiltonianModel:
         anchor = np.asarray(anchor, dtype=float)
         kernel = Coupling(red, gp.active)
         return cls(red=red, gp=gp, Pa=kernel.conductance(anchor), anchor=anchor, coupling=kernel.anchored())
+
+
+class _Rows(NamedTuple):
+    """Models of the same machines as the rows of one stack, row k on model
+    k: the parts of a model that classification and `potential` read."""
+
+    coupling: Coupling
+    drive: np.ndarray
+    anchor: np.ndarray
+    gp: GeneratorParams
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The stack of the given rows of this stack."""
+        return _Rows(self.coupling.take(rows), self.drive[rows], self.anchor[rows], self.gp)
+
+
+def _rows(models: Sequence[HamiltonianModel]) -> _Rows:
+    """The stack of the models, one per row."""
+    return _Rows(
+        Coupling.stack([hm.coupling for hm in models]),
+        np.array([hm.drive for hm in models]),
+        np.array([hm.anchor for hm in models]),
+        models[0].gp,
+    )
 
 
 @dataclass(frozen=True)
@@ -186,52 +218,93 @@ def fault_on_trajectory(
     horizon: float,
     tol: float = 1e-8,
     atol: float = ATOL,
+    stop: tuple[Sequence[HamiltonianModel], Sequence[float], float] | None = None,
 ) -> list[Trajectory | IntegrationError]:
     """Integrate the exact fault-on dynamics from the pre-fault operating points.
 
     fom, gp and x_pre (packed states) are equal-length sequences, one entry
-    per fault; the faults are one stacked run (see `integrate_rows`).
+    per fault; the faults are one stacked run (see `integrate_rows`) to
+    `horizon`.  With `stop`, a triple (hm, E_c, after) of each fault's
+    post-fault model and critical level and one time, a run ends where no
+    metric reads further: at the first check, every _CHECK attempts, at
+    which it has passed `after` and a point of the _SCAN grid where its
+    energy has reached E_c.  Such a run keeps the steps of the full run, bit
+    for bit, and `tau_H` reads it up to its crossing; a step that would fail
+    after that check is not taken.
     """
     stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
-    return integrate_rows(stacked, np.array(x_pre), horizon, tol=tol, atol=atol)
+    Y = np.array(x_pre, dtype=float)
+    if stop is None:
+        return integrate_rows(stacked, Y, horizon, tol=tol, atol=atol)
+    models, E_c, after = _rows(stop[0]), np.asarray(stop[1], dtype=float), stop[2]
+    crossed = np.zeros(Y.shape[0], dtype=bool)
+    kept, failed, retire = [], {}, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        steps = dopri_steps(stacked, Y, horizon, tol, atol, failed)
+        try:
+            while True:    # one check per block; a short block is the run's last
+                block = [steps.send(retire), *itertools.islice(steps, _CHECK - 1)]
+                kept += block
+                ids, accept, t, t_new = block[-1][:4]
+                count, states = sample_steps(block, _SCAN, Y.shape[1])
+                row = np.repeat(ids, count)
+                crossed[row[hamiltonian(models.take(row), states.T) - E_c[row] >= 0.0]] = True
+                retire = (ids[crossed[ids] & (np.where(accept, t_new, t) >= after)], None)
+        except StopIteration:    # no row is left
+            pass
+    return _collect(kept, failed, Y.shape[0])
 
 
-def tau_H(hm: HamiltonianModel, E_c: float, trajectory: Trajectory) -> float | str:
-    """First time the post-fault energy of the fault-on trajectory hits E_c.
+def tau_H(
+    hm: Sequence[HamiltonianModel], E_c: Sequence[float], trajectory: Sequence[Trajectory]
+) -> list[float | str]:
+    """First time the post-fault energy of each fault-on trajectory hits E_c.
 
-    `trajectory` is the fault-on run from the pre-fault operating point and
-    must cover TAU_H_HORIZON.  The crossing is bracketed on a fine sampling of
-    its dense output and located by bisection to _LOCATE_TOL seconds.
-    Returns NO_CROSSING if the level is never reached within the horizon.
+    hm, E_c and trajectory are equal-length sequences, one entry per point
+    of the same machines, computed as one stack.  Each trajectory is the
+    fault-on run from the pre-fault operating point and must cover
+    TAU_H_HORIZON, or its crossing (as `fault_on_trajectory` with `stop`
+    ends a run).  The crossing is bracketed on a fine sampling of its dense
+    output, the run's step times and the _SCAN grid, and located by
+    bisection to _LOCATE_TOL seconds.  Returns NO_CROSSING where the level
+    is never reached within the horizon.
     """
-    if trajectory.t_end < TAU_H_HORIZON:
-        raise ValueError(f"fault-on run ends at t={trajectory.t_end:.6g}, before the horizon {TAU_H_HORIZON:.6g}")
-    gamma = energy_margin(E_c, hm, trajectory.sample([0.0])[0])
+    if not trajectory:
+        return []
+    models, E_c, runs = _rows(hm), np.asarray(E_c, dtype=float), Runs(trajectory)
+    rows = np.arange(len(trajectory))
+    gamma = min(energy_margin(*x) for x in zip(E_c, hm, runs.sample(rows, np.zeros(rows.size))))
     if gamma < 0.0:
-        raise InadmissibleScenario(
-            f"energy margin is negative (dE={gamma:.6g})", code="negative-margin"
-        )
-    if gamma == 0.0:
-        return 0.0
+        raise InadmissibleScenario(f"energy margin is negative (dE={gamma:.6g})", code="negative-margin")
 
-    def excess(ts: np.ndarray) -> np.ndarray:
-        return hamiltonian(hm, trajectory.sample(ts)) - E_c
+    def up(which: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return hamiltonian(models.take(which), runs.sample(which, ts)) - E_c[which] >= 0.0
 
-    ts = np.unique(np.concatenate([
-        trajectory.t[trajectory.t <= TAU_H_HORIZON], np.arange(0.0, TAU_H_HORIZON, 1e-3), [TAU_H_HORIZON],
-    ]))
-    g = excess(ts)
-    above = np.nonzero(g >= 0.0)[0]
-    if above.size == 0:
-        return NO_CROSSING
-    k = int(above[0])
-    if k == 0:
-        return 0.0
-    lo, hi = float(ts[k - 1]), float(ts[k])
-    while hi - lo > _LOCATE_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(np.array([mid]))[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    scans = [np.unique(np.concatenate([tr.t[tr.t <= TAU_H_HORIZON], _SCAN[_SCAN <= tr.t_end]])) for tr in trajectory]
+    # the first scan point of each run at or above E_c (a zero margin has it at t = 0), found
+    # _SCAN_CHUNK points of every run at a time, in time order, while a run has none
+    first: list = [None] * rows.size
+    for at in range(0, max(ts.size for ts in scans), _SCAN_CHUNK):
+        if not (open_rows := [i for i, ts in enumerate(scans) if first[i] is None and ts.size > at]):
+            break
+        parts = [scans[i][at : at + _SCAN_CHUNK] for i in open_rows]
+        sizes = [ts.size for ts in parts]
+        above = np.split(up(np.repeat(open_rows, sizes), np.concatenate(parts)), np.cumsum(sizes)[:-1])
+        for i, a in zip(open_rows, above):
+            first[i] = at + int(np.argmax(a)) if a.any() else None
+    out: list = []
+    for tr, ts, k in zip(trajectory, scans, first):
+        if k is None and tr.t_end < TAU_H_HORIZON:
+            raise ValueError(f"fault-on run ends at t={tr.t_end:.6g}, before the horizon {TAU_H_HORIZON:.6g}")
+        out.append(NO_CROSSING if k is None else (ts[k - 1], ts[k]) if k else 0.0)
+    which = np.array([i for i, x in enumerate(out) if isinstance(x, tuple)], dtype=int)
+    if which.size:
+        lo, hi = (np.array(x) for x in zip(*(out[i] for i in which)))
+        while (live := np.flatnonzero(hi - lo > _LOCATE_TOL)).size:
+            mid = 0.5 * (lo[live] + hi[live])
+            above = up(which[live], mid)
+            hi[live] = np.where(above, mid, hi[live])
+            lo[live] = np.where(above, lo[live], mid)
+        for i, a, b in zip(which.tolist(), lo, hi):
+            out[i] = float(0.5 * (a + b))
+    return out

@@ -11,11 +11,11 @@ a natural-parameter predictor/corrector that halves its step at a fold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .energy import HamiltonianModel, potential
+from .energy import HamiltonianModel, _Rows, _rows, potential
 from .errors import EquilibriumError, InadmissibleScenario, ScenarioFormatError
 from .netmodel import ReducedNetwork
 from .swing import Coupling, GeneratorParams
@@ -103,30 +103,6 @@ class CriticalEnergy:
 
     closest_uep: EquilibriumPoint
     E_c: float
-
-
-class _Rows(NamedTuple):
-    """Models of the same machines as the rows of one stack, row k on model
-    k: the parts of a model that classification and `potential` read."""
-
-    coupling: Coupling
-    drive: np.ndarray
-    anchor: np.ndarray
-    gp: GeneratorParams
-
-    def take(self, rows: np.ndarray) -> "_Rows":
-        """The stack of the given rows of this stack."""
-        return _Rows(self.coupling.take(rows), self.drive[rows], self.anchor[rows], self.gp)
-
-
-def _rows(models: Sequence[HamiltonianModel]) -> _Rows:
-    """The stack of the models, one per row."""
-    return _Rows(
-        Coupling.stack([hm.coupling for hm in models]),
-        np.array([hm.drive for hm in models]),
-        np.array([hm.anchor for hm in models]),
-        models[0].gp,
-    )
 
 
 def _classified(
@@ -410,7 +386,7 @@ def _builder(factory: ModelFactory) -> Callable[[Sequence[float]], list[Built]]:
             try:
                 out.append(factory(value))
             except (InadmissibleScenario, EquilibriumError) as exc:
-                out.append(exc)
+                out.append(exc.with_traceback(None))    # kept as a value: its traceback holds this frame
         return out
 
     return one_by_one

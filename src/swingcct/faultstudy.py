@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
@@ -113,21 +112,15 @@ def _inadmissible(exc: Exception) -> Exception:
     return out
 
 
-@contextmanager
-def _verdicts():
-    """A singular eliminated block or a failed SEP search makes the scenario inadmissible."""
-    try:
-        yield
-    except (SingularNetworkError, EquilibriumError) as exc:
-        raise _inadmissible(exc) from exc
-
-
 def regimes(sc: FaultScenario) -> list[nm.ReducedNetwork]:
-    """Reduced admittance parameters for pre-fault, fault-on and post-fault."""
+    """Reduced admittance parameters for pre-fault, fault-on and post-fault;
+    a singular eliminated block makes the scenario inadmissible."""
     pre = sc.net
     nets = (pre, nm.apply_fault(pre, sc.fault_bus), nm.apply_clearing(pre, sc.clearing_branch))
-    with _verdicts():
+    try:
         return [nm.reduce_to_generators(net) for net in nets]
+    except SingularNetworkError as exc:
+        raise _inadmissible(exc) from exc
 
 
 def _machines(sc: FaultScenario) -> tuple[np.ndarray, np.ndarray, int]:
@@ -160,15 +153,21 @@ def _fixed_part(sc: FaultScenario) -> Fixed:
 
 
 def _model(
-    fixed: Fixed,
+    fixed: Callable[[], Fixed],
     pairs: Sequence[tuple[nm.ReducedNetwork, nm.ReducedNetwork]],
 ) -> list[tuple | InadmissibleScenario]:
     """The model step of every (red_pre, red_post) pair, as one stack:
     dispatch on red_pre, then the SEP on red_post.  Per pair, (gp, delta_pre,
-    sep, hm), or the InadmissibleScenario the pair is; `fixed` is the
-    scenario's `_fixed_part`."""
-    M, delta_pre, dispatch = fixed
-    out: list = dispatch.powers([pre for pre, _post in pairs])
+    sep, hm) or the InadmissibleScenario the pair is; every pair gets the
+    scenario's own where `fixed()` (its `_fixed_part`) or the dispatch
+    rejects the scenario as a whole."""
+    if not pairs:
+        return []
+    try:
+        M, delta_pre, dispatch = fixed()
+        out: list = dispatch.powers([pre for pre, _post in pairs])
+    except InadmissibleScenario as exc:
+        return [exc.with_traceback(None)] * len(pairs)    # kept as a value: its traceback holds this frame
     gps = {
         i: sw.GeneratorParams(M=M, Pm=Pm, infinite_index=dispatch.infinite_index)
         for i, Pm in enumerate(out)
@@ -181,41 +180,63 @@ def _model(
     return out
 
 
-def _context(
-    fixed: Fixed,
-    red_pre: nm.ReducedNetwork, red_on: nm.ReducedNetwork, red_post: nm.ReducedNetwork,
-    seeds: Sequence[eq.EquilibriumPoint] | None,
-) -> StudyContext:
-    """The pipeline from the pre-fault, fault-on and post-fault reductions up to the critical energy."""
-    (step,) = _model(fixed, [(red_pre, red_post)])
-    if isinstance(step, InadmissibleScenario):
-        raise step
-    gp, delta_pre, sep, hm = step
-    x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
-
-    points = eq.stationary_points(hm, seeds=seeds)
-    try:
-        crit = eq.closest_uep(points)
-    except EquilibriumError as exc:
-        raise InadmissibleScenario(str(exc), code="no-boundary") from exc
-
-    delta_E = en.energy_margin(crit.E_c, hm, x_pre)
-    fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, delta_pre)
-    return StudyContext(
-        red_pre=red_pre, red_post=red_post, gp=gp,
-        x_pre=x_pre, sep=sep, hm=hm, points=points, fom=fom, crit=crit, delta_E=delta_E,
-    )
+def _contexts(
+    fixed: Callable[[], Fixed],
+    reds: Sequence[Sequence[nm.ReducedNetwork] | InadmissibleScenario],
+    seeds: Sequence[eq.EquilibriumPoint] | None = None,
+) -> list[StudyContext | InadmissibleScenario]:
+    """The pipeline up to the critical energy of every point, given its
+    pre-fault, fault-on and post-fault reductions or the InadmissibleScenario
+    it is: one model step for all points, one coarse probe stack for every
+    point that may be seeded (`_coarse_probes`), then the enumerations in
+    point order.  `seeds` seed point 0; point i > 0 is seeded by the
+    stationary points of point i-1 unless i is a multiple of CHAIN or point
+    i-1 has no context.  Per point, its StudyContext or the
+    InadmissibleScenario it is."""
+    out: list = list(reds)
+    ok = [i for i, r in enumerate(out) if not isinstance(r, InadmissibleScenario)]
+    for i, step in zip(ok, _model(fixed, [(out[i][0], out[i][2]) for i in ok])):
+        out[i] = step if isinstance(step, InadmissibleScenario) else (*out[i], *step)
+    stepped = [not isinstance(r, InadmissibleScenario) for r in out]
+    seeded = [i for i in ok if stepped[i] and (stepped[i - 1] and i % CHAIN if i else seeds)]
+    probes = dict(zip(seeded, eq._coarse_probes([out[i][-1] for i in seeded])))
+    points = seeds
+    for i, r in enumerate(out):
+        if i and not (i % CHAIN and stepped[i - 1]):
+            points = None
+        if not stepped[i]:
+            continue
+        red_pre, red_on, red_post, gp, delta_pre, sep, hm = r
+        points = eq.stationary_points(hm, seeds=points, probes=probes.get(i))
+        try:
+            crit = eq.closest_uep(points)
+        except EquilibriumError as exc:
+            out[i] = InadmissibleScenario(str(exc), code="no-boundary")
+            out[i].__cause__ = exc.with_traceback(None)
+            stepped[i] = False
+            continue
+        x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
+        out[i] = StudyContext(
+            red_pre=red_pre, red_post=red_post, gp=gp, x_pre=x_pre, sep=sep, hm=hm, points=points,
+            fom=en.FaultOnHamiltonianModel.at_prefault(red_on, gp, delta_pre), crit=crit,
+            delta_E=en.energy_margin(crit.E_c, hm, x_pre),
+        )
+    return out
 
 
 def build_context(sc: FaultScenario, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
     """Run the full pipeline up to the critical energy; `seeds` seed the
     enumeration of the post-fault stationary points (`stationary_points`).
+    This is the one-point form of a sweep's context step (`LoadFamily.contexts`).
 
     Raises InadmissibleScenario (with a reason code) when the scenario fails
     one of the admissibility constraints.
     """
-    reds = regimes(sc)
-    return _context(_fixed_part(sc), *reds, seeds)
+    (ctx,) = _contexts(partial(_fixed_part, sc), [regimes(sc)], seeds)
+    if isinstance(ctx, InadmissibleScenario):
+        # a fresh exception: raising ctx would tie it to this frame, which holds it
+        raise InadmissibleScenario(str(ctx), code=ctx.code) from ctx.__cause__
+    return ctx
 
 
 def _pair_excursions(coupling: sw.Coupling, states: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -230,14 +251,16 @@ class _VerdictStack:
     the point's fault-on state at that time, on the point's post-fault
     network, with its own step control (`swing.dopri_steps`).  The stack is
     checked every _BLOCK integrator attempts: each check folds the 5 ms
-    samples of the block into the rows' verdict state and decides a row once
-    it diverges, fails or finishes its WINDOW.  `admit` adds rows (they join
-    at the next check) and `run` retires rows (what its `plan` returns),
-    while every row's verdict stays the one it gets alone.
+    samples of the block into the verdict state of the rows whose verdict
+    it can change (`_unsettled`) and decides a row once it diverges, fails
+    or finishes its WINDOW.  `admit` adds rows, which join at the next check
+    with their clearing states read in one sample of all the points'
+    fault-on runs, and `run` retires rows (what its `plan` returns), while
+    every row's verdict stays the one it gets alone.
     """
 
     def __init__(self, ctx: Sequence[StudyContext], fault_on: Sequence[sw.Trajectory], tol: float):
-        self._fault_on, self._tol = fault_on, tol
+        self._fault_on, self._tol = sw.Runs(fault_on), tol
         self._coupling = ctx[0].hm.coupling
         # a kernel per row: one kernel shared by the rows evaluates them by broadcasting, more slowly
         self._fields = [sw.swing_field(c.red_post, c.gp) for c in ctx]
@@ -253,14 +276,14 @@ class _VerdictStack:
         self.stable = np.zeros(0, dtype=bool)
         self._failed: dict[int, float] = {}
         self._rows = 0     # rows admitted, queued ones included
-        self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queue: list[tuple[np.ndarray, np.ndarray]] = []
 
     def admit(self, p: int, times: Sequence[float]) -> np.ndarray:
         """Add a row per clearing time of point p; returns their row ids."""
         times = np.asarray(times, dtype=float)
         ids = np.arange(self._rows, self._rows + times.size)
         self._rows += times.size
-        self._queue.append((np.full(times.size, p), times, self._fault_on[p].sample(times)))
+        self._queue.append((np.full(times.size, p), times))
         return ids
 
     def _admitted(self) -> tuple | None:
@@ -268,7 +291,7 @@ class _VerdictStack:
         (ids, field, y); their verdict state joins the stack's."""
         if not self._queue:
             return None
-        points, times, states = (np.concatenate(x) for x in zip(*self._queue))
+        points, times = (np.concatenate(x) for x in zip(*self._queue))
         self._queue.clear()
         ids = np.arange(self.point.size, self._rows)
         self.point = np.concatenate([self.point, points])
@@ -277,7 +300,7 @@ class _VerdictStack:
         self._returned = np.concatenate([self._returned, np.zeros((ids.size, self._peak.shape[1]), dtype=bool)])
         self._decided = np.concatenate([self._decided, np.zeros(ids.size, dtype=bool)])
         self.stable = np.concatenate([self.stable, np.zeros(ids.size, dtype=bool)])
-        return ids, sw.SwingField.stack([self._fields[p] for p in points]), states
+        return ids, sw.SwingField.stack([self._fields[p] for p in points]), self._fault_on.sample(points, times)
 
     def _fold(self, rows: np.ndarray, block: list) -> np.ndarray:
         """Fold a block of steps of the given rows into their verdict state;
@@ -297,19 +320,37 @@ class _VerdictStack:
         # complete its first return swing and still run away afterwards
         return np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))
 
+    def _unsettled(self, rows: np.ndarray, block: list) -> np.ndarray:
+        """Whether a check must fold each row: a pair of it has not swung
+        back, or an accepted step of the block starts within its reach (h *
+        sum |Q_i|, a bound on its dense output, mapped to the pairs) of the
+        divergence bound, less 1e-9 for rounding.  Once every pair has swung
+        back only that bound can change a verdict, so the other rows are not
+        folded and their `peak` is no longer kept."""
+        out = ~self._returned[rows].all(axis=1)
+        settled = np.flatnonzero(~out)
+        if settled.size:
+            accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*block))[1:])
+            start = _pair_excursions(self._coupling, y[:, settled], self._ref[self.point[rows[settled]]])
+            dense = np.abs(Q[:, :, settled, : self._coupling.act.size]).sum(axis=1)
+            reach = ((t_new - t)[:, settled, None] * dense) @ np.abs(self._coupling._K_pairs)
+            out[settled] = np.any(accept[:, settled, None] & ~(start + reach < DIVERGENCE_THRESHOLD - 1e-9), (0, 2))
+        return out
+
     def _check(self, block: list) -> np.ndarray:
-        """Fold a block of steps into the verdict state, _FOLD_ROWS rows at a
-        time (the samples of a block are its largest arrays); the rows it decides."""
+        """Fold a block of steps into the verdict state of the rows it may
+        change (`_unsettled`), _FOLD_ROWS rows at a time (the samples of a
+        block are its largest arrays); the rows it decides."""
         rows = block[0][0]
         _ids, accept, t, t_new = block[-1][:4]
         finished = (t == WINDOW) | (accept & (t_new == WINDOW))
-        diverged = []
-        for k in range(0, rows.size, _FOLD_ROWS):
-            part = slice(k, k + _FOLD_ROWS)
-            diverged.append(self._fold(rows[part], [(*(x[part] for x in s[:5]), s[5][:, part]) for s in block]))
-        block.clear()
         # a failed run counts as diverged
-        lost = np.concatenate(diverged) | np.isin(rows, list(self._failed))
+        lost = np.isin(rows, list(self._failed))
+        fold = np.flatnonzero(self._unsettled(rows, block))
+        for k in range(0, fold.size, _FOLD_ROWS):
+            part = fold[k : k + _FOLD_ROWS]
+            lost[part] |= self._fold(rows[part], [(*(x[part] for x in s[:5]), s[5][:, part]) for s in block])
+        block.clear()
         done = ~self._decided[rows] & (lost | finished)
         self.stable[rows[done]] = ~lost[done] & np.all(
             self._returned[rows[done]] | (self._peak[rows[done]] < SMALL_SWING), axis=1
@@ -524,22 +565,21 @@ def true_cct(
 
 
 def run_studies(
-    builds: Sequence[Callable[[Sequence[eq.EquilibriumPoint] | None], StudyContext]],
+    contexts: Sequence[StudyContext | InadmissibleScenario],
     resolution: float = 1e-4,
     horizon: float = 1.0,
     tol: float = 1e-8,
 ) -> list[FaultStudyResult]:
     """Compute tau, tau_H, tau_A and the energy margin for every point, given
-    one context builder per point (seeds -> StudyContext, as build_context).
+    its context or the InadmissibleScenario it is (as `LoadFamily.contexts`
+    builds them), as stacks; the points must share their machines.
 
-    The points must share their machines and come in parameter order (as
-    the points of a load sweep do).  The stationary points of point i are
-    seeded by those of point i-1 when i is not a multiple of CHAIN and point
-    i-1 built a context; every other enumeration runs the full grid.  The
-    fault-on runs of all admissible points are one stacked integration, each
-    to the longer of the tau and tau_H horizons, and both metrics only read
-    it; the true_cct searches run in lockstep.  A point's result depends
-    only on itself and on the points before it in its chain.  Raises
+    The fault-on runs of all admissible points are one stacked integration
+    to the longer of the tau and tau_H horizons, and a run stops once it has
+    passed the tau horizon and the point where its energy reaches E_c
+    (`fault_on_trajectory` with `stop`); both metrics only read it.
+    `tau_H` of all points is one stack, and the true_cct searches run in
+    lockstep.  A point's result depends only on its context.  Raises
     ValueError for a resolution, horizon or tol that is not positive and
     finite.
     """
@@ -547,21 +587,15 @@ def run_studies(
     # the FaultStudyResult fields of each point, filled in as they are found
     fields = []
     admitted = []
-    points = None
-    for i, build in enumerate(builds):
+    for ctx in contexts:
         f = dict(
             tau=None, tau_H=None, tau_A=None, delta_E=None, E_c=None, closest_uep=None,
             admissible=False, verdicts={}, message=None,
         )
         fields.append(f)
-        seeds = points if i % CHAIN else None
-        points = None
-        try:
-            ctx = build(seeds)
-        except InadmissibleScenario as exc:
-            f.update(verdicts={"scenario": exc.code}, message=str(exc))
+        if isinstance(ctx, InadmissibleScenario):
+            f.update(verdicts={"scenario": ctx.code}, message=str(ctx))
             continue
-        points = ctx.points
         f.update(delta_E=ctx.delta_E, E_c=ctx.crit.E_c, closest_uep=ctx.crit.closest_uep)
         if ctx.delta_E <= 0.0:
             f["verdicts"]["scenario"] = "negative-margin"
@@ -572,23 +606,24 @@ def run_studies(
 
     searched = []
     if admitted:
+        found, ctxs = zip(*admitted)
         fault_on = en.fault_on_trajectory(
-            [c.fom for _, c in admitted], [c.gp for _, c in admitted], [c.x_pre for _, c in admitted],
-            max(horizon, en.TAU_H_HORIZON), tol=tol,
+            [c.fom for c in ctxs], [c.gp for c in ctxs], [c.x_pre for c in ctxs], max(horizon, en.TAU_H_HORIZON),
+            tol=tol, stop=([c.hm for c in ctxs], [c.crit.E_c for c in ctxs], horizon),
         )
-        for (f, ctx), fo in zip(admitted, fault_on):
+        for f, ctx, fo in zip(found, ctxs, fault_on):
             if isinstance(fo, IntegrationError):
                 f["verdicts"].update(tau=INTEGRATION_FAILED, tau_H=INTEGRATION_FAILED)
             else:
-                f["tau_H"] = en.tau_H(ctx.hm, ctx.crit.E_c, fo)
                 searched.append((f, ctx, fo))
-    taus = true_cct(
-        [s[1] for s in searched], [s[2] for s in searched], resolution=resolution, horizon=horizon, tol=tol
-    )
-    for (f, _ctx, _fo), (t, t_verdict) in zip(searched, taus):
-        f["tau"] = t
-        if t_verdict is not None:
-            f["verdicts"]["tau"] = t_verdict
+    if searched:
+        found, ctxs, runs = zip(*searched)
+        for f, t_H in zip(found, en.tau_H([c.hm for c in ctxs], [c.crit.E_c for c in ctxs], runs)):
+            f["tau_H"] = t_H
+        for f, (t, t_verdict) in zip(found, true_cct(ctxs, runs, resolution=resolution, horizon=horizon, tol=tol)):
+            f["tau"] = t
+            if t_verdict is not None:
+                f["verdicts"]["tau"] = t_verdict
     for f in fields:
         # a metric without a time carries its verdict string
         f["verdicts"].update((k, f[k]) for k in ("tau", "tau_H", "tau_A") if isinstance(f[k], str))
@@ -603,7 +638,11 @@ def run_fault_study(
 ) -> FaultStudyResult:
     """Compute tau, tau_H, tau_A and the energy margin for one scenario
     (`run_studies` of its build_context)."""
-    return run_studies([partial(build_context, sc)], resolution, horizon, tol)[0]
+    try:
+        ctx: StudyContext | InadmissibleScenario = build_context(sc)
+    except InadmissibleScenario as exc:
+        ctx = exc.with_traceback(None)    # kept as a value: its traceback holds this frame
+    return run_studies([ctx], resolution, horizon, tol)[0]
 
 
 def parse_param_path(sc: FaultScenario, param: str) -> tuple[str, str]:
@@ -626,12 +665,12 @@ class LoadFamily:
     The Kron templates are built once: pre-fault with post-fault when the
     family is made, fault-on at the first context (a branch trace needs
     none, so it runs even where the fault bus does not exist).  So are the
-    machines and their pre-fault angles, at the first model.  Per value,
-    `model` and `context` stamp the load, solve once per template and run
-    the model step: those of build_context on the scenario with that load,
-    bit for bit.  `models` does the same for many values as one stack.  The
-    family is a model factory: calling it is `model`.  Raises
-    ScenarioFormatError for a path parse_param_path rejects.
+    machines and their pre-fault angles, at the first model.  `models` and
+    `contexts` stamp the load of every value they are given, solve once per
+    template for all of them and run one model step: those of build_context
+    on the scenario with that load, bit for bit.  The family is a model
+    factory: calling it is `model`.  Raises ScenarioFormatError for a path
+    parse_param_path rejects.
     """
 
     def __init__(self, sc: FaultScenario, param: str):
@@ -649,38 +688,44 @@ class LoadFamily:
     def _fixed(self) -> Fixed:
         return _fixed_part(self.sc)
 
+    def _reductions(self, templates: Sequence[nm.KronTemplate], values: Sequence[float]) -> list:
+        """Per value, the regimes of the templates in turn, or the
+        InadmissibleScenario a singular eliminated block makes of it; any
+        other NetworkError raises."""
+        loads = [self._load(v) for v in values]
+        out = []
+        for regs in zip(*(t.reductions(loads) for t in templates)):
+            bad = next((_inadmissible(r) for r in regs if isinstance(r, Exception)), None)
+            if bad is not None and not isinstance(bad, InadmissibleScenario):
+                raise bad
+            out.append(bad or [red for r in regs for red in r])
+        return out
+
     def models(self, values: Sequence[float]) -> list[en.HamiltonianModel | InadmissibleScenario]:
         """`model` of every value, as one stack: one solve for all their
         reductions and one model step.  Per value, its model or the
         InadmissibleScenario `model` raises there; any other exception
         `model` raises propagates."""
-        out: list = [_inadmissible(r) for r in self._pair.reductions([self._load(v) for v in values])]
-        for r in out:
-            if isinstance(r, Exception) and not isinstance(r, InadmissibleScenario):
-                raise r
-        pairs = {i: r for i, r in enumerate(out) if not isinstance(r, InadmissibleScenario)}
-        if pairs:
-            try:
-                steps = _model(self._fixed, list(pairs.values()))
-            except InadmissibleScenario as exc:
-                steps = [exc] * len(pairs)
-            for i, step in zip(pairs, steps):
-                out[i] = step if isinstance(step, InadmissibleScenario) else step[-1]
+        out: list = self._reductions([self._pair], values)
+        pairs = [i for i, r in enumerate(out) if not isinstance(r, InadmissibleScenario)]
+        for i, step in zip(pairs, _model(lambda: self._fixed, [out[i] for i in pairs])):
+            out[i] = step if isinstance(step, InadmissibleScenario) else step[-1]
         return out
 
     def model(self, value: float) -> en.HamiltonianModel:
         (hm,) = self.models([value])
         if isinstance(hm, InadmissibleScenario):
-            raise hm
+            raise InadmissibleScenario(str(hm), code=hm.code) from hm.__cause__    # fresh, as in build_context
         return hm
 
     __call__ = model
 
-    def context(self, value: float, seeds: Sequence[eq.EquilibriumPoint] | None = None) -> StudyContext:
-        with _verdicts():
-            (red_on,) = self._fault_on.reduce(self._load(value))
-            red_pre, red_post = self._pair.reduce(self._load(value))
-        return _context(self._fixed, red_pre, red_on, red_post, seeds)
+    def contexts(self, values: Sequence[float]) -> list[StudyContext | InadmissibleScenario]:
+        """The study context of every value, or the InadmissibleScenario it
+        is, as one stack (`_contexts`): values[i] is seeded by values[i-1]
+        unless i is a multiple of CHAIN."""
+        reds = self._reductions([self._fault_on, self._pair], values)
+        return _contexts(lambda: self._fixed, [r if isinstance(r, Exception) else (r[1], r[0], r[2]) for r in reds])
 
 
 def hamiltonian_model_factory(sc: FaultScenario, param: str) -> "eq.ModelFactory":

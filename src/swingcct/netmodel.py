@@ -297,12 +297,14 @@ class KronTemplate:
         try:
             nets = self._reduce(loads)
         except NetworkError:
+            nets = None
+        if nets is None:    # outside the handler, so that no error keeps the first one as its context
             out: list[list[ReducedNetwork] | NetworkError] = []
             for load in loads:
                 try:
                     out.append(self.reduce(load))
                 except NetworkError as exc:
-                    out.append(exc)
+                    out.append(exc.with_traceback(None))    # kept as a value: its traceback holds this frame
             return out
         k = self._LL.shape[0]
         return [nets[i : i + k] for i in range(0, len(nets), k)]

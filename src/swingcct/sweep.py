@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -100,20 +99,16 @@ def _eval_block(args: tuple) -> list[SweepRow]:
     """Rows of a run of whole chains (its first value starts a chain)."""
     spec, values = args
     family = LoadFamily(spec.scenario, spec.param)
-    results = run_studies(
-        [partial(family.context, value) for value in values],
-        resolution=spec.resolution,
-        horizon=spec.horizon,
-        tol=spec.tol,
-    )
+    results = run_studies(family.contexts(values), resolution=spec.resolution, horizon=spec.horizon, tol=spec.tol)
     return [_row_from_result(value, result) for value, result in zip(values, results)]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point, ascending; rows keep inadmissible points.
 
-    Each point is a value of the scenario's LoadFamily, and the points are
-    studied together (`run_studies`), in chains of CHAIN grid points whose
+    Each point is a value of the scenario's LoadFamily, and the points of a
+    block are built as one stack (`LoadFamily.contexts`) and studied
+    together (`run_studies`), in chains of CHAIN grid points whose
     enumerations continue from point to point.
     With jobs > 1 each worker of a process pool takes one block of whole
     chains, so every block starts a chain where the serial run does; a

@@ -318,6 +318,28 @@ class Trajectory:
         return dense_state(self.y[g], self.h[g][:, None], self.Q[:, g], ((ts - self.t[g]) / self.h[g])[:, None])
 
 
+class Runs:
+    """Trajectories of one state size sampled as one: `sample(which, ts)`
+    reads runs[which[j]] at ts[j] for every j, with the bits of
+    `Trajectory.sample`."""
+
+    def __init__(self, runs: Sequence[Trajectory]):
+        sizes = np.array([r.h.size for r in runs])
+        self._first = np.cumsum(sizes) - sizes
+        self._last = self._first + sizes - 1
+        # every run's step times as run + 1j * time, sorted as complex numbers are: by run, then by time
+        self._keys = np.repeat(np.arange(sizes.size), sizes + 1) + 1j * np.concatenate([r.t for r in runs])
+        self.t, self.h, self.y = (np.concatenate(x) for x in zip(*((r.t[:-1], r.h, r.y) for r in runs)))
+        self.Q = np.concatenate([r.Q for r in runs], axis=1)
+
+    def sample(self, which: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The dense-output state of run which[j] at ts[j] for every j, shape (len(ts), d)."""
+        # the step times of its run below each time, and those of the runs before it
+        below = np.searchsorted(self._keys, which + 1j * ts, side="left") - which
+        g = np.clip(below - 1, self._first[which], self._last[which])
+        return dense_state(self.y[g], self.h[g][:, None], self.Q[:, g], ((ts - self.t[g]) / self.h[g])[:, None])
+
+
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
 # dense output, as in the common RK45 codes, as one table of stage weights.
 # Rows 0-4 are the inputs of stages 1-5, row 5 the solution, row 6 the
@@ -493,18 +515,24 @@ def sample_steps(steps: list, ts: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     )
 
 
-def _collect(steps: list, failed: dict[int, float]) -> list[Trajectory | IntegrationError]:
-    """The accepted steps of one `dopri_steps` run as one trajectory per
-    row; a row with a time in `failed` is its IntegrationError."""
+def _collect(steps: list, failed: dict[int, float], rows: int) -> list[Trajectory | IntegrationError]:
+    """The accepted steps of one `dopri_steps` run of rows 0..rows-1, which
+    may have been retired along the way, as one trajectory per row; a row
+    with a time in `failed` is its IntegrationError."""
     if not steps:    # an empty stack takes no step
         return []
-    accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*steps))[1:])
+    ids, accept, t, t_new, y = (np.concatenate(x) for x in list(zip(*steps))[:5])
+    Q = np.concatenate([s[5] for s in steps], axis=1)
     steps.clear()    # the per-attempt arrays dominate the memory of a large stack
+    # the accepted steps by row, in attempt order
+    at = np.flatnonzero(accept)
+    at = at[np.argsort(ids[at], kind="stable")]
+    runs = np.split(at, np.cumsum(np.bincount(ids[at], minlength=rows))[:-1])
     return [
-        Trajectory(t=np.append(0.0, t_new[s, r]), h=t_new[s, r] - t[s, r], y=y[s, r], Q=Q[s, :, r].swapaxes(0, 1))
+        Trajectory(t=np.append(0.0, t_new[s]), h=t_new[s] - t[s], y=y[s], Q=Q[:, s])
         if r not in failed
         else IntegrationError(f"integration failed at t={failed[r]:.6g}: step size underflow", time=failed[r])
-        for r, s in enumerate(accept.T)
+        for r, s in enumerate(runs)
     ]
 
 
@@ -523,7 +551,7 @@ def integrate_rows(
     Y = np.asarray(Y, dtype=float)
     failed: dict[int, float] = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed)
+        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed, Y.shape[0])
 
 
 def integrate(field: Field, x0: np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL) -> Trajectory:

@@ -8,6 +8,7 @@ from swingcct import energy as en
 from swingcct import equilibria as eq
 from swingcct import faultstudy as fs
 from swingcct import netmodel as nm
+from swingcct import swing as sw
 from swingcct.errors import EquilibriumError, InadmissibleScenario, SingularNetworkError
 from swingcct.netmodel import ReducedNetwork
 from swingcct.scenario import load_scenario
@@ -243,3 +244,102 @@ def serial_continue_branch(factory, prange, initial_step=0.05):
         for (fwd, _hi), (bwd, _lo) in zip(halves[::2], halves[1::2]):
             branches.append(eq.Branch(points=list(reversed(bwd.points[1:])) + fwd.points, folds=bwd.folds + fwd.folds))
     return branches
+
+
+def per_value_context(family, value, seeds=None):
+    """`faultstudy.LoadFamily.context` as it was before a block's contexts
+    became one stack, kept as the oracle of `LoadFamily.contexts`: a Kron
+    solve per template of this value alone, a one-pair model step, and an
+    enumeration that runs its own coarse probes."""
+    try:
+        (red_on,) = family._fault_on.reduce(family._load(value))
+        red_pre, red_post = family._pair.reduce(family._load(value))
+    except SingularNetworkError as exc:
+        raise fs._inadmissible(exc) from exc
+    (step,) = fs._model(lambda: family._fixed, [(red_pre, red_post)])
+    if isinstance(step, InadmissibleScenario):
+        raise step
+    gp, delta_pre, sep, hm = step
+    x_pre = np.concatenate([delta_pre, np.zeros_like(delta_pre)])
+    points = eq.stationary_points(hm, seeds=seeds)
+    try:
+        crit = eq.closest_uep(points)
+    except EquilibriumError as exc:
+        raise InadmissibleScenario(str(exc), code="no-boundary") from exc
+    return fs.StudyContext(
+        red_pre=red_pre, red_post=red_post, gp=gp, x_pre=x_pre, sep=sep, hm=hm, points=points,
+        fom=en.FaultOnHamiltonianModel.at_prefault(red_on, gp, delta_pre), crit=crit,
+        delta_E=en.energy_margin(crit.E_c, hm, x_pre),
+    )
+
+
+def per_value_contexts(family, values):
+    """The contexts of a sweep block as `run_studies` built them one value at
+    a time (`per_value_context`): value i seeded by value i - 1 unless i is
+    a multiple of CHAIN or value i - 1 is inadmissible."""
+    out, points = [], None
+    for i, value in enumerate(values):
+        seeds, points = (points if i % fs.CHAIN else None), None
+        try:
+            out.append(per_value_context(family, value, seeds))
+        except InadmissibleScenario as exc:
+            out.append(exc)
+            continue
+        points = out[-1].points
+    return out
+
+
+def serial_tau_H(hm, E_c, trajectory):
+    """`energy.tau_H` of one point as it was before it became one stack,
+    kept as its oracle: its own scan of a run that covers TAU_H_HORIZON,
+    then a bisection of its own."""
+    gamma = en.energy_margin(E_c, hm, trajectory.sample([0.0])[0])
+    if gamma == 0.0:
+        return 0.0
+
+    def excess(ts):
+        return en.hamiltonian(hm, trajectory.sample(ts)) - E_c
+
+    ts = np.unique(np.concatenate([
+        trajectory.t[trajectory.t <= en.TAU_H_HORIZON], np.arange(0.0, en.TAU_H_HORIZON, 1e-3), [en.TAU_H_HORIZON],
+    ]))
+    above = np.nonzero(excess(ts) >= 0.0)[0]
+    if above.size == 0:
+        return en.NO_CROSSING
+    k = int(above[0])
+    if k == 0:
+        return 0.0
+    lo, hi = float(ts[k - 1]), float(ts[k])
+    while hi - lo > en._LOCATE_TOL:
+        mid = 0.5 * (lo + hi)
+        if excess(np.array([mid]))[0] >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def full_fold_check(stack, block):
+    """The rows a `faultstudy._VerdictStack` check decides and their
+    verdicts, as the check ran when it folded every row of the block, kept
+    as the oracle of the check that folds only what can change a verdict;
+    folds copies, so the stack is left as it is."""
+    rows = block[0][0]
+    _ids, accept, t, t_new = block[-1][:4]
+    finished = (t == fs.WINDOW) | (accept & (t_new == fs.WINDOW))
+    m = stack._coupling.act.size
+    count, angles = sw.sample_steps(block, fs._SAMPLES, m)
+    ref = stack._ref[stack.point[np.repeat(rows, count)]]
+    exc = fs._pair_excursions(stack._coupling, angles.T, ref)
+    returned, peak = stack._returned[rows].copy(), stack._peak[rows].copy()
+    diverged = np.zeros(rows.size, dtype=bool)
+    for r, part in enumerate(np.split(exc, np.cumsum(count)[:-1])):
+        if part.size:
+            # prior[j]: the peak of each pair before sample j
+            prior = np.fmax.accumulate(np.vstack([peak[r], part[:-1]]), axis=0)
+            returned[r] |= np.any(part < prior - 1e-2, axis=0)
+            peak[r] = np.fmax(prior[-1], part[-1])
+            diverged[r] = np.any(part >= fs.DIVERGENCE_THRESHOLD)
+    lost = diverged | np.isin(rows, list(stack._failed))
+    done = ~stack._decided[rows] & (lost | finished)
+    return rows[done], ~lost[done] & np.all(returned[done] | (peak[done] < fs.SMALL_SWING), axis=1)

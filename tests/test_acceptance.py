@@ -423,7 +423,7 @@ def check_8h(num, ctx, fo):
         qc = en.quartic_coefficients(ctx.hm, ctx.fom, E_scaled)
         t_a = en.tau_A(qc)
         with mock.patch.object(en, "_LOCATE_TOL", 1e-8):
-            t_h = en.tau_H(ctx.hm, E_scaled, fo)
+            t_h = en.tau_H([ctx.hm], [E_scaled], [fo])[0]
         ratios[s] = t_a / t_h
     ok = abs(ratios[0.01] - 1.0) <= 0.05
     check(num, ok, f"tau_A/tau_H at s=0.1: {ratios[0.1]:.4f}, s=0.01: {ratios[0.01]:.4f} (limit 5%)")

@@ -236,7 +236,7 @@ def test_tau_a_companion_matrix_oracle():
 def test_tau_h_zero_margin(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
     h0 = en.hamiltonian(ctx.hm, ctx.x_pre)
-    assert en.tau_H(ctx.hm, h0, nominal_fault_on) == 0.0
+    assert en.tau_H([ctx.hm], [h0], [nominal_fault_on])[0] == 0.0
 
 
 def test_prefault_state_is_read_once(nominal_ctx, nominal_fault_on, monkeypatch):
@@ -247,23 +247,23 @@ def test_prefault_state_is_read_once(nominal_ctx, nominal_fault_on, monkeypatch)
     margins = []
     margin = en.energy_margin
     monkeypatch.setattr(en, "energy_margin", lambda *args: margins.append(margin(*args)) or margins[-1])
-    en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
+    en.tau_H([ctx.hm], [ctx.crit.E_c], [nominal_fault_on])[0]
     assert margins == [ctx.delta_E]
 
 
 def test_tau_h_no_crossing_without_fault(nominal_ctx):
     ctx = nominal_ctx
     null = replace(ctx, fom=null_fault(ctx))
-    got = en.tau_H(ctx.hm, ctx.crit.E_c, fault_on(null, en.TAU_H_HORIZON))
+    got = en.tau_H([ctx.hm], [ctx.crit.E_c], [fault_on(null, en.TAU_H_HORIZON)])[0]
     assert got == en.NO_CROSSING
     with pytest.raises(ValueError, match="before the horizon"):
-        en.tau_H(ctx.hm, ctx.crit.E_c, fault_on(null, 0.5))
+        en.tau_H([ctx.hm], [ctx.crit.E_c], [fault_on(null, 0.5)])[0]
 
 
 def test_tau_h_dense_scan_oracle(nominal_ctx, nominal_fault_on):
     """Crossing agrees with a brute-force fixed-step scan at 1e-5 s."""
     ctx = nominal_ctx
-    t_h = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
+    t_h = en.tau_H([ctx.hm], [ctx.crit.E_c], [nominal_fault_on])[0]
     traj = fault_on(ctx, 0.3, tol=1e-10, atol=1e-12)
     ts = np.arange(0.0, 0.3, 1e-5)
     g = en.hamiltonian(ctx.hm, traj.sample(ts)) - ctx.crit.E_c
@@ -275,17 +275,17 @@ def test_tau_h_negative_margin_rejected(nominal_ctx, nominal_fault_on):
     ctx = nominal_ctx
     bad = en.hamiltonian(ctx.hm, ctx.x_pre) - 1.0
     with pytest.raises(InadmissibleScenario):
-        en.tau_H(ctx.hm, bad, nominal_fault_on)
+        en.tau_H([ctx.hm], [bad], [nominal_fault_on])[0]
 
 
 def test_tau_h_hamiltonian_fault_on_switch(nominal_ctx, nominal_fault_on):
     """The conservative fault-on variant (conductance power frozen at the
     pre-fault SEP) stays close to exact."""
     ctx = nominal_ctx
-    exact = en.tau_H(ctx.hm, ctx.crit.E_c, nominal_fault_on)
+    exact = en.tau_H([ctx.hm], [ctx.crit.E_c], [nominal_fault_on])[0]
     field = sw.swing_field(ctx.fom.red_on, ctx.gp, ctx.fom.Pa_on)
     frozen = sw.integrate(field, ctx.x_pre, 2.0)
-    cons = en.tau_H(ctx.hm, ctx.crit.E_c, frozen)
+    cons = en.tau_H([ctx.hm], [ctx.crit.E_c], [frozen])[0]
     assert isinstance(cons, float)
     assert cons == pytest.approx(exact, rel=0.05)
 
@@ -304,7 +304,7 @@ def test_smib_tau_h_against_separatrix():
     x_pre = np.concatenate([sep.delta, np.zeros(1)])
     fom = en.FaultOnHamiltonianModel.at_prefault(red_on, gp, sep.delta)
     E_c = en.potential(hm, np.array([np.pi - np.arcsin(0.3)]))
-    t_h = en.tau_H(hm, E_c, en.fault_on_trajectory([fom], [gp], [x_pre], 2.0)[0])
+    t_h = en.tau_H([hm], [E_c], [en.fault_on_trajectory([fom], [gp], [x_pre], 2.0)[0]])[0]
     # constant acceleration u: delta(t) = d_s + u t^2 / 2, H grows accordingly;
     # invert H(t) = E_c numerically as the oracle
     u = gp.Pm[0] / gp.M[0]

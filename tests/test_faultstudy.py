@@ -3,7 +3,6 @@
 import dataclasses
 import warnings
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import cct, fault_on, rebuilt_reduction, round_true_cct, stable, with_part
+from conftest import (
+    cct, fault_on, full_fold_check, per_value_contexts, rebuilt_reduction, round_true_cct, serial_tau_H, stable,
+    with_part,
+)
 from test_coupling import network
 from swingcct import energy as en
 from swingcct import equilibria as eq
@@ -287,7 +289,7 @@ def test_null_fault_unbounded(nominal_ctx):
     fo = fault_on(ctx, 2.0)
     t, verdict = cct(ctx, fo, horizon=0.5)
     assert t == fs.UNBOUNDED and verdict is None
-    got = en.tau_H(ctx.hm, ctx.crit.E_c, fo)
+    got = en.tau_H([ctx.hm], [ctx.crit.E_c], [fo])[0]
     assert got == en.NO_CROSSING
     with pytest.raises(ValueError, match="before the horizon"):
         cct(ctx, fault_on(ctx, 0.5), horizon=1.0)
@@ -398,8 +400,8 @@ def test_failed_fault_on_row_fails_alone(wscc, monkeypatch):
         return [IntegrationError("step size underflow", time=0.1)] + original(*args, **kwargs)[1:]
 
     monkeypatch.setattr(en, "fault_on_trajectory", fail_first)
-    builds = [partial(fs.build_context, sc) for sc in (with_part(wscc, "8", "B", -0.5), wscc)]
-    failed, ok = fs.run_studies(builds, resolution=5e-4)
+    contexts = [fs.build_context(sc) for sc in (with_part(wscc, "8", "B", -0.5), wscc)]
+    failed, ok = fs.run_studies(contexts, resolution=5e-4)
     assert failed.admissible and failed.tau is None and failed.tau_H is None
     assert failed.verdicts == {"tau": "integration-failed", "tau_H": "integration-failed"}
     for name in ("admissible", "tau", "tau_H", "tau_A", "delta_E", "E_c", "verdicts"):
@@ -622,14 +624,13 @@ def test_sweep_context_equals_rebuilt_scenario(request, param, values):
     bus, part = param.split(".")
     family = fs.LoadFamily(sc, param)
     for value in values:
+        (got,) = family.contexts([value])
         try:
             want = fs.build_context(with_part(sc, bus, part, value))
         except InadmissibleScenario as exc:
-            with pytest.raises(InadmissibleScenario) as err:
-                family.context(value)
-            assert (err.value.code, str(err.value)) == (exc.code, str(exc))
+            assert isinstance(got, InadmissibleScenario)
+            assert (got.code, str(got)) == (exc.code, str(exc))
             continue
-        got = family.context(value)
         for name in ("red_pre", "red_post", "gp", "x_pre", "sep", "hm", "points", "crit", "delta_E"):
             assert field_bits(getattr(got, name)) == field_bits(getattr(want, name)), (value, name)
         for name in ("red_on", "Pa_on"):
@@ -696,3 +697,123 @@ def test_factory_bad_angles_at_every_value(wscc):
             factory(value)
         assert err.value.code == "bad-angles"
     assert eq.continue_branch(factory, (-1.0, 0.0)) == []
+
+
+# ---------------------------------------------------------------------------
+# the block pipeline against its per-point oracles
+# ---------------------------------------------------------------------------
+
+#: (param, value) of the twelve seed-1 study cases of the benchmark; None is nominal
+STUDY_CASES = [
+    ("6.B", -1.9222451700914132), ("8.B", -8.293927917665812), (None, None), ("6.B", -6.837835176209187),
+    ("8.G", 2.0692564845511043), ("6.B", -5.627228493298381), (None, None), ("8.G", 3.5229978409229035),
+    ("8.B", -3.4984543455802157), ("8.B", -2.8528012909345533), ("8.G", 6.373984219182649), (None, None),
+]
+#: the 19 points of the benchmark's seed-1 8.G sweep
+SWEEP_GC = [0.016593619593405023 + 0.5 * k for k in range(19)]
+
+
+def test_stacked_contexts_equal_per_value_chain(wscc, monkeypatch):
+    """A block's contexts built as one stack are those of one context per
+    value, chained point by point (`per_value_contexts`), bit for bit, on a
+    grid with no-sep points (one of them amid admissible ones), a CHAIN
+    restart and a seeded point that falls back to the full grid; the coarse
+    probes run as one stack, for the seeded points only."""
+    values = [4.0 + 0.2 * k for k in range(26)]
+    values.insert(4, 8.8)
+    family = fs.LoadFamily(wscc, "8.G")
+    want = per_value_contexts(family, values)
+    fallbacks, probes = [], []
+    seeded, coarse = eq._seeded_points, eq._coarse_probes
+    monkeypatch.setattr(eq, "_seeded_points", lambda *a: fallbacks.append((r := seeded(*a)) is None) or r)
+    monkeypatch.setattr(eq, "_coarse_probes", lambda models: probes.append(len(models)) or coarse(models))
+    got = family.contexts(values)
+    assert [v for v, c in zip(values, want) if isinstance(c, InadmissibleScenario) and c.code == "no-sep"]
+    assert len(values) > fs.CHAIN and any(fallbacks) and probes == [len(fallbacks)]
+    for value, a, b in zip(values, got, want):
+        if isinstance(b, InadmissibleScenario):
+            assert isinstance(a, InadmissibleScenario) and (a.code, str(a)) == (b.code, str(b)), value
+            continue
+        for name in ("red_pre", "red_post", "gp", "x_pre", "sep", "hm", "points", "crit", "delta_E"):
+            assert field_bits(getattr(a, name)) == field_bits(getattr(b, name)), (value, name)
+        for name in ("red_on", "Pa_on"):
+            assert field_bits(getattr(a.fom, name)) == field_bits(getattr(b.fom, name)), (value, name)
+
+
+def test_stopped_fault_on_runs_are_prefixes(wscc, nominal_ctx):
+    """A fault-on run that stops where the metrics stop reading is a bit
+    for bit prefix of the full 2 s run and gives its tau_H, on the twelve
+    study cases, the 19 points of an 8.G sweep and the null fault, whose
+    run never crosses E_c and keeps its full length."""
+    cases = [wscc if p is None else with_part(wscc, *p.split("."), v) for p, v in STUDY_CASES]
+    ctxs = [fs.build_context(sc) for sc in cases]
+    ctxs += [c for c in fs.LoadFamily(wscc, "8.G").contexts(SWEEP_GC) if isinstance(c, fs.StudyContext)]
+    ctxs.append(null_fault_context(nominal_ctx))
+    horizon = 1.0
+    args = [c.fom for c in ctxs], [c.gp for c in ctxs], [c.x_pre for c in ctxs], en.TAU_H_HORIZON
+    full = en.fault_on_trajectory(*args)
+    stopped = en.fault_on_trajectory(*args, stop=([c.hm for c in ctxs], [c.crit.E_c for c in ctxs], horizon))
+    assert len(ctxs) == 12 + 18 + 1
+    for a, b in zip(stopped, full):
+        k = a.h.size
+        assert horizon <= a.t_end <= b.t_end
+        assert a.t.tobytes() == b.t[: k + 1].tobytes() and a.h.tobytes() == b.h[:k].tobytes()
+        assert a.y.tobytes() == b.y[:k].tobytes() and a.Q.tobytes() == b.Q[:, :k].tobytes()
+    hms, E_c = [c.hm for c in ctxs], [c.crit.E_c for c in ctxs]
+    got = en.tau_H(hms, E_c, stopped)
+    assert got == en.tau_H(hms, E_c, full) == [serial_tau_H(*x) for x in zip(hms, E_c, full)]
+    assert got[-1] == en.NO_CROSSING and stopped[-1].t_end == en.TAU_H_HORIZON
+    assert all(a.h.size < b.h.size for a, b in zip(stopped[:-1], full[:-1]))
+
+
+def test_runs_sample_equals_trajectory_sample(wscc, nominal_ctx, nominal_fault_on):
+    """One sample over many fault-on runs reads each run as its own
+    `Trajectory.sample`, bit for bit, at 0, on step boundaries, inside
+    steps and at t_end."""
+    other = fs.build_context(with_part(wscc, "8", "B", -3.0))
+    runs = [nominal_fault_on, fault_on(other, 1.5), fault_on(nominal_ctx, 0.7)]
+    rng = np.random.default_rng(3)
+    which, ts = [], []
+    for r, run in enumerate(runs):
+        times = np.concatenate([[0.0, run.t_end], run.t, rng.uniform(0.0, run.t_end, 50)])
+        which += [r] * times.size
+        ts.append(times)
+    which, ts = np.array(which), np.concatenate(ts)
+    order = rng.permutation(ts.size)
+    got = sw.Runs(runs).sample(which[order], ts[order])
+    for r, run in enumerate(runs):
+        at = which[order] == r
+        assert got[at].tobytes() == run.sample(ts[order][at]).tobytes()
+
+
+def test_bounded_check_equals_full_fold(wscc, monkeypatch):
+    """A check that folds only the rows it may decide decides the same rows
+    with the same verdicts as one that folds every row (`full_fold_check`),
+    block by block of real searches: among them rows whose pairs have all
+    swung back and that then diverge inside a block, and a failing row."""
+    ctxs = [fs.build_context(with_part(wscc, "8", "G", g)) for g in (6.0, 0.0)] + [fs.build_context(wscc)]
+    runs = [fault_on(c, 1.0) for c in ctxs]
+    t_cl = [np.linspace(0.0, 0.1, 41), np.linspace(0.1, 0.2, 21), np.linspace(0.05, 0.15, 21)]
+    check = fs._VerdictStack._check
+    seen = {"late": 0, "failed": 0, "checks": 0}
+
+    def compared(self, block):
+        rows = block[0][0]
+        settled = self._returned[rows].all(axis=1) & ~self._decided[rows]
+        if seen["checks"] == 3:    # a running row fails at this check
+            self._failed[int(rows[np.flatnonzero(settled)[0]])] = 0.5
+        want_rows, want_stable = full_fold_check(self, list(block))
+        got = check(self, block)
+        assert got.tolist() == want_rows.tolist()
+        assert self.stable[got].tolist() == want_stable.tolist()
+        unstable = np.isin(rows, got[~self.stable[got]])
+        seen["late"] += int(np.sum(unstable & settled & ~np.isin(rows, list(self._failed))))
+        seen["failed"] += int(np.isin(list(self._failed), got).sum())
+        seen["checks"] += 1
+        return got
+
+    monkeypatch.setattr(fs._VerdictStack, "_check", compared)
+    verdicts = fs.first_swing_stable(ctxs, runs, t_cl)
+    monkeypatch.undo()
+    assert seen["late"] > 0 and seen["failed"] == 1
+    assert [v.tolist() for v in verdicts[1:]] == [v.tolist() for v in fs.first_swing_stable(ctxs[1:], runs[1:], t_cl[1:])]

@@ -1,6 +1,7 @@
 """Sweep driver, optimum search, report files, and their round-trips."""
 
 import concurrent.futures
+import gc
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from conftest import with_part
 from swingcct import report as rp
 from swingcct.equilibria import continue_branch
 from swingcct.errors import ScenarioFormatError
-from swingcct.faultstudy import CHAIN, hamiltonian_model_factory
+from swingcct.faultstudy import CHAIN, StudyContext, hamiltonian_model_factory
 from swingcct.sweep import SweepRow, SweepSpec, detect_uep_switches, find_optimum, run_sweep
 
 
@@ -188,7 +189,8 @@ def test_singular_network_point_keeps_sweep_alive(wscc, monkeypatch):
     monkeypatch.setattr(nm, "schur_complement", schur)
     spec = SweepSpec(scenario=wscc, param="8.B", lo=-0.75, hi=-0.25, step=0.25, resolution=1e-3)
     rows = run_sweep(spec)
-    assert len(fired) == 1
+    # each template's solve of the block's stack, then of that value alone
+    assert len(fired) == 4
     assert [r.param for r in rows] == [-0.75, -0.5, -0.25]
     bad = rows[1]
     assert not bad.admissible and bad.verdicts == "scenario=singular-network"
@@ -355,3 +357,23 @@ def test_sweep_repeatability_bytes(wscc, tmp_path):
     a = rp.write_sweep_csv(run_sweep(spec), tmp_path / "a.csv")
     b = rp.write_sweep_csv(run_sweep(spec), tmp_path / "b.csv")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_leaves_no_reference_cycle(wscc):
+    """A sweep with no-sep points frees its block as it returns: nothing it
+    made is left for the cyclic collector (an exception kept as a value with
+    a traceback through its own frame kept the whole block alive)."""
+    spec = SweepSpec(scenario=wscc, param="8.G", lo=8.0, hi=9.0, step=0.5, resolution=1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        rows = run_sweep(spec)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [type(x).__name__ for x in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert "scenario=no-sep" in [r.verdicts for r in rows]
+    assert StudyContext.__name__ not in left
