@@ -14,7 +14,6 @@ modeled machine, as in `swing`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
-from .swing import ATOL, Coupling, GeneratorParams, Runs, SwingField, Trajectory, integrate_rows, swing_field
-from .swing import _collect, dopri_steps, sample_steps
+from .swing import ATOL, Block, Coupling, GeneratorParams, Runs, SwingField, Trajectory, integrate_rows, swing_field
+from .swing import _collected, equal_lengths, sample_block
 
 #: verdict strings for metrics that do not produce a time
 NO_REAL_ROOT = "no-real-root"
@@ -34,8 +33,6 @@ TAU_H_HORIZON = 2.0
 _LOCATE_TOL = 1e-6
 #: the grid of tau_H's crossing scan, besides the steps of the run [s]
 _SCAN = np.append(np.arange(0.0, TAU_H_HORIZON, 1e-3), TAU_H_HORIZON)
-#: integrator attempts between two checks of which fault-on runs may stop
-_CHECK = 16
 #: scan points per run that tau_H evaluates at a time
 _SCAN_CHUNK = 128
 
@@ -226,33 +223,27 @@ def fault_on_trajectory(
     per fault; the faults are one stacked run (see `integrate_rows`) to
     `horizon`.  With `stop`, a triple (hm, E_c, after) of each fault's
     post-fault model and critical level and one time, a run ends where no
-    metric reads further: at the first check, every _CHECK attempts, at
+    metric reads further: at the first check of its `swing.dopri_run` at
     which it has passed `after` and a point of the _SCAN grid where its
     energy has reached E_c.  Such a run keeps the steps of the full run, bit
     for bit, and `tau_H` reads it up to its crossing; a step that would fail
     after that check is not taken.
     """
+    equal_lengths(fom=fom, gp=gp, x_pre=x_pre, **({} if stop is None else dict(hm=stop[0], E_c=stop[1])))
     stacked = SwingField.stack([swing_field(f.red_on, g) for f, g in zip(fom, gp)])
     Y = np.array(x_pre, dtype=float)
     if stop is None:
         return integrate_rows(stacked, Y, horizon, tol=tol, atol=atol)
     models, E_c, after = _rows(stop[0]), np.asarray(stop[1], dtype=float), stop[2]
     crossed = np.zeros(Y.shape[0], dtype=bool)
-    kept, failed, retire = [], {}, None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        steps = dopri_steps(stacked, Y, horizon, tol, atol, failed)
-        try:
-            while True:    # one check per block; a short block is the run's last
-                block = [steps.send(retire), *itertools.islice(steps, _CHECK - 1)]
-                kept += block
-                ids, accept, t, t_new = block[-1][:4]
-                count, states = sample_steps(block, _SCAN, Y.shape[1])
-                row = np.repeat(ids, count)
-                crossed[row[hamiltonian(models.take(row), states.T) - E_c[row] >= 0.0]] = True
-                retire = (ids[crossed[ids] & (np.where(accept, t_new, t) >= after)], None)
-        except StopIteration:    # no row is left
-            pass
-    return _collect(kept, failed, Y.shape[0])
+
+    def check(block: Block) -> tuple[np.ndarray, None]:
+        ids = block.ids
+        energy = hamiltonian(models.take(ids), sample_block(block, _SCAN, Y.shape[1]))
+        crossed[ids[np.any(energy - E_c[ids] >= 0.0, axis=0)]] = True
+        return ids[crossed[ids] & (np.where(block.accept[-1], block.t_new[-1], block.t[-1]) >= after)], None
+
+    return _collected(stacked, Y, horizon, tol, atol, check)
 
 
 def tau_H(
@@ -269,6 +260,7 @@ def tau_H(
     bisection to _LOCATE_TOL seconds.  Returns NO_CROSSING where the level
     is never reached within the horizon.
     """
+    equal_lengths(hm=hm, E_c=E_c, trajectory=trajectory)
     if not trajectory:
         return []
     models, E_c, runs = _rows(hm), np.asarray(E_c, dtype=float), Runs(trajectory)

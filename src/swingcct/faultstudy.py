@@ -32,8 +32,6 @@ ROWS_PER_ROUND = 32
 WINDOW = 3.0
 #: spacing of the samples a first-swing verdict checks [s]
 SAMPLE_STEP = 0.005
-#: integrator attempts between two checks of the verdict samples
-_BLOCK = 16
 #: the sample times of a first-swing verdict
 _SAMPLES = np.append(np.arange(0.0, WINDOW, SAMPLE_STEP), WINDOW)
 #: verdict rows a check folds at a time
@@ -249,14 +247,14 @@ class _VerdictStack:
 
     A row is one clearing time of one point: its post-fault run starts from
     the point's fault-on state at that time, on the point's post-fault
-    network, with its own step control (`swing.dopri_steps`).  The stack is
-    checked every _BLOCK integrator attempts: each check folds the 5 ms
-    samples of the block into the verdict state of the rows whose verdict
-    it can change (`_unsettled`) and decides a row once it diverges, fails
-    or finishes its WINDOW.  `admit` adds rows, which join at the next check
-    with their clearing states read in one sample of all the points'
-    fault-on runs, and `run` retires rows (what its `plan` returns), while
-    every row's verdict stays the one it gets alone.
+    network, with its own step control (`swing.dopri_run`).  Each check of
+    the run folds the 5 ms samples of its `swing.Block` into the verdict
+    state of the rows whose verdict it can change (`_unsettled`) and decides
+    a row once it diverges, fails or finishes its WINDOW.  `admit` adds
+    rows, which join at the next check with their clearing states read in
+    one sample of all the points' fault-on runs, and `run` retires rows
+    (what its `plan` returns), while every row's verdict stays the one it
+    gets alone.
     """
 
     def __init__(self, ctx: Sequence[StudyContext], fault_on: Sequence[sw.Trajectory], tol: float):
@@ -272,7 +270,6 @@ class _VerdictStack:
         self.time = np.zeros(0)
         self._peak = np.zeros((0, pairs))
         self._returned = np.zeros((0, pairs), dtype=bool)
-        self._decided = np.zeros(0, dtype=bool)
         self.stable = np.zeros(0, dtype=bool)
         self._failed: dict[int, float] = {}
         self._rows = 0     # rows admitted, queued ones included
@@ -287,7 +284,7 @@ class _VerdictStack:
         return ids
 
     def _admitted(self) -> tuple | None:
-        """The rows admitted since the last call as a `dopri_steps` triple
+        """The rows admitted since the last call as a `dopri_run` triple
         (ids, field, y); their verdict state joins the stack's."""
         if not self._queue:
             return None
@@ -298,91 +295,67 @@ class _VerdictStack:
         self.time = np.concatenate([self.time, times])
         self._peak = np.concatenate([self._peak, np.zeros((ids.size, self._peak.shape[1]))])
         self._returned = np.concatenate([self._returned, np.zeros((ids.size, self._peak.shape[1]), dtype=bool)])
-        self._decided = np.concatenate([self._decided, np.zeros(ids.size, dtype=bool)])
         self.stable = np.concatenate([self.stable, np.zeros(ids.size, dtype=bool)])
         return ids, sw.SwingField.stack([self._fields[p] for p in points]), self._fault_on.sample(points, times)
 
-    def _fold(self, rows: np.ndarray, block: list) -> np.ndarray:
-        """Fold a block of steps of the given rows into their verdict state;
-        whether each row diverged."""
-        count, angles = sw.sample_steps(block, _SAMPLES, self._coupling.act.size)
-        # one line per row and pair, padded with NaN, which fmax and comparisons skip
-        line = np.repeat(np.arange(rows.size), count)
-        exc = np.full((rows.size, self._peak.shape[1], count.max(initial=1)), np.nan)
-        exc[line, :, np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)] = (
-            _pair_excursions(self._coupling, angles.T, self._ref[self.point[rows[line]]])
-        )
-        # prior[..., j]: the peak of each pair before sample j
-        prior = np.fmax.accumulate(np.concatenate([self._peak[rows, :, None], exc[..., :-1]], axis=-1), axis=-1)
-        self._returned[rows] |= np.any(exc < prior - 1e-2, axis=-1)
-        self._peak[rows] = np.fmax(prior[..., -1], exc[..., -1])
+    def _fold(self, block: sw.Block) -> np.ndarray:
+        """Fold a block into the verdict state of its rows; whether each row diverged."""
+        rows = block.ids
+        angles = sw.sample_block(block, _SAMPLES, self._coupling.act.size)
+        # (slots, rows, pairs), NaN in the slots a row has no sample in, which fmax and comparisons skip
+        exc = _pair_excursions(self._coupling, angles, self._ref[self.point[rows]])
+        # peak[j]: the peak of each pair before slot j, and after the last one
+        peak = np.fmax.accumulate(np.concatenate([self._peak[rows][None], exc]), axis=0)
+        self._returned[rows] |= np.any(exc < peak[:-1] - 1e-2, axis=0)
+        self._peak[rows] = peak[-1]
         # the divergence bound is enforced over the whole window: an orbit may
         # complete its first return swing and still run away afterwards
-        return np.any(exc >= DIVERGENCE_THRESHOLD, axis=(1, 2))
+        return np.any(exc >= DIVERGENCE_THRESHOLD, axis=(0, 2))
 
-    def _unsettled(self, rows: np.ndarray, block: list) -> np.ndarray:
+    def _unsettled(self, block: sw.Block) -> np.ndarray:
         """Whether a check must fold each row: a pair of it has not swung
         back, or an accepted step of the block starts within its reach (h *
         sum |Q_i|, a bound on its dense output, mapped to the pairs) of the
         divergence bound, less 1e-9 for rounding.  Once every pair has swung
         back only that bound can change a verdict, so the other rows are not
         folded and their `peak` is no longer kept."""
-        out = ~self._returned[rows].all(axis=1)
+        out = ~self._returned[block.ids].all(axis=1)
         settled = np.flatnonzero(~out)
         if settled.size:
-            accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*block))[1:])
-            start = _pair_excursions(self._coupling, y[:, settled], self._ref[self.point[rows[settled]]])
-            dense = np.abs(Q[:, :, settled, : self._coupling.act.size]).sum(axis=1)
-            reach = ((t_new - t)[:, settled, None] * dense) @ np.abs(self._coupling._K_pairs)
-            out[settled] = np.any(accept[:, settled, None] & ~(start + reach < DIVERGENCE_THRESHOLD - 1e-9), (0, 2))
+            b = block.take(settled)
+            start = _pair_excursions(self._coupling, b.y, self._ref[self.point[b.ids]])
+            dense = np.abs(b.Q[..., : self._coupling.act.size]).sum(axis=1)
+            reach = ((b.t_new - b.t)[..., None] * dense) @ np.abs(self._coupling._K_pairs)
+            out[settled] = np.any(b.accept[..., None] & ~(start + reach < DIVERGENCE_THRESHOLD - 1e-9), (0, 2))
         return out
 
-    def _check(self, block: list) -> np.ndarray:
+    def _check(self, block: sw.Block) -> np.ndarray:
         """Fold a block of steps into the verdict state of the rows it may
         change (`_unsettled`), _FOLD_ROWS rows at a time (the samples of a
         block are its largest arrays); the rows it decides."""
-        rows = block[0][0]
-        _ids, accept, t, t_new = block[-1][:4]
-        finished = (t == WINDOW) | (accept & (t_new == WINDOW))
+        finished = (block.t[-1] == WINDOW) | (block.accept[-1] & (block.t_new[-1] == WINDOW))
         # a failed run counts as diverged
-        lost = np.isin(rows, list(self._failed))
-        fold = np.flatnonzero(self._unsettled(rows, block))
+        lost = np.isin(block.ids, list(self._failed))
+        fold = np.flatnonzero(self._unsettled(block))
         for k in range(0, fold.size, _FOLD_ROWS):
             part = fold[k : k + _FOLD_ROWS]
-            lost[part] |= self._fold(rows[part], [(*(x[part] for x in s[:5]), s[5][:, part]) for s in block])
-        block.clear()
-        done = ~self._decided[rows] & (lost | finished)
-        self.stable[rows[done]] = ~lost[done] & np.all(
-            self._returned[rows[done]] | (self._peak[rows[done]] < SMALL_SWING), axis=1
-        )
-        self._decided[rows[done]] = True
-        return rows[done]
+            lost[part] |= self._fold(block.take(part))
+        done = lost | finished
+        decided = block.ids[done]
+        swung = self._returned[decided] | (self._peak[decided] < SMALL_SWING)
+        self.stable[decided] = ~lost[done] & swung.all(axis=1)
+        return decided
 
     def run(self, plan: Callable[[np.ndarray], list[int]] = lambda decided: []) -> None:
         """Integrate until no row runs and none is waiting.  After each check
         the rows it decided retire, and plan(decided) may admit rows and
         returns the ids of more rows to retire."""
-        steps = None
-        retire = np.zeros(0, dtype=int)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while True:
-                admit = self._admitted()
-                if steps is not None:
-                    change = (retire, admit)
-                elif admit is None:
-                    return
-                else:
-                    steps = sw.dopri_steps(admit[1], admit[2], WINDOW, self._tol, sw.ATOL, self._failed, admit[0])
-                    change = None
-                block: list = []
-                try:
-                    while len(block) < _BLOCK:
-                        block.append(steps.send(change))
-                        change = None
-                except StopIteration:
-                    steps = None
-                decided = self._check(block) if block else np.zeros(0, dtype=int)
-                retire = np.concatenate([decided, np.array(plan(decided), dtype=int)])
+        def check(block: sw.Block) -> tuple:
+            decided = self._check(block)
+            return np.concatenate([decided, np.array(plan(decided), dtype=int)]), self._admitted()
+
+        if (admit := self._admitted()) is not None:
+            sw.dopri_run(admit[1], admit[2], WINDOW, self._tol, sw.ATOL, self._failed, check, admit[0])
 
 
 def first_swing_stable(
@@ -403,9 +376,10 @@ def first_swing_stable(
     stays within DIVERGENCE_THRESHOLD of its post-fault equilibrium value
     over the observation window (WINDOW) and swings back (reaches a peak and
     retreats), judged on the dense output every SAMPLE_STEP.  The samples
-    are checked as the steps arrive, every _BLOCK integrator attempts, and a
-    row leaves the stack at the first check that finds it diverged.
+    are checked as the steps arrive, at every check of `swing.dopri_run`,
+    and a row leaves the stack at the first check that finds it diverged.
     """
+    sw.equal_lengths(ctx=ctx, fault_on=fault_on, t_cl=t_cl)
     times = [np.asarray(t, dtype=float) for t in t_cl]
     for fo, tp in zip(fault_on, times):
         for t in tp:
@@ -517,6 +491,7 @@ def true_cct(
     unstable even at instant clearing.
     """
     check_search(resolution, horizon, tol)
+    sw.equal_lengths(ctx=ctx, fault_on=fault_on)
     for fo in fault_on:
         if fo.t_end < horizon:
             raise ValueError(f"fault-on run ends at t={fo.t_end:.6g}, before the horizon {horizon:.6g}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,12 @@ from .errors import InadmissibleScenario, IntegrationError
 from .netmodel import ReducedNetwork
 
 Field = Callable[[np.ndarray], np.ndarray]
+
+
+def equal_lengths(**named: Sequence) -> None:
+    """Raise ValueError naming the lengths unless the named sequences have one length."""
+    if len({len(x) for x in named.values()}) > 1:
+        raise ValueError("unequal lengths: " + ", ".join(f"{k} {len(x)}" for k, x in named.items()))
 
 
 def _modeled_machines(n: int, infinite_index: int) -> np.ndarray:
@@ -368,14 +374,17 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 #: default absolute tolerance of the integrator
 ATOL = 1e-10
+#: integrator attempts between two checks of a `dopri_run`
+CHECK = 16
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(x), axis=-1)) / x.shape[-1] ** 0.5
 
 
-def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol: float, atol: float) -> np.ndarray:
-    """Per-row first step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+def _initial_step(field: Field, y: np.ndarray, t_end: float, tol: float, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row derivative and first step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    f = field(y)
     scale = atol + np.abs(y) * tol
     d0 = _rms(y / scale)
     d1 = _rms(f / scale)
@@ -388,7 +397,7 @@ def _initial_step(field: Field, y: np.ndarray, f: np.ndarray, t_end: float, tol:
         np.maximum(1e-6, h0 * 1e-3),
         (0.01 / np.maximum(d1, d2)) ** (1 / 5),
     )
-    return np.minimum(np.minimum(100 * h0, h1), t_end)
+    return f, np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
 def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -400,25 +409,41 @@ def dense_state(y: np.ndarray, h: np.ndarray, Q: np.ndarray, x: np.ndarray) -> n
     return y + h * (Q[0] * x + Q[1] * p2 + Q[2] * p3 + Q[3] * (p3 * x))
 
 
-def dopri_steps(
+class Block(NamedTuple):
+    """The attempts of a `dopri_run` since its last check, stacked: row ids
+    (K,); per attempt and row, whether its step was accepted, its start and
+    end times (A, K), start state (A, K, d) and dense coefficients (A, 4, K, d)."""
+
+    ids: np.ndarray
+    accept: np.ndarray
+    t: np.ndarray
+    t_new: np.ndarray
+    y: np.ndarray
+    Q: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "Block":
+        """The block of the given rows (positions in `ids`)."""
+        return Block(self.ids[rows], *(x[:, rows] for x in self[1:5]), self.Q[:, :, rows])
+
+
+def dopri_run(
     field: Field, y: np.ndarray, t_end: float, tol: float, atol: float, failed: dict[int, float],
-    ids: np.ndarray | None = None,
-) -> Generator[tuple[np.ndarray, ...], tuple | None, None]:
+    check: Callable[[Block], tuple | None], ids: np.ndarray | None = None,
+) -> None:
     """Lockstep Dormand-Prince 5(4) over a (K, d) stack of initial states.
 
-    Yields, for every attempt, the tuple (ids, accept, t, t_new, y, Q) of
-    the current stack: the rows' ids (`ids`, by default their indices in the
-    initial stack), the mask of accepted steps, their start and end times (a
-    step's size is t_new - t), start states and dense-output coefficients,
-    shape (4, K, d).  A row whose step size underflows gets its time in
-    `failed` under its id and stops.  Sending a pair (retire, admit) changes
-    the stack before the next attempt: the stepper drops the rows whose ids
-    are in the array `retire`, and every row that has finished or failed,
-    from its state and from the stacked field (which needs a `take`); then
-    `admit`, None or a triple (ids, field, y) of new rows, their stacked
-    field and their states, appends rows (the fields need a `stack`).  A new
-    row starts at its own t = 0 with its own first step size, as in a fresh
-    stack.  The stepper ends once no row is live after a send.
+    Every CHECK attempts, and after an attempt that leaves no row live, the
+    run calls check(block) with the `Block` of the attempts since the last
+    check; the rows' ids are `ids`, by default their indices in y.  A row
+    whose step size underflows gets its time in `failed` under its id and
+    stops.  A check returns None or a pair (retire, admit), applied before
+    the next attempt: the run drops the rows whose ids are in the array
+    `retire`, and every row that has finished or failed, from its state and
+    from the stacked field (which needs a `take`); then `admit`, None or a
+    triple (ids, field, y) of new rows, their stacked field and states,
+    appends rows (the fields need a `stack`), each starting at its own t =
+    0 with its own first step size, as in a fresh stack.  The run ends once
+    no row is live after a check.
 
     Every row keeps its own step size, error norm and accept/reject: the
     error norm is the RMS of the embedded error over atol + tol * max(|y|,
@@ -428,108 +453,116 @@ def dopri_steps(
     A row that has finished (or failed) rides along with a zero step until
     the last row is done or it is dropped.  Stage sums add each stage's
     elementwise products in stage order, so a row's bits never depend on the
-    other rows or on when it joined (a BLAS product may).  Run it under
-    np.errstate that ignores overflow: a failing row overflows.
+    other rows or on when it joined (a BLAS product may).  The run ignores
+    numpy's overflow, invalid and divide warnings: a failing row overflows.
     """
     ids = np.arange(y.shape[0]) if ids is None else ids
-    f = field(y)
-    h_abs = _initial_step(field, y, f, t_end, tol, atol)
-    t = np.zeros(ids.size)
-    live = np.ones(ids.size, dtype=bool)
-    fresh = np.ones(ids.size, dtype=bool)     # the next attempt starts a new step
     min_end_step = 10.0 * np.spacing(t_end)
-    # the smallest step of a live row, inf once no row is live; a finished
-    # row keeps t = t_end and a failed one gets h_abs = 0, so neither moves
-    while (h_min := np.minimum.reduce(h_abs, where=live, initial=np.inf)) != np.inf:
-        if not h_min > min_end_step:
-            # a step near the float spacing of t, or NaN: raise a new step to
-            # the minimum, fail a rejected one below it and a NaN one
-            min_step = 10.0 * np.spacing(t)
-            np.maximum(h_abs, min_step, out=h_abs, where=fresh)
-            small = live & ~(h_abs >= min_step)
-            failed.update(zip(ids[small].tolist(), t[small].tolist()))
-            h_abs[small] = 0.0
-            live &= ~small
-        t_new = np.minimum(t + h_abs, t_end)
-        h = t_new - t
-        hc = h[:, None]
-        acc = _W[:, 0] * f
-        for a, b, w in _STAGES:
-            y_new = y + acc[a - 1] * hc
-            k = field(y_new)
-            rows = acc[a:b]
-            rows += w * k
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err = _rms(acc[6] * hc / scale)
-        accept = live & (err < 1)
-        # after a rejection the step may not grow; err == 0 gives the cap;
-        # a rejected step (err >= 1) never reaches the cap
-        grow = np.minimum(np.where(fresh, _MAX_FACTOR, 1.0), _SAFETY * np.power(err, _ERROR_EXPONENT))
-        h_abs = h * np.fmax(_MIN_FACTOR, grow)
-        step = (ids, accept, t, t_new, y, np.concatenate((f[None], acc[7:])))
-        fresh = accept
-        t = np.where(accept, t_new, t)
-        moved = accept[:, None]
-        y = np.where(moved, y_new, y)
-        f = np.where(moved, k, f)
-        live &= t < t_end
-        change = yield step
-        if change is None:
-            continue
-        retire, admit = change
-        keep = live & ~np.isin(ids, retire)
-        if not keep.all():
-            ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
-            field = field.take(np.flatnonzero(keep))
-        if admit is not None:
-            new_ids, new_field, new_y = admit
-            new_f = new_field(new_y)
-            new = (new_ids, np.zeros(new_ids.size), new_y, new_f, _initial_step(new_field, new_y, new_f, t_end, tol, atol))
-            ids, t, y, f, h_abs = (np.concatenate(x) for x in zip((ids, t, y, f, h_abs), new))
-            live, fresh = np.ones(ids.size, dtype=bool), np.concatenate([fresh, np.ones(new_ids.size, dtype=bool)])
-            # an emptied stack takes the new rows' field as it is
-            field = type(field).stack([field, new_field]) if keep.any() else new_field
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, h_abs = _initial_step(field, y, t_end, tol, atol)
+        t = np.zeros(ids.size)
+        live = np.ones(ids.size, dtype=bool)
+        fresh = np.ones(ids.size, dtype=bool)     # the next attempt starts a new step
+        while live.any():
+            steps = []     # the attempts since the last check
+            # the smallest step of a live row, inf once no row is live; a finished
+            # row keeps t = t_end and a failed one gets h_abs = 0, so neither moves
+            while len(steps) < CHECK and (h_min := np.minimum.reduce(h_abs, where=live, initial=np.inf)) != np.inf:
+                if not h_min > min_end_step:
+                    # a step near the float spacing of t, or NaN: raise a new step to
+                    # the minimum, fail a rejected one below it and a NaN one
+                    min_step = 10.0 * np.spacing(t)
+                    np.maximum(h_abs, min_step, out=h_abs, where=fresh)
+                    small = live & ~(h_abs >= min_step)
+                    failed.update(zip(ids[small].tolist(), t[small].tolist()))
+                    h_abs[small] = 0.0
+                    live &= ~small
+                t_new = np.minimum(t + h_abs, t_end)
+                h = t_new - t
+                hc = h[:, None]
+                acc = _W[:, 0] * f
+                for a, b, w in _STAGES:
+                    y_new = y + acc[a - 1] * hc
+                    k = field(y_new)
+                    rows = acc[a:b]
+                    rows += w * k
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+                err = _rms(acc[6] * hc / scale)
+                accept = live & (err < 1)
+                # after a rejection the step may not grow; err == 0 gives the cap;
+                # a rejected step (err >= 1) never reaches the cap
+                grow = np.minimum(np.where(fresh, _MAX_FACTOR, 1.0), _SAFETY * np.power(err, _ERROR_EXPONENT))
+                h_abs = h * np.fmax(_MIN_FACTOR, grow)
+                steps.append((accept, t, t_new, y, np.concatenate((f[None], acc[7:]))))
+                fresh = accept
+                t = np.where(accept, t_new, t)
+                moved = accept[:, None]
+                y = np.where(moved, y_new, y)
+                f = np.where(moved, k, f)
+                live &= t < t_end
+            change = check(Block(ids, *(np.array(x) for x in zip(*steps))))
+            if change is None:
+                continue
+            retire, admit = change
+            keep = live & ~np.isin(ids, retire)
+            if not keep.all():
+                ids, t, y, f, h_abs, live, fresh = (x[keep] for x in (ids, t, y, f, h_abs, live, fresh))
+                field = field.take(np.flatnonzero(keep))
+            if admit is not None:
+                new_ids, new_field, new_y = admit
+                new = (new_ids, np.zeros(new_ids.size), new_y, *_initial_step(new_field, new_y, t_end, tol, atol))
+                ids, t, y, f, h_abs = (np.concatenate(x) for x in zip((ids, t, y, f, h_abs), new))
+                live, fresh = np.ones(ids.size, dtype=bool), np.concatenate([fresh, np.ones(new_ids.size, dtype=bool)])
+                # an emptied stack takes the new rows' field as it is
+                field = type(field).stack([field, new_field]) if keep.any() else new_field
 
 
-def sample_steps(steps: list, ts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first m components of the states at the sample times ts inside a
-    list of `dopri_steps` tuples of one stack (no rows retired or admitted
-    in between), evaluated as `Trajectory.sample` does: an accepted step
-    (t, t_new] holds the times above t up to t_new, and a row's first step
-    also holds t = 0.
-    Returns the number of samples of each row of the stack and the samples,
-    sorted by row and then by time, component-major as (m, S)."""
-    accept, t, t_new, y, Q = (np.array(x) for x in list(zip(*steps))[1:])
-    lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
-    n = np.where(accept, np.searchsorted(ts, t_new, side="right") - lo, 0)
-    # the (attempt, row) of the steps with samples, by row and then by time
-    k, a = np.nonzero(n.T)
-    n_step = n[a, k]
-    g = np.repeat(a * t.shape[1] + k, n_step)
-    j = np.repeat(lo[a, k] - (np.cumsum(n_step) - n_step), n_step) + np.arange(g.size)
-    t = t.ravel()[g]
-    h = t_new.ravel()[g] - t
-    return n.sum(axis=0), dense_state(
-        np.take(y[..., :m].transpose(2, 0, 1).reshape(m, -1), g, axis=-1), h,
-        np.take(Q[..., :m].transpose(1, 3, 0, 2).reshape(4, m, -1), g, axis=-1), (ts[j] - t) / h,
-    )
+def sample_block(block: Block, ts: np.ndarray, m: int) -> np.ndarray:
+    """The first m components of the states at the sample times ts in a
+    block, as `Trajectory.sample` reads them (a step (t, t_new] holds the
+    times above t up to t_new, a row's first step also t = 0), shape (slots,
+    K, m): each attempt has as many slots as its step with the most samples,
+    so a row's samples come in time order, NaN in the slots its step leaves."""
+    lo = np.where(block.t == 0.0, 0, np.searchsorted(ts, block.t, side="right"))
+    n = np.where(block.accept, np.searchsorted(ts, block.t_new, side="right") - lo, 0)
+    slots = n.max(axis=1, initial=0)
+    a, k = np.nonzero(n)
+    count = n[a, k]
+    # per sample: the flat index g of its step (a, k) and its place j among that step's samples
+    g = np.repeat(a * n.shape[1] + k, count)
+    j = np.arange(g.size) - np.repeat(np.cumsum(count) - count, count)
+    t = block.t.ravel()[g]
+    h = block.t_new.ravel()[g] - t
+    # component-major, (m, samples), so that the arithmetic runs along the samples
+    y = np.take(block.y[..., :m].transpose(2, 0, 1).reshape(m, -1), g, axis=-1)
+    Q = np.take(block.Q[..., :m].transpose(1, 3, 0, 2).reshape(4, m, -1), g, axis=-1)
+    slot = np.repeat(np.cumsum(slots)[a] - slots[a], count) + j
+    out = np.full((slots.sum(), n.shape[1], m), np.nan)
+    out[slot, g % n.shape[1]] = dense_state(y, h, Q, (ts[np.repeat(lo[a, k], count) + j] - t) / h).T
+    return out
 
 
-def _collect(steps: list, failed: dict[int, float], rows: int) -> list[Trajectory | IntegrationError]:
-    """The accepted steps of one `dopri_steps` run of rows 0..rows-1, which
-    may have been retired along the way, as one trajectory per row; a row
-    with a time in `failed` is its IntegrationError."""
+def _collected(
+    field: Field, Y: np.ndarray, t_end: float, tol: float, atol: float, check: Callable[[Block], tuple | None]
+) -> list[Trajectory | IntegrationError]:
+    """`dopri_run` of the (K, d) stack Y under `check`, with the accepted
+    steps of each row, which check may retire along the way, as its
+    trajectory; a row whose step size underflows is its IntegrationError."""
+    blocks, failed = [], {}
+    dopri_run(field, Y, t_end, tol, atol, failed, lambda block: blocks.append(block) or check(block))
+    steps = []    # the accepted steps of each block, by attempt and then by row
+    for b in blocks:
+        a, k = np.nonzero(b.accept)
+        steps.append((b.ids[k], b.t[a, k], b.t_new[a, k], b.y[a, k], b.Q[a, :, k]))
     if not steps:    # an empty stack takes no step
         return []
-    ids, accept, t, t_new, y = (np.concatenate(x) for x in list(zip(*steps))[:5])
-    Q = np.concatenate([s[5] for s in steps], axis=1)
-    steps.clear()    # the per-attempt arrays dominate the memory of a large stack
+    blocks.clear()    # the blocks dominate the memory of a large stack
+    ids, t, t_new, y, Q = (np.concatenate(x) for x in zip(*steps))
     # the accepted steps by row, in attempt order
-    at = np.flatnonzero(accept)
-    at = at[np.argsort(ids[at], kind="stable")]
-    runs = np.split(at, np.cumsum(np.bincount(ids[at], minlength=rows))[:-1])
+    at = np.argsort(ids, kind="stable")
+    runs = np.split(at, np.cumsum(np.bincount(ids, minlength=Y.shape[0]))[:-1])
     return [
-        Trajectory(t=np.append(0.0, t_new[s]), h=t_new[s] - t[s], y=y[s], Q=Q[:, s])
+        Trajectory(t=np.append(0.0, t_new[s]), h=t_new[s] - t[s], y=y[s], Q=np.moveaxis(Q[s], 1, 0))
         if r not in failed
         else IntegrationError(f"integration failed at t={failed[r]:.6g}: step size underflow", time=failed[r])
         for r, s in enumerate(runs)
@@ -548,10 +581,7 @@ def integrate_rows(
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    Y = np.asarray(Y, dtype=float)
-    failed: dict[int, float] = {}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _collect(list(dopri_steps(field, Y, t_end, tol, atol, failed)), failed, Y.shape[0])
+    return _collected(field, np.asarray(Y, dtype=float), t_end, tol, atol, lambda block: None)
 
 
 def integrate(field: Field, x0: np.ndarray, t_end: float, tol: float = 1e-8, atol: float = ATOL) -> Trajectory:

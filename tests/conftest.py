@@ -319,16 +319,36 @@ def serial_tau_H(hm, E_c, trajectory):
     return 0.5 * (lo + hi)
 
 
+def flat_samples(block, ts, m):
+    """`swing.sample_block` as it was before its slot layout (the flat
+    `sample_steps`, reading a `swing.Block`), kept as the sampler of
+    `full_fold_check`: the number of samples of each row of the block and
+    the samples, sorted by row and then by time, component-major as (m, S)."""
+    _ids, accept, t, t_new, y, Q = block
+    lo = np.where(t == 0.0, 0, np.searchsorted(ts, t, side="right"))
+    n = np.where(accept, np.searchsorted(ts, t_new, side="right") - lo, 0)
+    # the (attempt, row) of the steps with samples, by row and then by time
+    k, a = np.nonzero(n.T)
+    n_step = n[a, k]
+    g = np.repeat(a * t.shape[1] + k, n_step)
+    j = np.repeat(lo[a, k] - (np.cumsum(n_step) - n_step), n_step) + np.arange(g.size)
+    t = t.ravel()[g]
+    h = t_new.ravel()[g] - t
+    return n.sum(axis=0), sw.dense_state(
+        np.take(y[..., :m].transpose(2, 0, 1).reshape(m, -1), g, axis=-1), h,
+        np.take(Q[..., :m].transpose(1, 3, 0, 2).reshape(4, m, -1), g, axis=-1), (ts[j] - t) / h,
+    )
+
+
 def full_fold_check(stack, block):
     """The rows a `faultstudy._VerdictStack` check decides and their
     verdicts, as the check ran when it folded every row of the block, kept
     as the oracle of the check that folds only what can change a verdict;
     folds copies, so the stack is left as it is."""
-    rows = block[0][0]
-    _ids, accept, t, t_new = block[-1][:4]
-    finished = (t == fs.WINDOW) | (accept & (t_new == fs.WINDOW))
+    rows = block.ids
+    finished = (block.t[-1] == fs.WINDOW) | (block.accept[-1] & (block.t_new[-1] == fs.WINDOW))
     m = stack._coupling.act.size
-    count, angles = sw.sample_steps(block, fs._SAMPLES, m)
+    count, angles = flat_samples(block, fs._SAMPLES, m)
     ref = stack._ref[stack.point[np.repeat(rows, count)]]
     exc = fs._pair_excursions(stack._coupling, angles.T, ref)
     returned, peak = stack._returned[rows].copy(), stack._peak[rows].copy()
@@ -341,5 +361,5 @@ def full_fold_check(stack, block):
             peak[r] = np.fmax(prior[-1], part[-1])
             diverged[r] = np.any(part >= fs.DIVERGENCE_THRESHOLD)
     lost = diverged | np.isin(rows, list(stack._failed))
-    done = ~stack._decided[rows] & (lost | finished)
+    done = lost | finished
     return rows[done], ~lost[done] & np.all(returned[done] | (peak[done] < fs.SMALL_SWING), axis=1)

@@ -318,8 +318,7 @@ def staged_integrate(field, y, t_end, tol=1e-8, atol=1e-10) -> list:
     one trajectory per row (or its IntegrationError) step by step."""
     K = y.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = field(y)
-        h_abs = sw._initial_step(field, y, f, t_end, tol, atol)
+        f, h_abs = sw._initial_step(field, y, t_end, tol, atol)
         t = np.zeros(K)
         live = np.ones(K, dtype=bool)
         fresh = np.ones(K, dtype=bool)

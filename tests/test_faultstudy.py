@@ -339,25 +339,44 @@ def test_study_search_attempts(wscc, monkeypatch):
     5 bisection levels waited for its slowest stable row) and integrates
     each clearing time at most once."""
     attempts, admitted = [], []
-    dopri_steps, admit = sw.dopri_steps, fs._VerdictStack.admit
+    dopri_run, admit = sw.dopri_run, fs._VerdictStack.admit
 
-    def counted(field, y, t_end, *args, **kwargs):
-        steps = dopri_steps(field, y, t_end, *args, **kwargs)
-        change = None
-        while True:
-            try:
-                step = steps.send(change)
-            except StopIteration:
-                return
-            attempts.append(t_end)
-            change = yield step
+    def counted(field, y, t_end, tol, atol, failed, check, ids=None):
+        def counting(block):
+            attempts.extend([t_end] * block.accept.shape[0])
+            return check(block)
 
-    monkeypatch.setattr(sw, "dopri_steps", counted)
+        dopri_run(field, y, t_end, tol, atol, failed, counting, ids)
+
+    monkeypatch.setattr(sw, "dopri_run", counted)
     monkeypatch.setattr(fs._VerdictStack, "admit", lambda self, p, times: admitted.extend(times) or admit(self, p, times))
     result = fs.run_fault_study(wscc)
     assert isinstance(result.tau, float)
     assert 0 < attempts.count(fs.WINDOW) <= 480
     assert len(admitted) == len(set(admitted)) > 0
+
+
+#: calls whose per-point sequences differ in length, with the lengths they name
+UNEQUAL = {
+    "true_cct-short-fault-on": (lambda c, fo: fs.true_cct([c], [fo, fo]), "ctx 1, fault_on 2"),
+    "true_cct-short-ctx": (lambda c, fo: fs.true_cct([c, c], [fo]), "ctx 2, fault_on 1"),
+    "first_swing-short-t_cl": (lambda c, fo: fs.first_swing_stable([c, c], [fo, fo], [[0.1]]), "ctx 2, fault_on 2, t_cl 1"),
+    "first_swing-long-t_cl": (lambda c, fo: fs.first_swing_stable([c], [fo], [[0.1], [0.2]]), "ctx 1, fault_on 1, t_cl 2"),
+    "tau_H-long-E_c": (lambda c, fo: en.tau_H([c.hm], [c.crit.E_c, c.crit.E_c + 5], [fo]), "hm 1, E_c 2, trajectory 1"),
+    "tau_H-short-E_c": (lambda c, fo: en.tau_H([c.hm] * 2, [c.crit.E_c], [fo] * 2), "hm 2, E_c 1, trajectory 2"),
+    "fault_on-short-gp": (
+        lambda c, fo: en.fault_on_trajectory([c.fom] * 2, [c.gp], [c.x_pre] * 2, 2.0), "fom 2, gp 1, x_pre 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, lengths", UNEQUAL.values(), ids=UNEQUAL)
+def test_unequal_lengths_raise(nominal_ctx, nominal_fault_on, call, lengths):
+    """The fault-study calls take one entry per point in every sequence; a
+    sequence of another length raises ValueError naming the lengths, rather
+    than being cut short by zip or indexed past its end."""
+    with pytest.raises(ValueError, match=f"^unequal lengths: {lengths}$"):
+        call(nominal_ctx, nominal_fault_on)
 
 
 @pytest.mark.parametrize("name", ["resolution", "horizon", "tol"])
@@ -798,11 +817,11 @@ def test_bounded_check_equals_full_fold(wscc, monkeypatch):
     seen = {"late": 0, "failed": 0, "checks": 0}
 
     def compared(self, block):
-        rows = block[0][0]
-        settled = self._returned[rows].all(axis=1) & ~self._decided[rows]
+        rows = block.ids
+        settled = self._returned[rows].all(axis=1)
         if seen["checks"] == 3:    # a running row fails at this check
             self._failed[int(rows[np.flatnonzero(settled)[0]])] = 0.5
-        want_rows, want_stable = full_fold_check(self, list(block))
+        want_rows, want_stable = full_fold_check(self, block)
         got = check(self, block)
         assert got.tolist() == want_rows.tolist()
         assert self.stable[got].tolist() == want_stable.tolist()

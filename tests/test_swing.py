@@ -245,47 +245,86 @@ class Riccati:
 
 
 def run_with_admissions(field_of, y, plan, t_end=2.0):
-    """Run `dopri_steps` on rows 0.. of (field_of(rows), y[rows]), sending
-    plan[k] = (retire, rows) at its k-th attempt (rows joins the stack);
-    returns the accepted (t_new, y, Q) of every row by id, and `failed`."""
-    failed, accepted = {}, {}
-    start = plan.get(0, ((), ()))[1]
-    steps = sw.dopri_steps(field_of(start), y[start], t_end, 1e-8, sw.ATOL, failed, np.array(start))
-    change, k = None, 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            try:
-                ids, accept, _t, t_new, y_, Q = steps.send(change)
-            except StopIteration:
-                break
-            for i, r in enumerate(ids.tolist()):
-                if accept[i]:
-                    accepted.setdefault(r, []).append((t_new[i], y_[i], Q[:, i]))
-            k += 1
-            retire, rows = plan.get(k, (None, None))
-            change = None if retire is None else (
-                np.array(retire, dtype=int), (np.array(rows), field_of(rows), y[rows]) if rows else None
-            )
-    return accepted, failed
+    """Run `dopri_run` on rows plan[0][1] of (field_of(rows), y[rows]), whose
+    k-th check returns plan[k] = (retire, rows) (rows joins the stack), or
+    None where plan has no entry.  Asserts that every block holds CHECK
+    attempts, except one after which no row is live; returns the accepted
+    (t_new, y, Q) of every row by id, `failed` and the size of every block."""
+    failed, accepted, sizes = {}, {}, []
+    start = plan[0][1]
+
+    def check(block):
+        sizes.append(block.accept.shape[0])
+        live = (np.where(block.accept[-1], block.t_new[-1], block.t[-1]) < t_end) & ~np.isin(block.ids, list(failed))
+        assert sizes[-1] == sw.CHECK or (sizes[-1] < sw.CHECK and not live.any())
+        for a, k in zip(*np.nonzero(block.accept)):
+            accepted.setdefault(int(block.ids[k]), []).append((block.t_new[a, k], block.y[a, k], block.Q[a, :, k]))
+        retire, rows = plan.get(len(sizes), (None, None))
+        if retire is None:
+            return None
+        return np.array(retire, dtype=int), (np.array(rows), field_of(rows), y[rows]) if rows else None
+
+    sw.dopri_run(field_of(start), y[start], t_end, 1e-8, sw.ATOL, failed, check, np.array(start))
+    return accepted, failed, sizes
 
 
-def test_admitted_rows_equal_rows_alone():
-    """Rows that join a running stack at later sends get the accepted steps,
-    dense output and failure times they get alone, bit for bit: a row that
-    fails, and a row admitted once another has retired."""
-    c = np.array([1.0, -0.5, 0.3, 1.2, 0.05])
-    y = np.array([[1.0], [2.0], [0.5], [1.5], [3.0]])
-    field_of = lambda rows: Riccati(c[list(rows)])
-    plan = {0: ((), [0, 1]), 5: ((), [2, 3]), 12: ([1], []), 20: ((), [4])}
-    accepted, failed = run_with_admissions(field_of, y, plan)
-    assert set(failed) == {0, 3}    # rows 0 and 3 escape inside the window
-    assert len(accepted[1]) < len(run_with_admissions(field_of, y, {0: ((), [1])})[0][1])   # row 1 retired early
-    for r in (0, 2, 3, 4):
-        alone, failed_alone = run_with_admissions(field_of, y, {0: ((), [r])})
+def assert_rows_alone(field_of, y, accepted, failed, rows, t_end=2.0):
+    """Each of the rows got the accepted steps, dense output and failure
+    time it gets alone, bit for bit."""
+    for r in rows:
+        alone, failed_alone, _ = run_with_admissions(field_of, y, {0: ((), [r])}, t_end)
         assert failed.get(r) == failed_alone.get(r)
         assert len(accepted[r]) == len(alone[r])
         for got, want in zip(accepted[r], alone[r]):
             assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_admitted_rows_equal_rows_alone():
+    """Rows that join a running stack at later checks get the accepted
+    steps, dense output and failure times they get alone, bit for bit: a row
+    that fails, and a row admitted once another has retired."""
+    c = np.array([1.0, -0.5, 0.3, 1.2, 0.05])
+    y = np.array([[1.0], [2.0], [0.5], [1.5], [3.0]])
+    field_of = lambda rows: Riccati(c[list(rows)])
+    plan = {0: ((), [0, 1]), 1: ([1], [2, 3]), 3: ((), [4])}
+    accepted, failed, _ = run_with_admissions(field_of, y, plan)
+    assert set(failed) == {0, 3}    # rows 0 and 3 escape inside the window
+    assert len(accepted[1]) < len(run_with_admissions(field_of, y, {0: ((), [1])})[0][1])   # row 1 retired early
+    assert_rows_alone(field_of, y, accepted, failed, (0, 2, 3, 4))
+
+
+def test_emptied_stack_refilled_by_a_check_runs_on():
+    """A check after which no row would be live keeps the run going when it
+    admits rows: row 0 (c = 0) finishes after 8 attempts, so the first
+    check comes then and admits row 1; the second retires row 1, the only
+    live row, and admits row 2.  Every row keeps the bits it gets alone."""
+    c = np.array([0.0, -0.5, 0.3])
+    y = np.array([[1.0], [2.0], [0.5]])
+    field_of = lambda rows: Riccati(c[list(rows)])
+    accepted, failed, sizes = run_with_admissions(field_of, y, {0: ((), [0]), 1: ((), [1]), 2: ([1], [2])})
+    assert sizes[:2] == [8, sw.CHECK] and len(sizes) == 3
+    assert not failed
+    alone = run_with_admissions(field_of, y, {0: ((), [1])})[0][1]
+    assert 0 < len(accepted[1]) < len(alone)    # row 1 retired while live
+    assert all(same_bits(a, b) for got, want in zip(accepted[1], alone) for a, b in zip(got, want))
+    assert_rows_alone(field_of, y, accepted, failed, (0, 2))
+
+
+def test_integrate_rows_checks_take_nothing(monkeypatch):
+    """`integrate_rows`'s checks return None, so its field needs no `take`:
+    a lambda runs to the end with a row that finishes after 8 attempts and
+    one that fails riding along, and every block but the last holds CHECK
+    attempts."""
+    sizes, run = [], sw.dopri_run
+
+    def recorded(field, y, t_end, tol, atol, failed, check, ids=None):
+        run(field, y, t_end, tol, atol, failed, lambda block: sizes.append(block.accept.shape[0]) or check(block), ids)
+
+    monkeypatch.setattr(sw, "dopri_run", recorded)
+    c = np.array([0.0, 1.0, 0.25])
+    done, failed, ok = sw.integrate_rows(lambda y: c[:, None] * y * y, np.ones((3, 1)), 2.0)
+    assert done.h.size == 8 and isinstance(failed, IntegrationError) and ok.t_end == 2.0
+    assert len(sizes) > 2 and sizes[:-1] == [sw.CHECK] * (len(sizes) - 1) and 0 < sizes[-1] <= sw.CHECK
 
 
 def test_admitted_swing_rows_equal_rows_alone(nominal_ctx, nominal_fault_on):
@@ -293,13 +332,38 @@ def test_admitted_swing_rows_equal_rows_alone(nominal_ctx, nominal_fault_on):
     field = sw.swing_field(nominal_ctx.red_post, nominal_ctx.gp)
     y = nominal_fault_on.sample(np.array([0.05, 0.1, 0.2, 0.12]))
     field_of = lambda rows: sw.SwingField.stack([field] * len(rows))
-    accepted, failed = run_with_admissions(field_of, y, {0: ((), [0, 1]), 16: ((), [2]), 40: ([0], [3])}, 1.0)
+    accepted, failed, _ = run_with_admissions(field_of, y, {0: ((), [0, 1]), 1: ((), [2]), 3: ([0], [3])}, 1.0)
     assert not failed
-    for r in (1, 2, 3):
-        alone, _ = run_with_admissions(field_of, y, {0: ((), [r])}, 1.0)
-        assert len(accepted[r]) == len(alone[r])
-        for got, want in zip(accepted[r], alone[r]):
-            assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert_rows_alone(field_of, y, accepted, failed, (1, 2, 3), 1.0)
+
+
+def test_sample_block_equals_trajectory_sample(nominal_ctx, nominal_fault_on):
+    """In the blocks of a stacked run with one retirement and one admission,
+    each row's slots that are not NaN hold exactly its sample times inside
+    its accepted steps, in order, each with the bits the row's collected
+    `Trajectory.sample` gives at that time."""
+    field = sw.swing_field(nominal_ctx.red_post, nominal_ctx.gp)
+    y = nominal_fault_on.sample(np.array([0.05, 0.1, 0.2]))
+    ts, m = fs._SAMPLES, nominal_ctx.gp.n_active
+    blocks = []
+
+    def check(block):
+        blocks.append(block)
+        # the third check retires row 0 and admits row 2
+        return (np.array([0]), (np.array([2]), field, y[2:])) if len(blocks) == 3 else None
+
+    runs = sw._collected(sw.SwingField.stack([field] * 2), y[:2], 1.0, 1e-8, sw.ATOL, check)
+    assert runs[0].t_end < runs[1].t_end == runs[2].t_end == 1.0    # row 0 retired while live
+    padded = 0
+    for block in blocks:
+        got = sw.sample_block(block, ts, m)
+        padded += int(np.isnan(got).any())
+        for k, r in enumerate(block.ids.tolist()):
+            steps = [(block.t[a, k], block.t_new[a, k]) for a in np.flatnonzero(block.accept[:, k])]
+            want = [x for x in ts if any(lo < x <= hi or lo == x == 0.0 for lo, hi in steps)]
+            slots = got[:, k]
+            assert same_bits(slots[~np.isnan(slots[:, 0])], runs[r].sample(want)[:, :m])
+    assert padded > 0
 
 
 # ---------------------------------------------------------------------------
